@@ -20,6 +20,7 @@ All metric-level evaluations broadcast over leading batch axes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,6 +323,18 @@ def geodesic_flow(chart: Chart, start: TangentVector, t: float, steps: int = 256
     return TangentVector(x[-1], v[-1])
 
 
+def _rk4_step(rhs, state: tuple, h: float) -> tuple:
+    """One classical RK4 step of y' = rhs(*y) for a state y given as a tuple of arrays."""
+    half = 0.5 * h
+    k1 = rhs(*state)
+    k2 = rhs(*[y + half * k for y, k in zip(state, k1)])
+    k3 = rhs(*[y + half * k for y, k in zip(state, k2)])
+    k4 = rhs(*[y + h * k for y, k in zip(state, k3)])
+    sixth = h / 6
+    return tuple([y + sixth * (a + 2 * b + 2 * c + d)
+                  for y, a, b, c, d in zip(state, k1, k2, k3, k4)])
+
+
 def flow_trajectory(chart: Chart, start: TangentVector, t: float,
                     steps: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """Full RK4 trajectory: arrays of shape (steps+1, d) for x and v."""
@@ -332,19 +345,14 @@ def flow_trajectory(chart: Chart, start: TangentVector, t: float,
     if not np.all(chart.contains(x[0])):
         raise ChartDomainError(f"{chart.name}: flow start outside domain")
     h = t / steps
+    rhs = functools.partial(_geodesic_rhs, chart)
     for n in range(steps):
-        xn, vn = x[n], v[n]
         try:
-            k1x, k1v = _geodesic_rhs(chart, xn, vn)
-            k2x, k2v = _geodesic_rhs(chart, xn + 0.5 * h * k1x, vn + 0.5 * h * k1v)
-            k3x, k3v = _geodesic_rhs(chart, xn + 0.5 * h * k2x, vn + 0.5 * h * k2v)
-            k4x, k4v = _geodesic_rhs(chart, xn + h * k3x, vn + h * k3v)
+            x[n + 1], v[n + 1] = _rk4_step(rhs, (x[n], v[n]), h)
         except ChartDomainError:
             raise DomainEscapeError(
                 f"{chart.name}: geodesic left the chart domain", exit_time=n * h
             )
-        x[n + 1] = xn + (h / 6) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v[n + 1] = vn + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
         if not np.all(chart.contains(x[n + 1])):
             raise DomainEscapeError(
                 f"{chart.name}: geodesic left the chart domain", exit_time=(n + 1) * h

@@ -45,9 +45,9 @@ from .families import (
 )
 from .jacobi import (
     close_conjugate_points_check,
-    conjugate_points,
+    fixed_space_dimension,
     jacobi_propagate,
-    nullity_via_monodromy,
+    shoot_closed_orbit,
 )
 from .loops import (
     DiscreteLoop,
@@ -61,10 +61,11 @@ from .loops import (
 )
 from .morse import (
     assemble_second_variation,
-    based_index_cross_check,
-    bott_table,
+    based_index_verdict,
     index_and_nullity,
-    lemma_index_bound_check,
+    iteration_table,
+    lemma_verdict,
+    outgoing_conjugate_report,
 )
 from .penalty import (
     PenaltySchedule,
@@ -83,10 +84,11 @@ def _jsonable(obj):
         return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, float)):
         return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+    # bool before int: bool is a subclass of int
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
     return obj
 
 
@@ -118,6 +120,13 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
     off the penalty support ("case": "genuine") when the ramp gradient there
     is unresolved at that level; the record carries the basepoint excess
     r - R_alpha, the level and the ramp's gradient share next to "case".
+
+    Each analysis artefact is computed once per loop: the exact penalized
+    Hessian and its spectrum (index, nullity, lemma bound, and through its
+    pinned block the Dirichlet index), the conjugate scan along the
+    outgoing velocity (cp_1 and the based cross-check), and, for a moving
+    genuine loop, one shooting of its orbit, whose return map gives
+    ``nullity_monodromy`` and every Bott row, and the quadrature Hessian.
     """
     import warnings
 
@@ -131,7 +140,8 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
         residual = corner_residual(chart, schedule, alpha, loop)
     sv = assemble_second_variation(chart, loop, schedule, alpha)
     spec = index_and_nullity(sv, cfg.zero_band)
-    lemma = lemma_index_bound_check(chart, loop, schedule, alpha, cfg.steps, cfg.zero_band)
+    conj = outgoing_conjugate_report(chart, loop, cfg.steps)
+    lemma = lemma_verdict(conj, spec, chart.dim)
     record = {
         "energy": e_loop,
         "penalized_energy": e_pen,
@@ -156,17 +166,17 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
     speed = float(np.linalg.norm(one_sided_velocities(chart, loop)[1]))
     is_moving = speed > 1e-4 and e_loop > 1e-8
     if cls.case == "genuine" and is_moving:
-        record["nullity_monodromy"] = nullity_via_monodromy(
-            chart, loop, 1, cfg.rank_threshold, cfg.steps)
-        record["based_cross_check"] = based_index_cross_check(chart, loop, cfg.steps)
+        return_map = shoot_closed_orbit(chart, loop, cfg.steps).return_map()
+        record["nullity_monodromy"] = fixed_space_dimension(return_map, 1, cfg.rank_threshold)
+        record["based_cross_check"] = based_index_verdict(conj, sv)
         sv_q = assemble_second_variation(chart, loop, schedule, alpha,
                                          method="continuum_quadrature")
         spec_q = index_and_nullity(sv_q, cfg.zero_band)
         record["index_quadrature"] = spec_q.index
         record["nullity_quadrature"] = spec_q.nullity
         if with_bott:
-            record["bott"] = bott_table(chart, loop, cfg.m_max,
-                                        cfg.rank_threshold, cfg.steps)
+            record["bott"] = iteration_table(chart, loop, return_map, cfg.m_max,
+                                             cfg.rank_threshold)
     return record
 
 

@@ -47,7 +47,6 @@ class DescentOptions:
     grad_tol: float = 1e-8             # preconditioned norm
     armijo: float = 1e-4
     backtrack: float = 0.5
-    preconditioner: str = "laplacian"  # "laplacian" | "identity"
     initial_step: float = 1.0
     max_step: float = 64.0
     #: gradient level still accepted as converged when the energy hits the
@@ -112,7 +111,7 @@ class _LoopState:
         members must move gently to keep the family continuous).
         """
         grad = self._gradient(self.loop)
-        p = precondition(grad, self.opts.preconditioner)
+        p = precondition(grad)
         slope = float(np.sum(grad * p))
         self.grad_norm = float(np.sqrt(max(slope, 0.0)))
         if self.grad_norm < self.opts.grad_tol:
@@ -185,6 +184,8 @@ def descend(chart: Chart, loop: DiscreteLoop, schedule: PenaltySchedule | None =
         if status == "converged":
             converged = True
         elif status == "stalled":
+            # a stall after an accepted move measured the norm one loop back
+            state.grad_norm = preconditioned_norm(state._gradient(state.loop))
             converged = state.grad_norm <= opts.stall_grad_accept
         elif status == "cap_stalled":
             if doublings >= 1:
@@ -368,7 +369,7 @@ def _polish_bracket(chart, states, frozen, k, opts, sweep):
         center = refined[j]
         values.append(float(center.energy))
         grad = center._gradient(center.loop)
-        if preconditioned_norm(grad, opts.preconditioner) < sweep.argmax_grad_tol:
+        if preconditioned_norm(grad) < sweep.argmax_grad_tol:
             # gradient target met: also require a quiet value window, so
             # the reported max is stationary and not still drifting down
             tail = values[-quiet:]
@@ -428,7 +429,7 @@ def minimax_sweepout(chart: Chart, family: SweepoutFamily,
         vals = family_values()
         k = int(np.argmax(vals))
         grad = states[k]._gradient(states[k].loop)
-        return k, float(vals[k]), preconditioned_norm(grad, opts.preconditioner)
+        return k, float(vals[k]), preconditioned_norm(grad)
 
     move_limit = 0.5 * resolution
     for rounds in range(1, sweep.max_rounds + 1):
@@ -465,7 +466,7 @@ def minimax_sweepout(chart: Chart, family: SweepoutFamily,
         stable = success
         value = pol_values[-1]
         grad = states[k]._gradient(states[k].loop)
-        argmax_grad = preconditioned_norm(grad, opts.preconditioner)
+        argmax_grad = preconditioned_norm(grad)
     else:
         stable = True
 

@@ -18,6 +18,7 @@ m-fold iterate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from .charts import (
     Chart,
     TangentVector,
+    _rk4_step,
     christoffels,
     curvature_operator,
     metric_speed,
@@ -152,21 +154,6 @@ def _jacobi_rhs(chart: Chart, x, v, e, phi):
     return v, acc, de, dphi
 
 
-def _rk4_jacobi_step(chart: Chart, x, v, e, phi, h):
-    k1 = _jacobi_rhs(chart, x, v, e, phi)
-    k2 = _jacobi_rhs(chart, x + 0.5 * h * k1[0], v + 0.5 * h * k1[1],
-                     e + 0.5 * h * k1[2], phi + 0.5 * h * k1[3])
-    k3 = _jacobi_rhs(chart, x + 0.5 * h * k2[0], v + 0.5 * h * k2[1],
-                     e + 0.5 * h * k2[2], phi + 0.5 * h * k2[3])
-    k4 = _jacobi_rhs(chart, x + h * k3[0], v + h * k3[1], e + h * k3[2], phi + h * k3[3])
-    return (
-        x + (h / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-        v + (h / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-        e + (h / 6) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-        phi + (h / 6) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]),
-    )
-
-
 def _integrate_jacobi(chart: Chart, start: TangentVector, t: float, steps: int,
                       initial_frame: np.ndarray | None = None):
     """Grid integration of (x, v, frame, Phi); returns per-step arrays."""
@@ -176,10 +163,11 @@ def _integrate_jacobi(chart: Chart, start: TangentVector, t: float, steps: int,
     e = orthonormal_frame(chart, x, v) if initial_frame is None else initial_frame.copy()
     phi = np.eye(2 * d)
     h = t / steps
+    rhs = functools.partial(_jacobi_rhs, chart)
     xs = [x.copy()]; vs = [v.copy()]; es = [e.copy()]; phis = [phi.copy()]
     for n in range(steps):
         try:
-            x, v, e, phi = _rk4_jacobi_step(chart, x, v, e, phi, h)
+            x, v, e, phi = _rk4_step(rhs, (x, v, e, phi), h)
         except ChartDomainError:
             raise DomainEscapeError(
                 f"{chart.name}: geodesic left the chart domain during Jacobi propagation",
@@ -206,25 +194,23 @@ def jacobi_propagate(chart: Chart, start: TangentVector, t: float, steps: int = 
     )
 
 
-def _refine_root(chart, start, frame0, grid_t, grid_state, k, steps_per_span=8):
+def _refine_root(chart, grid_t, grid_state, k, steps_per_span=8):
     """Bisect a sign change of det B inside (grid_t[k], grid_t[k+1])."""
     d = chart.dim
+    rhs = functools.partial(_jacobi_rhs, chart)
+    state_k = tuple(a[k] for a in grid_state)
 
     def det_at(s):
-        x, v, e, phi = grid_state
-        xk, vk, ek, phik = x[k], v[k], e[k], phi[k]
-        span = s - grid_t[k]
-        if span <= 0:
-            return np.linalg.det(phik[:d, d:])
-        nsub = max(2, steps_per_span)
-        h = span / nsub
-        xx, vv, ee, pp = xk, vk, ek, phik
-        for _ in range(nsub):
-            xx, vv, ee, pp = _rk4_jacobi_step(chart, xx, vv, ee, pp, h)
-        return np.linalg.det(pp[:d, d:]), pp[:d, d:]
+        # bisection only probes s > grid_t[k]
+        h = (s - grid_t[k]) / steps_per_span
+        state = state_k
+        for _ in range(steps_per_span):
+            state = _rk4_step(rhs, state, h)
+        b = state[3][:d, d:]
+        return np.linalg.det(b), b
 
     lo, hi = grid_t[k], grid_t[k + 1]
-    flo = np.linalg.det(grid_state[3][k][:d, d:])
+    flo = np.linalg.det(state_k[3][:d, d:])
     while hi - lo > TIME_TOL:
         mid = 0.5 * (lo + hi)
         fmid, _ = det_at(mid)
@@ -272,7 +258,7 @@ def conjugate_points(chart: Chart, start: TangentVector, t: float, steps: int = 
         if grid_t[k + 1] <= s_min:
             continue
         if dets[k] * dets[k + 1] < 0 and abs(dets[k + 1]) > DET_ENDPOINT_REL * scale * 1e-2:
-            s_star, b = _refine_root(chart, start, es[0], grid_t, state, k)
+            s_star, b = _refine_root(chart, grid_t, state, k)
             mult = _kernel_dim(b, rank_threshold)
             if mult > 0:
                 found.append((s_star, mult))
@@ -323,25 +309,26 @@ def _chart_to_covariant(chart: Chart, x, v, e):
 
 
 def refine_closed_orbit(chart: Chart, x0: np.ndarray, v0: np.ndarray, steps: int = 512,
-                        max_iter: int = 8, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray, float]:
+                        max_iter: int = 8, tol: float = 1e-9) -> tuple[MonodromyMatrix, float]:
     """Gauss-Newton shooting that closes up an approximately periodic geodesic.
 
-    Returns the corrected (x0, v0) and the final closure residual.  The
+    Takes at most ``max_iter`` Gauss-Newton steps.  Returns the fundamental
+    solution of the last shooting, whose ``start`` is the corrected initial
+    condition, and the closure residual of that same shooting.  The
     linearization of the return map has the orbit's symmetry directions in
     its kernel, so the step uses a least-squares pseudo-inverse.
     """
     x0 = np.asarray(x0, dtype=float).copy()
     v0 = np.asarray(v0, dtype=float).copy()
     speed = max(metric_speed(chart, x0, v0), 1e-12)
-    residual = np.inf
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         mono = jacobi_propagate(chart, TangentVector(x0, v0), 1.0, steps)
         fx = chart.wrap_difference(mono.end.base - x0)
         fv = mono.end.v - v0
         f = np.concatenate([fx, fv])
         residual = float(np.linalg.norm(f))
-        if residual < tol * speed:
-            break
+        if residual < tol * speed or it == max_iter:
+            return mono, residual
         a0 = _chart_to_covariant(chart, x0, v0, mono.frame0)
         a1 = _chart_to_covariant(chart, mono.end.base, mono.end.v, mono.frame1)
         dphi_chart = np.linalg.solve(a1, mono.matrix @ a0)
@@ -349,13 +336,6 @@ def refine_closed_orbit(chart: Chart, x0: np.ndarray, v0: np.ndarray, steps: int
         step, *_ = np.linalg.lstsq(jac, -f, rcond=1e-8)
         x0 = x0 + step[: chart.dim]
         v0 = v0 + step[chart.dim:]
-    return x0, v0, residual
-
-
-def loop_orbit_start(chart: Chart, loop: DiscreteLoop) -> TangentVector:
-    """Initial condition of the geodesic a (near-)critical loop discretizes."""
-    v_minus, v_plus = one_sided_velocities(chart, loop)
-    return TangentVector(loop.basepoint, 0.5 * (v_minus + v_plus))
 
 
 def fixed_space_dimension(p: np.ndarray, m: int = 1, rank_threshold: float = 1e-4,
@@ -387,20 +367,18 @@ def fixed_space_dimension(p: np.ndarray, m: int = 1, rank_threshold: float = 1e-
     return total
 
 
-def nullity_via_monodromy(chart: Chart, loop: DiscreteLoop, m: int = 1,
-                          rank_threshold: float = 1e-4, steps: int = 512,
-                          closure_tol: float = 1e-2) -> int:
-    """Kernel dimension of (return map)^m - Id for a genuine closed geodesic.
+def shoot_closed_orbit(chart: Chart, loop: DiscreteLoop, steps: int = 512,
+                       closure_tol: float = 1e-2) -> MonodromyMatrix:
+    """The closed geodesic a genuine critical loop discretizes, shot once.
 
-    The loop supplies the shooting start; the orbit is tightened by
-    Gauss-Newton before the return map is assembled.  Raises
-    NotAGeodesicError when the orbit refuses to close to ``closure_tol``
-    (relative to the speed).
+    Returns the last Gauss-Newton shooting (``return_map()`` is the orbit's
+    linearized return map).  Raises NotAGeodesicError when the orbit refuses
+    to close to ``closure_tol`` (relative to the speed) or wanders off.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    start = loop_orbit_start(chart, loop)
-    x0, v0, residual = refine_closed_orbit(chart, start.base, start.v, steps)
+    v_minus, v_plus = one_sided_velocities(chart, loop)
+    start = TangentVector(loop.basepoint, 0.5 * (v_minus + v_plus))
+    mono, residual = refine_closed_orbit(chart, start.base, start.v, steps)
+    x0, v0 = mono.start.base, mono.start.v
     speed = max(metric_speed(chart, x0, v0), 1e-12)
     speed0 = max(metric_speed(chart, start.base, start.v), 1e-12)
     moved = float(np.linalg.norm(chart.wrap_difference(x0 - start.base)))
@@ -414,7 +392,15 @@ def nullity_via_monodromy(chart: Chart, loop: DiscreteLoop, m: int = 1,
             f"{moved:.2e}, speed {speed0:.3g} -> {speed:.3g}); "
             "the loop is not a closed geodesic"
         )
-    mono = jacobi_propagate(chart, TangentVector(x0, v0), 1.0, steps)
+    return mono
+
+
+def nullity_via_monodromy(chart: Chart, loop: DiscreteLoop, m: int = 1,
+                          rank_threshold: float = 1e-4, steps: int = 512,
+                          closure_tol: float = 1e-2) -> int:
+    """Kernel dimension of (return map)^m - Id for a genuine closed geodesic,
+    read off the return map of one ``shoot_closed_orbit`` shooting."""
+    mono = shoot_closed_orbit(chart, loop, steps, closure_tol)
     return fixed_space_dimension(mono.return_map(), m, rank_threshold)
 
 

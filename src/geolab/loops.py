@@ -127,23 +127,21 @@ def energy_gradient(chart: Chart, loop: DiscreteLoop) -> np.ndarray:
     )
 
 
-def precondition(grad: np.ndarray, kind: str) -> np.ndarray:
+def precondition(grad: np.ndarray) -> np.ndarray:
     """Solve ((1/N) I + N L) p = grad per coordinate (FFT, exact circulant).
 
     The operator is the discrete H^1 inner product on nodal fields (L the
-    second-difference circulant); ``kind="identity"`` returns a copy.
+    second-difference circulant).
     """
-    if kind == "identity":
-        return grad.copy()
     n = grad.shape[0]
     lam = 1.0 / n + n * (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n))
     ghat = np.fft.rfft(grad, axis=0)
     return np.fft.irfft(ghat / lam[:, None], n=n, axis=0)
 
 
-def preconditioned_norm(grad: np.ndarray, kind: str = "laplacian") -> float:
+def preconditioned_norm(grad: np.ndarray) -> float:
     """|g|_M = sqrt(g . M^{-1} g), the gradient norm every solver thresholds."""
-    p = precondition(grad, kind)
+    p = precondition(grad)
     return float(np.sqrt(max(np.sum(grad * p), 0.0)))
 
 

@@ -17,14 +17,18 @@ reported spectral radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .charts import Chart, christoffels, curvature_operator
+from .charts import Chart, TangentVector, christoffels, curvature_operator
 from .errors import CrossCheckError
-from .jacobi import conjugate_points, nullity_via_monodromy
-from .charts import TangentVector
+from .jacobi import (
+    ConjugateReport,
+    conjugate_points,
+    fixed_space_dimension,
+    shoot_closed_orbit,
+)
 from .loops import (
     DiscreteLoop,
     iterate,
@@ -199,28 +203,37 @@ def index_and_nullity(sv: SecondVariation, zero_band: float | None = None) -> Sp
 # ---------------------------------------------------------------------------
 
 
+def outgoing_conjugate_report(chart: Chart, loop: DiscreteLoop,
+                              steps: int = 512) -> ConjugateReport:
+    """Conjugate points on (0, 1] along the geodesic shot from the basepoint
+    with the outgoing velocity v_+; empty for a stationary loop (trivial flow)."""
+    _, v_plus = one_sided_velocities(chart, loop)
+    if float(np.linalg.norm(v_plus)) < 1e-8:
+        return ConjugateReport(t=1.0)
+    return conjugate_points(chart, TangentVector(loop.basepoint, v_plus), 1.0, steps)
+
+
+def pinned_index(sv: SecondVariation, zero_band: float | None = None) -> int:
+    """Negative inertia of the basepoint-pinned block of an assembled Hessian;
+    the penalty only enters the basepoint block, so this is the Dirichlet index."""
+    pinned = replace(sv, matrix=sv.matrix[sv.dim:, sv.dim:])
+    return index_and_nullity(pinned, zero_band).index
+
+
 def dirichlet_index(chart: Chart, loop: DiscreteLoop, zero_band: float | None = None) -> int:
     """Negative inertia of the basepoint-pinned (Dirichlet) second variation."""
-    sv = assemble_second_variation(chart, loop)
-    d = loop.dim
-    pinned = sv.matrix[d:, d:]
-    eigs = np.linalg.eigvalsh(pinned) * loop.n_nodes
-    radius = float(np.max(np.abs(eigs)))
-    band = zero_band if zero_band is not None else ZERO_BAND_SCALE * radius
-    return int(np.sum(eigs < -band))
+    return pinned_index(assemble_second_variation(chart, loop), zero_band)
 
 
-def based_index_cross_check(chart: Chart, loop: DiscreteLoop, steps: int = 512) -> dict:
-    """Dirichlet index against the open-interval conjugate count.
+def based_index_verdict(report: ConjugateReport, sv: SecondVariation) -> dict:
+    """Dirichlet index of ``sv`` against the open-interval count of ``report``.
 
     The two numbers are computed by entirely independent routes (pinned
     eigensolve vs zeros of det B along the shot geodesic) and must agree;
     a mismatch is a hard failure of one of the two subsystems.
     """
-    _, v_plus = one_sided_velocities(chart, loop)
-    report = conjugate_points(chart, TangentVector(loop.basepoint, v_plus), 1.0, steps)
     cp_open = report.count_open(1.0)
-    idx = dirichlet_index(chart, loop)
+    idx = pinned_index(sv)
     if idx != cp_open:
         raise CrossCheckError(
             f"Dirichlet index {idx} != open-interval conjugate count {cp_open}"
@@ -229,49 +242,61 @@ def based_index_cross_check(chart: Chart, loop: DiscreteLoop, steps: int = 512) 
             "conjugate_times": [[float(s), int(mu)] for s, mu in report.times]}
 
 
-def lemma_index_bound_check(chart: Chart, loop: DiscreteLoop,
-                            schedule: PenaltySchedule | None = None,
-                            alpha: int | None = None, steps: int = 512,
-                            zero_band: float | None = None) -> dict:
-    """Check ind + nul <= dim whenever the loop geodesic has cp_1 = 0.
+def based_index_cross_check(chart: Chart, loop: DiscreteLoop, steps: int = 512) -> dict:
+    """Dirichlet index against the open-interval conjugate count along v_+."""
+    return based_index_verdict(outgoing_conjugate_report(chart, loop, steps),
+                               assemble_second_variation(chart, loop))
 
-    The hypothesis counts conjugate points on (0, 1] along the geodesic
-    shot from the basepoint with the outgoing velocity (corner critical
-    points included).  Verdicts: "pass", "fail", "not_applicable" (cp_1 > 0).
+
+def lemma_verdict(report: ConjugateReport, spec: SpectralReport, dim: int) -> dict:
+    """Check ind + nul <= dim of ``spec`` whenever the outgoing conjugate
+    ``report`` has cp_1 = 0.  Verdicts: "pass", "fail", "not_applicable" (cp_1 > 0).
     """
-    _, v_plus = one_sided_velocities(chart, loop)
-    speed = float(np.linalg.norm(v_plus))
-    if speed < 1e-8:
-        cp1 = 0  # stationary loop: trivial Jacobi flow, no conjugate points
-    else:
-        report = conjugate_points(chart, TangentVector(loop.basepoint, v_plus), 1.0, steps)
-        cp1 = report.count
-    sv = assemble_second_variation(chart, loop, schedule, alpha)
-    spec = index_and_nullity(sv, zero_band)
+    cp1 = report.count
     if cp1 == 0:
-        verdict = "pass" if spec.index + spec.nullity <= chart.dim else "fail"
+        verdict = "pass" if spec.index + spec.nullity <= dim else "fail"
     else:
         verdict = "not_applicable"
     return {
         "cp1": int(cp1),
         "index": spec.index,
         "nullity": spec.nullity,
-        "dim": chart.dim,
+        "dim": dim,
         "verdict": verdict,
     }
+
+
+def lemma_index_bound_check(chart: Chart, loop: DiscreteLoop,
+                            schedule: PenaltySchedule | None = None,
+                            alpha: int | None = None, steps: int = 512,
+                            zero_band: float | None = None) -> dict:
+    """The index bound of ``lemma_verdict`` for a loop, assembled from scratch."""
+    report = outgoing_conjugate_report(chart, loop, steps)
+    spec = index_and_nullity(assemble_second_variation(chart, loop, schedule, alpha),
+                             zero_band)
+    return lemma_verdict(report, spec, chart.dim)
 
 
 def bott_table(chart: Chart, loop: DiscreteLoop, m_max: int = 6,
                rank_threshold: float = 1e-4, steps: int = 512,
                slack: float = 0.05) -> dict:
+    """``iteration_table`` of a closed geodesic, whose orbit is shot once:
+    every iterate's return-map nullity is read off that one return map."""
+    return_map = shoot_closed_orbit(chart, loop, steps).return_map()
+    return iteration_table(chart, loop, return_map, m_max, rank_threshold, slack)
+
+
+def iteration_table(chart: Chart, loop: DiscreteLoop, return_map: np.ndarray,
+                    m_max: int = 6, rank_threshold: float = 1e-4,
+                    slack: float = 0.05) -> dict:
     """Iteration table: spectral index/nullity of the m-fold iterates.
 
     For each m <= m_max the iterate's spectrum is assembled on its own
     mN-node discretization (no iteration-theory shortcut) and the spectral
-    nullity must equal the linearized-return-map nullity; disagreement is a
-    hard failure.  The average index is estimated two ways (least-squares
-    slope through (m, ind) and the endpoint ratio) and the two-sided
-    iteration bounds
+    nullity must equal dim ker(P^m - Id) for the loop's linearized return
+    map P; disagreement is a hard failure.  The average index is estimated
+    two ways (least-squares slope through (m, ind) and the endpoint ratio)
+    and the two-sided iteration bounds
 
         m ibar - dim <= ind_m <= m ibar + dim - nul_m
 
@@ -282,7 +307,7 @@ def bott_table(chart: Chart, loop: DiscreteLoop, m_max: int = 6,
         it_loop = iterate(loop, m)
         sv = assemble_second_variation(chart, it_loop)
         spec = index_and_nullity(sv)
-        nul_mono = nullity_via_monodromy(chart, loop, m, rank_threshold, steps)
+        nul_mono = fixed_space_dimension(return_map, m, rank_threshold)
         if spec.nullity != nul_mono:
             raise CrossCheckError(
                 f"m={m}: spectral nullity {spec.nullity} != return-map nullity {nul_mono}"

@@ -128,8 +128,29 @@ def test_cli_seed_override_changes_results(tmp_path):
     assert not np.allclose(a, b)
 
 
-def test_cli_analyze_stored_loop(tmp_path):
+def count_calls(monkeypatch, modules, names):
+    """Wrap each named function in every module namespace that binds it."""
+    calls = {name: [] for name in names}
+    for name in names:
+        original = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            out = _fn(*args, **kwargs)
+            calls[_name].append(out)
+            return out
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_cli_analyze_stored_loop(tmp_path, monkeypatch):
+    from geolab import cli, jacobi, morse
     from geolab.charts import make_chart
+    calls = count_calls(monkeypatch, (cli, jacobi, morse),
+                        ("refine_closed_orbit", "conjugate_points",
+                         "assemble_second_variation"))
     cyl = make_chart("cylinder")
     n = 128
     ts = 2 * np.pi * np.arange(n) / n
@@ -147,6 +168,14 @@ def test_cli_analyze_stored_loop(tmp_path):
     assert analysis["lemma_verdict"] == "pass"
     assert analysis["bott"]["bounds_ok"]
     assert analysis["based_cross_check"]["dirichlet_index"] == 0
+    # each artefact once: one shooting, one conjugate scan, the loop's exact
+    # and quadrature Hessians, and one Hessian per Bott iterate
+    assert len(calls["refine_closed_orbit"]) == 1
+    assert len(calls["conjugate_points"]) == 1
+    assemblies = sorted((sv.method, sv.n_nodes, sv.alpha is None)
+                        for sv in calls["assemble_second_variation"])
+    assert assemblies == [("continuum_quadrature", n, False), ("exact_discrete", n, False),
+                          ("exact_discrete", n, True), ("exact_discrete", 2 * n, True)]
 
 
 def test_cli_analyze_requires_loop_path(tmp_path):
@@ -195,3 +224,17 @@ def test_cli_sweep_plane_contractible(tmp_path):
     results = read_report(out)["results"]
     assert results["mode"] == "minimax"
     assert results["value"] < 1e-8
+
+
+def test_cli_report_booleans_are_json_booleans(tmp_path):
+    cfg = write_yaml(tmp_path / "cfg.yaml",
+                     "chart: plane\nn_nodes: 48\nfamily: concentric\n"
+                     "family_members: 9\nfamily_r_max: 1.0\nseed: 0\n")
+    out = str(tmp_path / "report.json")
+    assert main(["sweep", "--config", cfg, "--quiet", "--out", out]) == 0
+    results = read_report(out)["results"]
+    assert results["stable"] is True
+    assert isinstance(results["analysis"]["ambiguous_band"], bool)
+    cfg = write_yaml(tmp_path / "cfg2.yaml", "chart: sphere\nn_samples: 10\n")
+    assert main(["verify", "conjpoints", "--config", cfg, "--quiet", "--out", out]) == 0
+    assert read_report(out)["results"]["pass"] is True

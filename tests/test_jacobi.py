@@ -188,7 +188,8 @@ def test_refine_closed_orbit_tightens():
     sph = make_chart("sphere")
     x0 = np.array([1.0, 0.0]) * 1.001
     v0 = np.array([0.01, 2 * np.pi])
-    x, v, residual = refine_closed_orbit(sph, x0, v0, steps=1024)
+    mono, residual = refine_closed_orbit(sph, x0, v0, steps=1024)
+    x = mono.start.base
     assert residual < 1e-7 * 2 * np.pi
     assert np.linalg.norm(x - [1.0, 0.0]) < 0.01
 

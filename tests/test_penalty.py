@@ -228,6 +228,8 @@ def test_classification_funnel_stalled_constant_loop_is_genuine():
     start = random_loop(fun, np.random.default_rng(2), 128, winding=0, r_band=(0.0, 3.0))
     res = descend(fun, start, sched, 0, opts)
     assert res.converged and res.grad_norm > opts.grad_tol
+    # the stall route reports the gradient norm at the loop it returns
+    assert res.grad_norm == preconditioned_norm(penalized_gradient(fun, sched, 0, res.loop))
     level = max(opts.grad_tol, res.grad_norm)
     cls = classify_critical_point(fun, sched, 0, res.loop, ell=10.0, acceptance_level=level)
     assert cls.basepoint_excess > 0
