@@ -123,9 +123,8 @@ class Chart:
         if self.periods is None:
             return x
         out = x.copy()
-        for k, p in enumerate(self.periods):
-            if np.isfinite(p):
-                out[..., k] = np.mod(out[..., k], p)
+        for k in np.flatnonzero(np.isfinite(self.periods)):
+            out[..., k] = np.mod(x[..., k], self.periods[k])
         return out
 
     def wrap_difference(self, delta: np.ndarray) -> np.ndarray:
@@ -134,9 +133,9 @@ class Chart:
         if self.periods is None:
             return delta
         out = delta.copy()
-        for k, p in enumerate(self.periods):
-            if np.isfinite(p):
-                out[..., k] = out[..., k] - p * np.round(out[..., k] / p)
+        for k in np.flatnonzero(np.isfinite(self.periods)):
+            p = self.periods[k]
+            out[..., k] = delta[..., k] - p * np.rint(delta[..., k] / p)
         return out
 
     # -- exhaustion (non-compact charts only) ------------------------------

@@ -7,21 +7,23 @@ the discrete H^1 inner product on nodal fields, so step sizes and
 convergence rates are mesh-independent; the gradient norm reported and
 thresholded everywhere is the preconditioned one, |g|_M = sqrt(g . M^{-1} g).
 
-The sweepout minimax evolves a discrete one-parameter family of loops:
-every non-frozen member takes one descent step per round, family
-continuity is re-tightened by nodewise-midpoint insertion whenever two
-neighbors drift beyond the chart cap, and the family max of the penalized
-energy is tracked until it stabilizes.  Near a saddle the two members
-straddling it pull apart, midpoint insertion bisects the bracket, and the
-running argmax converges to the critical point; extra midpoints are
-inserted around a stalled argmax until its gradient norm passes the
-target.  The returned value approximates the minimax level from the
-family side; the gap to the true level is reported, not bounded.
+Every descent steps a stack of M loops: nodes (M, N, d) with per-member
+gauge, energy, step size and stall count.  One step makes one gradient,
+one preconditioner and one trial-energy call per backtracking round for
+all members, which part ways only through masks.  ``descend`` is a stack
+of one.  The sweepout minimax keeps its family as a stack: every free
+member steps each round, neighbors drifting apart get nodewise midpoints
+inserted, the family max is tracked until it settles, and the argmax
+bracket is then bisected down to the saddle.  The returned value
+approximates the minimax level from the family side; the gap to the true
+level is reported, not bounded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -30,32 +32,39 @@ from .errors import ChartDomainError, CrossCheckError, FamilyTearError, RefineNe
 from .loops import (
     DiscreteLoop,
     double_nodes,
+    energy,
+    energy_gradient,
     loop_distance,
-    make_loop,
     maybe_recenter,
     midpoint_loop,
     precondition,
     preconditioned_norm,
+    segment_checks,
     validate_loop,
 )
 from .penalty import PenaltySchedule, penalized_energy, penalized_gradient
 
+ARMIJO = 1e-4          # sufficient-decrease constant
+BACKTRACK = 0.5        # step factor per backtracking trial and per halving probe
+INITIAL_STEP = 1.0     # step size tau of a fresh member
+MAX_STEP = 64.0        # ceiling of tau, which doubles after each accepted step
+#: gradient level still accepted as converged when the energy hits the
+#: float64 rounding floor before the strict tolerance is reachable
+STALL_GRAD_ACCEPT = 1e-4
+STALL_STEPS = 25       # accepted steps in a row without float-resolved progress
+_FLOAT_EPS = np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class DescentOptions:
+    """Step budget and |g|_M convergence level of each descending loop."""
+
     max_iter: int = 20000
     grad_tol: float = 1e-8             # preconditioned norm
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    initial_step: float = 1.0
-    max_step: float = 64.0
-    #: gradient level still accepted as converged when the energy hits the
-    #: float64 rounding floor before the strict tolerance is reachable
-    stall_grad_accept: float = 1e-4
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.armijo <= 0 or not 0 < self.backtrack < 1:
-            raise ValueError("descent tolerances must be positive, backtrack in (0,1)")
+        if self.grad_tol <= 0:
+            raise ValueError("descent tolerance grad_tol must be positive")
 
 
 @dataclass
@@ -70,97 +79,143 @@ class DescentResult:
     doublings: int = 0
 
 
-class _LoopState:
-    """One loop undergoing descent: caches energy and the trusted step size."""
+_MEMBER_FIELDS = ("nodes", "frame", "energy", "tau", "stall", "frozen")
 
-    def __init__(self, chart, schedule, alpha, loop, opts):
-        self.chart = chart
-        self.schedule = schedule
-        self.alpha = alpha
-        self.opts = opts
-        self.loop = loop
-        self.tau = opts.initial_step
-        self.energy = self._value(loop)
-        self.grad_norm = np.inf
-        self.no_progress = 0
 
-    def _value(self, loop):
-        if self.schedule is None:
-            from .loops import energy
-            return energy(self.chart, loop)
-        return penalized_energy(self.chart, self.schedule, self.alpha, loop)
+@dataclass
+class _LoopStack:
+    """Loops under descent along a leading member axis; one array per field."""
 
-    def _gradient(self, loop):
-        if self.schedule is None:
-            from .loops import energy_gradient
-            return energy_gradient(self.chart, loop)
-        return penalized_gradient(self.chart, self.schedule, self.alpha, loop)
+    chart: Chart
+    value: Callable          # objective of a loop or a stack of loops
+    gradient: Callable
+    nodes: np.ndarray        # (M, N, d)
+    frame: np.ndarray        # chart gauge
+    energy: np.ndarray       # objective value
+    tau: np.ndarray          # trusted step size
+    stall: np.ndarray        # accepted steps in a row without float-resolved progress
+    frozen: np.ndarray       # members the sweepout never steps
 
-    def _trial(self, p, tau):
-        trial = make_loop(self.chart, self.loop.nodes - tau * p, frame=self.loop.frame)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return trial, self._value(trial)
+    @classmethod
+    def of(cls, chart: Chart, schedule: PenaltySchedule | None, alpha: int | None,
+           loops, frozen=None) -> "_LoopStack":
+        """Stack ``loops`` under the penalized energy (the energy without a schedule)."""
+        if schedule is None:
+            value, gradient = partial(energy, chart), partial(energy_gradient, chart)
+        else:
+            value = partial(penalized_energy, chart, schedule, alpha)
+            gradient = partial(penalized_gradient, chart, schedule, alpha)
+        m = len(loops)
+        nodes, frame = np.stack([lp.nodes for lp in loops]), np.array([lp.frame for lp in loops])
+        return cls(chart, value, gradient, nodes, frame, value(DiscreteLoop(nodes, frame)),
+                   np.full(m, INITIAL_STEP), np.zeros(m, dtype=int),
+                   np.zeros(m, dtype=bool) if frozen is None else np.array(frozen, dtype=bool))
 
-    def step(self, max_move: float | None = None) -> str:
-        """One Armijo-backtracked step: 'moved' | 'converged' | 'stalled' | 'cap_stalled'.
+    @property
+    def size(self) -> int:
+        return len(self.energy)
 
-        'stalled' means no trial size produced a sufficient decrease (the
-        energy sits at its rounding floor); 'cap_stalled' means the segment
-        cap or chart domain blocked every trial, so the loop needs more
-        nodes.  ``max_move`` bounds the max node displacement (sweepout
-        members must move gently to keep the family continuous).
-        """
-        grad = self._gradient(self.loop)
-        p = precondition(grad)
-        slope = float(np.sum(grad * p))
-        self.grad_norm = float(np.sqrt(max(slope, 0.0)))
-        if self.grad_norm < self.opts.grad_tol:
-            return "converged"
-        tau = self.tau
-        if max_move is not None:
-            reach = float(np.max(np.linalg.norm(p, axis=-1)))
-            if reach > 0:
-                tau = min(tau, max_move / reach)
-        blocked = 0
-        trials = 0
-        while tau > 1e-14:
-            trials += 1
-            try:
-                trial, e_trial = self._trial(p, tau)
-            except (RefineNeededError, ChartDomainError):
-                blocked += 1
-                tau *= self.opts.backtrack
-                continue
-            if np.isfinite(e_trial) and e_trial <= self.energy - self.opts.armijo * tau * slope:
-                # greedy halving probe: the first sufficient decrease can be
-                # far from the best one on stiff spectra
-                while True:
-                    try:
-                        t2, e2 = self._trial(p, tau * self.opts.backtrack)
-                    except (RefineNeededError, ChartDomainError):
-                        break
-                    if np.isfinite(e2) and e2 < e_trial:
-                        tau, trial, e_trial = tau * self.opts.backtrack, t2, e2
-                    else:
-                        break
-                if e_trial > self.energy + 1e-12 * max(1.0, abs(self.energy)):
-                    raise CrossCheckError("descent accepted an energy increase")
-                recentered = maybe_recenter(self.chart, trial)
-                if recentered.frame != trial.frame:
-                    e_trial = self._value(recentered)
-                # decreases below float resolution on |E| count as no progress
-                if self.energy - e_trial <= 16 * np.finfo(float).eps * max(abs(self.energy), 1.0):
-                    self.no_progress += 1
-                else:
-                    self.no_progress = 0
-                self.loop = recentered
-                self.energy = e_trial
-                self.tau = min(tau * 2.0, self.opts.max_step)
-                if self.no_progress >= 25:
-                    return "stalled"
-                return "moved"
-            tau *= self.opts.backtrack
-        return "cap_stalled" if blocked == trials else "stalled"
+    def loop(self, s: int) -> DiscreteLoop:
+        return DiscreteLoop(self.nodes[s], int(self.frame[s]))
+
+    def insert(self, s: int, loop: DiscreteLoop, tau: float) -> None:
+        row = (loop.nodes, loop.frame, self.value(loop), tau, 0, False)
+        for name, v in zip(_MEMBER_FIELDS, row):
+            setattr(self, name, np.insert(getattr(self, name), s, v, axis=0))
+
+    def delete(self, s: int | slice) -> None:
+        for name in _MEMBER_FIELDS:
+            setattr(self, name, np.delete(getattr(self, name), s, axis=0))
+
+
+def _trial_values(stack: _LoopStack, trial: DiscreteLoop):
+    """(objective, admissible) per trial member; NaN where the cap or domain blocks it."""
+    try:
+        return stack.value(trial), True
+    except (RefineNeededError, ChartDomainError):
+        _, over_cap, outside = segment_checks(stack.chart, trial)
+        ok = ~(over_cap | outside)
+        values = np.full(len(ok), np.nan)
+        if ok.any():
+            values[ok] = stack.value(DiscreteLoop(trial.nodes[ok], trial.frame[ok]))
+        return values, ok
+
+
+def _armijo_step(stack: _LoopStack, members, grad_tol: float, max_move: float | None = None):
+    """One Armijo-backtracked step of each listed member; returns (status, |g|_M).
+
+    Status per member: 'moved' | 'converged' | 'stalled' (no trial size
+    gave a sufficient decrease, or ``STALL_STEPS`` accepted steps made no
+    float-resolved progress) | 'cap_stalled' (the segment cap or chart
+    domain blocked every trial: the loop needs more nodes).  ``max_move``
+    bounds the max node displacement (sweepout members must move gently to
+    keep the family continuous).
+    """
+    idx = np.asarray(members, dtype=int)
+    nodes, frame, e0 = stack.nodes[idx], stack.frame[idx], stack.energy[idx]
+    grad = stack.gradient(DiscreteLoop(nodes, frame))
+    p = precondition(grad)
+    slope = (grad * p).sum(axis=(-2, -1))
+    del grad                # not needed past the slope; keeps the stack's peak memory down
+    gnorm = np.sqrt(np.maximum(slope, 0.0))
+    converged = gnorm < grad_tol
+    step = stack.tau[idx]
+    if max_move is not None:
+        reach = np.linalg.norm(p, axis=-1).max(axis=-1)
+        far = reach > 0
+        step = np.where(far, np.minimum(step, max_move / np.where(far, reach, 1.0)), step)
+
+    # each member in play tries ``step``, then half of it: a failed trial
+    # backtracks; after the first sufficient decrease, a greedy probe keeps
+    # halving while that lowers the energy (the first sufficient decrease
+    # can be far from the best one on stiff spectra)
+    searching, probing = ~converged, np.zeros_like(converged)
+    accepted, admitted = np.zeros_like(converged), np.zeros_like(converged)
+    best_tau, best_e = np.zeros(idx.size), np.zeros(idx.size)
+    e, ok = np.empty(idx.size), np.empty(idx.size, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            searching &= step > 1e-14
+            pending = searching | probing
+            if not pending.any():
+                break
+            stepped = (nodes - step[:, None, None] * p)[pending]
+            trial = DiscreteLoop(stack.chart.reduce_point(stepped), frame[pending])
+            e.fill(np.nan)
+            e[pending], ok[pending] = _trial_values(stack, trial)
+            admitted |= searching & ok
+            decrease = searching & np.isfinite(e) & (e <= e0 - ARMIJO * step * slope)
+            better = probing & (e < best_e)         # NaN and inf never compare less
+            keep = decrease | better
+            best_tau, best_e = np.where(keep, step, best_tau), np.where(keep, e, best_e)
+            accepted |= probing & ~better
+            probing = keep
+            searching &= ~decrease
+            step = step * BACKTRACK
+
+    status = np.full(idx.size, "stalled", dtype="<U11")
+    status[converged] = "converged"
+    status[~converged & ~accepted & ~admitted] = "cap_stalled"
+    if not accepted.any():
+        return status, gnorm
+    e_prev, e_new = e0[accepted], best_e[accepted]
+    if (e_new > e_prev + 1e-12 * np.maximum(1.0, np.abs(e_prev))).any():
+        raise CrossCheckError("descent accepted an energy increase")
+    # the kept trial of each member, rebuilt bit for bit from its step size
+    best = stack.chart.reduce_point(
+        nodes[accepted] - best_tau[accepted][:, None, None] * p[accepted])
+    moved = maybe_recenter(stack.chart, DiscreteLoop(best, frame[accepted]))
+    flipped = moved.frame != frame[accepted]
+    if flipped.any():
+        e_new[flipped] = stack.value(DiscreteLoop(moved.nodes[flipped], moved.frame[flipped]))
+    # decreases below float resolution on |E| count as no progress
+    idle = e_prev - e_new <= 16 * _FLOAT_EPS * np.maximum(np.abs(e_prev), 1.0)
+    rows = idx[accepted]
+    stack.stall[rows] = np.where(idle, stack.stall[rows] + 1, 0)
+    stack.nodes[rows], stack.frame[rows], stack.energy[rows] = moved.nodes, moved.frame, e_new
+    stack.tau[rows] = np.minimum(best_tau[accepted] * 2.0, MAX_STEP)
+    status[accepted] = np.where(stack.stall[rows] >= STALL_STEPS, "stalled", "moved")
+    return status, gnorm
 
 
 def descend(chart: Chart, loop: DiscreteLoop, schedule: PenaltySchedule | None = None,
@@ -172,12 +227,13 @@ def descend(chart: Chart, loop: DiscreteLoop, schedule: PenaltySchedule | None =
     automatic node doubling; a second one is a hard error.
     """
     validate_loop(chart, loop)
-    state = _LoopState(chart, schedule, alpha, maybe_recenter(chart, loop), opts)
+    stack = _LoopStack.of(chart, schedule, alpha, [maybe_recenter(chart, loop)])
     doublings = 0
     iterations = 0
     converged = False
+    grad_norm = np.inf
     while iterations < opts.max_iter:
-        status = state.step()
+        (status,), (grad_norm,) = _armijo_step(stack, [0], opts.grad_tol)
         iterations += 1
         if status == "moved":
             continue
@@ -185,21 +241,20 @@ def descend(chart: Chart, loop: DiscreteLoop, schedule: PenaltySchedule | None =
             converged = True
         elif status == "stalled":
             # a stall after an accepted move measured the norm one loop back
-            state.grad_norm = preconditioned_norm(state._gradient(state.loop))
-            converged = state.grad_norm <= opts.stall_grad_accept
+            grad_norm = preconditioned_norm(stack.gradient(stack.loop(0)))
+            converged = grad_norm <= STALL_GRAD_ACCEPT
         elif status == "cap_stalled":
             if doublings >= 1:
                 raise RefineNeededError(
                     "segment cap blocks descent even after node doubling"
                 )
             doublings += 1
-            state = _LoopState(chart, schedule, alpha,
-                               double_nodes(chart, state.loop), opts)
+            stack = _LoopStack.of(chart, schedule, alpha, [double_nodes(chart, stack.loop(0))])
             continue
         break
     return DescentResult(
-        loop=state.loop, converged=converged, iterations=iterations,
-        energy=state.energy, grad_norm=state.grad_norm, doublings=doublings,
+        loop=stack.loop(0), converged=converged, iterations=iterations,
+        energy=float(stack.energy[0]), grad_norm=float(grad_norm), doublings=doublings,
     )
 
 
@@ -224,22 +279,26 @@ class SweepoutFamily:
         return len(self.members)
 
 
+STABLE_WINDOW = 50     # relax-stage window (rounds); a fifth of it is the polish quiet window
+STABLE_REL = 1e-6      # relative spread of the polished max that counts as stationary
+#: relax-stage window: the family max only needs to settle to this
+#: level before the argmax bracket is polished at full precision
+RELAX_REL = 1e-3
+VALUE_FLOOR = 1e-10    # family max at or below which the sweep has reached the bottom
+POLISH_CYCLES = 400    # bisection cycles the polish stage may spend
+#: working resolution of the family as a fraction of the chart cap;
+#: neighbors are midpoint-split beyond it (the cap itself is the tear
+#: scale, far too coarse for good nodewise interpolants)
+RESOLUTION_FACTOR = 0.25
+
+
 @dataclass(frozen=True)
 class SweepOptions:
+    """Relax-round budget, argmax |g|_M target and family size cap."""
+
     max_rounds: int = 6000
-    stable_window: int = 50
-    stable_rel: float = 1e-6
-    #: relax-stage window: the family max only needs to settle to this
-    #: level before the argmax bracket is polished at full precision
-    relax_rel: float = 1e-3
     argmax_grad_tol: float = 1e-3
     max_members: int = 256
-    value_floor: float = 1e-10
-    polish_cycles: int = 400
-    #: working resolution of the family as a fraction of the chart cap;
-    #: neighbors are midpoint-split beyond it (the cap itself is the tear
-    #: scale, far too coarse for good nodewise interpolants)
-    resolution_factor: float = 0.25
 
 
 @dataclass
@@ -266,30 +325,27 @@ def validate_family(chart: Chart, family: SweepoutFamily) -> None:
             )
 
 
-def _retighten(chart, states, frozen, resolution, floor, max_members, round_index):
+def _retighten(stack: _LoopStack, resolution, floor, max_members, round_index):
     """Insert nodewise midpoints wherever neighbors exceed the resolution.
 
     Pairs already settled at the bottom of the landscape (both energies
     below ``floor``) only need continuity at the tear scale (the chart
     cap): the minimax never reads them and midpoint quality is moot there.
     """
-    cap = chart.segment_cap
+    chart = stack.chart
     inserted = 0
     s = 0
-    while s < len(states) - 1:
-        a, b = states[s], states[s + 1]
-        dist = loop_distance(chart, a.loop, b.loop)
-        threshold = cap if (a.energy <= floor and b.energy <= floor) else resolution
-        if dist > threshold:
-            if len(states) >= max_members:
+    while s < stack.size - 1:
+        a, b = stack.loop(s), stack.loop(s + 1)
+        dist = loop_distance(chart, a, b)
+        settled = stack.energy[s] <= floor and stack.energy[s + 1] <= floor
+        if dist > (chart.segment_cap if settled else resolution):
+            if stack.size >= max_members:
                 raise FamilyTearError(
                     f"family needs more than {max_members} members", round_index
                 )
-            mid = midpoint_loop(chart, a.loop, b.loop)
-            st = _new_state_like(a, mid)
-            st.tau = 0.5 * (a.tau + b.tau)
-            states.insert(s + 1, st)
-            frozen.insert(s + 1, False)
+            stack.insert(s + 1, midpoint_loop(chart, a, b),
+                         tau=0.5 * (stack.tau[s] + stack.tau[s + 1]))
             inserted += 1
             # re-examine the same pair after insertion
             continue
@@ -297,7 +353,7 @@ def _retighten(chart, states, frozen, resolution, floor, max_members, round_inde
     return inserted
 
 
-def _prune(chart, states, frozen, resolution, floor, protect: set):
+def _prune(stack: _LoopStack, resolution, floor, protect: set) -> None:
     """Drop members whose removal keeps the family continuous.
 
     Two regimes: anywhere, when the flanking neighbors are already well
@@ -307,32 +363,23 @@ def _prune(chart, states, frozen, resolution, floor, protect: set):
     otherwise accumulate in the wake of every slide toward a minimum.
     The indices in ``protect`` (argmax bracket) and frozen members are kept.
     """
-    cap = chart.segment_cap
-    removed = 0
+    cap = stack.chart.segment_cap
     s = 1
-    while s < len(states) - 1:
-        if frozen[s] or s in protect:
+    while s < stack.size - 1:
+        if stack.frozen[s] or s in protect:
             s += 1
             continue
-        dist = loop_distance(chart, states[s - 1].loop, states[s + 1].loop)
-        settled = (states[s].energy <= floor
-                   and states[s - 1].energy <= floor and states[s + 1].energy <= floor)
+        dist = loop_distance(stack.chart, stack.loop(s - 1), stack.loop(s + 1))
+        settled = bool(np.all(stack.energy[s - 1:s + 2] <= floor))
         if dist <= 0.4 * resolution or (settled and dist <= 0.8 * cap):
-            del states[s]
-            del frozen[s]
+            stack.delete(s)
             protect = {p - 1 if p > s else p for p in protect}
-            removed += 1
         else:
             s += 1
-    return removed
 
 
-def _new_state_like(proto: _LoopState, loop: DiscreteLoop) -> _LoopState:
-    return _LoopState(proto.chart, proto.schedule, proto.alpha, loop, proto.opts)
-
-
-def _polish_bracket(chart, states, frozen, k, opts, sweep):
-    """Adaptive family bisection around the argmax member.
+def _polish_bracket(stack: _LoopStack, k, opts, sweep):
+    """Adaptive family bisection around the argmax member, in place.
 
     Works on the argmax and its neighbors only: bounded descent steps,
     midpoint insertion inside the bracket, and dropping of the outermost
@@ -343,46 +390,38 @@ def _polish_bracket(chart, states, frozen, k, opts, sweep):
 
     Returns (argmax index, value window, cycles, success).
     """
+    chart = stack.chart
     lo = max(k - 1, 0)
-    hi = min(k + 1, len(states) - 1)
-    bracket = states[lo:hi + 1]
+    n = min(k + 2, stack.size) - lo         # the bracket is members lo .. lo + n - 1
     values: list[float] = []
     success = False
     cycles = 0
-    quiet = max(10, sweep.stable_window // 5)
-    for cycles in range(1, sweep.polish_cycles + 1):
-        width = max(
-            loop_distance(chart, bracket[0].loop, bracket[-1].loop), 1e-12
-        )
-        for st in bracket:
-            st.step(max_move=width / 8.0)
+    quiet = max(10, STABLE_WINDOW // 5)
+    for cycles in range(1, POLISH_CYCLES + 1):
+        width = max(loop_distance(chart, stack.loop(lo), stack.loop(lo + n - 1)), 1e-12)
+        _armijo_step(stack, np.arange(lo, lo + n), opts.grad_tol, max_move=width / 8.0)
         # refine: insert midpoints inside the bracket, keep the top three
-        refined = []
-        for i, st in enumerate(bracket):
-            refined.append(st)
-            if i + 1 < len(bracket):
-                mid = midpoint_loop(chart, st.loop, bracket[i + 1].loop)
-                refined.append(_new_state_like(st, mid))
-        vals = [st.energy for st in refined]
-        j = int(np.argmax(vals))
-        bracket = refined[max(j - 1, 0):min(j + 2, len(refined))]
-        center = refined[j]
-        values.append(float(center.energy))
-        grad = center._gradient(center.loop)
-        if preconditioned_norm(grad) < sweep.argmax_grad_tol:
+        for s in range(lo + n - 1, lo, -1):
+            stack.insert(s, midpoint_loop(chart, stack.loop(s - 1), stack.loop(s)),
+                         tau=INITIAL_STEP)
+        n = 2 * n - 1
+        j = int(np.argmax(stack.energy[lo:lo + n]))
+        values.append(float(stack.energy[lo + j]))
+        center = stack.loop(lo + j)
+        stack.delete(slice(lo + min(j + 2, n), lo + n))
+        stack.delete(slice(lo, lo + max(j - 1, 0)))
+        n = min(j + 2, n) - max(j - 1, 0)
+        if preconditioned_norm(stack.gradient(center)) < sweep.argmax_grad_tol:
             # gradient target met: also require a quiet value window, so
             # the reported max is stationary and not still drifting down
             tail = values[-quiet:]
             if len(tail) == quiet and (
-                max(tail) - min(tail) <= sweep.stable_rel * max(abs(tail[-1]), 1e-12)
+                max(tail) - min(tail) <= STABLE_REL * max(abs(tail[-1]), 1e-12)
             ):
                 success = True
                 break
-    # splice the bracket back in place of the original slots
-    states[lo:hi + 1] = bracket
-    frozen[lo:hi + 1] = [False] * len(bracket)
-    j = lo + int(np.argmax([st.energy for st in bracket]))
-    return j, values, cycles, success
+    stack.frozen[lo:lo + n] = False
+    return lo + int(np.argmax(stack.energy[lo:lo + n])), values, cycles, success
 
 
 def minimax_sweepout(chart: Chart, family: SweepoutFamily,
@@ -393,13 +432,13 @@ def minimax_sweepout(chart: Chart, family: SweepoutFamily,
 
     A single free member degenerates exactly to ``descend``.  Two stages:
 
-    1. relax - every non-frozen member takes one bounded descent step per
-       round, with midpoint re-tightening and redundancy pruning, until the
-       family max settles at the ``relax_rel`` level (or everything
-       converges, or the max hits the floor);
+    1. relax - all non-frozen members take one bounded descent step per
+       round (one stacked step), with midpoint re-tightening and redundancy
+       pruning, until the family max settles at the ``RELAX_REL`` level
+       (or everything converges, or the max hits the floor);
     2. polish - adaptive midpoint bisection of the argmax bracket drives
        the argmax member to an approximate critical point (preconditioned
-       gradient below ``argmax_grad_tol``) and the max to ``stable_rel``
+       gradient below ``argmax_grad_tol``) and the max to ``STABLE_REL``
        stationarity.
 
     A saddle-straddling member always eventually slides off, so the family
@@ -414,65 +453,50 @@ def minimax_sweepout(chart: Chart, family: SweepoutFamily,
         return SweepoutResult(res.energy, 0, res.loop, fam, res.iterations,
                               res.converged, res.grad_norm, 0)
 
-    states = [_LoopState(chart, schedule, alpha, loop, opts) for loop in family.members]
-    frozen = list(family.frozen)
+    stack = _LoopStack.of(chart, schedule, alpha, family.members, family.frozen)
     insertions = 0
     window: list[float] = []
     rounds = 0
     all_done = False
-    resolution = chart.segment_cap * sweep.resolution_factor
-
-    def family_values():
-        return np.array([st.energy for st in states])
-
-    def argmax_info():
-        vals = family_values()
-        k = int(np.argmax(vals))
-        grad = states[k]._gradient(states[k].loop)
-        return k, float(vals[k]), preconditioned_norm(grad)
-
+    resolution = chart.segment_cap * RESOLUTION_FACTOR
     move_limit = 0.5 * resolution
     for rounds in range(1, sweep.max_rounds + 1):
-        all_done = True
-        for s, st in enumerate(states):
-            if frozen[s]:
-                continue
-            if st.step(max_move=move_limit) == "moved":
-                all_done = False
-        floor = max(sweep.value_floor, 1e-9 * max(abs(st.energy) for st in states))
-        insertions += _retighten(chart, states, frozen, resolution, floor,
-                                 sweep.max_members, rounds)
-        k_now = int(np.argmax(family_values()))
-        _prune(chart, states, frozen, resolution, floor,
-               {k_now - 2, k_now - 1, k_now, k_now + 1, k_now + 2})
+        status, _ = _armijo_step(stack, np.flatnonzero(~stack.frozen), opts.grad_tol,
+                                 max_move=move_limit)
+        all_done = not np.any(status == "moved")
+        floor = max(VALUE_FLOOR, 1e-9 * float(np.max(np.abs(stack.energy))))
+        insertions += _retighten(stack, resolution, floor, sweep.max_members, rounds)
+        k_now = int(np.argmax(stack.energy))
+        _prune(stack, resolution, floor, {k_now - 2, k_now - 1, k_now, k_now + 1, k_now + 2})
 
-        k, value, argmax_grad = argmax_info()
+        value = float(np.max(stack.energy))
         window.append(value)
-        if len(window) > sweep.stable_window:
+        if len(window) > STABLE_WINDOW:
             window.pop(0)
-        if all_done or value <= sweep.value_floor:
+        if all_done or value <= VALUE_FLOOR:
             break
-        if len(window) == sweep.stable_window:
+        if len(window) == STABLE_WINDOW:
             spread = max(window) - min(window)
-            if spread <= sweep.relax_rel * max(abs(window[-1]), 1e-12):
+            if spread <= RELAX_REL * max(abs(window[-1]), 1e-12):
                 break
 
-    k, value, argmax_grad = argmax_info()
-    stable = all_done or value <= sweep.value_floor
+    k = int(np.argmax(stack.energy))
+    value = float(stack.energy[k])
+    argmax_grad = preconditioned_norm(stack.gradient(stack.loop(k)))
+    stable = all_done or value <= VALUE_FLOOR
     if not stable and argmax_grad >= sweep.argmax_grad_tol:
-        k, pol_values, cycles, success = _polish_bracket(
-            chart, states, frozen, k, opts, sweep)
+        k, pol_values, cycles, success = _polish_bracket(stack, k, opts, sweep)
         insertions += 2 * cycles
         stable = success
         value = pol_values[-1]
-        grad = states[k]._gradient(states[k].loop)
-        argmax_grad = preconditioned_norm(grad)
+        argmax_grad = preconditioned_norm(stack.gradient(stack.loop(k)))
     else:
         stable = True
 
-    out_family = SweepoutFamily([st.loop for st in states], frozen)
+    out_family = SweepoutFamily([stack.loop(s) for s in range(stack.size)],
+                                [bool(f) for f in stack.frozen])
     return SweepoutResult(
-        value=value, argmax_index=k, argmax=states[k].loop, family=out_family,
+        value=value, argmax_index=k, argmax=stack.loop(k), family=out_family,
         rounds=rounds, stable=stable, argmax_grad_norm=argmax_grad,
         insertions=insertions,
     )

@@ -242,13 +242,21 @@ def conjugate_points(chart: Chart, start: TangentVector, t: float, steps: int = 
     if t <= 0:
         raise ValueError("t must be positive")
     d = chart.dim
-    xs, vs, es, phis = _integrate_jacobi(chart, start, t, steps)
+    grid = _integrate_jacobi(chart, start, t, steps)
+    return _scan_conjugate_points(chart, t, grid, np.linalg.det(grid[3][:, :d, d:]),
+                                  rank_threshold)
+
+
+def _scan_conjugate_points(chart: Chart, t: float, grid, dets: np.ndarray,
+                           rank_threshold: float) -> ConjugateReport:
+    """The scan of ``conjugate_points`` over an integrated grid and its det B(s)."""
+    d = chart.dim
+    phis = grid[3]
+    steps = len(phis) - 1
     grid_t = np.linspace(0.0, t, steps + 1)
-    dets = np.array([np.linalg.det(p[:d, d:]) for p in phis])
     scale = float(np.max(np.abs(dets)))
     if scale <= 0 or np.all(np.abs(dets[steps // 8:]) < 1e-12 * max(scale, 1e-300)):
         raise DegenerateIntervalError("det B(s) vanishes identically on the grid")
-    state = (xs, vs, es, phis)
     found: list[tuple[float, int]] = []
 
     # guard against the trivial root at s = 0 (B(s) ~ s I near the start)
@@ -258,7 +266,7 @@ def conjugate_points(chart: Chart, start: TangentVector, t: float, steps: int = 
         if grid_t[k + 1] <= s_min:
             continue
         if dets[k] * dets[k + 1] < 0 and abs(dets[k + 1]) > DET_ENDPOINT_REL * scale * 1e-2:
-            s_star, b = _refine_root(chart, grid_t, state, k)
+            s_star, b = _refine_root(chart, grid_t, grid, k)
             mult = _kernel_dim(b, rank_threshold)
             if mult > 0:
                 found.append((s_star, mult))
@@ -467,21 +475,22 @@ def close_conjugate_points_check(chart: Chart, ell: float, k_radius: float,
         v = rng.standard_normal(chart.dim)
         v = v / max(metric_speed(chart, x, v), 1e-12)
         try:
-            xs, vs, es, phis = _integrate_jacobi(chart, TangentVector(x, v), ell, steps)
+            grid = _integrate_jacobi(chart, TangentVector(x, v), ell, steps)
         except DomainEscapeError:
             discarded += 1
             continue
-        if np.any(chart.exhaustion(xs) <= k_radius):
+        if np.any(chart.exhaustion(grid[0]) <= k_radius):
             discarded += 1
             continue
         d = chart.dim
-        dets = np.array([np.linalg.det(p[:d, d:]) for p in phis])
-        scale = float(np.max(np.abs(dets)))
+        dets = np.linalg.det(grid[3][:, :d, d:])
         s_min_idx = 2
         crossing = np.any(dets[s_min_idx:-1] * dets[s_min_idx + 1:] < 0)
-        endpoint = abs(dets[-1]) < DET_ENDPOINT_REL * scale
+        endpoint = abs(dets[-1]) < DET_ENDPOINT_REL * float(np.max(np.abs(dets)))
         if crossing or endpoint:
-            report = conjugate_points(chart, TangentVector(x, v), ell, steps)
+            # scan the grid just integrated: the same report conjugate_points
+            # gives for this segment, without integrating it again
+            report = _scan_conjugate_points(chart, ell, grid, dets, 1e-4)
             if report.count > 0:
                 hits.append({
                     "start": np.asarray(x).tolist(),

@@ -5,7 +5,10 @@ is distinguished (it carries the basepoint penalty and the corner
 condition).  Periodic coordinates are stored reduced to one fundamental
 period; segment differences always use the minimal lift, and a loop may
 not jump more than the chart segment cap between consecutive nodes (this
-caps angular resolution and is enforced, not silently fixed).
+caps angular resolution and is enforced, not silently fixed).  A
+``DiscreteLoop`` may also hold a stack of M loops with one N (nodes
+(M, N, d), one gauge each); validation, energy, gradient, preconditioner
+and recentering then act, and report, member by member.
 
 The energy of a loop is the midpoint-rule discretization
 
@@ -33,28 +36,30 @@ class DiscreteLoop:
     """Periodic polygon of N chart points; ``frame`` is the chart gauge.
 
     ``frame`` is only nontrivial on charts with a recentering isometry
-    (the sphere): 0 is the reference gauge, 1 the recentered one.
+    (the sphere): 0 is the reference gauge, 1 the recentered one.  A stack
+    of M loops has nodes (M, N, d) and an integer array of M frames.
     """
 
     nodes: np.ndarray
-    frame: int = 0
+    frame: int | np.ndarray = 0
 
     def __post_init__(self):
         self.nodes = np.atleast_2d(np.asarray(self.nodes, dtype=float))
-        if self.nodes.shape[0] < 8:
+        self.frame = int(self.frame) if np.ndim(self.frame) == 0 else np.asarray(self.frame)
+        if self.nodes.shape[-2] < 8:
             raise ValueError("a loop needs at least 8 nodes")
 
     @property
     def n_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return self.nodes.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.nodes.shape[1]
+        return self.nodes.shape[-1]
 
     @property
     def basepoint(self) -> np.ndarray:
-        return self.nodes[0]
+        return self.nodes[..., 0, :]
 
 
 def make_loop(chart: Chart, nodes: np.ndarray, frame: int = 0) -> DiscreteLoop:
@@ -68,37 +73,45 @@ def sample_curve(chart: Chart, fn, n_nodes: int, frame: int = 0) -> DiscreteLoop
     return make_loop(chart, np.array([fn(t) for t in ts]), frame=frame)
 
 
+def _shift_nodes(x: np.ndarray, k: int) -> np.ndarray:
+    """Entry i holds x_{i+k} along the node axis -2 (np.roll by -k, without its overhead)."""
+    return np.concatenate([x[..., k:, :], x[..., :k, :]], axis=-2)
+
+
 def segment_deltas(chart: Chart, loop: DiscreteLoop) -> np.ndarray:
-    """Minimal-lift differences x_{i+1} - x_i, shape (N, d)."""
-    raw = np.roll(loop.nodes, -1, axis=0) - loop.nodes
-    return chart.wrap_difference(raw)
+    """Minimal-lift differences x_{i+1} - x_i, shape (..., N, d)."""
+    return chart.wrap_difference(_shift_nodes(loop.nodes, 1) - loop.nodes)
 
 
-def segment_midpoints(chart: Chart, loop: DiscreteLoop) -> np.ndarray:
-    return loop.nodes + 0.5 * segment_deltas(chart, loop)
-
-
-def validate_loop(chart: Chart, loop: DiscreteLoop) -> None:
-    """Enforce the segment convexity cap and the chart domain."""
+def segment_checks(chart: Chart, loop: DiscreteLoop) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segment deltas and per-member flags (segment over the cap, node off the chart)."""
     deltas = segment_deltas(chart, loop)
     lengths = np.linalg.norm(deltas, axis=-1)
-    if np.any(lengths >= chart.segment_cap):
-        worst = int(np.argmax(lengths))
+    return (deltas, (lengths >= chart.segment_cap).any(axis=-1),
+            ~chart.contains(loop.nodes).all(axis=-1))
+
+
+def validate_loop(chart: Chart, loop: DiscreteLoop) -> np.ndarray:
+    """Enforce the segment cap and the chart domain on every member; return the deltas."""
+    deltas, over_cap, outside = segment_checks(chart, loop)
+    if over_cap.any():
+        lengths = np.linalg.norm(deltas, axis=-1)
+        worst = np.unravel_index(np.argmax(lengths), lengths.shape)
         raise RefineNeededError(
-            f"{chart.name}: segment {worst} has chart length {lengths[worst]:.4g} "
+            f"{chart.name}: segment {worst[-1]} has chart length {lengths[worst]:.4g} "
             f">= cap {chart.segment_cap}; refine the loop"
         )
-    if not np.all(chart.contains(loop.nodes)):
+    if outside.any():
         raise ChartDomainError(f"{chart.name}: loop node outside chart domain")
+    return deltas
 
 
-def energy(chart: Chart, loop: DiscreteLoop) -> float:
-    """Discrete loop energy N * sum g(m_i)(Delta_i, Delta_i)."""
-    validate_loop(chart, loop)
-    deltas = segment_deltas(chart, loop)
-    mids = loop.nodes + 0.5 * deltas
-    g = chart.metric(mids)
-    return float(loop.n_nodes * np.einsum("ni,nij,nj->", deltas, g, deltas))
+def energy(chart: Chart, loop: DiscreteLoop) -> float | np.ndarray:
+    """Discrete loop energy N * sum g(m_i)(Delta_i, Delta_i) (per member of a stack)."""
+    deltas = validate_loop(chart, loop)
+    g = chart.metric(loop.nodes + 0.5 * deltas)
+    e = loop.n_nodes * np.einsum("...ni,...nij,...nj->...", deltas, g, deltas)
+    return float(e) if e.ndim == 0 else e
 
 
 def energy_gradient(chart: Chart, loop: DiscreteLoop) -> np.ndarray:
@@ -111,18 +124,17 @@ def energy_gradient(chart: Chart, loop: DiscreteLoop) -> np.ndarray:
                       + 1/2 D_{j-1}^T (dg)(m_{j-1}) D_{j-1}
                       + 1/2 D_j^T (dg)(m_j) D_j ].
     """
-    validate_loop(chart, loop)
     n = loop.n_nodes
-    deltas = segment_deltas(chart, loop)
+    deltas = validate_loop(chart, loop)
     mids = loop.nodes + 0.5 * deltas
-    g = chart.metric(mids)
-    dg = chart.metric_deriv(mids)
-    gd = np.einsum("nij,nj->ni", g, deltas)
-    qd = np.einsum("nkij,ni,nj->nk", dg, deltas, deltas)
+    # one metric array at a time, largest first: on a stack they are the
+    # largest temporaries
+    qd = np.einsum("...nkij,...ni,...nj->...nk", chart.metric_deriv(mids), deltas, deltas)
+    gd = np.einsum("...nij,...nj->...ni", chart.metric(mids), deltas)
     return n * (
-        2.0 * np.roll(gd, 1, axis=0)
+        2.0 * _shift_nodes(gd, -1)
         - 2.0 * gd
-        + 0.5 * np.roll(qd, 1, axis=0)
+        + 0.5 * _shift_nodes(qd, -1)
         + 0.5 * qd
     )
 
@@ -131,18 +143,19 @@ def precondition(grad: np.ndarray) -> np.ndarray:
     """Solve ((1/N) I + N L) p = grad per coordinate (FFT, exact circulant).
 
     The operator is the discrete H^1 inner product on nodal fields (L the
-    second-difference circulant).
+    second-difference circulant); nodes run along axis -2, so a stack of
+    gradients (M, N, d) is solved member by member.
     """
-    n = grad.shape[0]
+    n = grad.shape[-2]
     lam = 1.0 / n + n * (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n))
-    ghat = np.fft.rfft(grad, axis=0)
-    return np.fft.irfft(ghat / lam[:, None], n=n, axis=0)
+    ghat = np.fft.rfft(grad, axis=-2)
+    return np.fft.irfft(ghat / lam[:, None], n=n, axis=-2)
 
 
-def preconditioned_norm(grad: np.ndarray) -> float:
+def preconditioned_norm(grad: np.ndarray) -> float | np.ndarray:
     """|g|_M = sqrt(g . M^{-1} g), the gradient norm every solver thresholds."""
-    p = precondition(grad)
-    return float(np.sqrt(max(np.sum(grad * p), 0.0)))
+    norm = np.sqrt(np.maximum(np.sum(grad * precondition(grad), axis=(-2, -1)), 0.0))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def loop_length(chart: Chart, loop: DiscreteLoop) -> float:
@@ -225,16 +238,19 @@ def to_frame(chart: Chart, loop: DiscreteLoop, frame: int) -> DiscreteLoop:
 
 
 def maybe_recenter(chart: Chart, loop: DiscreteLoop) -> DiscreteLoop:
-    """Flip the gauge when that moves the loop farther from the chart guard."""
+    """Flip the gauge (of each member) when that moves the loop farther from the guard."""
     if not chart.has_recentering:
         return loop
-    reach = float(np.max(np.linalg.norm(loop.nodes, axis=-1)))
-    if reach <= chart.recenter_trigger:
+    reach = np.linalg.norm(loop.nodes, axis=-1).max(axis=-1)
+    far = reach > chart.recenter_trigger
+    if not far.any():
         return loop
     flipped = chart.recenter_map(loop.nodes)
-    if float(np.max(np.linalg.norm(flipped, axis=-1))) < reach:
-        return DiscreteLoop(flipped, frame=loop.frame ^ 1)
-    return loop
+    flip = far & (np.linalg.norm(flipped, axis=-1).max(axis=-1) < reach)
+    if not flip.any():
+        return loop
+    return DiscreteLoop(np.where(flip[..., None, None], flipped, loop.nodes),
+                        frame=loop.frame ^ flip)
 
 
 def loop_distance(chart: Chart, a: DiscreteLoop, b: DiscreteLoop) -> float:

@@ -56,13 +56,17 @@ class PenaltySchedule:
         return self.r0 + alpha * self.dr
 
 
-def penalty_value(chart: Chart, schedule: PenaltySchedule, alpha: int, x: np.ndarray) -> float:
+def penalty_value(chart: Chart, schedule: PenaltySchedule, alpha: int,
+                  x: np.ndarray) -> float | np.ndarray:
+    """f_alpha(x); a stack of points (..., d) gives one value per point."""
+    x = np.asarray(x, dtype=float)
     if chart.compact:
-        return 0.0
-    excess = float(chart.exhaustion(np.asarray(x, dtype=float))) - schedule.radius(alpha)
-    if excess <= 0.0:
-        return 0.0
-    return schedule.stiffness * excess**RAMP_EXPONENT
+        return 0.0 if x.ndim == 1 else np.zeros(x.shape[:-1])
+    # float_power is the scalar pow on every element, so a stack of points
+    # gets bit for bit the values of the points taken one at a time
+    excess = np.maximum(chart.exhaustion(x) - schedule.radius(alpha), 0.0)
+    value = schedule.stiffness * np.float_power(excess, RAMP_EXPONENT)
+    return float(value) if x.ndim == 1 else value
 
 
 def penalty_coordinate_grad(chart: Chart, schedule: PenaltySchedule, alpha: int,
@@ -70,11 +74,10 @@ def penalty_coordinate_grad(chart: Chart, schedule: PenaltySchedule, alpha: int,
     """Plain coordinate partials d_k f_alpha (what the discrete descent needs)."""
     x = np.asarray(x, dtype=float)
     if chart.compact:
-        return np.zeros(chart.dim)
-    excess = float(chart.exhaustion(x)) - schedule.radius(alpha)
-    if excess <= 0.0:
-        return np.zeros(chart.dim)
-    return 3.0 * schedule.stiffness * excess**2 * chart.exhaustion_grad(x)
+        return np.zeros(x.shape)
+    excess = np.maximum(chart.exhaustion(x) - schedule.radius(alpha), 0.0)
+    scale = 3.0 * schedule.stiffness * np.float_power(excess, 2)
+    return np.where((excess > 0.0)[..., None], scale[..., None] * chart.exhaustion_grad(x), 0.0)
 
 
 def penalty_coordinate_hess(chart: Chart, schedule: PenaltySchedule, alpha: int,
@@ -113,14 +116,16 @@ def penalty_gradient_and_hessian(chart: Chart, schedule: PenaltySchedule, alpha:
 
 
 def penalized_energy(chart: Chart, schedule: PenaltySchedule, alpha: int,
-                     loop: DiscreteLoop) -> float:
+                     loop: DiscreteLoop) -> float | np.ndarray:
+    """Energy plus the ramp at the basepoint (per member of a stack)."""
     return energy(chart, loop) + penalty_value(chart, schedule, alpha, loop.basepoint)
 
 
 def penalized_gradient(chart: Chart, schedule: PenaltySchedule, alpha: int,
                        loop: DiscreteLoop) -> np.ndarray:
+    """Energy gradient plus the ramp's df at node 0 (per member of a stack)."""
     grad = energy_gradient(chart, loop)
-    grad[0] += penalty_coordinate_grad(chart, schedule, alpha, loop.basepoint)
+    grad[..., 0, :] += penalty_coordinate_grad(chart, schedule, alpha, loop.basepoint)
     return grad
 
 

@@ -6,6 +6,8 @@ from geolab.descent import (
     DescentOptions,
     SweepOptions,
     SweepoutFamily,
+    _armijo_step,
+    _LoopStack,
     descend,
     minimax_sweepout,
     penalty_continuation,
@@ -19,7 +21,7 @@ from geolab.families import (
     random_loop,
     winding_band,
 )
-from geolab.loops import circle_shift, energy, make_loop
+from geolab.loops import circle_shift, energy, make_loop, segment_checks
 from geolab.penalty import PenaltySchedule
 
 from conftest import circle_nodes
@@ -190,3 +192,44 @@ def test_penalty_continuation_rejects_bad_range():
     family = winding_band(fun, 3, 64, 1.0, 0.2)
     with pytest.raises(ValueError):
         penalty_continuation(fun, sched, [2, 1], family)
+
+
+@pytest.mark.parametrize("max_move", [None, 0.05])
+def test_stacked_step_equals_members_stepped_alone(max_move):
+    # one step of a stacked family equals each member stepped as a stack of
+    # one: no member's masks or step size may leak into another
+    sph = make_chart("sphere")
+    n = 32
+    ts = 2 * np.pi * np.arange(n) / n
+    circle = np.stack([np.cos(ts), np.sin(ts)], axis=1)
+    # widest admissible latitude circle: descent pushes it outward, so every
+    # trial stretches its segments past the cap
+    lo, hi = 3.0, 4.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        _, over_cap, outside = segment_checks(sph, make_loop(sph, mid * circle))
+        lo, hi = (lo, mid) if (over_cap or outside) else (mid, hi)
+    members = [
+        make_loop(sph, 0.8 * circle + 0.1 * np.cos(3 * ts)[:, None] * circle),
+        make_loop(sph, 0.5 * circle, frame=1),                   # flipped gauge
+        make_loop(sph, lo * circle),                             # cap-blocked
+        make_loop(sph, circle / np.cos(np.pi / n)),              # critical polygon
+        make_loop(sph, np.array([3.3, 0.0]) + 0.3 * circle),     # recenters on acceptance
+    ]
+    taus = [1.0, 4.0, 0.25, 2.0, 8.0]
+    sched = PenaltySchedule()
+    family = _LoopStack.of(sph, sched, 0, members)
+    family.tau[:] = taus
+    status, grad_norm = _armijo_step(family, np.arange(len(members)), 1e-8, max_move=max_move)
+    assert list(status) == ["moved", "moved", "cap_stalled", "converged", "moved"]
+    assert list(family.frame) == [0, 1, 0, 0, 1]
+    for s, (loop, tau) in enumerate(zip(members, taus)):
+        alone = _LoopStack.of(sph, sched, 0, [loop])
+        alone.tau[:] = tau
+        (status_alone,), (grad_norm_alone,) = _armijo_step(alone, [0], 1e-8, max_move=max_move)
+        assert status_alone == status[s]
+        assert abs(grad_norm_alone - grad_norm[s]) <= 1e-12
+        assert alone.frame[0] == family.frame[s]
+        assert np.max(np.abs(alone.nodes[0] - family.nodes[s])) <= 1e-12
+        assert abs(alone.energy[0] - family.energy[s]) <= 1e-12
+        assert abs(alone.tau[0] - family.tau[s]) <= 1e-12

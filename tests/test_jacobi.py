@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from geolab.charts import TangentVector, make_chart, metric_speed
+from geolab import jacobi
 from geolab.errors import NotAGeodesicError
 from geolab.jacobi import (
     close_conjugate_points_check,
@@ -213,17 +214,37 @@ def test_close_check_paraboloid_curvature_threshold():
     assert not failing["curvature"]["pass"]
 
 
-def test_close_check_bumped_cylinder():
+def test_close_check_bumped_cylinder(monkeypatch):
     bc = make_chart("bumped_cylinder")
+    integrations = [0]
+    integrate = jacobi._integrate_jacobi
+
+    def counted(*args, **kwargs):
+        integrations[0] += 1
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(jacobi, "_integrate_jacobi", counted)
     outside = close_conjugate_points_check(bc, ell=20.0, k_radius=2.0,
                                            n_samples=25, seed=3, sample_band=4.0)
     assert outside["pass"]
+    # every sampled segment is integrated once, whether kept or discarded
+    segments = outside["segments"]
+    assert integrations[0] == segments["checked"] + segments["discarded"]
+    integrations[0] = 0
     crossing = close_conjugate_points_check(bc, ell=12.0, k_radius=0.0,
                                             n_samples=25, seed=3, sample_band=3.0)
     assert not crossing["curvature"]["pass"]
     assert not crossing["segments"]["pass"]
-    assert len(crossing["segments"]["conjugate_hits"]) > 0
+    segments = crossing["segments"]
+    assert integrations[0] == segments["checked"] + segments["discarded"]
+    assert len(segments["conjugate_hits"]) > 0
     assert crossing["rauch_consistent"]
+    # the scan of the check's own grid is the report conjugate_points gives
+    monkeypatch.setattr(jacobi, "_integrate_jacobi", integrate)
+    for hit in segments["conjugate_hits"]:
+        report = conjugate_points(bc, TangentVector(hit["start"], hit["velocity"]), 12.0,
+                                  steps=384)
+        assert [[s, mu] for s, mu in report.times] == hit["times"]
 
 
 def test_close_check_rejects_compact_chart():
