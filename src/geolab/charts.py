@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ChartDomainError, DegeneratePlaneError, DomainEscapeError
 
 FD_STEP = 1e-5
+_EYE2 = np.eye(2)
 
 
 @dataclass
@@ -204,8 +205,8 @@ def christoffels(chart: Chart, x: np.ndarray, finite_difference: bool = False) -
         dg = chart.metric_deriv(x)
     ginv = np.linalg.inv(g)
     # s[..., m, i, j] = d_i g_jm + d_j g_im - d_m g_ij
-    di_gjm = np.einsum("...ijm->...mij", dg)
-    dj_gim = np.einsum("...jim->...mij", dg)
+    dj_gim = dg.swapaxes(-1, -3)
+    di_gjm = dj_gim.swapaxes(-1, -2)
     s = di_gjm + dj_gim - dg
     return 0.5 * np.einsum("...km,...mij->...kij", ginv, s)
 
@@ -280,20 +281,20 @@ def sectional_curvature(chart: Chart, x: np.ndarray, v: np.ndarray, w: np.ndarra
 def curvature_operator(chart: Chart, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Matrix of w -> R(w, v)v in chart components (the Jacobi-equation operator).
 
-    Uses the closed-form 2D expression R(w,v)v = K (g(v,v) w - g(w,v) v)
-    when the chart has analytic Gauss curvature, the generic Riemann tensor
-    otherwise.
+    Closed-form 2D expression R(w,v)v = K (g(v,v) w - g(w,v) v) from the
+    chart's analytic Gauss curvature.  ``x`` and ``v`` of shape (..., 2)
+    give matrices of shape (..., 2, 2), one per leading index.  Charts
+    without analytic curvature raise NotImplementedError; ``riemann`` is
+    the finite-difference route to their curvature.
     """
+    if chart.dim != 2:
+        raise NotImplementedError(f"{chart.name}: closed-form curvature needs a surface")
     g = chart.metric(x)
-    try:
-        k = chart.gauss_curvature(x)
-        if chart.dim != 2:
-            raise NotImplementedError
-        gv = g @ v
-        return float(k) * (float(v @ gv) * np.eye(2) - np.outer(v, gv))
-    except NotImplementedError:
-        rm = riemann(chart, x)
-        return np.einsum("lkij,i,j->lk", rm, v, v)
+    k = chart.gauss_curvature(x)
+    col = np.asarray(v, dtype=float)[..., :, None]
+    gv = g @ col
+    return k[..., None, None] * ((col.swapaxes(-1, -2) @ gv) * _EYE2
+                                 - col * gv.swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +304,7 @@ def curvature_operator(chart: Chart, x: np.ndarray, v: np.ndarray) -> np.ndarray
 
 def _geodesic_rhs(chart: Chart, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gam = christoffels(chart, x)
-    acc = -np.einsum("kij,i,j->k", gam, v, v)
+    acc = -np.einsum("...kij,...i,...j->...k", gam, v, v)
     return v, acc
 
 
@@ -322,41 +323,102 @@ def geodesic_flow(chart: Chart, start: TangentVector, t: float, steps: int = 256
     return TangentVector(x[-1], v[-1])
 
 
-def _rk4_step(rhs, state: tuple, h: float) -> tuple:
-    """One classical RK4 step of y' = rhs(*y) for a state y given as a tuple of arrays."""
-    half = 0.5 * h
-    k1 = rhs(*state)
-    k2 = rhs(*[y + half * k for y, k in zip(state, k1)])
-    k3 = rhs(*[y + half * k for y, k in zip(state, k2)])
-    k4 = rhs(*[y + h * k for y, k in zip(state, k3)])
-    sixth = h / 6
-    return tuple([y + sixth * (a + 2 * b + 2 * c + d)
-                  for y, a, b, c, d in zip(state, k1, k2, k3, k4)])
+def _rk4_batch(chart: Chart, rhs, state: tuple, t: float,
+               steps: int) -> tuple[tuple, np.ndarray]:
+    """Classical RK4 for y' = rhs(*y) over [0, t], one trajectory per batch member.
 
-
-def flow_trajectory(chart: Chart, start: TangentVector, t: float,
-                    steps: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """Full RK4 trajectory: arrays of shape (steps+1, d) for x and v."""
-    d = chart.dim
-    x = np.empty((steps + 1, d))
-    v = np.empty((steps + 1, d))
-    x[0], v[0] = start.base, start.v
-    if not np.all(chart.contains(x[0])):
-        raise ChartDomainError(f"{chart.name}: flow start outside domain")
+    ``state`` is a tuple of arrays with a leading member axis B whose first
+    entry holds the chart positions; ``rhs`` raises ChartDomainError on
+    points outside the chart (``christoffels`` guards every evaluation).
+    Returns the trajectories, each array of shape (B, steps+1, ...), and
+    the exit times (B,).  A member whose start or RK4 stage point leaves
+    the chart exits at n h (n the step it was in), one whose new point
+    leaves exits at (n+1) h; its rows from then on are NaN.  Members that
+    stay inside have exit time inf.  A refused evaluation is repeated on
+    the members still inside, so their values do not depend on the others.
+    """
+    b = len(state[0])
     h = t / steps
-    rhs = functools.partial(_geodesic_rhs, chart)
+    half, sixth = 0.5 * h, h / 6
+    traj = tuple(np.full((b, steps + 1) + np.shape(y)[1:], np.nan) for y in state)
+    exit_time = np.full(b, np.inf)
+    live = np.arange(b)
+
+    def leave(keep: np.ndarray, when: float, arrays: list) -> list:
+        nonlocal live
+        exit_time[live[~keep]] = when
+        live = live[keep]
+        return [[a[keep] for a in y] for y in arrays]
+
+    inside = np.asarray(chart.contains(state[0]))
+    (y,) = leave(inside, 0.0, [state]) if not inside.all() else (state,)
+    for out, a in zip(traj, y):
+        out[live, 0] = a
     for n in range(steps):
-        try:
-            x[n + 1], v[n + 1] = _rk4_step(rhs, (x[n], v[n]), h)
-        except ChartDomainError:
-            raise DomainEscapeError(
-                f"{chart.name}: geodesic left the chart domain", exit_time=n * h
-            )
-        if not np.all(chart.contains(x[n + 1])):
-            raise DomainEscapeError(
-                f"{chart.name}: geodesic left the chart domain", exit_time=(n + 1) * h
-            )
-    return x, v
+        if not len(live):
+            break
+        ks: list = []
+        stage = y
+        for c in (half, half, h, None):
+            while len(live):
+                try:
+                    ks.append(rhs(*stage))
+                    break
+                except ChartDomainError:
+                    # drop the members whose stage point left the chart, or
+                    # all of them when the chart refused a point its guard admits
+                    inside = np.asarray(chart.contains(stage[0]))
+                    keep = inside if not inside.all() else np.zeros_like(inside)
+                    y, stage, *ks = leave(keep, n * h, [y, stage, *ks])
+            if not len(live):
+                break
+            if c is not None:
+                stage = [a + c * k for a, k in zip(y, ks[-1])]
+        if not len(live):
+            break
+        k1, k2, k3, k4 = ks
+        y = [a + sixth * (p + 2 * q + 2 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+        inside = np.asarray(chart.contains(y[0]))
+        if not inside.all():
+            (y,) = leave(inside, (n + 1) * h, [y])
+        everyone = len(live) == b
+        for out, a in zip(traj, y):
+            out[slice(None) if everyone else live, n + 1] = a
+    return traj, exit_time
+
+
+def _integrate(chart: Chart, rhs, state: tuple, t: float, steps: int, what: str):
+    """``_rk4_batch`` with the exit times appended for a batched state
+    (positions (B, d)); one start (positions (d,)) runs as a batch of one,
+    returns its own trajectories and raises DomainEscapeError on an exit."""
+    state = tuple(np.asarray(y, dtype=float) for y in state)
+    if state[0].ndim > 1:
+        traj, exit_time = _rk4_batch(chart, rhs, state, t, steps)
+        return (*traj, exit_time)
+    traj, exit_time = _rk4_batch(chart, rhs, tuple(y[None] for y in state), t, steps)
+    if np.isfinite(exit_time[0]):
+        raise DomainEscapeError(f"{chart.name}: geodesic left the chart domain{what}",
+                                exit_time=float(exit_time[0]))
+    return tuple(y[0] for y in traj)
+
+
+def flow_trajectory(chart: Chart, start: TangentVector, t: float, steps: int = 256) -> tuple:
+    """Full RK4 trajectory of the geodesic flow from one start or a batch of starts.
+
+    One start (base and velocity of shape (d,)) gives x and v of shape
+    (steps+1, d); a start outside the chart raises ChartDomainError and a
+    trajectory that leaves it raises DomainEscapeError with the exit time.
+    A batch (base and velocity of shape (B, d)) is stepped as one state and
+    never raises for an escape: it gives x and v of shape (B, steps+1, d)
+    and the exit times (B,), inf for a member that stayed inside.  A member
+    exits at n h when a stage point of step n (or its start, n = 0) is
+    outside the chart and at (n+1) h when its new point is; its rows are
+    NaN from then on.
+    """
+    if start.base.ndim == 1 and not np.all(chart.contains(start.base)):
+        raise ChartDomainError(f"{chart.name}: flow start outside domain")
+    rhs = functools.partial(_geodesic_rhs, chart)
+    return _integrate(chart, rhs, (start.base, start.v), t, steps, "")
 
 
 def metric_speed(chart: Chart, x: np.ndarray, v: np.ndarray) -> float:
@@ -573,15 +635,15 @@ class _ConformalChart(Chart):
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)
-        s = np.sum(x**2, axis=-1)
+        s = (x * x).sum(-1)
         lam = self._lam(s)
-        return lam[..., None, None] * np.eye(2)
+        return lam[..., None, None] * _EYE2
 
     def metric_deriv(self, x):
         x = np.asarray(x, dtype=float)
-        s = np.sum(x**2, axis=-1)
+        s = (x * x).sum(-1)
         dlam_dx = 2 * self._dlam(s)[..., None] * x          # [..., k]
-        return dlam_dx[..., :, None, None] * np.eye(2)
+        return dlam_dx[..., :, None, None] * _EYE2
 
     def metric_second_deriv(self, x):
         x = np.asarray(x, dtype=float)

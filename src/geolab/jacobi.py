@@ -26,16 +26,15 @@ import numpy as np
 from .charts import (
     Chart,
     TangentVector,
-    _rk4_step,
+    _integrate,
     christoffels,
     curvature_operator,
     metric_speed,
     sectional_curvature,
 )
 from .errors import (
-    ChartDomainError,
     DegenerateIntervalError,
-    DomainEscapeError,
+    GeolabError,
     NotAGeodesicError,
     SamplingStarvationError,
 )
@@ -44,6 +43,13 @@ from .loops import DiscreteLoop, one_sided_velocities
 DET_ENDPOINT_REL = 1e-7     # |det B(t)| below this (relative) counts the endpoint
 DET_TANGENT_REL = 1e-8      # local minima of |det B| hunted below this (relative)
 TIME_TOL = 1e-6
+
+
+def symplectic_defect(m: np.ndarray) -> float:
+    """max |M^T J M - J| of a 2d x 2d matrix: zero for a symplectic M."""
+    d = len(m) // 2
+    j = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
+    return float(np.max(np.abs(m.T @ j @ m - j)))
 
 
 @dataclass
@@ -73,9 +79,7 @@ class MonodromyMatrix:
         return m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
 
     def symplectic_defect(self) -> float:
-        d = self.dim
-        j = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
-        return float(np.max(np.abs(self.matrix.T @ j @ self.matrix - j)))
+        return symplectic_defect(self.matrix)
 
     def return_map(self) -> np.ndarray:
         """Time-t differential in the fixed frame at the start point.
@@ -142,44 +146,45 @@ def orthonormal_frame(chart: Chart, x: np.ndarray, v: np.ndarray | None = None) 
 def _jacobi_rhs(chart: Chart, x, v, e, phi):
     d = chart.dim
     gam = christoffels(chart, x)
-    acc = -np.einsum("kij,i,j->k", gam, v, v)
-    de = -np.einsum("kij,i,ja->ka", gam, v, e)
+    gam_v = -np.einsum("...kij,...i->...kj", gam, v)      # -Gamma(v, .)
+    acc = (gam_v @ v[..., None])[..., 0]
+    de = gam_v @ e
     g = chart.metric(x)
     rop = curvature_operator(chart, x, v)
-    rt = e.T @ g @ rop @ e
-    rt = 0.5 * (rt + rt.T)
+    rt = e.swapaxes(-1, -2) @ g @ rop @ e
+    rt = 0.5 * (rt + rt.swapaxes(-1, -2))
     dphi = np.empty_like(phi)
-    dphi[:d] = phi[d:]
-    dphi[d:] = -rt @ phi[:d]
+    dphi[..., :d, :] = phi[..., d:, :]
+    dphi[..., d:, :] = -rt @ phi[..., :d, :]
     return v, acc, de, dphi
 
 
 def _integrate_jacobi(chart: Chart, start: TangentVector, t: float, steps: int,
                       initial_frame: np.ndarray | None = None):
-    """Grid integration of (x, v, frame, Phi); returns per-step arrays."""
+    """Grid integration of (x, v, frame, Phi) from one start or a batch of starts.
+
+    One start (base and velocity of shape (d,)) returns the per-step
+    arrays x, v, e, Phi, each with leading axis steps+1, and raises
+    DomainEscapeError with the exit time when the geodesic leaves the chart.
+    A batch (shape (B, d); ``initial_frame`` (B, d, d) if given) is stepped
+    as one state and returns the four arrays with leading axes (B, steps+1)
+    plus the exit times (B,): inf for a member that stayed inside, n h when
+    a stage point of step n left the chart and (n+1) h when its new point
+    did.  A member's rows are NaN from its exit on.
+    """
     d = chart.dim
     x = np.asarray(start.base, dtype=float)
     v = np.asarray(start.v, dtype=float)
-    e = orthonormal_frame(chart, x, v) if initial_frame is None else initial_frame.copy()
-    phi = np.eye(2 * d)
-    h = t / steps
+    if initial_frame is not None:
+        e = np.array(initial_frame, dtype=float)
+    elif x.ndim > 1:
+        e = np.array([orthonormal_frame(chart, xb, vb) for xb, vb in zip(x, v)])
+    else:
+        e = orthonormal_frame(chart, x, v)
+    phi = np.broadcast_to(np.eye(2 * d), x.shape[:-1] + (2 * d, 2 * d))
     rhs = functools.partial(_jacobi_rhs, chart)
-    xs = [x.copy()]; vs = [v.copy()]; es = [e.copy()]; phis = [phi.copy()]
-    for n in range(steps):
-        try:
-            x, v, e, phi = _rk4_step(rhs, (x, v, e, phi), h)
-        except ChartDomainError:
-            raise DomainEscapeError(
-                f"{chart.name}: geodesic left the chart domain during Jacobi propagation",
-                exit_time=n * h,
-            )
-        if not np.all(chart.contains(x)):
-            raise DomainEscapeError(
-                f"{chart.name}: geodesic left the chart domain during Jacobi propagation",
-                exit_time=(n + 1) * h,
-            )
-        xs.append(x.copy()); vs.append(v.copy()); es.append(e.copy()); phis.append(phi.copy())
-    return np.array(xs), np.array(vs), np.array(es), np.array(phis)
+    return _integrate(chart, rhs, (x, v, e, phi), t, steps,
+                      " during Jacobi propagation")
 
 
 def jacobi_propagate(chart: Chart, start: TangentVector, t: float, steps: int = 512,
@@ -202,11 +207,9 @@ def _refine_root(chart, grid_t, grid_state, k, steps_per_span=8):
 
     def det_at(s):
         # bisection only probes s > grid_t[k]
-        h = (s - grid_t[k]) / steps_per_span
-        state = state_k
-        for _ in range(steps_per_span):
-            state = _rk4_step(rhs, state, h)
-        b = state[3][:d, d:]
+        phi = _integrate(chart, rhs, state_k, s - grid_t[k], steps_per_span,
+                         " during root refinement")[3][-1]
+        b = phi[:d, d:]
         return np.linalg.det(b), b
 
     lo, hi = grid_t[k], grid_t[k + 1]
@@ -453,51 +456,58 @@ def close_conjugate_points_check(chart: Chart, ell: float, k_radius: float,
         w = rng.standard_normal(chart.dim)
         try:
             kappas.append(sectional_curvature(chart, x, v, w))
-        except Exception:
+        except GeolabError:
             continue
+    if not kappas:
+        raise SamplingStarvationError(
+            f"no curvature sample of {n_samples} in r > {k_radius} was admissible")
     max_kappa = float(np.max(kappas))
     part_a = bool(max_kappa < bound)
 
-    # part (b): geodesic segment sampling
+    # part (b): geodesic segment sampling, integrated in blocks of exactly
+    # the segments still needed, so every integrated segment is counted
     hits = []
     checked = 0
     discarded = 0
     attempts = 0
     steps = max(64, int(np.ceil(steps_per_unit * ell)))
+    d = chart.dim
     while checked < n_samples:
-        attempts += 1
-        if attempts > 100 * n_samples:
+        block = min(n_samples - checked, 100 * n_samples - attempts)
+        if block == 0:
             raise SamplingStarvationError(
                 f"could not find {n_samples} segments staying in r > {k_radius} "
-                f"after {attempts} attempts"
+                f"after {attempts + 1} attempts"
             )
-        x = chart.sample_point(rng, k_radius, k_radius + band)
-        v = rng.standard_normal(chart.dim)
-        v = v / max(metric_speed(chart, x, v), 1e-12)
-        try:
-            grid = _integrate_jacobi(chart, TangentVector(x, v), ell, steps)
-        except DomainEscapeError:
-            discarded += 1
-            continue
-        if np.any(chart.exhaustion(grid[0]) <= k_radius):
-            discarded += 1
-            continue
-        d = chart.dim
-        dets = np.linalg.det(grid[3][:, :d, d:])
+        attempts += block
+        starts = []
+        for _ in range(block):
+            x = chart.sample_point(rng, k_radius, k_radius + band)
+            v = rng.standard_normal(d)
+            starts.append((x, v / max(metric_speed(chart, x, v), 1e-12)))
+        xs, vs = (np.array(a) for a in zip(*starts))
+        *grid, exit_time = _integrate_jacobi(chart, TangentVector(xs, vs), ell, steps)
+        # escaped members hold NaN rows, which fail the comparison
+        kept = np.isinf(exit_time) & np.all(chart.exhaustion(grid[0]) > k_radius, axis=1)
+        discarded += block - int(np.count_nonzero(kept))
+        checked += int(np.count_nonzero(kept))
+        dets = np.linalg.det(grid[3][kept][..., :d, d:])
         s_min_idx = 2
-        crossing = np.any(dets[s_min_idx:-1] * dets[s_min_idx + 1:] < 0)
-        endpoint = abs(dets[-1]) < DET_ENDPOINT_REL * float(np.max(np.abs(dets)))
-        if crossing or endpoint:
+        crossing = np.any(dets[:, s_min_idx:-1] * dets[:, s_min_idx + 1:] < 0, axis=1)
+        endpoint = np.abs(dets[:, -1]) < DET_ENDPOINT_REL * np.max(np.abs(dets), axis=1)
+        for i, j in enumerate(np.flatnonzero(kept)):
+            if not (crossing[i] or endpoint[i]):
+                continue
             # scan the grid just integrated: the same report conjugate_points
             # gives for this segment, without integrating it again
-            report = _scan_conjugate_points(chart, ell, grid, dets, 1e-4)
+            member = tuple(a[j] for a in grid)
+            report = _scan_conjugate_points(chart, ell, member, dets[i], 1e-4)
             if report.count > 0:
                 hits.append({
-                    "start": np.asarray(x).tolist(),
-                    "velocity": np.asarray(v).tolist(),
+                    "start": xs[j].tolist(),
+                    "velocity": vs[j].tolist(),
                     "times": [[float(s), int(mu)] for s, mu in report.times],
                 })
-        checked += 1
     part_b = len(hits) == 0
 
     return {

@@ -113,10 +113,8 @@ def _quadrature_blocks(chart: Chart, loop: DiscreteLoop):
     eye = np.eye(loop.dim)
     a = -n * eye + 0.5 * gw
     b = n * eye + 0.5 * gw
-    rsym = np.empty_like(g)
-    for i in range(n):
-        m_r = g[i] @ curvature_operator(chart, mids[i], w[i])
-        rsym[i] = 0.5 * (m_r + m_r.T)
+    m_r = g @ curvature_operator(chart, mids, w)
+    rsym = 0.5 * (m_r + np.swapaxes(m_r, -1, -2))
     h_aa = (np.einsum("nki,nkl,nlj->nij", a, g, a) - 0.25 * rsym) / n
     h_ab = (np.einsum("nki,nkl,nlj->nij", a, g, b) - 0.25 * rsym) / n
     h_bb = (np.einsum("nki,nkl,nlj->nij", b, g, b) - 0.25 * rsym) / n

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from geolab.charts import (
+    FlatPlane,
     TangentVector,
     christoffels,
+    curvature_operator,
+    flow_trajectory,
     geodesic_flow,
     make_chart,
     metric_speed,
@@ -129,6 +132,22 @@ def test_metric_positive_definite_and_riemann_symmetries(zoo_chart, rng):
         assert np.max(np.abs(rvv)) < 1e-7 * (1 + np.max(np.abs(rm)))
 
 
+def test_curvature_operator_batched_matches_closed_form(zoo_chart, rng):
+    # one batched call over a (3, 4) grid of points equals the per-point
+    # closed form K (g(v,v) w - g(w,v) v), and R(v,v)v = 0
+    xs = np.array([[sample_inside(zoo_chart, rng) for _ in range(4)] for _ in range(3)])
+    vs = rng.standard_normal(xs.shape)
+    batched = curvature_operator(zoo_chart, xs, vs)
+    assert batched.shape == (3, 4, 2, 2)
+    for x, v, rop in zip(xs.reshape(-1, 2), vs.reshape(-1, 2), batched.reshape(-1, 2, 2)):
+        gv = zoo_chart.metric(x) @ v
+        expected = float(zoo_chart.gauss_curvature(x)) * ((v @ gv) * np.eye(2) - np.outer(v, gv))
+        scale = max(np.max(np.abs(expected)), 1.0)
+        assert np.max(np.abs(rop - expected)) <= 1e-14 * scale
+        assert np.max(np.abs(rop - curvature_operator(zoo_chart, x, v))) <= 1e-14 * scale
+        assert np.max(np.abs(rop @ v)) <= 1e-12 * scale * (1 + v @ v)
+
+
 def test_exhaustion_proper_on_rays():
     for name in ZOO:
         chart = make_chart(name)
@@ -223,6 +242,26 @@ def test_flow_domain_escape_carries_time():
     with pytest.raises(DomainEscapeError) as err:
         geodesic_flow(sphere, TangentVector([9.0, 0.0], [50.0, 0.0]), 2.0, 256)
     assert 0 <= err.value.exit_time <= 2.0
+
+
+def test_flow_point_refused_inside_the_guard_is_an_escape():
+    class WalledPlane(FlatPlane):
+        # refuses x > 1, which its domain guard does not say
+        def metric(self, x):
+            if np.any(np.asarray(x)[..., 0] > 1.0):
+                raise ChartDomainError("wall")
+            return super().metric(x)
+
+    start = TangentVector([0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(DomainEscapeError) as err:
+        geodesic_flow(WalledPlane(), start, 2.0, 16)
+    # the first stage point past the wall is x_8 + h/2, in step 8
+    assert err.value.exit_time == 8 * 2.0 / 16
+    _, _, exit_time = flow_trajectory(
+        WalledPlane(), TangentVector(np.tile(start.base, (2, 1)), [[1.0, 0.0], [0.0, 1.0]]),
+        2.0, 16)
+    # the batch cannot tell whose point was refused: both members exit
+    assert list(exit_time) == [1.0, 1.0]
 
 
 def test_flow_rejects_bad_arguments():

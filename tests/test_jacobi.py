@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from geolab.charts import TangentVector, make_chart, metric_speed
+from geolab.charts import FlatPlane, TangentVector, flow_trajectory, make_chart, metric_speed
 from geolab import jacobi
-from geolab.errors import NotAGeodesicError
+from geolab.errors import DomainEscapeError, NotAGeodesicError, SamplingStarvationError
 from geolab.jacobi import (
     close_conjugate_points_check,
     conjugate_points,
@@ -219,9 +219,10 @@ def test_close_check_bumped_cylinder(monkeypatch):
     integrations = [0]
     integrate = jacobi._integrate_jacobi
 
-    def counted(*args, **kwargs):
-        integrations[0] += 1
-        return integrate(*args, **kwargs)
+    def counted(chart, start, *args, **kwargs):
+        # segments are integrated in batches: count the members
+        integrations[0] += len(start.base) if np.ndim(start.base) > 1 else 1
+        return integrate(chart, start, *args, **kwargs)
 
     monkeypatch.setattr(jacobi, "_integrate_jacobi", counted)
     outside = close_conjugate_points_check(bc, ell=20.0, k_radius=2.0,
@@ -230,6 +231,8 @@ def test_close_check_bumped_cylinder(monkeypatch):
     # every sampled segment is integrated once, whether kept or discarded
     segments = outside["segments"]
     assert integrations[0] == segments["checked"] + segments["discarded"]
+    # the draw order: x then v per attempt, the same sequence as one by one
+    assert segments["discarded"] == 9
     integrations[0] = 0
     crossing = close_conjugate_points_check(bc, ell=12.0, k_radius=0.0,
                                             n_samples=25, seed=3, sample_band=3.0)
@@ -237,7 +240,8 @@ def test_close_check_bumped_cylinder(monkeypatch):
     assert not crossing["segments"]["pass"]
     segments = crossing["segments"]
     assert integrations[0] == segments["checked"] + segments["discarded"]
-    assert len(segments["conjugate_hits"]) > 0
+    assert segments["discarded"] == 0
+    assert len(segments["conjugate_hits"]) == 4
     assert crossing["rauch_consistent"]
     # the scan of the check's own grid is the report conjugate_points gives
     monkeypatch.setattr(jacobi, "_integrate_jacobi", integrate)
@@ -245,6 +249,72 @@ def test_close_check_bumped_cylinder(monkeypatch):
         report = conjugate_points(bc, TangentVector(hit["start"], hit["velocity"]), 12.0,
                                   steps=384)
         assert [[s, mu] for s, mu in report.times] == hit["times"]
+
+
+def test_close_check_propagates_programming_errors():
+    class BrokenPlane(FlatPlane):
+        def metric(self, x):
+            raise TypeError("metric bug")
+
+    with pytest.raises(TypeError):
+        close_conjugate_points_check(BrokenPlane(), ell=5.0, k_radius=0.0, n_samples=5)
+
+
+def test_close_check_starves_without_admissible_curvature_samples():
+    class NowherePlane(FlatPlane):
+        def contains(self, x):
+            return np.zeros(np.shape(x)[:-1], dtype=bool)
+
+    with pytest.raises(SamplingStarvationError):
+        close_conjugate_points_check(NowherePlane(), ell=5.0, k_radius=0.0, n_samples=5)
+
+
+def test_close_check_segment_starvation_trips_at_attempt_limit():
+    class FloorPlane(FlatPlane):
+        # every segment reaches r = 0 = k_radius, so every one is discarded
+        def exhaustion(self, x):
+            return np.zeros(np.shape(x)[:-1])
+
+    with pytest.raises(SamplingStarvationError, match="after 301 attempts"):
+        close_conjugate_points_check(FloorPlane(), ell=2.0, k_radius=0.0, n_samples=3)
+
+
+def test_batched_integration_equals_per_start():
+    # safe starts and three that leave the guard radius 10: [9, 0] at speed
+    # 50 in the stage points of the first step, [5, 0] at speed 5 in a stage
+    # point of step 8, and one whose new point leaves while every RK4 stage
+    # point of that step is inside (from 9.344 to 9.353 on this ray)
+    sph = make_chart("sphere")
+    base = np.array([[1.0, 0.0], [0.3, -0.2], [9.0, 0.0], [0.5, 0.5], [9.35, 0.0],
+                     [5.0, 0.0]])
+    vel = np.array([[0.0, 2 * np.pi], [1.0, 0.4], [50.0, 0.0], [-0.7, 1.1],
+                    [20 * np.cos(1.0), 20 * np.sin(1.0)], [5.0, 0.0]])
+    steps = 16
+    h = 1.0 / steps
+    batch = TangentVector(base, vel)
+    xs, vs, flow_exit = flow_trajectory(sph, batch, 1.0, steps)
+    *grid, jacobi_exit = jacobi._integrate_jacobi(sph, batch, 1.0, steps)
+    exits = []
+    for i, (x0, v0) in enumerate(zip(base, vel)):
+        start = TangentVector(x0, v0)
+        try:
+            x, v = flow_trajectory(sph, start, 1.0, steps)
+        except DomainEscapeError as exc:
+            assert flow_exit[i] == exc.exit_time
+            with pytest.raises(DomainEscapeError) as jexc:
+                jacobi._integrate_jacobi(sph, start, 1.0, steps)
+            assert jacobi_exit[i] == jexc.value.exit_time
+            last = np.flatnonzero(np.isfinite(xs[i, :, 0]))[-1]
+            assert np.all(np.isnan(xs[i, last + 1:])) and np.all(np.isnan(grid[3][i, last + 1:]))
+            exits.append("stage" if exc.exit_time == last * h else "point")
+            continue
+        assert np.isinf(flow_exit[i]) and np.isinf(jacobi_exit[i])
+        assert np.array_equal(x, xs[i]) and np.array_equal(v, vs[i])
+        single = jacobi._integrate_jacobi(sph, start, 1.0, steps)
+        for a, b in zip(single, grid):
+            assert np.max(np.abs(a - b[i])) <= 1e-12
+    assert exits == ["stage", "point", "stage"]
+    assert list(flow_exit[[2, 4, 5]]) == [0.0, h, 8 * h]
 
 
 def test_close_check_rejects_compact_chart():
