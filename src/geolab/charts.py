@@ -2,9 +2,10 @@
 
 Every manifold in the zoo is presented in a single global coordinate chart
 of dimension ``d`` (the zoo is 2D, the machinery dimension-generic).  A
-chart knows its metric tensor, analytic first/second metric derivatives
-where available (finite differences otherwise), an optional exhaustion
-coordinate ``r`` for non-compact manifolds, and domain guards.
+chart knows its metric tensor with analytic first and second metric
+derivatives, an optional exhaustion coordinate ``r`` for non-compact
+manifolds, and domain guards.  The finite-difference ``Chart.metric_deriv``
+is kept as the oracle of the analytic derivatives.
 
 Index conventions used throughout:
 
@@ -46,10 +47,13 @@ class TangentVector:
 
 
 class Chart:
-    """Base class: finite-difference fallbacks and shared helpers.
+    """Base class: domain guards, periodic wrapping and oracle derivatives.
 
-    Subclasses must provide ``metric`` and set ``dim``; everything else has
-    a generic (finite-difference) default.
+    Subclasses provide ``metric``, ``metric_deriv`` and
+    ``metric_second_deriv`` in closed form and set ``dim``.  The base
+    ``metric_deriv`` (central differences of ``metric``) is the oracle that
+    ``christoffels(..., finite_difference=True)`` reads; the exhaustion
+    derivatives default to finite differences of ``exhaustion``.
     """
 
     name = "abstract"
@@ -59,8 +63,6 @@ class Chart:
     #: chart-distance cap for one loop segment (convexity proxy)
     segment_cap = 0.5
     compact = False
-    #: metric first derivatives are analytic (affects advertised tolerances)
-    analytic_derivs = False
     #: chart radius beyond which evaluation is refused
     guard_radius = np.inf
     #: point-wise recentering isometry available (sphere)
@@ -81,19 +83,6 @@ class Chart:
             e = np.zeros(d)
             e[k] = FD_STEP
             out[..., k, :, :] = (self.metric(x + e) - self.metric(x - e)) / (2 * FD_STEP)
-        return out
-
-    def metric_second_deriv(self, x: np.ndarray) -> np.ndarray:
-        """Central finite differences of ``metric_deriv``."""
-        x = np.asarray(x, dtype=float)
-        d = self.dim
-        out = np.empty(x.shape[:-1] + (d, d, d, d))
-        for l in range(d):
-            e = np.zeros(d)
-            e[l] = FD_STEP
-            out[..., l, :, :, :] = (
-                self.metric_deriv(x + e) - self.metric_deriv(x - e)
-            ) / (2 * FD_STEP)
         return out
 
     def metric_checked(self, x: np.ndarray) -> np.ndarray:
@@ -211,24 +200,34 @@ def christoffels(chart: Chart, x: np.ndarray, finite_difference: bool = False) -
     return 0.5 * np.einsum("...km,...mij->...kij", ginv, s)
 
 
-def christoffel_deriv(chart: Chart, x: np.ndarray) -> np.ndarray:
-    """d_l Gamma^k_ij by central differences of ``christoffels``."""
+def christoffel_deriv(chart: Chart, x: np.ndarray, finite_difference: bool = False) -> np.ndarray:
+    """d_l Gamma^k_ij by central differences of ``christoffels``.
+
+    ``finite_difference=True`` differences the oracle Christoffels (from
+    finite differences of g) with the wider outer step 10 * FD_STEP.
+    """
     x = np.asarray(x, dtype=float)
     d = chart.dim
+    step = 10 * FD_STEP if finite_difference else FD_STEP
     out = np.empty(x.shape[:-1] + (d, d, d, d))
     for l in range(d):
         e = np.zeros(d)
-        e[l] = FD_STEP
+        e[l] = step
         out[..., l, :, :, :] = (
-            christoffels(chart, x + e) - christoffels(chart, x - e)
-        ) / (2 * FD_STEP)
+            christoffels(chart, x + e, finite_difference)
+            - christoffels(chart, x - e, finite_difference)
+        ) / (2 * step)
     return out
 
 
-def riemann(chart: Chart, x: np.ndarray) -> np.ndarray:
-    """Riemann tensor R^l_kij = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik."""
-    gam = christoffels(chart, x)
-    dgam = christoffel_deriv(chart, x)
+def riemann(chart: Chart, x: np.ndarray, finite_difference: bool = False) -> np.ndarray:
+    """Riemann tensor R^l_kij = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik.
+
+    ``finite_difference=True`` builds it from finite differences of g only
+    (the oracle of the analytic curvature).
+    """
+    gam = christoffels(chart, x, finite_difference)
+    dgam = christoffel_deriv(chart, x, finite_difference)
     term1 = np.einsum("...iljk->...lkij", dgam)
     term2 = np.einsum("...jlik->...lkij", dgam)
     term3 = np.einsum("...lim,...mjk->...lkij", gam, gam)
@@ -242,6 +241,7 @@ def sectional_curvature(chart: Chart, x: np.ndarray, v: np.ndarray, w: np.ndarra
 
     Independent of the basis of span{v, w}; raises DegeneratePlaneError when
     the Gram determinant falls below 1e-12 times the norm scale.
+    ``finite_difference=True`` reads the oracle Riemann tensor.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -253,26 +253,7 @@ def sectional_curvature(chart: Chart, x: np.ndarray, v: np.ndarray, w: np.ndarra
     den = gvv * gww - gvw**2
     if den <= 1e-12 * max(gvv * gww, 1e-300):
         raise DegeneratePlaneError("v, w span a degenerate plane")
-    if finite_difference:
-        # oracle path: Riemann tensor built from finite differences of g only
-        gam = christoffels(chart, x, finite_difference=True)
-        d = chart.dim
-        dgam = np.empty((d, d, d, d))
-        for l in range(d):
-            e = np.zeros(d)
-            e[l] = FD_STEP * 10
-            dgam[l] = (
-                christoffels(chart, x + e, finite_difference=True)
-                - christoffels(chart, x - e, finite_difference=True)
-            ) / (2 * FD_STEP * 10)
-        rm = (
-            np.einsum("iljk->lkij", dgam)
-            - np.einsum("jlik->lkij", dgam)
-            + np.einsum("lim,mjk->lkij", gam, gam)
-            - np.einsum("ljm,mik->lkij", gam, gam)
-        )
-    else:
-        rm = riemann(chart, x)
+    rm = riemann(chart, x, finite_difference)
     rvw_w = np.einsum("lkij,k,i,j->l", rm, w, v, w)
     num = rvw_w @ g @ v
     return float(num / den)
@@ -435,7 +416,6 @@ class FlatPlane(Chart):
     """Euclidean plane, identity metric; exhaustion r = |x|."""
 
     name = "plane"
-    analytic_derivs = True
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)
@@ -483,7 +463,6 @@ class _ProfileChart(Chart):
     closed geodesics of length 2 pi rho(z).
     """
 
-    analytic_derivs = True
     z_bound = 300.0  # cosh-type profiles overflow float64 past ~700
 
     def __init__(self):
@@ -620,8 +599,6 @@ class BumpedCylinder(_ProfileChart):
 
 class _ConformalChart(Chart):
     """Conformal metric lambda(|u|^2) * I on a planar domain."""
-
-    analytic_derivs = True
 
     def _lam(self, s):
         raise NotImplementedError
@@ -760,7 +737,6 @@ class Paraboloid(Chart):
     """
 
     name = "paraboloid"
-    analytic_derivs = True
     apex_guard = 1e-8
 
     def __init__(self):

@@ -126,8 +126,11 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
     Hessian and its spectrum (index, nullity, lemma bound, and through its
     pinned block the Dirichlet index), the conjugate scan along the
     outgoing velocity (cp_1 and the based cross-check), and, for a moving
-    genuine loop, one shooting of its orbit, whose return map gives
-    ``nullity_monodromy`` and every Bott row, and the quadrature Hessian.
+    genuine loop, one shooting of its orbit (its return map gives
+    ``nullity_monodromy`` and checks each omega-nullity of the Bott table)
+    and the quadrature Hessian.  The Bott table (``with_bott``) solves one
+    N-node omega-twisted Hessian per root of unity and per arc of the
+    mean-index average; no iterate is assembled.
     """
     import warnings
 

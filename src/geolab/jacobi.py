@@ -12,8 +12,8 @@ det B(s), with multiplicity dim ker B(s).
 
 For a closed geodesic, expressing the time-1 fundamental matrix in a single
 basis (undoing the holonomy of the frame) produces the linearized return
-map; the nullity is the kernel dimension of (return map)^m - Id for the
-m-fold iterate.
+map P; the nullity of the m-fold iterate is the kernel dimension of
+P^m - Id, the sum of dim ker(P - omega Id) over omega^m = 1.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .loops import DiscreteLoop, one_sided_velocities
 DET_ENDPOINT_REL = 1e-7     # |det B(t)| below this (relative) counts the endpoint
 DET_TANGENT_REL = 1e-8      # local minima of |det B| hunted below this (relative)
 TIME_TOL = 1e-6
+UNIT_TOL = 1e-4             # an eigenvalue this close to a unit root omega counts as omega
 
 
 def symplectic_defect(m: np.ndarray) -> float:
@@ -349,33 +350,25 @@ def refine_closed_orbit(chart: Chart, x0: np.ndarray, v0: np.ndarray, steps: int
         v0 = v0 + step[chart.dim:]
 
 
-def fixed_space_dimension(p: np.ndarray, m: int = 1, rank_threshold: float = 1e-4,
-                          unit_tol: float = 1e-4) -> int:
-    """dim ker(p^m - Id) via the eigenstructure of p.
+def eigenspace_dimension(p: np.ndarray, omega: complex, rank_threshold: float = 1e-4) -> int:
+    """dim_C ker(p - omega Id), the geometric multiplicity of omega as an
+    eigenvalue of p (0 when no eigenvalue lies within ``UNIT_TOL`` of it)."""
+    if not np.any(np.abs(np.linalg.eigvals(p) - omega) < UNIT_TOL):
+        return 0
+    return _kernel_dim(p - omega * np.eye(len(p)), rank_threshold)
 
-    A vector is fixed by p^m exactly when it is an eigenvector of p for an
-    m-th root of unity, so the kernel dimension is the sum of geometric
-    multiplicities of the eigenvalues with lambda^m = 1.  Working with p
-    itself (moderate conditioning) instead of its explicit m-th power keeps
-    the count stable when p has strongly hyperbolic blocks, whose entries
-    would otherwise swamp the singular-value scale of p^m - Id.
+
+def fixed_space_dimension(p: np.ndarray, m: int = 1, rank_threshold: float = 1e-4) -> int:
+    """dim ker(p^m - Id): the sum of ``eigenspace_dimension`` over omega^m = 1.
+
+    Working with p itself instead of its explicit m-th power keeps the
+    count stable when p has strongly hyperbolic blocks, whose entries would
+    otherwise swamp the singular-value scale of p^m - Id.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    eigs = np.linalg.eigvals(p)
-    unit_roots: list[complex] = []
-    for lam in eigs:
-        if abs(lam**m - 1.0) >= unit_tol:
-            continue
-        if any(abs(lam - mu) < 1e-6 for mu in unit_roots):
-            continue
-        unit_roots.append(lam)
-    total = 0
-    for lam in unit_roots:
-        sv = np.linalg.svd(p - lam * np.eye(p.shape[0]), compute_uv=False)
-        scale = max(float(sv[0]), 1e-300)
-        total += int(np.sum(sv < rank_threshold * scale))
-    return total
+    return sum(eigenspace_dimension(p, np.exp(2j * np.pi * k / m), rank_threshold)
+               for k in range(m))
 
 
 def shoot_closed_orbit(chart: Chart, loop: DiscreteLoop, steps: int = 512,

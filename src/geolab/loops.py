@@ -160,10 +160,8 @@ def preconditioned_norm(grad: np.ndarray) -> float | np.ndarray:
 
 def loop_length(chart: Chart, loop: DiscreteLoop) -> float:
     """Polygonal metric length sum_i g(m_i)(Delta_i, Delta_i)^(1/2)."""
-    validate_loop(chart, loop)
-    deltas = segment_deltas(chart, loop)
-    mids = loop.nodes + 0.5 * deltas
-    g = chart.metric(mids)
+    deltas = validate_loop(chart, loop)
+    g = chart.metric(loop.nodes + 0.5 * deltas)
     return float(np.sum(np.sqrt(np.einsum("ni,nij,nj->n", deltas, g, deltas))))
 
 

@@ -13,27 +13,32 @@ Eigenvalues are reported in continuum normalization (matrix eigenvalue
 times the node count), which makes them mesh-independent approximations of
 the second-variation spectrum; the default zero band is 1e-6 times the
 reported spectral radius.
+
+Iterates are never assembled: by Bott's formula the inertia of the m-fold
+iterate is the sum over omega^m = 1 of that of the N-node Hessian whose
+wrap-around block is twisted by omega (see ``iteration_table``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
 from .charts import Chart, TangentVector, christoffels, curvature_operator
 from .errors import CrossCheckError
 from .jacobi import (
+    UNIT_TOL,
     ConjugateReport,
     conjugate_points,
-    fixed_space_dimension,
+    eigenspace_dimension,
     shoot_closed_orbit,
 )
 from .loops import (
     DiscreteLoop,
-    iterate,
+    energy_gradient,
     one_sided_velocities,
-    segment_deltas,
     validate_loop,
 )
 from .penalty import (
@@ -48,7 +53,7 @@ ZERO_BAND_SCALE = 1e-6
 
 @dataclass
 class SecondVariation:
-    """Symmetric dN x dN Hessian over nodal fields, with assembly metadata."""
+    """Hermitian dN x dN Hessian over nodal fields (real at omega = 1), with metadata."""
 
     matrix: np.ndarray
     method: str                    # "exact_discrete" | "continuum_quadrature"
@@ -57,6 +62,7 @@ class SecondVariation:
     alpha: int | None = None
     gradient_norm: float = 0.0
     critical: bool = True          # False: spectrum computed, indices not trustworthy
+    omega: complex = 1             # twist of the wrap-around block (Bott's omega)
 
     @property
     def size(self) -> int:
@@ -79,14 +85,13 @@ class SpectralReport:
         return self.eigenvalues.size - self.index - self.nullity
 
 
-def _second_deriv_blocks(chart: Chart, loop: DiscreteLoop):
+def _second_deriv_blocks(chart: Chart, loop: DiscreteLoop, deltas: np.ndarray):
     """Per-segment Hessian blocks of Q_i = Delta^T g(m_i) Delta.
 
     Returns (H_aa, H_ab, H_bb) with shapes (N, d, d); indices k, l are the
     derivative slots on the segment's tail node a = x_i and head node
     b = x_{i+1}.
     """
-    deltas = segment_deltas(chart, loop)
     mids = loop.nodes + 0.5 * deltas
     g = chart.metric(mids)
     dg = chart.metric_deriv(mids)
@@ -101,10 +106,9 @@ def _second_deriv_blocks(chart: Chart, loop: DiscreteLoop):
     return h_aa, h_ab, h_bb
 
 
-def _quadrature_blocks(chart: Chart, loop: DiscreteLoop):
+def _quadrature_blocks(chart: Chart, loop: DiscreteLoop, deltas: np.ndarray):
     """Per-segment blocks of the covariant quadrature form (scaled by 1/N)."""
     n = loop.n_nodes
-    deltas = segment_deltas(chart, loop)
     mids = loop.nodes + 0.5 * deltas
     w = n * deltas
     g = chart.metric(mids)
@@ -124,56 +128,56 @@ def _quadrature_blocks(chart: Chart, loop: DiscreteLoop):
 def assemble_second_variation(chart: Chart, loop: DiscreteLoop,
                               schedule: PenaltySchedule | None = None,
                               alpha: int | None = None,
-                              method: str = "exact_discrete") -> SecondVariation:
+                              method: str = "exact_discrete",
+                              omega: complex = 1) -> SecondVariation:
     """Assemble the Hessian of the (penalized) discrete energy at a loop.
 
     The loop should be a converged critical point; otherwise the spectrum
-    is still assembled but flagged non-critical.
+    is still assembled but flagged non-critical.  A unit ``omega`` != 1
+    multiplies the wrap-around block (node N-1 to node 0) by omega and its
+    transpose by conj(omega): the Hermitian Hessian on nodal fields with
+    xi_{k+N} = omega xi_k.
     """
-    validate_loop(chart, loop)
+    deltas = validate_loop(chart, loop)
     n, d = loop.n_nodes, loop.dim
     if method == "exact_discrete":
-        h_aa, h_ab, h_bb = _second_deriv_blocks(chart, loop)
+        h_aa, h_ab, h_bb = _second_deriv_blocks(chart, loop, deltas)
         scale = float(n)
     elif method == "continuum_quadrature":
-        h_aa, h_ab, h_bb = _quadrature_blocks(chart, loop)
+        h_aa, h_ab, h_bb = _quadrature_blocks(chart, loop, deltas)
         scale = 1.0
     else:
         raise ValueError(f"unknown assembly method {method!r}")
 
+    idx, nxt = np.arange(n), np.roll(np.arange(n), -1)
     h = np.zeros((n, d, n, d))
-    idx = np.arange(n)
-    nxt = (idx + 1) % n
-    for i in range(n):
-        j = nxt[i]
-        h[i, :, i, :] += h_aa[i]
-        h[j, :, j, :] += h_bb[i]
-        h[i, :, j, :] += h_ab[i]
-        h[j, :, i, :] += h_ab[i].T
+    h[idx, :, idx, :] = h_aa + np.roll(h_bb, 1, axis=0)
+    h[idx, :, nxt, :] = h_ab
+    h[nxt, :, idx, :] = np.swapaxes(h_ab, -1, -2)
+    if omega != 1:
+        h = h.astype(complex)
+        h[n - 1, :, 0, :] *= omega
+        h[0, :, n - 1, :] *= np.conj(omega)
     h = scale * h.reshape(n * d, n * d)
 
     if schedule is not None and alpha is not None:
+        gnorm = float(np.linalg.norm(penalized_gradient(chart, schedule, alpha, loop)))
         if method == "exact_discrete":
             h[:d, :d] += penalty_coordinate_hess(chart, schedule, alpha, loop.basepoint)
         else:
             _, hess_cov = penalty_gradient_and_hessian(chart, schedule, alpha, loop.basepoint)
             h[:d, :d] += hess_cov
-
-    h = 0.5 * (h + h.T)
-
-    if schedule is not None and alpha is not None:
-        gnorm = float(np.linalg.norm(penalized_gradient(chart, schedule, alpha, loop)))
     else:
-        from .loops import energy_gradient
         gnorm = float(np.linalg.norm(energy_gradient(chart, loop)))
+    h = 0.5 * (h + h.conj().T)
     return SecondVariation(
         matrix=h, method=method, n_nodes=n, dim=d, alpha=alpha,
-        gradient_norm=gnorm, critical=bool(gnorm < 1e-3 * n),
+        gradient_norm=gnorm, critical=bool(gnorm < 1e-3 * n), omega=omega,
     )
 
 
 def index_and_nullity(sv: SecondVariation, zero_band: float | None = None) -> SpectralReport:
-    """Inertia counts from a full symmetric eigensolve.
+    """Inertia counts from a full Hermitian eigensolve.
 
     Eigenvalues are reported as N times the matrix eigenvalues (continuum
     normalization); the default band is 1e-6 times the reported spectral
@@ -276,66 +280,68 @@ def lemma_index_bound_check(chart: Chart, loop: DiscreteLoop,
 
 
 def bott_table(chart: Chart, loop: DiscreteLoop, m_max: int = 6,
-               rank_threshold: float = 1e-4, steps: int = 512,
-               slack: float = 0.05) -> dict:
-    """``iteration_table`` of a closed geodesic, whose orbit is shot once:
-    every iterate's return-map nullity is read off that one return map."""
+               rank_threshold: float = 1e-4, steps: int = 512) -> dict:
+    """``iteration_table`` of a closed geodesic, whose orbit is shot once."""
     return_map = shoot_closed_orbit(chart, loop, steps).return_map()
-    return iteration_table(chart, loop, return_map, m_max, rank_threshold, slack)
+    return iteration_table(chart, loop, return_map, m_max, rank_threshold)
 
 
 def iteration_table(chart: Chart, loop: DiscreteLoop, return_map: np.ndarray,
-                    m_max: int = 6, rank_threshold: float = 1e-4,
-                    slack: float = 0.05) -> dict:
-    """Iteration table: spectral index/nullity of the m-fold iterates.
+                    m_max: int = 6, rank_threshold: float = 1e-4) -> dict:
+    """Bott iteration table: index/nullity of the m-fold iterates, m <= m_max.
 
-    For each m <= m_max the iterate's spectrum is assembled on its own
-    mN-node discretization (no iteration-theory shortcut) and the spectral
-    nullity must equal dim ker(P^m - Id) for the loop's linearized return
-    map P; disagreement is a hard failure.  The average index is estimated
-    two ways (least-squares slope through (m, ind) and the endpoint ratio)
-    and the two-sided iteration bounds
+    The exact Hessian of the iterate is block-circulant, so (Bott's formula)
+    ind_m and nul_m are the sums over omega^m = 1 of the inertia of the
+    N-node omega-twisted Hessian.  Each omega is solved once (omega and its
+    conjugate share a solve), and its nullity must equal dim ker(P - omega Id)
+    for the return map P.  The mean index ibar, the average of ind_omega over
+    the circle, is exact from one solve per arc between the unit-circle
+    eigenvalue angles of P (angles within ``UNIT_TOL`` of 0, pi or each
+    other are one cut).  The iteration bounds are checked without slack:
 
         m ibar - dim <= ind_m <= m ibar + dim - nul_m
-
-    are checked with the slope estimate and +-``slack`` slack on ibar.
     """
+    solved: dict[Fraction | float, SpectralReport] = {}  # turn in [0, 1/2]; 0.25 == Fraction(1, 4)
+
+    def twisted(turn: Fraction | float) -> SpectralReport:
+        turn = min(turn, 1 - turn)
+        if turn not in solved:
+            omega = np.exp(2j * np.pi * float(turn))
+            spec = index_and_nullity(assemble_second_variation(chart, loop, omega=omega))
+            nul_mono = eigenspace_dimension(return_map, omega, rank_threshold)
+            if spec.nullity != nul_mono:
+                raise CrossCheckError(f"omega = exp(2 pi i {turn}): spectral nullity "
+                                      f"{spec.nullity} != return-map nullity {nul_mono}")
+            solved[turn] = spec
+        return solved[turn]
+
+    eigs = np.linalg.eigvals(return_map)
+    cuts = [0.0]
+    for angle in np.sort(np.abs(np.angle(eigs[np.abs(np.abs(eigs) - 1) < UNIT_TOL]))):
+        if angle - cuts[-1] > UNIT_TOL and np.pi - angle > UNIT_TOL:
+            cuts.append(float(angle))
+    cuts.append(np.pi)
+    arc_index = [twisted((a + b) / (4 * np.pi)).index for a, b in zip(cuts, cuts[1:])]
+    # ind_omega on the first arc plus each jump weighted by the share of the
+    # half circle beyond it: exact when ind_omega is constant
+    mean = arc_index[0] + sum((hi - lo) * (np.pi - c) / np.pi
+                              for lo, hi, c in zip(arc_index, arc_index[1:], cuts[1:]))
+
     rows = []
     for m in range(1, m_max + 1):
-        it_loop = iterate(loop, m)
-        sv = assemble_second_variation(chart, it_loop)
-        spec = index_and_nullity(sv)
-        nul_mono = fixed_space_dimension(return_map, m, rank_threshold)
-        if spec.nullity != nul_mono:
-            raise CrossCheckError(
-                f"m={m}: spectral nullity {spec.nullity} != return-map nullity {nul_mono}"
-            )
-        rows.append({"m": m, "index": spec.index, "nullity": spec.nullity,
-                     "nullity_monodromy": nul_mono, "ambiguous": spec.ambiguous})
-
-    ms = np.array([r["m"] for r in rows], dtype=float)
-    inds = np.array([r["index"] for r in rows], dtype=float)
-    slope = float(np.polyfit(ms, inds, 1)[0]) if m_max > 1 else float(inds[0])
-    ratio = float(inds[-1] / ms[-1])
-    d = chart.dim
-    ok = True
-    for r in rows:
-        m, ind, nul = r["m"], r["index"], r["nullity"]
-        lower = m * (slope - slack) - d
-        upper = m * (slope + slack) + d - nul
-        r["lower"] = lower
-        r["upper"] = upper
-        r["bounds_ok"] = bool(lower <= ind <= upper)
-        r["right_equality"] = bool(abs(ind - (m * slope + d - nul)) < slack * m + 1e-9)
-        ok = ok and r["bounds_ok"]
-
-    partition: dict[int, list[int]] = {}
-    for r in rows:
-        partition.setdefault(r["nullity"], []).append(r["m"])
+        specs = [twisted(Fraction(k, m)) for k in range(m)]
+        ind = sum(s.index for s in specs)
+        nul = sum(s.nullity for s in specs)
+        lower, upper = m * mean - chart.dim, m * mean + chart.dim - nul
+        rows.append({"m": m, "index": ind, "nullity": nul,
+                     "ambiguous": any(s.ambiguous for s in specs),
+                     "lower": float(lower), "upper": float(upper),
+                     "bounds_ok": bool(lower <= ind <= upper)})
+    nullities = sorted({r["nullity"] for r in rows})
     return {
         "rows": rows,
-        "average_index_slope": slope,
-        "average_index_ratio": ratio,
-        "bounds_ok": ok,
-        "nullity_partition": {str(k): v for k, v in sorted(partition.items())},
+        "mean_index": float(mean),
+        "bounds_ok": all(r["bounds_ok"] for r in rows),
+        "nullity_partition": {str(n): [r["m"] for r in rows if r["nullity"] == n]
+                              for n in nullities},
     }

@@ -169,13 +169,16 @@ def test_cli_analyze_stored_loop(tmp_path, monkeypatch):
     assert analysis["bott"]["bounds_ok"]
     assert analysis["based_cross_check"]["dirichlet_index"] == 0
     # each artefact once: one shooting, one conjugate scan, the loop's exact
-    # and quadrature Hessians, and one Hessian per Bott iterate
+    # and quadrature Hessians, and one N-node Hessian per Bott omega: the
+    # roots 1 and -1 of m <= 2, and i inside the one mean-index arc (0, pi)
     assert len(calls["refine_closed_orbit"]) == 1
     assert len(calls["conjugate_points"]) == 1
     assemblies = sorted((sv.method, sv.n_nodes, sv.alpha is None)
                         for sv in calls["assemble_second_variation"])
-    assert assemblies == [("continuum_quadrature", n, False), ("exact_discrete", n, False),
-                          ("exact_discrete", n, True), ("exact_discrete", 2 * n, True)]
+    assert assemblies == [("continuum_quadrature", n, False), ("exact_discrete", n, False)] \
+        + [("exact_discrete", n, True)] * 3
+    omegas = [sv.omega for sv in calls["assemble_second_variation"] if sv.alpha is None]
+    assert np.allclose(sorted(omegas, key=np.angle), [1, 1j, -1])
 
 
 def test_cli_analyze_requires_loop_path(tmp_path):

@@ -7,6 +7,7 @@ from geolab.errors import DomainEscapeError, NotAGeodesicError, SamplingStarvati
 from geolab.jacobi import (
     close_conjugate_points_check,
     conjugate_points,
+    eigenspace_dimension,
     fixed_space_dimension,
     jacobi_propagate,
     nullity_via_monodromy,
@@ -181,6 +182,18 @@ def test_fixed_space_dimension_elliptic_partition():
     for m in range(1, 7):
         expected = 2 + 2 * (m % 3 == 0)
         assert fixed_space_dimension(p, m) == expected
+
+
+def test_eigenspace_dimension_counts_geometric_multiplicity():
+    # a shear (one Jordan block at 1) next to a rotation by 2*pi/3
+    theta = 2 * np.pi / 3
+    p = np.zeros((4, 4))
+    p[:2, :2] = [[1.0, 2.0], [0.0, 1.0]]
+    p[2:, 2:] = [[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]]
+    assert eigenspace_dimension(p, 1.0) == 1
+    assert eigenspace_dimension(p, np.exp(2j * np.pi / 3)) == 1
+    assert eigenspace_dimension(p, np.exp(-2j * np.pi / 3)) == 1
+    assert eigenspace_dimension(p, -1.0) == 0
 
 
 def test_refine_closed_orbit_tightens():

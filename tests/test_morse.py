@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geolab.charts import make_chart
 from geolab.errors import CrossCheckError
-from geolab.loops import DiscreteLoop, energy_gradient, iterate, make_loop
+from geolab.jacobi import shoot_closed_orbit
+from geolab.loops import DiscreteLoop, circle_shift, energy_gradient, iterate, make_loop
 from geolab.morse import (
     SecondVariation,
     assemble_second_variation,
@@ -11,6 +14,7 @@ from geolab.morse import (
     bott_table,
     dirichlet_index,
     index_and_nullity,
+    iteration_table,
     lemma_index_bound_check,
 )
 from geolab.penalty import PenaltySchedule
@@ -196,9 +200,12 @@ def test_bott_table_sphere():
     nuls = [r["nullity"] for r in table["rows"]]
     assert inds == [2 * m - 1 for m in range(1, 7)]
     assert nuls == [3] * 6
-    assert abs(table["average_index_slope"] - 2.0) < 0.05
+    # the return map's eigenvalue 1 splits numerically into angles ~1e-7,
+    # which must read as the single cut at 0: ibar = ind_omega = 2 exactly,
+    # and every iterate sits on the upper bound
+    assert table["mean_index"] == 2.0
     assert table["bounds_ok"]
-    assert all(r["right_equality"] for r in table["rows"])
+    assert all(r["index"] == r["upper"] for r in table["rows"])
     assert table["nullity_partition"] == {"3": [1, 2, 3, 4, 5, 6]}
 
 
@@ -207,7 +214,7 @@ def test_bott_table_cylinder():
     table = bott_table(cyl, waist_loop(cyl, 128), m_max=6)
     assert [r["index"] for r in table["rows"]] == [0] * 6
     assert [r["nullity"] for r in table["rows"]] == [2] * 6
-    assert abs(table["average_index_slope"]) < 0.05
+    assert table["mean_index"] == 0.0
     assert table["bounds_ok"]
 
 
@@ -216,7 +223,69 @@ def test_bott_table_funnel():
     table = bott_table(fun, waist_loop(fun, 128), m_max=4)
     assert [r["index"] for r in table["rows"]] == [0] * 4
     assert [r["nullity"] for r in table["rows"]] == [1] * 4
+    assert table["mean_index"] == 0.0
     assert table["bounds_ok"]
+
+
+@pytest.mark.parametrize("name", ["sphere", "cylinder", "funnel", "bumped_cylinder"])
+def test_bott_rows_equal_direct_iterate_assembly(name):
+    # the oracle: the m-fold iterate assembled on its own mN nodes
+    chart = make_chart(name)
+    loop = (great_circle_loop if name == "sphere" else waist_loop)(chart, 128)
+    table = bott_table(chart, loop, m_max=3)
+    for row in table["rows"]:
+        spec = index_and_nullity(assemble_second_variation(chart, iterate(loop, row["m"])))
+        assert (row["index"], row["nullity"]) == (spec.index, spec.nullity)
+
+
+def test_bott_table_bumped_waist_elliptic_mean_index():
+    # the bump's waist is elliptic: the return map rotates by theta, and
+    # ind_omega is 3 on (0, theta) and 4 on (theta, pi)
+    chart = make_chart("bumped_cylinder")
+    loop = waist_loop(chart, 128)
+    return_map = shoot_closed_orbit(chart, loop).return_map()
+    eigs = np.linalg.eigvals(return_map)
+    theta = float(np.max(np.abs(np.angle(eigs))))
+    assert 0.1 < theta < np.pi - 0.1
+    table = iteration_table(chart, loop, return_map, m_max=5)
+    assert abs(table["mean_index"] - (3 * theta + 4 * (np.pi - theta)) / np.pi) < 1e-9
+    assert [r["index"] for r in table["rows"]] == [3, 7, 11, 15, 17]
+    assert [r["nullity"] for r in table["rows"]] == [1] * 5
+    assert table["bounds_ok"]
+
+
+def test_bott_table_rejects_a_return_map_with_the_wrong_kernel():
+    # the identity claims a 4-dimensional fixed space; the waist's 1-Hessian
+    # has nullity 1
+    chart = make_chart("bumped_cylinder")
+    with pytest.raises(CrossCheckError):
+        iteration_table(chart, waist_loop(chart, 128), np.eye(4), m_max=1)
+
+
+@pytest.fixture(scope="module")
+def wavy_bumped_loop():
+    # no symmetry of its own, so a circle shift really moves the twisted edge
+    chart = make_chart("bumped_cylinder")
+    ts = 2 * np.pi * np.arange(48) / 48
+    nodes = np.stack([0.3 * np.sin(2 * ts) + 0.2 * np.cos(ts) + 0.1, ts], axis=1)
+    return chart, make_loop(chart, nodes)
+
+
+@settings(max_examples=15, deadline=None)
+@given(turn=st.floats(0.0, 1.0), shift=st.integers(1, 47))
+def test_twisted_inertia_invariant_under_circle_action_reversal_and_conjugation(
+        wavy_bumped_loop, turn, shift):
+    chart, loop = wavy_bumped_loop
+    omega = np.exp(2j * np.pi * turn)
+
+    def inertia(lp, w):
+        spec = index_and_nullity(assemble_second_variation(chart, lp, omega=w))
+        return spec.index, spec.nullity
+
+    base = inertia(loop, omega)
+    assert inertia(circle_shift(loop, shift), omega) == base
+    assert inertia(DiscreteLoop(loop.nodes[::-1]), omega) == base
+    assert inertia(loop, np.conj(omega)) == base
 
 
 def test_index_nondecreasing_under_iteration():
