@@ -128,9 +128,10 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
     outgoing velocity (cp_1 and the based cross-check), and, for a moving
     genuine loop, one shooting of its orbit (its return map gives
     ``nullity_monodromy`` and checks each omega-nullity of the Bott table)
-    and the quadrature Hessian.  The Bott table (``with_bott``) solves one
-    N-node omega-twisted Hessian per root of unity and per arc of the
-    mean-index average; no iterate is assembled.
+    and the quadrature Hessian.  The Bott table (``with_bott``) assembles
+    the unpenalized N-node Hessian once and solves one omega-twisted copy
+    of it per root of unity and per arc of the mean-index average; no
+    iterate is assembled.
     """
     import warnings
 

@@ -53,7 +53,7 @@ ZERO_BAND_SCALE = 1e-6
 
 @dataclass
 class SecondVariation:
-    """Hermitian dN x dN Hessian over nodal fields (real at omega = 1), with metadata."""
+    """Symmetric dN x dN Hessian over nodal fields (Hermitian once twisted), with metadata."""
 
     matrix: np.ndarray
     method: str                    # "exact_discrete" | "continuum_quadrature"
@@ -62,7 +62,6 @@ class SecondVariation:
     alpha: int | None = None
     gradient_norm: float = 0.0
     critical: bool = True          # False: spectrum computed, indices not trustworthy
-    omega: complex = 1             # twist of the wrap-around block (Bott's omega)
 
     @property
     def size(self) -> int:
@@ -128,15 +127,11 @@ def _quadrature_blocks(chart: Chart, loop: DiscreteLoop, deltas: np.ndarray):
 def assemble_second_variation(chart: Chart, loop: DiscreteLoop,
                               schedule: PenaltySchedule | None = None,
                               alpha: int | None = None,
-                              method: str = "exact_discrete",
-                              omega: complex = 1) -> SecondVariation:
+                              method: str = "exact_discrete") -> SecondVariation:
     """Assemble the Hessian of the (penalized) discrete energy at a loop.
 
     The loop should be a converged critical point; otherwise the spectrum
-    is still assembled but flagged non-critical.  A unit ``omega`` != 1
-    multiplies the wrap-around block (node N-1 to node 0) by omega and its
-    transpose by conj(omega): the Hermitian Hessian on nodal fields with
-    xi_{k+N} = omega xi_k.
+    is still assembled but flagged non-critical.
     """
     deltas = validate_loop(chart, loop)
     n, d = loop.n_nodes, loop.dim
@@ -154,10 +149,6 @@ def assemble_second_variation(chart: Chart, loop: DiscreteLoop,
     h[idx, :, idx, :] = h_aa + np.roll(h_bb, 1, axis=0)
     h[idx, :, nxt, :] = h_ab
     h[nxt, :, idx, :] = np.swapaxes(h_ab, -1, -2)
-    if omega != 1:
-        h = h.astype(complex)
-        h[n - 1, :, 0, :] *= omega
-        h[0, :, n - 1, :] *= np.conj(omega)
     h = scale * h.reshape(n * d, n * d)
 
     if schedule is not None and alpha is not None:
@@ -169,11 +160,27 @@ def assemble_second_variation(chart: Chart, loop: DiscreteLoop,
             h[:d, :d] += hess_cov
     else:
         gnorm = float(np.linalg.norm(energy_gradient(chart, loop)))
-    h = 0.5 * (h + h.conj().T)
+    h = 0.5 * (h + h.T)
     return SecondVariation(
         matrix=h, method=method, n_nodes=n, dim=d, alpha=alpha,
-        gradient_norm=gnorm, critical=bool(gnorm < 1e-3 * n), omega=omega,
+        gradient_norm=gnorm, critical=bool(gnorm < 1e-3 * n),
     )
+
+
+def twisted_hessian(sv: SecondVariation, omega: complex) -> SecondVariation:
+    """The Hessian on nodal fields with xi_{k+N} = omega xi_k, for a unit omega.
+
+    The wrap-around block (node N-1 to node 0) of the assembled symmetric
+    Hessian is multiplied by omega and its transpose by conj(omega), which
+    leaves the copy Hermitian; omega = 1 returns ``sv`` itself.
+    """
+    if omega == 1:
+        return sv
+    n, d = sv.n_nodes, sv.dim
+    h = sv.matrix.astype(complex)
+    h[(n - 1) * d:, :d] *= omega
+    h[:d, (n - 1) * d:] *= np.conj(omega)
+    return replace(sv, matrix=h)
 
 
 def index_and_nullity(sv: SecondVariation, zero_band: float | None = None) -> SpectralReport:
@@ -292,22 +299,24 @@ def iteration_table(chart: Chart, loop: DiscreteLoop, return_map: np.ndarray,
 
     The exact Hessian of the iterate is block-circulant, so (Bott's formula)
     ind_m and nul_m are the sums over omega^m = 1 of the inertia of the
-    N-node omega-twisted Hessian.  Each omega is solved once (omega and its
-    conjugate share a solve), and its nullity must equal dim ker(P - omega Id)
-    for the return map P.  The mean index ibar, the average of ind_omega over
-    the circle, is exact from one solve per arc between the unit-circle
-    eigenvalue angles of P (angles within ``UNIT_TOL`` of 0, pi or each
-    other are one cut).  The iteration bounds are checked without slack:
+    N-node omega-twisted Hessian.  The real N-node Hessian is assembled
+    once; each omega solves a twisted copy of it (``twisted_hessian``) once
+    (omega and its conjugate share a solve), and its nullity must equal
+    dim ker(P - omega Id) for the return map P.  The mean index ibar, the
+    average of ind_omega over the circle, is exact from one solve per arc
+    between the unit-circle eigenvalue angles of P (angles within
+    ``UNIT_TOL`` of 0, pi or each other are one cut).  The iteration bounds are checked without slack:
 
         m ibar - dim <= ind_m <= m ibar + dim - nul_m
     """
+    sv = assemble_second_variation(chart, loop)
     solved: dict[Fraction | float, SpectralReport] = {}  # turn in [0, 1/2]; 0.25 == Fraction(1, 4)
 
     def twisted(turn: Fraction | float) -> SpectralReport:
         turn = min(turn, 1 - turn)
         if turn not in solved:
             omega = np.exp(2j * np.pi * float(turn))
-            spec = index_and_nullity(assemble_second_variation(chart, loop, omega=omega))
+            spec = index_and_nullity(twisted_hessian(sv, omega))
             nul_mono = eigenspace_dimension(return_map, omega, rank_threshold)
             if spec.nullity != nul_mono:
                 raise CrossCheckError(f"omega = exp(2 pi i {turn}): spectral nullity "

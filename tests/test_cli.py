@@ -151,6 +151,15 @@ def test_cli_analyze_stored_loop(tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, (cli, jacobi, morse),
                         ("refine_closed_orbit", "conjugate_points",
                          "assemble_second_variation"))
+    solved = []
+    real_solve = morse.index_and_nullity
+
+    def spy_solve(sv, *args, **kwargs):
+        solved.append((sv.matrix.shape[0], np.iscomplexobj(sv.matrix)))
+        return real_solve(sv, *args, **kwargs)
+
+    for mod in (cli, morse):
+        monkeypatch.setattr(mod, "index_and_nullity", spy_solve)
     cyl = make_chart("cylinder")
     n = 128
     ts = 2 * np.pi * np.arange(n) / n
@@ -169,16 +178,19 @@ def test_cli_analyze_stored_loop(tmp_path, monkeypatch):
     assert analysis["bott"]["bounds_ok"]
     assert analysis["based_cross_check"]["dirichlet_index"] == 0
     # each artefact once: one shooting, one conjugate scan, the loop's exact
-    # and quadrature Hessians, and one N-node Hessian per Bott omega: the
-    # roots 1 and -1 of m <= 2, and i inside the one mean-index arc (0, pi)
+    # and quadrature Hessians, and one unpenalized N-node Hessian for Bott
     assert len(calls["refine_closed_orbit"]) == 1
     assert len(calls["conjugate_points"]) == 1
     assemblies = sorted((sv.method, sv.n_nodes, sv.alpha is None)
                         for sv in calls["assemble_second_variation"])
-    assert assemblies == [("continuum_quadrature", n, False), ("exact_discrete", n, False)] \
-        + [("exact_discrete", n, True)] * 3
-    omegas = [sv.omega for sv in calls["assemble_second_variation"] if sv.alpha is None]
-    assert np.allclose(sorted(omegas, key=np.angle), [1, 1j, -1])
+    assert assemblies == [("continuum_quadrature", n, False), ("exact_discrete", n, False),
+                          ("exact_discrete", n, True)]
+    # solves: the exact and quadrature spectra, the pinned (Dirichlet) block,
+    # and one N-node solve per Bott omega: the real root 1 and the twisted
+    # copies for -1 and for i inside the one mean-index arc (0, pi)
+    d = cyl.dim
+    assert sorted(solved) == [((n - 1) * d, False)] + [(n * d, False)] * 3 \
+        + [(n * d, True)] * 2
 
 
 def test_cli_analyze_requires_loop_path(tmp_path):

@@ -16,6 +16,7 @@ from geolab.morse import (
     index_and_nullity,
     iteration_table,
     lemma_index_bound_check,
+    twisted_hessian,
 )
 from geolab.penalty import PenaltySchedule
 
@@ -279,7 +280,7 @@ def test_twisted_inertia_invariant_under_circle_action_reversal_and_conjugation(
     omega = np.exp(2j * np.pi * turn)
 
     def inertia(lp, w):
-        spec = index_and_nullity(assemble_second_variation(chart, lp, omega=w))
+        spec = index_and_nullity(twisted_hessian(assemble_second_variation(chart, lp), w))
         return spec.index, spec.nullity
 
     base = inertia(loop, omega)
