@@ -355,7 +355,7 @@ def eigenspace_dimension(p: np.ndarray, omega: complex, rank_threshold: float = 
     eigenvalue of p (0 when no eigenvalue lies within ``UNIT_TOL`` of it)."""
     if not np.any(np.abs(np.linalg.eigvals(p) - omega) < UNIT_TOL):
         return 0
-    return _kernel_dim(p - omega * np.eye(len(p)), rank_threshold)
+    return _kernel_dim(p - np.real_if_close(omega) * np.eye(len(p)), rank_threshold)
 
 
 def fixed_space_dimension(p: np.ndarray, m: int = 1, rank_threshold: float = 1e-4) -> int:

@@ -22,7 +22,6 @@ wrap-around block is twisted by omega (see ``iteration_table``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -62,10 +61,6 @@ class SecondVariation:
     alpha: int | None = None
     gradient_norm: float = 0.0
     critical: bool = True          # False: spectrum computed, indices not trustworthy
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass
@@ -168,18 +163,14 @@ def assemble_second_variation(chart: Chart, loop: DiscreteLoop,
 
 
 def twisted_hessian(sv: SecondVariation, omega: complex) -> SecondVariation:
-    """The Hessian on nodal fields with xi_{k+N} = omega xi_k, for a unit omega.
-
-    The wrap-around block (node N-1 to node 0) of the assembled symmetric
-    Hessian is multiplied by omega and its transpose by conj(omega), which
-    leaves the copy Hermitian; omega = 1 returns ``sv`` itself.
-    """
+    """Hermitian ``sv`` on fields with xi_{k+N} = omega xi_k, |omega| = 1: block
+    (N-1, 0) times omega, block (0, N-1) times conj(omega); omega = 1 is ``sv``."""
     if omega == 1:
         return sv
-    n, d = sv.n_nodes, sv.dim
+    k, d = (sv.n_nodes - 1) * sv.dim, sv.dim
     h = sv.matrix.astype(complex)
-    h[(n - 1) * d:, :d] *= omega
-    h[:d, (n - 1) * d:] *= np.conj(omega)
+    h[k:, :d] *= omega
+    h[:d, k:] *= np.conj(omega)
     return replace(sv, matrix=h)
 
 
@@ -299,23 +290,22 @@ def iteration_table(chart: Chart, loop: DiscreteLoop, return_map: np.ndarray,
 
     The exact Hessian of the iterate is block-circulant, so (Bott's formula)
     ind_m and nul_m are the sums over omega^m = 1 of the inertia of the
-    N-node omega-twisted Hessian.  The real N-node Hessian is assembled
-    once; each omega solves a twisted copy of it (``twisted_hessian``) once
-    (omega and its conjugate share a solve), and its nullity must equal
-    dim ker(P - omega Id) for the return map P.  The mean index ibar, the
-    average of ind_omega over the circle, is exact from one solve per arc
-    between the unit-circle eigenvalue angles of P (angles within
-    ``UNIT_TOL`` of 0, pi or each other are one cut).  The iteration bounds are checked without slack:
+    N-node Hessian twisted by omega (``twisted_hessian``), which is
+    assembled once.  Each omega is solved once (omega and its conjugate
+    share a solve), and its nullity must equal dim ker(P - omega Id) for the
+    return map P.  The mean index ibar, the average of ind_omega over the
+    circle, is exact from one solve per arc between the unit-circle
+    eigenvalue angles of P (angles within ``UNIT_TOL`` of 0, pi or each
+    other are one cut).  The iteration bounds are checked without slack:
 
         m ibar - dim <= ind_m <= m ibar + dim - nul_m
     """
     sv = assemble_second_variation(chart, loop)
-    solved: dict[Fraction | float, SpectralReport] = {}  # turn in [0, 1/2]; 0.25 == Fraction(1, 4)
+    solved: dict[float, SpectralReport] = {}  # by turn t in [0, 1/2]: omega = e^{2 pi i t}
 
-    def twisted(turn: Fraction | float) -> SpectralReport:
-        turn = min(turn, 1 - turn)
+    def twisted(turn: float) -> SpectralReport:
         if turn not in solved:
-            omega = np.exp(2j * np.pi * float(turn))
+            omega = np.exp(2j * np.pi * turn)
             spec = index_and_nullity(twisted_hessian(sv, omega))
             nul_mono = eigenspace_dimension(return_map, omega, rank_threshold)
             if spec.nullity != nul_mono:
@@ -338,7 +328,8 @@ def iteration_table(chart: Chart, loop: DiscreteLoop, return_map: np.ndarray,
 
     rows = []
     for m in range(1, m_max + 1):
-        specs = [twisted(Fraction(k, m)) for k in range(m)]
+        # division rounds correctly, so equal fractions give one key
+        specs = [twisted(min(k, m - k) / m) for k in range(m)]
         ind = sum(s.index for s in specs)
         nul = sum(s.nullity for s in specs)
         lower, upper = m * mean - chart.dim, m * mean + chart.dim - nul
