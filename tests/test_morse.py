@@ -289,6 +289,22 @@ def test_twisted_inertia_invariant_under_circle_action_reversal_and_conjugation(
     assert inertia(loop, np.conj(omega)) == base
 
 
+@pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (4, 3)])
+def test_twisted_hessian_is_the_iterate_hessian_on_omega_periodic_fields(
+        wavy_bumped_loop, m, k):
+    # eigvalsh reads one triangle only, so the inertia tests above cannot
+    # see a wrong twist of the other wrap-around block; compare matrices:
+    # on the fields (xi, omega xi, ..., omega^{m-1} xi) the m-fold iterate's
+    # Hessian (node count scale mN) is m^2 times the omega-twisted one
+    chart, loop = wavy_bumped_loop
+    omega = np.exp(2j * np.pi * k / m)
+    sv = assemble_second_variation(chart, loop)
+    lift = np.concatenate([omega ** j * np.eye(sv.matrix.shape[0]) for j in range(m)])
+    h_m = assemble_second_variation(chart, iterate(loop, m)).matrix
+    restricted = lift.conj().T @ h_m @ lift / m ** 2
+    assert np.allclose(twisted_hessian(sv, omega).matrix, restricted, rtol=0, atol=1e-11)
+
+
 def test_index_nondecreasing_under_iteration():
     sph = make_chart("sphere")
     loop = great_circle_loop(sph, 128)
