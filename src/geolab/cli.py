@@ -343,6 +343,10 @@ def _chart_self_tests(chart: Chart, cfg: RunConfig, rng) -> dict:
             x = chart.sample_point(rng, 0.1, 3.0)
         v, w = rng.standard_normal(2), rng.standard_normal(2)
         try:
+            # a g-orthogonal basis of the same plane: nearly parallel v, w
+            # would amplify the oracle's error by |v|^2 |w|^2 / Gram
+            g = chart.metric(x)
+            w = w - (v @ g @ w) / (v @ g @ v) * v
             k_generic = sectional_curvature(chart, x, v, w)
             k_fd = sectional_curvature(chart, x, v, w, finite_difference=True)
         except GeolabError:

@@ -12,11 +12,11 @@ gauge, energy, step size and stall count.  One step makes one gradient,
 one preconditioner and one trial-energy call per backtracking round for
 all members, which part ways only through masks.  ``descend`` is a stack
 of one.  The sweepout minimax keeps its family as a stack: every free
-member steps each round, neighbors drifting apart get nodewise midpoints
-inserted, the family max is tracked until it settles, and the argmax
-bracket is then bisected down to the saddle.  The returned value
-approximates the minimax level from the family side; the gap to the true
-level is reported, not bounded.
+member steps each round, stacked neighbor distances pick the pairs that
+get nodewise midpoints and the members that can go, the family max is
+tracked until it settles, and the argmax bracket is then bisected down
+to the saddle.  The returned value approximates the minimax level from
+the family side; the gap to the true level is reported, not bounded.
 """
 
 from __future__ import annotations
@@ -115,11 +115,13 @@ class _LoopStack:
     def size(self) -> int:
         return len(self.energy)
 
-    def loop(self, s: int) -> DiscreteLoop:
-        return DiscreteLoop(self.nodes[s], int(self.frame[s]))
+    def loop(self, s) -> DiscreteLoop:
+        """Member ``s``, or the stack of members an index array or slice picks."""
+        return DiscreteLoop(self.nodes[s], self.frame[s])
 
-    def insert(self, s: int, loop: DiscreteLoop, tau: float) -> None:
-        row = (loop.nodes, loop.frame, self.value(loop), tau, 0, False)
+    def insert(self, s, loops: DiscreteLoop, tau) -> None:
+        """Insert the stack ``loops`` before the members at positions ``s`` (np.insert)."""
+        row = (loops.nodes, loops.frame, self.value(loops), tau, 0, False)
         for name, v in zip(_MEMBER_FIELDS, row):
             setattr(self, name, np.insert(getattr(self, name), s, v, axis=0))
 
@@ -314,68 +316,70 @@ class SweepoutResult:
 
 
 def validate_family(chart: Chart, family: SweepoutFamily) -> None:
-    for loop in family.members:
-        validate_loop(chart, loop)
-    for s in range(family.size - 1):
-        dist = loop_distance(chart, family.members[s], family.members[s + 1])
-        if dist > chart.segment_cap:
-            raise FamilyTearError(
-                f"family members {s}, {s+1} are {dist:.3g} apart "
-                f"(cap {chart.segment_cap})", round_index=-1,
-            )
+    nodes = np.stack([lp.nodes for lp in family.members])
+    frame = np.array([lp.frame for lp in family.members])
+    validate_loop(chart, DiscreteLoop(nodes, frame))
+    dist = loop_distance(chart, DiscreteLoop(nodes[:-1], frame[:-1]),
+                         DiscreteLoop(nodes[1:], frame[1:]))
+    for s in np.flatnonzero(dist > chart.segment_cap)[:1]:
+        raise FamilyTearError(f"family members {s}, {s+1} are {dist[s]:.3g} apart "
+                              f"(cap {chart.segment_cap})", round_index=-1)
 
 
 def _retighten(stack: _LoopStack, resolution, floor, max_members, round_index):
     """Insert nodewise midpoints wherever neighbors exceed the resolution.
 
-    Pairs already settled at the bottom of the landscape (both energies
-    below ``floor``) only need continuity at the tear scale (the chart
-    cap): the minimax never reads them and midpoint quality is moot there.
+    One stacked distance per pass measures all adjacent pairs and every pair
+    over its limit gets a midpoint, until none is over; each decision reads
+    only its own pair, so this is each gap split until it fits.  Pairs
+    already settled at the bottom of the landscape (both energies below
+    ``floor``) only need continuity at the tear scale (the chart cap): the
+    minimax never reads them and midpoint quality is moot there.
     """
     chart = stack.chart
     inserted = 0
-    s = 0
-    while s < stack.size - 1:
-        a, b = stack.loop(s), stack.loop(s + 1)
-        dist = loop_distance(chart, a, b)
-        settled = stack.energy[s] <= floor and stack.energy[s + 1] <= floor
-        if dist > (chart.segment_cap if settled else resolution):
-            if stack.size >= max_members:
-                raise FamilyTearError(
-                    f"family needs more than {max_members} members", round_index
-                )
-            stack.insert(s + 1, midpoint_loop(chart, a, b),
-                         tau=0.5 * (stack.tau[s] + stack.tau[s + 1]))
-            inserted += 1
-            # re-examine the same pair after insertion
-            continue
-        s += 1
-    return inserted
+    while True:
+        dist = loop_distance(chart, stack.loop(slice(None, -1)), stack.loop(slice(1, None)))
+        low = stack.energy <= floor
+        gap = np.flatnonzero(dist > np.where(low[:-1] & low[1:], chart.segment_cap, resolution))
+        if gap.size == 0:
+            return inserted
+        if stack.size + gap.size > max_members:
+            raise FamilyTearError(f"family needs more than {max_members} members", round_index)
+        stack.insert(gap + 1, midpoint_loop(chart, stack.loop(gap), stack.loop(gap + 1)),
+                     tau=0.5 * (stack.tau[gap] + stack.tau[gap + 1]))
+        inserted += gap.size
 
 
 def _prune(stack: _LoopStack, resolution, floor, protect: set) -> None:
     """Drop members whose removal keeps the family continuous.
 
-    Two regimes: anywhere, when the flanking neighbors are already well
-    inside the resolution (0.4 hysteresis against insertion); at the
-    landscape bottom (energy below ``floor``), when the neighbors stay
-    within 0.8 of the tear cap - settled near-constant loops would
-    otherwise accumulate in the wake of every slide toward a minimum.
-    The indices in ``protect`` (argmax bracket) and frozen members are kept.
+    Greedy, left to right, on the distance from the kept left neighbor to
+    the right one: one stacked call gives every (s-1, s+1) distance, and a
+    member whose left neighbor was just dropped is measured again.  Two
+    regimes: anywhere, when it is already well inside the resolution (0.4
+    hysteresis against insertion); at the landscape bottom (energy below
+    ``floor``), when it stays within 0.8 of the tear cap - settled
+    near-constant loops would otherwise accumulate in the wake of every
+    slide toward a minimum.  ``protect`` (argmax bracket) and frozen members stay.
     """
-    cap = stack.chart.segment_cap
-    s = 1
-    while s < stack.size - 1:
+    chart, m = stack.chart, stack.size
+    skip = loop_distance(chart, stack.loop(slice(None, -2)), stack.loop(slice(2, None)))
+    low = stack.energy <= floor
+    keep = np.ones(m, dtype=bool)
+    left = 0
+    for s in range(1, m - 1):
         if stack.frozen[s] or s in protect:
-            s += 1
+            left = s
             continue
-        dist = loop_distance(stack.chart, stack.loop(s - 1), stack.loop(s + 1))
-        settled = bool(np.all(stack.energy[s - 1:s + 2] <= floor))
-        if dist <= 0.4 * resolution or (settled and dist <= 0.8 * cap):
-            stack.delete(s)
-            protect = {p - 1 if p > s else p for p in protect}
+        dist = skip[s - 1] if left == s - 1 else loop_distance(
+            chart, stack.loop(left), stack.loop(s + 1))
+        settled = low[left] and low[s] and low[s + 1]
+        if dist <= 0.4 * resolution or (settled and dist <= 0.8 * chart.segment_cap):
+            keep[s] = False
         else:
-            s += 1
+            left = s
+    stack.delete(np.flatnonzero(~keep))
 
 
 def _polish_bracket(stack: _LoopStack, k, opts, sweep):
@@ -401,9 +405,9 @@ def _polish_bracket(stack: _LoopStack, k, opts, sweep):
         width = max(loop_distance(chart, stack.loop(lo), stack.loop(lo + n - 1)), 1e-12)
         _armijo_step(stack, np.arange(lo, lo + n), opts.grad_tol, max_move=width / 8.0)
         # refine: insert midpoints inside the bracket, keep the top three
-        for s in range(lo + n - 1, lo, -1):
-            stack.insert(s, midpoint_loop(chart, stack.loop(s - 1), stack.loop(s)),
-                         tau=INITIAL_STEP)
+        mids = midpoint_loop(chart, stack.loop(slice(lo, lo + n - 1)),
+                             stack.loop(slice(lo + 1, lo + n)))
+        stack.insert(np.arange(lo + 1, lo + n), mids, tau=INITIAL_STEP)
         n = 2 * n - 1
         j = int(np.argmax(stack.energy[lo:lo + n]))
         values.append(float(stack.energy[lo + j]))

@@ -226,15 +226,6 @@ def double_nodes(chart: Chart, loop: DiscreteLoop) -> DiscreteLoop:
 # ---------------------------------------------------------------------------
 
 
-def to_frame(chart: Chart, loop: DiscreteLoop, frame: int) -> DiscreteLoop:
-    """Express a loop in the requested chart gauge (involutive recentering)."""
-    if loop.frame == frame:
-        return loop
-    if not chart.has_recentering:
-        raise ChartDomainError(f"{chart.name}: chart has a single gauge")
-    return DiscreteLoop(chart.recenter_map(loop.nodes), frame=frame)
-
-
 def maybe_recenter(chart: Chart, loop: DiscreteLoop) -> DiscreteLoop:
     """Flip the gauge (of each member) when that moves the loop farther from the guard."""
     if not chart.has_recentering:
@@ -251,28 +242,39 @@ def maybe_recenter(chart: Chart, loop: DiscreteLoop) -> DiscreteLoop:
                         frame=loop.frame ^ flip)
 
 
-def loop_distance(chart: Chart, a: DiscreteLoop, b: DiscreteLoop) -> float:
-    """Max node chart distance, comparing in a common gauge (inf if none works)."""
+def loop_distance(chart: Chart, a: DiscreteLoop, b: DiscreteLoop) -> float | np.ndarray:
+    """Max node chart distance, comparing in a common gauge (inf if none works).
+
+    Stacks of loops are compared pair by pair: in a's gauge, then in b's
+    gauge for the pairs whose gauges differ and do not both fit in a's.
+    """
     if a.n_nodes != b.n_nodes:
         return np.inf
-    for target in (a.frame, b.frame):
-        try:
-            a2 = to_frame(chart, a, target)
-            b2 = to_frame(chart, b, target)
-        except ChartDomainError:
-            return np.inf
-        if np.all(chart.contains(a2.nodes)) and np.all(chart.contains(b2.nodes)):
-            diff = chart.wrap_difference(a2.nodes - b2.nodes)
-            return float(np.max(np.linalg.norm(diff, axis=-1)))
-        if a.frame == b.frame:
+    an, bn = a.nodes.reshape(-1, a.n_nodes, a.dim), b.nodes.reshape(-1, a.n_nodes, a.dim)
+    flip = np.atleast_1d(a.frame != b.frame)
+    dist = np.full(len(flip), np.inf)
+    todo = ~flip | chart.has_recentering
+    for x, y in ((an, bn), (bn, an)):       # y moves into x's gauge where they differ
+        if not todo.any():
             break
-    return np.inf
+        move = flip & todo
+        if move.any():
+            y = y.copy()
+            y[move] = chart.recenter_map(y[move])
+        hold = todo & (chart.contains(x) & chart.contains(y)).all(axis=-1)
+        far = np.linalg.norm(chart.wrap_difference(x - y), axis=-1).max(axis=-1)
+        dist[hold] = far[hold]
+        todo = move & ~hold
+    return float(dist[0]) if a.nodes.ndim == 2 else dist
 
 
 def midpoint_loop(chart: Chart, a: DiscreteLoop, b: DiscreteLoop) -> DiscreteLoop:
-    """Nodewise midpoint of two nearby loops (in a's gauge)."""
-    b2 = to_frame(chart, b, a.frame)
-    diff = chart.wrap_difference(b2.nodes - a.nodes)
+    """Nodewise midpoint of two nearby loops, or of each pair of two stacks (in a's gauge)."""
+    flip = np.not_equal(a.frame, b.frame)
+    bn = b.nodes
+    if flip.any():
+        bn = np.where(np.expand_dims(flip, (-2, -1)), chart.recenter_map(bn), bn)
+    diff = chart.wrap_difference(bn - a.nodes)
     return maybe_recenter(chart, make_loop(chart, a.nodes + 0.5 * diff, frame=a.frame))
 
 

@@ -242,12 +242,6 @@ def based_index_verdict(report: ConjugateReport, sv: SecondVariation) -> dict:
             "conjugate_times": [[float(s), int(mu)] for s, mu in report.times]}
 
 
-def based_index_cross_check(chart: Chart, loop: DiscreteLoop, steps: int = 512) -> dict:
-    """Dirichlet index against the open-interval conjugate count along v_+."""
-    return based_index_verdict(outgoing_conjugate_report(chart, loop, steps),
-                               assemble_second_variation(chart, loop))
-
-
 def lemma_verdict(report: ConjugateReport, spec: SpectralReport, dim: int) -> dict:
     """Check ind + nul <= dim of ``spec`` whenever the outgoing conjugate
     ``report`` has cp_1 = 0.  Verdicts: "pass", "fail", "not_applicable" (cp_1 > 0).
@@ -264,17 +258,6 @@ def lemma_verdict(report: ConjugateReport, spec: SpectralReport, dim: int) -> di
         "dim": dim,
         "verdict": verdict,
     }
-
-
-def lemma_index_bound_check(chart: Chart, loop: DiscreteLoop,
-                            schedule: PenaltySchedule | None = None,
-                            alpha: int | None = None, steps: int = 512,
-                            zero_band: float | None = None) -> dict:
-    """The index bound of ``lemma_verdict`` for a loop, assembled from scratch."""
-    report = outgoing_conjugate_report(chart, loop, steps)
-    spec = index_and_nullity(assemble_second_variation(chart, loop, schedule, alpha),
-                             zero_band)
-    return lemma_verdict(report, spec, chart.dim)
 
 
 def bott_table(chart: Chart, loop: DiscreteLoop, m_max: int = 6,

@@ -223,6 +223,18 @@ def test_cli_verify_chart(tmp_path):
     assert checks["pass"]
 
 
+def test_cli_verify_chart_nearly_parallel_plane(tmp_path):
+    # sample 6 of this seed draws v, w nearly parallel on the bump; the
+    # curvature of their plane must still match the finite-difference oracle
+    cfg = write_yaml(tmp_path / "cfg.yaml",
+                     "chart: bumped_cylinder\nn_samples: 25\nseed: 787255413\n")
+    out = str(tmp_path / "report.json")
+    assert main(["verify", "chart", "--config", cfg, "--quiet", "--out", out]) == 0
+    checks = read_report(out)["results"]["chart_self_tests"]
+    assert checks["curvature_fd_agreement"]["pass"], checks["curvature_fd_agreement"]
+    assert checks["pass"]
+
+
 def test_cli_verify_conjpoints_compact_skips(tmp_path):
     cfg = write_yaml(tmp_path / "cfg.yaml", "chart: sphere\nn_samples: 10\n")
     out = str(tmp_path / "report.json")

@@ -158,6 +158,16 @@ def test_birkhoff_minimax_small():
     assert res.stable
 
 
+def test_latitude_sweep_pinned():
+    # the benchmark's sweep: retighten and prune passes must keep the
+    # members, and so the rounds, insertions and value, of the pair walk
+    sph = make_chart("sphere")
+    res = minimax_sweepout(sph, birkhoff_latitudes(sph, 9, 128),
+                           sweep=SweepOptions(max_rounds=50))
+    assert (res.rounds, res.insertions, res.family.size) == (50, 370, 143)
+    assert abs(res.value - 39.49427739963668) <= 1e-12 * 39.49427739963668
+
+
 def test_family_tear_budget():
     sph = make_chart("sphere")
     family = birkhoff_latitudes(sph, 17, 64)

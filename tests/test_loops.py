@@ -16,8 +16,10 @@ from geolab.loops import (
     loop_from_json_dict,
     loop_length,
     loop_to_csv,
+    loop_distance,
     loop_to_json_dict,
     make_loop,
+    midpoint_loop,
     one_sided_velocities,
     sample_curve,
     winding_numbers,
@@ -200,6 +202,58 @@ def test_one_sided_velocities_on_geodesic_loops():
     v_minus, v_plus = one_sided_velocities(sph, gc)
     assert np.linalg.norm(v_plus - [0.0, 2 * np.pi * a]) < 5e-3
     assert np.linalg.norm(v_minus - v_plus) < 5e-3
+
+
+def stack_of(loops):
+    return DiscreteLoop(np.stack([lp.nodes for lp in loops]), np.array([lp.frame for lp in loops]))
+
+
+def stacked_equals_pairs_alone(chart, pairs):
+    """Stacked distance and midpoint of ``pairs``, checked bitwise against each pair alone."""
+    a, b = stack_of([p[0] for p in pairs]), stack_of([p[1] for p in pairs])
+    dist, mids = loop_distance(chart, a, b), midpoint_loop(chart, a, b)
+    for s, (a1, b1) in enumerate(pairs):
+        d1, m1 = loop_distance(chart, a1, b1), midpoint_loop(chart, a1, b1)
+        assert isinstance(d1, float) and dist[s] == d1
+        assert np.array_equal(mids.nodes[s], m1.nodes) and mids.frame[s] == m1.frame
+    return dist, mids
+
+
+def test_stacked_neighbor_calls_sphere_gauges():
+    sph = make_chart("sphere")
+    n = 16
+
+    def circle(radius, frame):
+        return make_loop(sph, circle_nodes(radius, n), frame=frame)
+
+    pairs = [
+        (circle(0.5, 0), make_loop(sph, circle_nodes(0.6, n, (0.05, 0.0)))),  # same gauge
+        (circle(0.8, 0), make_loop(sph, sph.recenter_map(circle_nodes(0.9, n)), frame=1)),
+        # b is the radius-20 circle in gauge 0, beyond the guard; a is radius 5 in gauge 1
+        (circle(0.2, 0), circle(0.05, 1)),
+        (circle(0.05, 0), circle(0.05, 1)),                   # no common gauge
+    ]
+    dist, _ = stacked_equals_pairs_alone(sph, pairs)
+    assert abs(dist[1] - 0.1) < 1e-12
+    assert abs(dist[2] - 5.05) < 1e-12
+    assert dist[3] == np.inf
+
+
+def test_stacked_neighbor_calls_cylinder_wrap():
+    cyl = make_chart("cylinder")
+    n = 16
+    ts = 2 * np.pi * np.arange(n) / n
+    z = 0.1 * np.cos(ts)
+
+    def loop(dz, dtheta):
+        return make_loop(cyl, np.stack([z + dz, ts + dtheta], axis=1))
+
+    # node 0 of the first pair sits at theta = 2 pi - 0.01 against 0.02
+    pairs = [(loop(0.0, -0.01), loop(0.04, 0.02)), (loop(0.0, 1.0), loop(0.03, 1.04))]
+    dist, mids = stacked_equals_pairs_alone(cyl, pairs)
+    assert np.allclose(dist, 0.05, rtol=0, atol=1e-12)
+    assert np.allclose(mids.nodes[0], cyl.reduce_point(np.stack([z + 0.02, ts + 0.005], axis=1)),
+                       rtol=0, atol=1e-12)
 
 
 def test_csv_round_trip(rng):

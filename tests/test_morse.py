@@ -10,12 +10,13 @@ from geolab.loops import DiscreteLoop, circle_shift, energy_gradient, iterate, m
 from geolab.morse import (
     SecondVariation,
     assemble_second_variation,
-    based_index_cross_check,
+    based_index_verdict,
     bott_table,
     dirichlet_index,
     index_and_nullity,
     iteration_table,
-    lemma_index_bound_check,
+    lemma_verdict,
+    outgoing_conjugate_report,
     twisted_hessian,
 )
 from geolab.penalty import PenaltySchedule
@@ -138,18 +139,30 @@ def test_assembly_rejects_unknown_method():
         assemble_second_variation(plane, loop, method="magic")
 
 
+def based_index(chart, loop):
+    """Dirichlet index against the open-interval conjugate count along v_+."""
+    return based_index_verdict(outgoing_conjugate_report(chart, loop, 512),
+                               assemble_second_variation(chart, loop))
+
+
+def lemma_bound(chart, loop, schedule=None, alpha=None):
+    """The lemma's index bound for a loop, assembled from scratch."""
+    spec = index_and_nullity(assemble_second_variation(chart, loop, schedule, alpha))
+    return lemma_verdict(outgoing_conjugate_report(chart, loop, 512), spec, chart.dim)
+
+
 def test_based_index_flat_zero():
     cyl = make_chart("cylinder")
-    out = based_index_cross_check(cyl, waist_loop(cyl, 256))
+    out = based_index(cyl, waist_loop(cyl, 256))
     assert out["dirichlet_index"] == 0 and out["cp_open"] == 0
 
 
 def test_based_index_sphere_one_and_three():
     sph = make_chart("sphere")
     loop = great_circle_loop(sph, 256)
-    out = based_index_cross_check(sph, loop)
+    out = based_index(sph, loop)
     assert out["dirichlet_index"] == 1 and out["cp_open"] == 1
-    out2 = based_index_cross_check(sph, iterate(loop, 2))
+    out2 = based_index(sph, iterate(loop, 2))
     assert out2["dirichlet_index"] == 3 and out2["cp_open"] == 3
 
 
@@ -161,14 +174,14 @@ def test_dirichlet_pinning_strictly_smaller_system():
 
 def test_lemma_bound_cylinder_boundary_case():
     cyl = make_chart("cylinder")
-    out = lemma_index_bound_check(cyl, waist_loop(cyl, 256))
+    out = lemma_bound(cyl, waist_loop(cyl, 256))
     assert out == {"cp1": 0, "index": 0, "nullity": 2, "dim": 2, "verdict": "pass"}
 
 
 def test_lemma_bound_sphere_hypothesis_fails():
     # cp_1 = 2 and ind + nul = 4 > 2: the hypothesis is sharp
     sph = make_chart("sphere")
-    out = lemma_index_bound_check(sph, great_circle_loop(sph, 256))
+    out = lemma_bound(sph, great_circle_loop(sph, 256))
     assert out["cp1"] == 2
     assert out["verdict"] == "not_applicable"
     assert out["index"] + out["nullity"] > out["dim"]
@@ -177,14 +190,13 @@ def test_lemma_bound_sphere_hypothesis_fails():
 def test_lemma_bound_constant_loop():
     plane = make_chart("plane")
     loop = make_loop(plane, np.broadcast_to([0.1, 0.2], (32, 2)).copy())
-    out = lemma_index_bound_check(plane, loop)
+    out = lemma_bound(plane, loop)
     assert out["cp1"] == 0 and out["verdict"] == "pass"
 
 
 def test_lemma_bound_corner_point(corner_point):
     fc = corner_point
-    out = lemma_index_bound_check(fc["chart"], fc["loop_at"](256),
-                                  fc["schedule"], fc["alpha"])
+    out = lemma_bound(fc["chart"], fc["loop_at"](256), fc["schedule"], fc["alpha"])
     # the arc stays in moderate curvature; when its conjugate count
     # vanishes the bound must hold
     if out["cp1"] == 0:
