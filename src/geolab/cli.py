@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``find``     - multistart descent census, deduplicated by the
-                 (energy, index, basepoint r) signature
+* ``find``     - multistart census keyed by (penalized energy, basepoint r);
+                 the constant loops off the penalty support share one key
 * ``sweep``    - sweepout minimax, or penalty continuation when the config
                  carries an alpha range
 * ``analyze``  - full spectral report for a stored loop (cross-checks,
@@ -111,6 +111,12 @@ def _progress(quiet: bool, msg: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _is_moving(chart: Chart, loop: DiscreteLoop) -> bool:
+    """Moving geodesic, not a constant loop: outgoing speed and energy both resolved."""
+    speed = float(np.linalg.norm(one_sided_velocities(chart, loop)[1]))
+    return speed > 1e-4 and energy(chart, loop) > 1e-8
+
+
 def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
                           loop: DiscreteLoop, cfg: RunConfig, acceptance_level: float,
                           with_bott: bool = False) -> dict:
@@ -131,7 +137,8 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
     and the quadrature Hessian.  The Bott table (``with_bott``) assembles
     the unpenalized N-node Hessian once and solves one omega-twisted copy
     of it per root of unity and per arc of the mean-index average; no
-    iterate is assembled.
+    iterate is assembled.  ``find`` calls this once per census key (see
+    ``run_find``), so ``index`` is not part of the key.
     """
     import warnings
 
@@ -144,8 +151,8 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
         warnings.simplefilter("ignore")
         residual = corner_residual(chart, schedule, alpha, loop)
     sv = assemble_second_variation(chart, loop, schedule, alpha)
-    spec = index_and_nullity(sv, cfg.zero_band)
-    conj = outgoing_conjugate_report(chart, loop, cfg.steps)
+    spec = index_and_nullity(sv)
+    conj = outgoing_conjugate_report(chart, loop)
     lemma = lemma_verdict(conj, spec, chart.dim)
     record = {
         "energy": e_loop,
@@ -168,20 +175,17 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
                         if not chart.compact else None),
         "gradient_norm": sv.gradient_norm,
     }
-    speed = float(np.linalg.norm(one_sided_velocities(chart, loop)[1]))
-    is_moving = speed > 1e-4 and e_loop > 1e-8
-    if cls.case == "genuine" and is_moving:
-        return_map = shoot_closed_orbit(chart, loop, cfg.steps).return_map()
-        record["nullity_monodromy"] = fixed_space_dimension(return_map, 1, cfg.rank_threshold)
+    if cls.case == "genuine" and _is_moving(chart, loop):
+        return_map = shoot_closed_orbit(chart, loop).return_map()
+        record["nullity_monodromy"] = fixed_space_dimension(return_map)
         record["based_cross_check"] = based_index_verdict(conj, sv)
         sv_q = assemble_second_variation(chart, loop, schedule, alpha,
                                          method="continuum_quadrature")
-        spec_q = index_and_nullity(sv_q, cfg.zero_band)
+        spec_q = index_and_nullity(sv_q)
         record["index_quadrature"] = spec_q.index
         record["nullity_quadrature"] = spec_q.nullity
         if with_bott:
-            record["bott"] = iteration_table(chart, loop, return_map, cfg.m_max,
-                                             cfg.rank_threshold)
+            record["bott"] = iteration_table(chart, loop, return_map, cfg.m_max)
     return record
 
 
@@ -191,6 +195,14 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
 
 
 def run_find(cfg: RunConfig, quiet: bool) -> dict:
+    """Descend every start; analyse each census key once, on its first start.
+
+    A key comes from the descended loop alone: penalized energy (to 1e-6)
+    and basepoint r (0 on compact charts).  The constant loops off the
+    penalty support (r <= R_alpha) are one critical manifold with one key;
+    one on the support keeps its own, as its classification is its entry.
+    ``starts`` lists every start that landed on an entry.
+    """
     chart = make_chart(cfg.chart, **cfg.chart_params)
     schedule = _schedule(cfg)
     opts = _descent_options(cfg)
@@ -200,14 +212,8 @@ def run_find(cfg: RunConfig, quiet: bool) -> dict:
     census: dict[tuple, dict] = {}
     failures = 0
     for i in range(cfg.n_starts):
-        if cfg.winding_mix == "winding":
-            winding = 1
-        elif cfg.winding_mix == "contractible":
-            winding = 0
-        else:
-            winding = (i % 2) if can_wind else 0
-        if winding and not can_wind:
-            winding = 0
+        # "mixed" alternates contractible and winding starts
+        winding = {"winding": 1, "contractible": 0}.get(cfg.winding_mix, i % 2) if can_wind else 0
         loop = random_loop(chart, rng, cfg.n_nodes, winding=winding,
                            r_band=tuple(cfg.start_band))
         res = descend(chart, loop, schedule, cfg.alpha, opts)
@@ -215,28 +221,27 @@ def run_find(cfg: RunConfig, quiet: bool) -> dict:
             failures += 1
             _progress(quiet, f"start {i}: no convergence in {res.iterations} iterations")
             continue
-        # a stalled descent is accepted at its own, larger gradient norm
-        record = analyze_critical_loop(chart, schedule, cfg.alpha, res.loop, cfg,
-                                       max(cfg.grad_tol, res.grad_norm))
-        record["start_index"] = i
-        record["iterations"] = res.iterations
-        record["nodes"] = res.loop.nodes.tolist()
-        record["frame"] = res.loop.frame
-        r_base = record["basepoint_r"] if record["basepoint_r"] is not None else 0.0
-        signature = (round(record["penalized_energy"], 6), record["index"], round(r_base, 4))
-        if signature not in census:
-            census[signature] = record
-        _progress(quiet, f"start {i}: E={record['energy']:.6g} case={record['case']} "
-                         f"index={record['index']}")
+        r_base = 0.0 if chart.compact else float(chart.exhaustion(res.loop.basepoint))
+        key = (round(res.energy, 6), round(r_base, 4))
+        if r_base <= schedule.radius(cfg.alpha) and not _is_moving(chart, res.loop):
+            key = (0.0, -np.inf)     # the constant-loop manifold, sorted first
+        if key not in census:
+            # a stalled descent is accepted at its own, larger gradient norm
+            census[key] = analyze_critical_loop(chart, schedule, cfg.alpha, res.loop, cfg,
+                                                max(cfg.grad_tol, res.grad_norm))
+            census[key].update(start_index=i, starts=[], iterations=res.iterations,
+                               nodes=res.loop.nodes.tolist(), frame=res.loop.frame)
+        entry = census[key]
+        entry["starts"].append(i)
+        _progress(quiet, f"start {i}: E={entry['energy']:.6g} case={entry['case']} "
+                         f"index={entry['index']} (entry of start {entry['start_index']})")
 
     entries = [census[k] for k in sorted(census)]
-    lemma_violations = [e for e in entries
-                        if e["lemma_verdict"] == "fail"]
     return {
         "n_starts": cfg.n_starts,
         "non_converged": failures,
         "n_critical_points": len(entries),
-        "lemma_violations": len(lemma_violations),
+        "lemma_violations": sum(e["lemma_verdict"] == "fail" for e in entries),
         "critical_points": entries,
     }
 

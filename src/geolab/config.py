@@ -47,16 +47,30 @@ class RunConfig:
     loop_path: str | None = None
     m_max: int = 4
     n_samples: int = 100
-    rank_threshold: float = 1e-4
-    zero_band: float | None = None
-    steps: int = 512
 
     def validate(self) -> "RunConfig":
+        # field types are strings under postponed annotations; a bool is no number
+        types = {"int": (int,), "float": (int, float), "str": (str,), "dict": (dict,)}
+        for name, spec in self.__dataclass_fields__.items():
+            value = getattr(self, name)
+            kind = spec.type.removesuffix(" | None")
+            if kind not in types or (value is None and kind != spec.type):
+                continue
+            if isinstance(value, bool) or not isinstance(value, types[kind]):
+                raise ConfigError(f"field {name!r}: must be {kind} (got {value!r})")
+        band = self.start_band
+        if not (isinstance(band, (list, tuple)) and len(band) == 2 and all(
+                isinstance(b, (int, float)) and not isinstance(b, bool) for b in band)):
+            raise ConfigError(f"field 'start_band': must be a pair of numbers (got {band!r})")
         if self.chart not in CHART_BUILDERS:
             raise ConfigError(
                 f"field 'chart': unknown chart {self.chart!r} "
                 f"(available: {sorted(CHART_BUILDERS)})"
             )
+        try:
+            CHART_BUILDERS[self.chart](**self.chart_params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"field 'chart_params': {exc}")
         checks = [
             ("n_nodes", self.n_nodes >= 8, ">= 8"),
             ("penalty_r0", self.penalty_r0 > 0, "> 0"),
@@ -70,6 +84,7 @@ class RunConfig:
             ("m_max", self.m_max >= 1, ">= 1"),
             ("n_samples", self.n_samples >= 1, ">= 1"),
             ("seed", self.seed >= 0, ">= 0"),
+            ("start_band", band[0] <= band[1], "ordered, low <= high"),
             ("winding_mix", self.winding_mix in ("contractible", "winding", "mixed"),
              "one of contractible/winding/mixed"),
         ]

@@ -21,7 +21,7 @@ wrap-around block is twisted by omega (see ``iteration_table``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class SpectralReport:
     zero_band: float
     eigenvalues: np.ndarray        # sorted, continuum normalization
     ambiguous: bool
-    nearest_to_band: list = field(default_factory=list)
 
     @property
     def positive_count(self) -> int:
@@ -191,10 +190,8 @@ def index_and_nullity(sv: SecondVariation, zero_band: float | None = None) -> Sp
     nullity = int(np.sum(np.abs(eigs) <= band))
     mags = np.abs(eigs)
     ambiguous = bool(np.any((mags >= band / 10) & (mags <= band * 10)))
-    nearest = eigs[np.argsort(np.abs(mags - band))[:3]]
     return SpectralReport(
-        index=index, nullity=nullity, zero_band=band, eigenvalues=eigs,
-        ambiguous=ambiguous, nearest_to_band=[float(x) for x in nearest],
+        index=index, nullity=nullity, zero_band=band, eigenvalues=eigs, ambiguous=ambiguous,
     )
 
 

@@ -45,9 +45,15 @@ def test_config_yaml_error_reports_line(tmp_path):
 
 
 def test_config_field_range(tmp_path):
-    path = write_yaml(tmp_path / "bad.yaml", "chart: plane\nn_nodes: 4\n")
-    with pytest.raises(ConfigError, match="n_nodes"):
-        load_config(path)
+    for text, field in [("chart: plane\nn_nodes: 4\n", "n_nodes"),
+                        ("chart: funnel\nchart_params: {radius: 2.0}\n", "chart_params"),
+                        ("chart: plane\nstart_band: 3.0\n", "start_band"),
+                        ("chart: plane\nn_nodes: 32.5\n", "n_nodes"),
+                        ("chart: plane\nstart_band: [3.0, 0.0]\n", "start_band"),
+                        ("chart: plane\nloop_path: 5\n", "loop_path")]:
+        path = write_yaml(tmp_path / "bad.yaml", text)
+        with pytest.raises(ConfigError, match=field):
+            load_config(path)
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -143,6 +149,26 @@ def count_calls(monkeypatch, modules, names):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def test_cli_find_analyses_each_critical_point_once(tmp_path, monkeypatch):
+    from geolab import cli
+    calls = count_calls(monkeypatch, (cli,), ("analyze_critical_loop",))
+    cfg = write_yaml(tmp_path / "cfg.yaml",
+                     "chart: funnel\nn_nodes: 128\nn_starts: 4\nwinding_mix: mixed\n"
+                     "start_band: [0.0, 3.0]\npenalty_r0: 2.0\ngrad_tol: 1.0e-8\n"
+                     "seed: 1826701614\n")
+    out = str(tmp_path / "report.json")
+    assert main(["find", "--config", cfg, "--quiet", "--out", out]) == 0
+    entries = read_report(out)["results"]["critical_points"]
+    # the two constant loops lie at different basepoints off the penalty
+    # support: one critical manifold, one entry, one analysis
+    assert len(calls["analyze_critical_loop"]) == 2
+    assert sorted(e["starts"] for e in entries) == [[0, 2], [1, 3]]
+    assert all(e["start_index"] == e["starts"][0] for e in entries)
+    waist = next(e for e in entries if e["starts"] == [1, 3])
+    assert waist["energy"] == pytest.approx(4 * np.pi ** 2, rel=1e-6)
+    assert waist["index"] == 0
 
 
 def test_cli_analyze_stored_loop(tmp_path, monkeypatch):
