@@ -536,6 +536,8 @@ class FlatCylinder(_ProfileChart):
     def __init__(self, radius: float = 1.0):
         super().__init__()
         self.radius = float(radius)
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"cylinder radius must be finite and > 0 (got {radius!r})")
 
     def profile(self, z):
         return np.full(np.shape(z), self.radius)
@@ -575,6 +577,9 @@ class BumpedCylinder(_ProfileChart):
     def __init__(self, amplitude: float = 0.3):
         super().__init__()
         self.amplitude = float(amplitude)
+        # the profile 1 + A (1 - z^2)^4 reaches 0 at some |z| < 1 when A <= -1
+        if not (np.isfinite(self.amplitude) and self.amplitude > -1):
+            raise ValueError(f"bump amplitude must be finite and > -1 (got {amplitude!r})")
 
     def profile(self, z):
         z = np.asarray(z, dtype=float)

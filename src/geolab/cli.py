@@ -46,7 +46,7 @@ from .families import (
 from .jacobi import (
     _integrate_jacobi,
     close_conjugate_points_check,
-    fixed_space_dimension,
+    eigenspace_dimension,
     shoot_closed_orbit,
     symplectic_defect,
 )
@@ -56,7 +56,6 @@ from .loops import (
     load_loop_json,
     loop_from_csv,
     loop_to_csv,
-    loop_to_json_dict,
     one_sided_velocities,
     winding_numbers,
 )
@@ -177,7 +176,7 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
     }
     if cls.case == "genuine" and _is_moving(chart, loop):
         return_map = shoot_closed_orbit(chart, loop).return_map()
-        record["nullity_monodromy"] = fixed_space_dimension(return_map)
+        record["nullity_monodromy"] = eigenspace_dimension(return_map, 1.0)
         record["based_cross_check"] = based_index_verdict(conj, sv)
         sv_q = assemble_second_variation(chart, loop, schedule, alpha,
                                          method="continuum_quadrature")

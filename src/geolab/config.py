@@ -80,7 +80,13 @@ class RunConfig:
             ("ell", self.ell > 0, "> 0"),
             ("k_radius", self.k_radius >= 0, ">= 0"),
             ("grad_tol", self.grad_tol > 0, "> 0"),
+            ("max_iter", self.max_iter >= 1, ">= 1"),
             ("n_starts", self.n_starts >= 1, ">= 1"),
+            ("family_members", self.family_members >= 1, ">= 1"),
+            ("family_z_halfwidth", self.family_z_halfwidth >= 0, ">= 0"),
+            ("family_r_max", self.family_r_max > 0, "> 0"),
+            ("max_rounds", self.max_rounds >= 1, ">= 1"),
+            ("argmax_grad_tol", self.argmax_grad_tol > 0, "> 0"),
             ("m_max", self.m_max >= 1, ">= 1"),
             ("n_samples", self.n_samples >= 1, ">= 1"),
             ("seed", self.seed >= 0, ">= 0"),

@@ -292,15 +292,15 @@ POLISH_CYCLES = 400    # bisection cycles the polish stage may spend
 #: neighbors are midpoint-split beyond it (the cap itself is the tear
 #: scale, far too coarse for good nodewise interpolants)
 RESOLUTION_FACTOR = 0.25
+MAX_MEMBERS = 256      # family size beyond which the sweepout counts as torn
 
 
 @dataclass(frozen=True)
 class SweepOptions:
-    """Relax-round budget, argmax |g|_M target and family size cap."""
+    """Relax-round budget and argmax |g|_M target."""
 
     max_rounds: int = 6000
     argmax_grad_tol: float = 1e-3
-    max_members: int = 256
 
 
 @dataclass
@@ -326,7 +326,7 @@ def validate_family(chart: Chart, family: SweepoutFamily) -> None:
                               f"(cap {chart.segment_cap})", round_index=-1)
 
 
-def _retighten(stack: _LoopStack, resolution, floor, max_members, round_index):
+def _retighten(stack: _LoopStack, resolution, floor, round_index):
     """Insert nodewise midpoints wherever neighbors exceed the resolution.
 
     One stacked distance per pass measures all adjacent pairs and every pair
@@ -344,8 +344,8 @@ def _retighten(stack: _LoopStack, resolution, floor, max_members, round_index):
         gap = np.flatnonzero(dist > np.where(low[:-1] & low[1:], chart.segment_cap, resolution))
         if gap.size == 0:
             return inserted
-        if stack.size + gap.size > max_members:
-            raise FamilyTearError(f"family needs more than {max_members} members", round_index)
+        if stack.size + gap.size > MAX_MEMBERS:
+            raise FamilyTearError(f"family needs more than {MAX_MEMBERS} members", round_index)
         stack.insert(gap + 1, midpoint_loop(chart, stack.loop(gap), stack.loop(gap + 1)),
                      tau=0.5 * (stack.tau[gap] + stack.tau[gap + 1]))
         inserted += gap.size
@@ -469,7 +469,7 @@ def minimax_sweepout(chart: Chart, family: SweepoutFamily,
                                  max_move=move_limit)
         all_done = not np.any(status == "moved")
         floor = max(VALUE_FLOOR, 1e-9 * float(np.max(np.abs(stack.energy))))
-        insertions += _retighten(stack, resolution, floor, sweep.max_members, rounds)
+        insertions += _retighten(stack, resolution, floor, rounds)
         k_now = int(np.argmax(stack.energy))
         _prune(stack, resolution, floor, {k_now - 2, k_now - 1, k_now, k_now + 1, k_now + 2})
 

@@ -61,6 +61,8 @@ def birkhoff_latitudes(chart: Chart, n_members: int = 33, n_nodes: int = 128) ->
 def concentric_circles(chart: Chart, n_members: int = 17, n_nodes: int = 64,
                        r_max: float = 1.5, center=(0.0, 0.0)) -> SweepoutFamily:
     """Contractible plane family: circles grown from a point and back."""
+    if n_members < 3:
+        raise ConfigError("concentric sweepout needs at least 3 members")
     members = []
     for s in range(n_members):
         radius = r_max * np.sin(np.pi * s / (n_members - 1))

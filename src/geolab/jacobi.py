@@ -14,6 +14,11 @@ For a closed geodesic, expressing the time-1 fundamental matrix in a single
 basis (undoing the holonomy of the frame) produces the linearized return
 map P; the nullity of the m-fold iterate is the kernel dimension of
 P^m - Id, the sum of dim ker(P - omega Id) over omega^m = 1.
+
+One scan (``_scan_conjugate_points``) decides conjugate points on an
+integrated grid, for ``conjugate_points`` and for every kept segment of
+the at-infinity check alike.  The tolerances are the module constants
+below; no caller sets them.
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ DET_ENDPOINT_REL = 1e-7     # |det B(t)| below this (relative) counts the endpoi
 DET_TANGENT_REL = 1e-8      # local minima of |det B| hunted below this (relative)
 TIME_TOL = 1e-6
 UNIT_TOL = 1e-4             # an eigenvalue this close to a unit root omega counts as omega
+RANK_REL = 1e-4             # singular values below this (relative) span the kernel
+CLOSURE_TOL = 1e-2          # closure residual (relative to the speed) of a shot orbit
+STEPS_PER_UNIT = 32         # RK4 steps per unit length of an at-infinity segment
 
 
 def symplectic_defect(m: np.ndarray) -> float:
@@ -67,7 +75,6 @@ class MonodromyMatrix:
     frame1: np.ndarray
     start: TangentVector
     end: TangentVector
-    t: float
 
     @property
     def dim(self) -> int:
@@ -78,9 +85,6 @@ class MonodromyMatrix:
         d = self.dim
         m = self.matrix
         return m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
-
-    def symplectic_defect(self) -> float:
-        return symplectic_defect(self.matrix)
 
     def return_map(self) -> np.ndarray:
         """Time-t differential in the fixed frame at the start point.
@@ -196,7 +200,7 @@ def jacobi_propagate(chart: Chart, start: TangentVector, t: float, steps: int = 
     xs, vs, es, phis = _integrate_jacobi(chart, start, t, steps, initial_frame)
     return MonodromyMatrix(
         matrix=phis[-1], frame0=es[0], frame1=es[-1],
-        start=start, end=TangentVector(xs[-1], vs[-1]), t=t,
+        start=start, end=TangentVector(xs[-1], vs[-1]),
     )
 
 
@@ -227,14 +231,14 @@ def _refine_root(chart, grid_t, grid_state, k, steps_per_span=8):
     return s_star, b
 
 
-def _kernel_dim(b: np.ndarray, rank_threshold: float) -> int:
+def _kernel_dim(b: np.ndarray) -> int:
     sv = np.linalg.svd(b, compute_uv=False)
     scale = max(float(sv[0]), 1e-300)
-    return int(np.sum(sv < rank_threshold * scale))
+    return int(np.sum(sv < RANK_REL * scale))
 
 
-def conjugate_points(chart: Chart, start: TangentVector, t: float, steps: int = 512,
-                     rank_threshold: float = 1e-4) -> ConjugateReport:
+def conjugate_points(chart: Chart, start: TangentVector, t: float,
+                     steps: int = 512) -> ConjugateReport:
     """Locate conjugate times in (0, t] by zeros of det B(s).
 
     Sign changes are refined by bisection to time tolerance 1e-6;
@@ -245,17 +249,14 @@ def conjugate_points(chart: Chart, start: TangentVector, t: float, steps: int = 
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    d = chart.dim
-    grid = _integrate_jacobi(chart, start, t, steps)
-    return _scan_conjugate_points(chart, t, grid, np.linalg.det(grid[3][:, :d, d:]),
-                                  rank_threshold)
+    return _scan_conjugate_points(chart, t, _integrate_jacobi(chart, start, t, steps))
 
 
-def _scan_conjugate_points(chart: Chart, t: float, grid, dets: np.ndarray,
-                           rank_threshold: float) -> ConjugateReport:
-    """The scan of ``conjugate_points`` over an integrated grid and its det B(s)."""
+def _scan_conjugate_points(chart: Chart, t: float, grid) -> ConjugateReport:
+    """The scan of ``conjugate_points`` over one integrated grid (x, v, e, Phi)."""
     d = chart.dim
     phis = grid[3]
+    dets = np.linalg.det(phis[:, :d, d:])
     steps = len(phis) - 1
     grid_t = np.linspace(0.0, t, steps + 1)
     scale = float(np.max(np.abs(dets)))
@@ -271,7 +272,7 @@ def _scan_conjugate_points(chart: Chart, t: float, grid, dets: np.ndarray,
             continue
         if dets[k] * dets[k + 1] < 0 and abs(dets[k + 1]) > DET_ENDPOINT_REL * scale * 1e-2:
             s_star, b = _refine_root(chart, grid_t, grid, k)
-            mult = _kernel_dim(b, rank_threshold)
+            mult = _kernel_dim(b)
             if mult > 0:
                 found.append((s_star, mult))
         elif (
@@ -282,13 +283,13 @@ def _scan_conjugate_points(chart: Chart, t: float, grid, dets: np.ndarray,
             and dets[k - 1] * dets[k + 1] > 0
         ):
             b = phis[k][:d, d:]
-            mult = _kernel_dim(b, rank_threshold)
+            mult = _kernel_dim(b)
             if mult > 0:
                 found.append((grid_t[k], mult))
 
     # endpoint: a conjugate point exactly at s = t has no sign change to see
     if abs(dets[-1]) < DET_ENDPOINT_REL * scale:
-        mult = _kernel_dim(phis[-1][:d, d:], rank_threshold)
+        mult = _kernel_dim(phis[-1][:d, d:])
         if mult > 0 and (not found or t - found[-1][0] > 10 * TIME_TOL):
             found.append((t, mult))
 
@@ -350,34 +351,20 @@ def refine_closed_orbit(chart: Chart, x0: np.ndarray, v0: np.ndarray, steps: int
         v0 = v0 + step[chart.dim:]
 
 
-def eigenspace_dimension(p: np.ndarray, omega: complex, rank_threshold: float = 1e-4) -> int:
+def eigenspace_dimension(p: np.ndarray, omega: complex) -> int:
     """dim_C ker(p - omega Id), the geometric multiplicity of omega as an
     eigenvalue of p (0 when no eigenvalue lies within ``UNIT_TOL`` of it)."""
     if not np.any(np.abs(np.linalg.eigvals(p) - omega) < UNIT_TOL):
         return 0
-    return _kernel_dim(p - np.real_if_close(omega) * np.eye(len(p)), rank_threshold)
+    return _kernel_dim(p - np.real_if_close(omega) * np.eye(len(p)))
 
 
-def fixed_space_dimension(p: np.ndarray, m: int = 1, rank_threshold: float = 1e-4) -> int:
-    """dim ker(p^m - Id): the sum of ``eigenspace_dimension`` over omega^m = 1.
-
-    Working with p itself instead of its explicit m-th power keeps the
-    count stable when p has strongly hyperbolic blocks, whose entries would
-    otherwise swamp the singular-value scale of p^m - Id.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return sum(eigenspace_dimension(p, np.exp(2j * np.pi * k / m), rank_threshold)
-               for k in range(m))
-
-
-def shoot_closed_orbit(chart: Chart, loop: DiscreteLoop, steps: int = 512,
-                       closure_tol: float = 1e-2) -> MonodromyMatrix:
+def shoot_closed_orbit(chart: Chart, loop: DiscreteLoop, steps: int = 512) -> MonodromyMatrix:
     """The closed geodesic a genuine critical loop discretizes, shot once.
 
     Returns the last Gauss-Newton shooting (``return_map()`` is the orbit's
     linearized return map).  Raises NotAGeodesicError when the orbit refuses
-    to close to ``closure_tol`` (relative to the speed) or wanders off.
+    to close to ``CLOSURE_TOL`` (relative to the speed) or wanders off.
     """
     v_minus, v_plus = one_sided_velocities(chart, loop)
     start = TangentVector(loop.basepoint, 0.5 * (v_minus + v_plus))
@@ -388,7 +375,7 @@ def shoot_closed_orbit(chart: Chart, loop: DiscreteLoop, steps: int = 512,
     moved = float(np.linalg.norm(chart.wrap_difference(x0 - start.base)))
     # the shooting must tighten the loop's own orbit, not wander off to a
     # different (e.g. constant) one
-    if (residual > closure_tol * speed
+    if (residual > CLOSURE_TOL * speed
             or moved > chart.segment_cap
             or abs(speed - speed0) > 0.2 * speed0):
         raise NotAGeodesicError(
@@ -400,12 +387,18 @@ def shoot_closed_orbit(chart: Chart, loop: DiscreteLoop, steps: int = 512,
 
 
 def nullity_via_monodromy(chart: Chart, loop: DiscreteLoop, m: int = 1,
-                          rank_threshold: float = 1e-4, steps: int = 512,
-                          closure_tol: float = 1e-2) -> int:
-    """Kernel dimension of (return map)^m - Id for a genuine closed geodesic,
-    read off the return map of one ``shoot_closed_orbit`` shooting."""
-    mono = shoot_closed_orbit(chart, loop, steps, closure_tol)
-    return fixed_space_dimension(mono.return_map(), m, rank_threshold)
+                          steps: int = 512) -> int:
+    """Kernel dimension of P^m - Id for the return map P of a genuine closed
+    geodesic, shot once: the sum of ``eigenspace_dimension`` over omega^m = 1.
+
+    Working with P itself instead of its explicit m-th power keeps the
+    count stable when P has strongly hyperbolic blocks, whose entries would
+    otherwise swamp the singular-value scale of P^m - Id.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    p = shoot_closed_orbit(chart, loop, steps).return_map()
+    return sum(eigenspace_dimension(p, np.exp(2j * np.pi * k / m)) for k in range(m))
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +408,7 @@ def nullity_via_monodromy(chart: Chart, loop: DiscreteLoop, m: int = 1,
 
 def close_conjugate_points_check(chart: Chart, ell: float, k_radius: float,
                                  n_samples: int = 100, seed: int = 0,
-                                 sample_band: float | None = None,
-                                 steps_per_unit: int = 32) -> dict:
+                                 sample_band: float | None = None) -> dict:
     """Two-part probe of the region {r > k_radius} for a length budget ell.
 
     Part (a): sample sectional curvature (random points in the band plus
@@ -424,8 +416,11 @@ def close_conjugate_points_check(chart: Chart, ell: float, k_radius: float,
     bound (pi/ell)^2.  Part (b): sample unit-speed geodesic segments of
     length ell whose trace stays in the region (leaving segments are
     discarded and resampled) and require empty conjugate reports.  The
-    Rauch comparison direction says (a) passing forces (b) to pass; the
-    report records both verdicts and their consistency.
+    segments are integrated in blocks, max(64, ``STEPS_PER_UNIT`` ell) RK4
+    steps each, and every kept segment's grid gets one
+    ``_scan_conjugate_points`` scan, the criterion ``conjugate_points``
+    applies.  The Rauch comparison direction says (a) passing forces (b) to
+    pass; the report records both verdicts and their consistency.
     """
     if ell <= 0:
         raise ValueError("ell must be positive")
@@ -463,7 +458,7 @@ def close_conjugate_points_check(chart: Chart, ell: float, k_radius: float,
     checked = 0
     discarded = 0
     attempts = 0
-    steps = max(64, int(np.ceil(steps_per_unit * ell)))
+    steps = max(64, int(np.ceil(STEPS_PER_UNIT * ell)))
     d = chart.dim
     while checked < n_samples:
         block = min(n_samples - checked, 100 * n_samples - attempts)
@@ -484,17 +479,8 @@ def close_conjugate_points_check(chart: Chart, ell: float, k_radius: float,
         kept = np.isinf(exit_time) & np.all(chart.exhaustion(grid[0]) > k_radius, axis=1)
         discarded += block - int(np.count_nonzero(kept))
         checked += int(np.count_nonzero(kept))
-        dets = np.linalg.det(grid[3][kept][..., :d, d:])
-        s_min_idx = 2
-        crossing = np.any(dets[:, s_min_idx:-1] * dets[:, s_min_idx + 1:] < 0, axis=1)
-        endpoint = np.abs(dets[:, -1]) < DET_ENDPOINT_REL * np.max(np.abs(dets), axis=1)
-        for i, j in enumerate(np.flatnonzero(kept)):
-            if not (crossing[i] or endpoint[i]):
-                continue
-            # scan the grid just integrated: the same report conjugate_points
-            # gives for this segment, without integrating it again
-            member = tuple(a[j] for a in grid)
-            report = _scan_conjugate_points(chart, ell, member, dets[i], 1e-4)
+        for j in np.flatnonzero(kept):
+            report = _scan_conjugate_points(chart, ell, tuple(a[j] for a in grid))
             if report.count > 0:
                 hits.append({
                     "start": xs[j].tolist(),

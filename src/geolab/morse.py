@@ -257,15 +257,14 @@ def lemma_verdict(report: ConjugateReport, spec: SpectralReport, dim: int) -> di
     }
 
 
-def bott_table(chart: Chart, loop: DiscreteLoop, m_max: int = 6,
-               rank_threshold: float = 1e-4, steps: int = 512) -> dict:
+def bott_table(chart: Chart, loop: DiscreteLoop, m_max: int = 6, steps: int = 512) -> dict:
     """``iteration_table`` of a closed geodesic, whose orbit is shot once."""
     return_map = shoot_closed_orbit(chart, loop, steps).return_map()
-    return iteration_table(chart, loop, return_map, m_max, rank_threshold)
+    return iteration_table(chart, loop, return_map, m_max)
 
 
 def iteration_table(chart: Chart, loop: DiscreteLoop, return_map: np.ndarray,
-                    m_max: int = 6, rank_threshold: float = 1e-4) -> dict:
+                    m_max: int = 6) -> dict:
     """Bott iteration table: index/nullity of the m-fold iterates, m <= m_max.
 
     The exact Hessian of the iterate is block-circulant, so (Bott's formula)
@@ -287,7 +286,7 @@ def iteration_table(chart: Chart, loop: DiscreteLoop, return_map: np.ndarray,
         if turn not in solved:
             omega = np.exp(2j * np.pi * turn)
             spec = index_and_nullity(twisted_hessian(sv, omega))
-            nul_mono = eigenspace_dimension(return_map, omega, rank_threshold)
+            nul_mono = eigenspace_dimension(return_map, omega)
             if spec.nullity != nul_mono:
                 raise CrossCheckError(f"omega = exp(2 pi i {turn}): spectral nullity "
                                       f"{spec.nullity} != return-map nullity {nul_mono}")

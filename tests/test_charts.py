@@ -23,6 +23,17 @@ def test_unknown_chart_name():
         make_chart("klein_bottle")
 
 
+@pytest.mark.parametrize("name, params", [
+    ("cylinder", {"radius": 0.0}),
+    ("cylinder", {"radius": -1.0}),
+    ("bumped_cylinder", {"amplitude": -2.0}),
+    ("bumped_cylinder", {"amplitude": float("nan")}),
+])
+def test_degenerate_chart_parameters_rejected(name, params):
+    with pytest.raises(ValueError):
+        make_chart(name, **params)
+
+
 def test_christoffels_flat_plane_zero(rng):
     plane = make_chart("plane")
     x = rng.standard_normal(2) * 3

@@ -1,10 +1,15 @@
+import dataclasses
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from geolab.cli import main
 from geolab.config import RunConfig, dump_config, load_config
+from geolab.descent import DescentResult, SweepoutFamily, SweepoutResult
 from geolab.errors import ConfigError
 from geolab.loops import make_loop, save_loop_json
 
@@ -50,16 +55,31 @@ def test_config_field_range(tmp_path):
                         ("chart: plane\nstart_band: 3.0\n", "start_band"),
                         ("chart: plane\nn_nodes: 32.5\n", "n_nodes"),
                         ("chart: plane\nstart_band: [3.0, 0.0]\n", "start_band"),
-                        ("chart: plane\nloop_path: 5\n", "loop_path")]:
+                        ("chart: plane\nloop_path: 5\n", "loop_path"),
+                        ("chart: plane\nmax_iter: 0\n", "max_iter"),
+                        ("chart: plane\nmax_rounds: 0\n", "max_rounds"),
+                        ("chart: plane\nfamily_members: 0\n", "family_members"),
+                        ("chart: plane\nargmax_grad_tol: 0.0\n", "argmax_grad_tol"),
+                        ("chart: plane\nfamily_r_max: 0.0\n", "family_r_max"),
+                        ("chart: plane\nfamily_z_halfwidth: -0.5\n", "family_z_halfwidth")]:
         path = write_yaml(tmp_path / "bad.yaml", text)
         with pytest.raises(ConfigError, match=field):
             load_config(path)
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
-    path = write_yaml(tmp_path / "bad.yaml", "chart: moebius\n")
-    assert main(["find", "--config", path]) == 2
-    assert "config error" in capsys.readouterr().err
+    for subcommand, text, named in [
+            ("find", "chart: moebius\n", "moebius"),
+            # the profile 1 - 2 (1 - z^2)^4 vanishes inside the bump
+            ("find", "chart: bumped_cylinder\nchart_params: {amplitude: -2.0}\n"
+                     "n_nodes: 16\nn_starts: 1\n", "amplitude"),
+            # valid fields, but the family builder needs 3 members
+            ("sweep", "chart: plane\nn_nodes: 16\nfamily: concentric\nfamily_members: 1\n",
+             "at least 3 members")]:
+        path = write_yaml(tmp_path / "bad.yaml", text)
+        assert main([subcommand, "--config", path, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
 
 
 def test_cli_find_plane(tmp_path):
@@ -291,3 +311,22 @@ def test_cli_report_booleans_are_json_booleans(tmp_path):
     cfg = write_yaml(tmp_path / "cfg2.yaml", "chart: sphere\nn_samples: 10\n")
     assert main(["verify", "conjpoints", "--config", cfg, "--quiet", "--out", out]) == 0
     assert read_report(out)["results"]["pass"] is True
+
+
+def test_benchmark_probes_resolve():
+    # the traced benchmark rebinds these names; a deleted or renamed one
+    # would fail every traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{mod}.{fn}" for mod, fns in tracer.TRACED.items() for fn in fns
+               if not callable(getattr(importlib.import_module(f"geolab.{mod}"), fn, None))]
+    cli = importlib.import_module("geolab.cli")
+    missing += [f"cli.{fn}" for fn in tracer.ROOTS if not callable(getattr(cli, fn, None))]
+    assert missing == []
+    # the fields the tracer's result hooks read
+    fields = {f.name for f in dataclasses.fields(SweepoutResult)}
+    assert {"rounds", "insertions", "family"} <= fields
+    assert isinstance(SweepoutFamily.size, property)
+    assert "iterations" in {f.name for f in dataclasses.fields(DescentResult)}

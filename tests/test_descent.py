@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geolab import descent
 from geolab.charts import make_chart
 from geolab.descent import (
     DescentOptions,
@@ -168,11 +169,12 @@ def test_latitude_sweep_pinned():
     assert abs(res.value - 39.49427739963668) <= 1e-12 * 39.49427739963668
 
 
-def test_family_tear_budget():
+def test_family_tear_budget(monkeypatch):
     sph = make_chart("sphere")
     family = birkhoff_latitudes(sph, 17, 64)
+    monkeypatch.setattr(descent, "MAX_MEMBERS", 17)
     with pytest.raises(FamilyTearError):
-        minimax_sweepout(sph, family, sweep=SweepOptions(max_members=17))
+        minimax_sweepout(sph, family)
 
 
 def test_penalty_continuation_monotone_funnel():
