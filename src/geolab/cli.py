@@ -47,6 +47,7 @@ from .jacobi import (
     _integrate_jacobi,
     close_conjugate_points_check,
     eigenspace_dimension,
+    is_moving,
     shoot_closed_orbit,
     symplectic_defect,
 )
@@ -56,7 +57,6 @@ from .loops import (
     load_loop_json,
     loop_from_csv,
     loop_to_csv,
-    one_sided_velocities,
     winding_numbers,
 )
 from .morse import (
@@ -110,12 +110,6 @@ def _progress(quiet: bool, msg: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _is_moving(chart: Chart, loop: DiscreteLoop) -> bool:
-    """Moving geodesic, not a constant loop: outgoing speed and energy both resolved."""
-    speed = float(np.linalg.norm(one_sided_velocities(chart, loop)[1]))
-    return speed > 1e-4 and energy(chart, loop) > 1e-8
-
-
 def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
                           loop: DiscreteLoop, cfg: RunConfig, acceptance_level: float,
                           with_bott: bool = False) -> dict:
@@ -129,13 +123,13 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
 
     Each analysis artefact is computed once per loop: the exact penalized
     Hessian and its spectrum (index, nullity, lemma bound, and through its
-    pinned block the Dirichlet index), the conjugate scan along the
-    outgoing velocity (cp_1 and the based cross-check), and, for a moving
-    genuine loop, one shooting of its orbit (its return map gives
-    ``nullity_monodromy`` and checks each omega-nullity of the Bott table)
-    and the quadrature Hessian.  The Bott table (``with_bott``) assembles
-    the unpenalized N-node Hessian once and solves one omega-twisted copy
-    of it per root of unity and per arc of the mean-index average; no
+    pinned block the Dirichlet index), and, for a moving loop, one
+    integration of its ``outgoing_orbit``: the conjugate scan reads it (cp_1,
+    based cross-check) and, for a genuine loop, the shooting starts from it
+    (its return map gives ``nullity_monodromy`` and checks each omega-nullity
+    of the Bott table), next to the quadrature Hessian.  The Bott table
+    (``with_bott``) solves one omega-twisted copy of the unpenalized N-node
+    Hessian per root of unity and per arc of the mean-index average; no
     iterate is assembled.  ``find`` calls this once per census key (see
     ``run_find``), so ``index`` is not part of the key.
     """
@@ -151,7 +145,7 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
         residual = corner_residual(chart, schedule, alpha, loop)
     sv = assemble_second_variation(chart, loop, schedule, alpha)
     spec = index_and_nullity(sv)
-    conj = outgoing_conjugate_report(chart, loop)
+    conj, orbit = outgoing_conjugate_report(chart, loop)
     lemma = lemma_verdict(conj, spec, chart.dim)
     record = {
         "energy": e_loop,
@@ -174,8 +168,8 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
                         if not chart.compact else None),
         "gradient_norm": sv.gradient_norm,
     }
-    if cls.case == "genuine" and _is_moving(chart, loop):
-        return_map = shoot_closed_orbit(chart, loop).return_map()
+    if cls.case == "genuine" and orbit is not None:
+        return_map = shoot_closed_orbit(chart, orbit).return_map()
         record["nullity_monodromy"] = eigenspace_dimension(return_map, 1.0)
         record["based_cross_check"] = based_index_verdict(conj, sv)
         sv_q = assemble_second_variation(chart, loop, schedule, alpha,
@@ -222,7 +216,7 @@ def run_find(cfg: RunConfig, quiet: bool) -> dict:
             continue
         r_base = 0.0 if chart.compact else float(chart.exhaustion(res.loop.basepoint))
         key = (round(res.energy, 6), round(r_base, 4))
-        if r_base <= schedule.radius(cfg.alpha) and not _is_moving(chart, res.loop):
+        if r_base <= schedule.radius(cfg.alpha) and not is_moving(chart, res.loop):
             key = (0.0, -np.inf)     # the constant-loop manifold, sorted first
         if key not in census:
             # a stalled descent is accepted at its own, larger gradient norm

@@ -15,10 +15,11 @@ basis (undoing the holonomy of the frame) produces the linearized return
 map P; the nullity of the m-fold iterate is the kernel dimension of
 P^m - Id, the sum of dim ker(P - omega Id) over omega^m = 1.
 
-One scan (``_scan_conjugate_points``) decides conjugate points on an
-integrated grid, for ``conjugate_points`` and for every kept segment of
-the at-infinity check alike.  The tolerances are the module constants
-below; no caller sets them.
+An analysed loop's Jacobi artefacts share one grid (x, v, frame, Phi), the
+integration of ``outgoing_orbit`` from (basepoint, v_+): it is the first
+shot of ``shoot_closed_orbit``, and the conjugate scan reads its Phi rows.
+The scan (``_scan_conjugate_points``) integrates nothing itself.  The
+tolerances are the module constants below; no caller sets them.
 """
 
 from __future__ import annotations
@@ -43,15 +44,17 @@ from .errors import (
     NotAGeodesicError,
     SamplingStarvationError,
 )
-from .loops import DiscreteLoop, one_sided_velocities
+from .loops import DiscreteLoop, energy, one_sided_velocities
 
 DET_ENDPOINT_REL = 1e-7     # |det B(t)| below this (relative) counts the endpoint
 DET_TANGENT_REL = 1e-8      # local minima of |det B| hunted below this (relative)
 TIME_TOL = 1e-6
+ENDPOINT_MARGIN = 1e-3      # O(1/N^2) wander of a conjugate time sitting at the endpoint
 UNIT_TOL = 1e-4             # an eigenvalue this close to a unit root omega counts as omega
 RANK_REL = 1e-4             # singular values below this (relative) span the kernel
 CLOSURE_TOL = 1e-2          # closure residual (relative to the speed) of a shot orbit
 STEPS_PER_UNIT = 32         # RK4 steps per unit length of an at-infinity segment
+ORBIT_STEPS = 512           # RK4 steps of an analysed loop's outgoing orbit over [0, 1]
 
 
 def symplectic_defect(m: np.ndarray) -> float:
@@ -86,6 +89,13 @@ class MonodromyMatrix:
         m = self.matrix
         return m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
 
+    @classmethod
+    def of_grid(cls, grid) -> MonodromyMatrix:
+        """The fundamental solution over the whole span of a grid (x, v, frame, Phi)."""
+        xs, vs, es, phis = grid
+        return cls(phis[-1], es[0], es[-1], TangentVector(xs[0], vs[0]),
+                   TangentVector(xs[-1], vs[-1]))
+
     def return_map(self) -> np.ndarray:
         """Time-t differential in the fixed frame at the start point.
 
@@ -116,15 +126,9 @@ class ConjugateReport:
     def count(self) -> int:
         return sum(m for _, m in self.times)
 
-    def count_open(self, t_end: float | None = None, tol: float = 1e-3) -> int:
-        """Total multiplicity on the open interval (0, t_end).
-
-        The exclusion margin matches the time resolution of a shot
-        geodesic extracted from a discrete loop (O(1/N^2) wander of a
-        conjugate time sitting exactly at the endpoint).
-        """
-        t_end = self.t if t_end is None else t_end
-        return sum(m for s, m in self.times if s < t_end - tol)
+    def count_open(self) -> int:
+        """Total multiplicity on the open interval (0, t - ``ENDPOINT_MARGIN``)."""
+        return sum(m for s, m in self.times if s < self.t - ENDPOINT_MARGIN)
 
 
 def orthonormal_frame(chart: Chart, x: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
@@ -197,38 +201,46 @@ def jacobi_propagate(chart: Chart, start: TangentVector, t: float, steps: int = 
     """Fundamental Jacobi solution over [0, t] (columns = propagated basis ICs)."""
     if t <= 0:
         raise ValueError("t must be positive")
-    xs, vs, es, phis = _integrate_jacobi(chart, start, t, steps, initial_frame)
-    return MonodromyMatrix(
-        matrix=phis[-1], frame0=es[0], frame1=es[-1],
-        start=start, end=TangentVector(xs[-1], vs[-1]),
-    )
+    return MonodromyMatrix.of_grid(_integrate_jacobi(chart, start, t, steps, initial_frame))
 
 
-def _refine_root(chart, grid_t, grid_state, k, steps_per_span=8):
-    """Bisect a sign change of det B inside (grid_t[k], grid_t[k+1])."""
-    d = chart.dim
-    rhs = functools.partial(_jacobi_rhs, chart)
-    state_k = tuple(a[k] for a in grid_state)
+def is_moving(chart: Chart, loop: DiscreteLoop) -> bool:
+    """Moving geodesic, not a constant loop: outgoing speed and energy both resolved."""
+    speed = float(np.linalg.norm(one_sided_velocities(chart, loop)[1]))
+    return speed > 1e-4 and energy(chart, loop) > 1e-8
 
-    def det_at(s):
-        # bisection only probes s > grid_t[k]
-        phi = _integrate(chart, rhs, state_k, s - grid_t[k], steps_per_span,
-                         " during root refinement")[3][-1]
-        b = phi[:d, d:]
-        return np.linalg.det(b), b
 
+def outgoing_orbit(chart: Chart, loop: DiscreteLoop) -> tuple:
+    """Grid (x, v, frame, Phi) over [0, 1] of the geodesic from the basepoint
+    with the outgoing velocity v_+: the scanned orbit and the first shot."""
+    _, v_plus = one_sided_velocities(chart, loop)
+    return _integrate_jacobi(chart, TangentVector(loop.basepoint, v_plus), 1.0, ORBIT_STEPS)
+
+
+def _refine_root(grid_t: np.ndarray, phis: np.ndarray, k: int):
+    """Bisect a sign change of det B inside (grid_t[k], grid_t[k+1]) on the cubic
+    Hermite interpolant of B = Phi[:d, d:], whose derivative Phi[d:, d:] the grid
+    holds (Phi' = [[0, I], [-Rt, 0]] Phi); returns the root and B there."""
+    d = phis.shape[-1] // 2
     lo, hi = grid_t[k], grid_t[k + 1]
-    flo = np.linalg.det(state_k[3][:d, d:])
+    b0, b1 = phis[k, :d, d:], phis[k + 1, :d, d:]
+    db0, db1 = (hi - lo) * phis[k, d:, d:], (hi - lo) * phis[k + 1, d:, d:]
+
+    def b_at(s):
+        u = (s - grid_t[k]) / (grid_t[k + 1] - grid_t[k])
+        return (b0 + (3 - 2 * u) * u * u * (b1 - b0)
+                + (u - 1) * u * ((u - 1) * db0 + u * db1))
+
+    flo = np.linalg.det(b0)
     while hi - lo > TIME_TOL:
         mid = 0.5 * (lo + hi)
-        fmid, _ = det_at(mid)
+        fmid = np.linalg.det(b_at(mid))
         if flo * fmid <= 0:
             hi = mid
         else:
             lo, flo = mid, fmid
     s_star = 0.5 * (lo + hi)
-    _, b = det_at(s_star)
-    return s_star, b
+    return s_star, b_at(s_star)
 
 
 def _kernel_dim(b: np.ndarray) -> int:
@@ -239,9 +251,9 @@ def _kernel_dim(b: np.ndarray) -> int:
 
 def conjugate_points(chart: Chart, start: TangentVector, t: float,
                      steps: int = 512) -> ConjugateReport:
-    """Locate conjugate times in (0, t] by zeros of det B(s).
+    """Locate conjugate times in (0, t] by zeros of det B(s) on one integrated grid.
 
-    Sign changes are refined by bisection to time tolerance 1e-6;
+    Sign changes are bisected on the grid's interpolant of B to ``TIME_TOL``;
     multiplicity is the numerical kernel dimension of B at the refined
     root.  Tangential zeros (no sign change) are hunted through local
     minima of |det B| below 1e-8 relative, and a root at the right endpoint
@@ -249,13 +261,12 @@ def conjugate_points(chart: Chart, start: TangentVector, t: float,
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    return _scan_conjugate_points(chart, t, _integrate_jacobi(chart, start, t, steps))
+    return _scan_conjugate_points(t, _integrate_jacobi(chart, start, t, steps)[3])
 
 
-def _scan_conjugate_points(chart: Chart, t: float, grid) -> ConjugateReport:
-    """The scan of ``conjugate_points`` over one integrated grid (x, v, e, Phi)."""
-    d = chart.dim
-    phis = grid[3]
+def _scan_conjugate_points(t: float, phis: np.ndarray) -> ConjugateReport:
+    """The scan of ``conjugate_points`` over the Phi rows of one grid on [0, t]."""
+    d = phis.shape[-1] // 2
     dets = np.linalg.det(phis[:, :d, d:])
     steps = len(phis) - 1
     grid_t = np.linspace(0.0, t, steps + 1)
@@ -271,7 +282,7 @@ def _scan_conjugate_points(chart: Chart, t: float, grid) -> ConjugateReport:
         if grid_t[k + 1] <= s_min:
             continue
         if dets[k] * dets[k + 1] < 0 and abs(dets[k + 1]) > DET_ENDPOINT_REL * scale * 1e-2:
-            s_star, b = _refine_root(chart, grid_t, grid, k)
+            s_star, b = _refine_root(grid_t, phis, k)
             mult = _kernel_dim(b)
             if mult > 0:
                 found.append((s_star, mult))
@@ -321,21 +332,21 @@ def _chart_to_covariant(chart: Chart, x, v, e):
     return out
 
 
-def refine_closed_orbit(chart: Chart, x0: np.ndarray, v0: np.ndarray, steps: int = 512,
-                        max_iter: int = 8, tol: float = 1e-9) -> tuple[MonodromyMatrix, float]:
+def refine_closed_orbit(chart: Chart, grid: tuple, max_iter: int = 8,
+                        tol: float = 1e-9) -> tuple[MonodromyMatrix, float]:
     """Gauss-Newton shooting that closes up an approximately periodic geodesic.
 
+    ``grid`` (over [0, 1]) is the first shot; later shots use its step count.
     Takes at most ``max_iter`` Gauss-Newton steps.  Returns the fundamental
     solution of the last shooting, whose ``start`` is the corrected initial
     condition, and the closure residual of that same shooting.  The
     linearization of the return map has the orbit's symmetry directions in
     its kernel, so the step uses a least-squares pseudo-inverse.
     """
-    x0 = np.asarray(x0, dtype=float).copy()
-    v0 = np.asarray(v0, dtype=float).copy()
+    mono = MonodromyMatrix.of_grid(grid)
+    x0, v0 = mono.start.base, mono.start.v
     speed = max(metric_speed(chart, x0, v0), 1e-12)
     for it in range(max_iter + 1):
-        mono = jacobi_propagate(chart, TangentVector(x0, v0), 1.0, steps)
         fx = chart.wrap_difference(mono.end.base - x0)
         fv = mono.end.v - v0
         f = np.concatenate([fx, fv])
@@ -349,6 +360,7 @@ def refine_closed_orbit(chart: Chart, x0: np.ndarray, v0: np.ndarray, steps: int
         step, *_ = np.linalg.lstsq(jac, -f, rcond=1e-8)
         x0 = x0 + step[: chart.dim]
         v0 = v0 + step[chart.dim:]
+        mono = jacobi_propagate(chart, TangentVector(x0, v0), 1.0, len(grid[0]) - 1)
 
 
 def eigenspace_dimension(p: np.ndarray, omega: complex) -> int:
@@ -359,20 +371,18 @@ def eigenspace_dimension(p: np.ndarray, omega: complex) -> int:
     return _kernel_dim(p - np.real_if_close(omega) * np.eye(len(p)))
 
 
-def shoot_closed_orbit(chart: Chart, loop: DiscreteLoop, steps: int = 512) -> MonodromyMatrix:
-    """The closed geodesic a genuine critical loop discretizes, shot once.
-
-    Returns the last Gauss-Newton shooting (``return_map()`` is the orbit's
-    linearized return map).  Raises NotAGeodesicError when the orbit refuses
-    to close to ``CLOSURE_TOL`` (relative to the speed) or wanders off.
+def shoot_closed_orbit(chart: Chart, grid: tuple) -> MonodromyMatrix:
+    """The closed geodesic a genuine critical loop discretizes, shot once from
+    its ``outgoing_orbit`` grid: the last Gauss-Newton shooting, whose
+    ``return_map()`` is the orbit's linearized return map.  Raises
+    NotAGeodesicError when the orbit refuses to close to ``CLOSURE_TOL``
+    (relative to the speed) or wanders off.
     """
-    v_minus, v_plus = one_sided_velocities(chart, loop)
-    start = TangentVector(loop.basepoint, 0.5 * (v_minus + v_plus))
-    mono, residual = refine_closed_orbit(chart, start.base, start.v, steps)
+    mono, residual = refine_closed_orbit(chart, grid)
     x0, v0 = mono.start.base, mono.start.v
     speed = max(metric_speed(chart, x0, v0), 1e-12)
-    speed0 = max(metric_speed(chart, start.base, start.v), 1e-12)
-    moved = float(np.linalg.norm(chart.wrap_difference(x0 - start.base)))
+    speed0 = max(metric_speed(chart, grid[0][0], grid[1][0]), 1e-12)
+    moved = float(np.linalg.norm(chart.wrap_difference(x0 - grid[0][0])))
     # the shooting must tighten the loop's own orbit, not wander off to a
     # different (e.g. constant) one
     if (residual > CLOSURE_TOL * speed
@@ -386,8 +396,7 @@ def shoot_closed_orbit(chart: Chart, loop: DiscreteLoop, steps: int = 512) -> Mo
     return mono
 
 
-def nullity_via_monodromy(chart: Chart, loop: DiscreteLoop, m: int = 1,
-                          steps: int = 512) -> int:
+def nullity_via_monodromy(chart: Chart, loop: DiscreteLoop, m: int = 1) -> int:
     """Kernel dimension of P^m - Id for the return map P of a genuine closed
     geodesic, shot once: the sum of ``eigenspace_dimension`` over omega^m = 1.
 
@@ -397,7 +406,7 @@ def nullity_via_monodromy(chart: Chart, loop: DiscreteLoop, m: int = 1,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    p = shoot_closed_orbit(chart, loop, steps).return_map()
+    p = shoot_closed_orbit(chart, outgoing_orbit(chart, loop)).return_map()
     return sum(eigenspace_dimension(p, np.exp(2j * np.pi * k / m)) for k in range(m))
 
 
@@ -480,7 +489,7 @@ def close_conjugate_points_check(chart: Chart, ell: float, k_radius: float,
         discarded += block - int(np.count_nonzero(kept))
         checked += int(np.count_nonzero(kept))
         for j in np.flatnonzero(kept):
-            report = _scan_conjugate_points(chart, ell, tuple(a[j] for a in grid))
+            report = _scan_conjugate_points(ell, grid[3][j])
             if report.count > 0:
                 hits.append({
                     "start": xs[j].tolist(),

@@ -25,21 +25,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charts import Chart, TangentVector, christoffels, curvature_operator
+from .charts import Chart, christoffels, curvature_operator
 from .errors import CrossCheckError
 from .jacobi import (
     UNIT_TOL,
     ConjugateReport,
-    conjugate_points,
+    _scan_conjugate_points,
     eigenspace_dimension,
+    is_moving,
+    outgoing_orbit,
     shoot_closed_orbit,
 )
-from .loops import (
-    DiscreteLoop,
-    energy_gradient,
-    one_sided_velocities,
-    validate_loop,
-)
+from .loops import DiscreteLoop, energy_gradient, validate_loop
 from .penalty import (
     PenaltySchedule,
     penalty_coordinate_hess,
@@ -200,14 +197,14 @@ def index_and_nullity(sv: SecondVariation, zero_band: float | None = None) -> Sp
 # ---------------------------------------------------------------------------
 
 
-def outgoing_conjugate_report(chart: Chart, loop: DiscreteLoop,
-                              steps: int = 512) -> ConjugateReport:
-    """Conjugate points on (0, 1] along the geodesic shot from the basepoint
-    with the outgoing velocity v_+; empty for a stationary loop (trivial flow)."""
-    _, v_plus = one_sided_velocities(chart, loop)
-    if float(np.linalg.norm(v_plus)) < 1e-8:
-        return ConjugateReport(t=1.0)
-    return conjugate_points(chart, TangentVector(loop.basepoint, v_plus), 1.0, steps)
+def outgoing_conjugate_report(chart: Chart, loop: DiscreteLoop) -> tuple:
+    """Conjugate points on (0, 1] along the loop's ``outgoing_orbit``, and that
+    grid.  A loop not ``is_moving`` gets an empty report and no grid (None):
+    its first conjugate time, at least pi / (|v| sqrt(K_max)), is beyond 1."""
+    if not is_moving(chart, loop):
+        return ConjugateReport(t=1.0), None
+    orbit = outgoing_orbit(chart, loop)
+    return _scan_conjugate_points(1.0, orbit[3]), orbit
 
 
 def pinned_index(sv: SecondVariation, zero_band: float | None = None) -> int:
@@ -229,7 +226,7 @@ def based_index_verdict(report: ConjugateReport, sv: SecondVariation) -> dict:
     eigensolve vs zeros of det B along the shot geodesic) and must agree;
     a mismatch is a hard failure of one of the two subsystems.
     """
-    cp_open = report.count_open(1.0)
+    cp_open = report.count_open()
     idx = pinned_index(sv)
     if idx != cp_open:
         raise CrossCheckError(
@@ -257,9 +254,9 @@ def lemma_verdict(report: ConjugateReport, spec: SpectralReport, dim: int) -> di
     }
 
 
-def bott_table(chart: Chart, loop: DiscreteLoop, m_max: int = 6, steps: int = 512) -> dict:
-    """``iteration_table`` of a closed geodesic, whose orbit is shot once."""
-    return_map = shoot_closed_orbit(chart, loop, steps).return_map()
+def bott_table(chart: Chart, loop: DiscreteLoop, m_max: int = 6) -> dict:
+    """``iteration_table`` of a closed geodesic, shot once from its ``outgoing_orbit``."""
+    return_map = shoot_closed_orbit(chart, outgoing_orbit(chart, loop)).return_map()
     return iteration_table(chart, loop, return_map, m_max)
 
 

@@ -11,7 +11,9 @@ from geolab.cli import main
 from geolab.config import RunConfig, dump_config, load_config
 from geolab.descent import DescentResult, SweepoutFamily, SweepoutResult
 from geolab.errors import ConfigError
-from geolab.loops import make_loop, save_loop_json
+from geolab.loops import make_loop, one_sided_velocities, save_loop_json
+
+from conftest import great_circle_loop
 
 
 def write_yaml(path, text):
@@ -124,17 +126,26 @@ def test_cli_records_classification_audit(tmp_path):
 
 
 def test_cli_reports_deterministic(tmp_path):
-    cfg = write_yaml(tmp_path / "cfg.yaml",
-                     "chart: cylinder\nn_nodes: 48\nn_starts: 3\nseed: 4\n"
-                     "grad_tol: 1.0e-6\nstart_band: [0.0, 1.0]\n")
-    outs = []
-    for name in ("a.json", "b.json"):
-        out = str(tmp_path / name)
-        assert main(["find", "--config", cfg, "--quiet", "--out", out]) == 0
-        report = read_report(out)
-        report.pop("timestamp")
-        outs.append(json.dumps(report, sort_keys=True))
-    assert outs[0] == outs[1]
+    from geolab.charts import make_chart
+    find_cfg = write_yaml(tmp_path / "find.yaml",
+                          "chart: cylinder\nn_nodes: 48\nn_starts: 3\nseed: 4\n"
+                          "grad_tol: 1.0e-6\nstart_band: [0.0, 1.0]\n")
+    # the exact discrete great circle: the shared outgoing grid and the Bott table
+    sph = make_chart("sphere")
+    loop_path = tmp_path / "great_circle.json"
+    save_loop_json(sph, great_circle_loop(sph, 128), loop_path)
+    analyze_cfg = write_yaml(tmp_path / "analyze.yaml",
+                             f"chart: sphere\nloop_path: {loop_path}\nm_max: 2\n")
+    for sub, cfg in (("find", find_cfg), ("analyze", analyze_cfg)):
+        outs = []
+        for name in ("a.json", "b.json"):
+            out = str(tmp_path / f"{sub}.{name}")
+            assert main([sub, "--config", cfg, "--quiet", "--out", out]) == 0
+            report = read_report(out)
+            report.pop("timestamp")
+            outs.append(json.dumps(report, sort_keys=True))
+        assert outs[0] == outs[1]
+    assert "bott" in report["results"]["analysis"]
 
 
 def test_cli_seed_override_changes_results(tmp_path):
@@ -197,6 +208,14 @@ def test_cli_analyze_stored_loop(tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, (cli, jacobi, morse),
                         ("refine_closed_orbit", "conjugate_points",
                          "assemble_second_variation"))
+    starts = []
+    real_integrate = jacobi._integrate_jacobi
+
+    def spy_integrate(chart, start, *args, **kwargs):
+        starts.append(start)
+        return real_integrate(chart, start, *args, **kwargs)
+
+    monkeypatch.setattr(jacobi, "_integrate_jacobi", spy_integrate)
     solved = []
     real_solve = morse.index_and_nullity
 
@@ -223,10 +242,16 @@ def test_cli_analyze_stored_loop(tmp_path, monkeypatch):
     assert analysis["lemma_verdict"] == "pass"
     assert analysis["bott"]["bounds_ok"]
     assert analysis["based_cross_check"]["dirichlet_index"] == 0
-    # each artefact once: one shooting, one conjugate scan, the loop's exact
-    # and quadrature Hessians, and one unpenalized N-node Hessian for Bott
+    # each artefact once: one integration of the outgoing orbit from
+    # (basepoint, v_+), read by the conjugate scan and taken by the one
+    # shooting as its first shot (the waist closes on it, so there is no
+    # second), the loop's exact and quadrature Hessians, and one
+    # unpenalized N-node Hessian for Bott
+    assert len(starts) == 1
+    assert np.array_equal(starts[0].base, waist.basepoint)
+    assert np.array_equal(starts[0].v, one_sided_velocities(cyl, waist)[1])
     assert len(calls["refine_closed_orbit"]) == 1
-    assert len(calls["conjugate_points"]) == 1
+    assert len(calls["conjugate_points"]) == 0
     assemblies = sorted((sv.method, sv.n_nodes, sv.alpha is None)
                         for sv in calls["assemble_second_variation"])
     assert assemblies == [("continuum_quadrature", n, False), ("exact_discrete", n, False),

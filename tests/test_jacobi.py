@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from geolab.charts import FlatPlane, TangentVector, flow_trajectory, make_chart, metric_speed
-from geolab import jacobi
+from geolab import charts, jacobi
 from geolab.errors import DomainEscapeError, NotAGeodesicError, SamplingStarvationError
 from geolab.jacobi import (
     close_conjugate_points_check,
@@ -11,6 +11,7 @@ from geolab.jacobi import (
     jacobi_propagate,
     nullity_via_monodromy,
     orthonormal_frame,
+    outgoing_orbit,
     refine_closed_orbit,
     shoot_closed_orbit,
     symplectic_defect,
@@ -96,7 +97,7 @@ def test_sphere_conjugate_points_half_and_full():
     mults = [m for _, m in report.times]
     assert abs(times[0] - 0.5) < 1e-3 and abs(times[1] - 1.0) < 1e-3
     assert mults == [1, 1]
-    assert report.count_open(1.0) == 1
+    assert report.count_open() == 1
 
 
 def test_sphere_conjugate_iterate_times():
@@ -106,7 +107,32 @@ def test_sphere_conjugate_iterate_times():
     times = np.array([s for s, _ in report.times])
     assert report.count == 4
     assert np.allclose(times, [0.25, 0.5, 0.75, 1.0], atol=1e-3)
-    assert report.count_open(1.0) == 3
+    assert report.count_open() == 3
+
+
+def test_scan_reads_conjugate_points_off_the_grid_alone(monkeypatch):
+    # the exact fundamental solution of xi'' + K xi = 0 with sqrt(K) = 3 pi
+    # in the normal slot and K = 0 in the tangential one: B = diag(s,
+    # sin(3 pi s) / (3 pi)) vanishes at 1/3, 2/3 and 1, once each
+    def no_flow(*args, **kwargs):
+        raise AssertionError("the scan integrated a flow")
+
+    monkeypatch.setattr(charts, "_rk4_batch", no_flow)
+    w = 3 * np.pi
+    s = np.linspace(0.0, 1.0, 257)
+    phis = np.zeros((len(s), 4, 4))
+    phis[:, 0, 0] = phis[:, 2, 2] = 1.0
+    phis[:, 0, 2] = s
+    phis[:, 1, 1] = phis[:, 3, 3] = np.cos(w * s)
+    phis[:, 1, 3] = np.sin(w * s) / w
+    phis[:, 3, 1] = -w * np.sin(w * s)
+    report = jacobi._scan_conjugate_points(1.0, phis)
+    times = np.array([t for t, _ in report.times])
+    assert np.all(np.abs(times - [1 / 3, 2 / 3, 1.0]) < jacobi.TIME_TOL)
+    assert [m for _, m in report.times] == [1, 1, 1]
+    # the endpoint root has no sign change; it is counted by |det B(1)|
+    assert report.times[-1] == (1.0, 1)
+    assert report.count == 3 and report.count_open() == 2
 
 
 def test_conjugate_additive_at_regular_split():
@@ -151,7 +177,7 @@ def fixed_space(p, m):
 
 def test_nullity_cylinder_shear_kernel():
     cyl = make_chart("cylinder")
-    p = shoot_closed_orbit(cyl, waist_loop(cyl, 256)).return_map()
+    p = shoot_closed_orbit(cyl, outgoing_orbit(cyl, waist_loop(cyl, 256))).return_map()
     for m in (1, 2, 3):
         assert fixed_space(p, m) == 2
 
@@ -159,7 +185,7 @@ def test_nullity_cylinder_shear_kernel():
 def test_nullity_sphere_all_iterates():
     sph = make_chart("sphere")
     loop = great_circle_loop(sph, 256)
-    p = shoot_closed_orbit(sph, loop).return_map()
+    p = shoot_closed_orbit(sph, outgoing_orbit(sph, loop)).return_map()
     for m in range(1, 7):
         assert fixed_space(p, m) == 3
     assert nullity_via_monodromy(sph, loop, 2) == 3
@@ -167,7 +193,7 @@ def test_nullity_sphere_all_iterates():
 
 def test_nullity_funnel_waist():
     fun = make_chart("funnel")
-    p = shoot_closed_orbit(fun, waist_loop(fun, 256)).return_map()
+    p = shoot_closed_orbit(fun, outgoing_orbit(fun, waist_loop(fun, 256))).return_map()
     for m in (1, 2, 3, 4):
         assert fixed_space(p, m) == 1
 
@@ -210,7 +236,8 @@ def test_refine_closed_orbit_tightens():
     sph = make_chart("sphere")
     x0 = np.array([1.0, 0.0]) * 1.001
     v0 = np.array([0.01, 2 * np.pi])
-    mono, residual = refine_closed_orbit(sph, x0, v0, steps=1024)
+    grid = jacobi._integrate_jacobi(sph, TangentVector(x0, v0), 1.0, 1024)
+    mono, residual = refine_closed_orbit(sph, grid)
     x = mono.start.base
     assert residual < 1e-7 * 2 * np.pi
     assert np.linalg.norm(x - [1.0, 0.0]) < 0.01

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from geolab.charts import make_chart
 from geolab.errors import CrossCheckError
-from geolab.jacobi import shoot_closed_orbit
+from geolab.jacobi import outgoing_orbit, shoot_closed_orbit
 from geolab.loops import DiscreteLoop, circle_shift, energy_gradient, iterate, make_loop
 from geolab.morse import (
     SecondVariation,
@@ -141,14 +141,14 @@ def test_assembly_rejects_unknown_method():
 
 def based_index(chart, loop):
     """Dirichlet index against the open-interval conjugate count along v_+."""
-    return based_index_verdict(outgoing_conjugate_report(chart, loop, 512),
+    return based_index_verdict(outgoing_conjugate_report(chart, loop)[0],
                                assemble_second_variation(chart, loop))
 
 
 def lemma_bound(chart, loop, schedule=None, alpha=None):
     """The lemma's index bound for a loop, assembled from scratch."""
     spec = index_and_nullity(assemble_second_variation(chart, loop, schedule, alpha))
-    return lemma_verdict(outgoing_conjugate_report(chart, loop, 512), spec, chart.dim)
+    return lemma_verdict(outgoing_conjugate_report(chart, loop)[0], spec, chart.dim)
 
 
 def test_based_index_flat_zero():
@@ -192,6 +192,18 @@ def test_lemma_bound_constant_loop():
     loop = make_loop(plane, np.broadcast_to([0.1, 0.2], (32, 2)).copy())
     out = lemma_bound(plane, loop)
     assert out["cp1"] == 0 and out["verdict"] == "pass"
+
+
+def test_stationary_loop_report_is_empty_without_integration(monkeypatch):
+    # a plane circle of radius 1e-6: |v_+| ~ 6e-6 is not a moving loop, so
+    # the report is empty and no orbit is integrated
+    from geolab import jacobi
+    calls = []
+    monkeypatch.setattr(jacobi, "_integrate_jacobi", lambda *args: calls.append(args))
+    plane = make_chart("plane")
+    report, orbit = outgoing_conjugate_report(plane, make_loop(plane, circle_nodes(1e-6, 32)))
+    assert report.times == [] and report.t == 1.0
+    assert orbit is None and calls == []
 
 
 def test_lemma_bound_corner_point(corner_point):
@@ -256,7 +268,7 @@ def test_bott_table_bumped_waist_elliptic_mean_index():
     # ind_omega is 3 on (0, theta) and 4 on (theta, pi)
     chart = make_chart("bumped_cylinder")
     loop = waist_loop(chart, 128)
-    return_map = shoot_closed_orbit(chart, loop).return_map()
+    return_map = shoot_closed_orbit(chart, outgoing_orbit(chart, loop)).return_map()
     eigs = np.linalg.eigvals(return_map)
     theta = float(np.max(np.abs(np.angle(eigs))))
     assert 0.1 < theta < np.pi - 0.1
