@@ -12,11 +12,12 @@ gauge, energy, step size and stall count.  One step makes one gradient,
 one preconditioner and one trial-energy call per backtracking round for
 all members, which part ways only through masks.  ``descend`` is a stack
 of one.  The sweepout minimax keeps its family as a stack: every free
-member steps each round, stacked neighbor distances pick the pairs that
-get nodewise midpoints and the members that can go, the family max is
-tracked until it settles, and the argmax bracket is then bisected down
-to the saddle.  The returned value approximates the minimax level from
-the family side; the gap to the true level is reported, not bounded.
+member steps each round, one stacked neighbor distance and one stacked
+nodewise interpolation then respace the family evenly in units of its
+resolution, the lowest family max is tracked until it stops falling,
+and the argmax bracket is then bisected down to the saddle.  The
+returned value approximates the minimax level from the family side; the
+gap to the true level is reported, not bounded.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ from .loops import (
     double_nodes,
     energy,
     energy_gradient,
+    in_gauge,
     loop_distance,
     maybe_recenter,
     midpoint_loop,
+    pair_distance,
     precondition,
     preconditioned_norm,
     segment_checks,
@@ -267,7 +270,7 @@ def descend(chart: Chart, loop: DiscreteLoop, schedule: PenaltySchedule | None =
 
 @dataclass
 class SweepoutFamily:
-    """Ordered one-parameter family of loops; frozen members never move."""
+    """Ordered one-parameter family of loops; frozen end members never move."""
 
     members: list
     frozen: list
@@ -275,22 +278,26 @@ class SweepoutFamily:
     def __post_init__(self):
         if len(self.members) != len(self.frozen):
             raise ValueError("frozen flags must match the member count")
+        if any(self.frozen[1:-1]):
+            raise ValueError("only the end members of a family may be frozen")
 
     @property
     def size(self) -> int:
         return len(self.members)
 
 
-STABLE_WINDOW = 50     # relax-stage window (rounds); a fifth of it is the polish quiet window
+#: relax rounds without a RELAX_REL fall of the lowest family max that end
+#: the relax; a fifth of it is the polish quiet window
+STABLE_WINDOW = 50
 STABLE_REL = 1e-6      # relative spread of the polished max that counts as stationary
-#: relax-stage window: the family max only needs to settle to this
-#: level before the argmax bracket is polished at full precision
+#: relative fall of the lowest family max that counts as relax progress (the
+#: polish then reaches full precision on the argmax bracket)
 RELAX_REL = 1e-3
 VALUE_FLOOR = 1e-10    # family max at or below which the sweep has reached the bottom
 POLISH_CYCLES = 400    # bisection cycles the polish stage may spend
-#: working resolution of the family as a fraction of the chart cap;
-#: neighbors are midpoint-split beyond it (the cap itself is the tear
-#: scale, far too coarse for good nodewise interpolants)
+#: working resolution of the family as a fraction of the chart cap: the
+#: respaced family keeps its neighbors within it (the cap itself is the
+#: tear scale, far too coarse for good nodewise interpolants)
 RESOLUTION_FACTOR = 0.25
 MAX_MEMBERS = 256      # family size beyond which the sweepout counts as torn
 
@@ -305,6 +312,9 @@ class SweepOptions:
 
 @dataclass
 class SweepoutResult:
+    """Minimax value and argmax; ``insertions`` counts the interpolated members:
+    the interior of each relax round's respaced family, two per polish cycle."""
+
     value: float
     argmax_index: int
     argmax: DiscreteLoop
@@ -326,60 +336,39 @@ def validate_family(chart: Chart, family: SweepoutFamily) -> None:
                               f"(cap {chart.segment_cap})", round_index=-1)
 
 
-def _retighten(stack: _LoopStack, resolution, floor, round_index):
-    """Insert nodewise midpoints wherever neighbors exceed the resolution.
+def _resample(stack: _LoopStack, resolution, floor, round_index) -> int:
+    """Respace the family one gap limit apart; returns the rebuilt member count.
 
-    One stacked distance per pass measures all adjacent pairs and every pair
-    over its limit gets a midpoint, until none is over; each decision reads
-    only its own pair, so this is each gap split until it fits.  Pairs
-    already settled at the bottom of the landscape (both energies below
-    ``floor``) only need continuity at the tear scale (the chart cap): the
-    minimax never reads them and midpoint quality is moot there.
+    Each neighbor gap is measured in its limit: ``resolution``, or the chart
+    cap where both members sit at the landscape bottom (energy at most
+    ``floor``; the minimax never reads those).  A run of gaps with one limit
+    and one gauge is a section; its measure is rounded up to whole units,
+    so a member stays on each section border and no new gap spans two.
+    The ends stay as they are; the interior members, one unit apart, are
+    built by one stacked interpolation in the gauge of the bracketing pair.
     """
     chart = stack.chart
-    inserted = 0
-    while True:
-        dist = loop_distance(chart, stack.loop(slice(None, -1)), stack.loop(slice(1, None)))
-        low = stack.energy <= floor
-        gap = np.flatnonzero(dist > np.where(low[:-1] & low[1:], chart.segment_cap, resolution))
-        if gap.size == 0:
-            return inserted
-        if stack.size + gap.size > MAX_MEMBERS:
-            raise FamilyTearError(f"family needs more than {MAX_MEMBERS} members", round_index)
-        stack.insert(gap + 1, midpoint_loop(chart, stack.loop(gap), stack.loop(gap + 1)),
-                     tau=0.5 * (stack.tau[gap] + stack.tau[gap + 1]))
-        inserted += gap.size
-
-
-def _prune(stack: _LoopStack, resolution, floor, protect: set) -> None:
-    """Drop members whose removal keeps the family continuous.
-
-    Greedy, left to right, on the distance from the kept left neighbor to
-    the right one: one stacked call gives every (s-1, s+1) distance, and a
-    member whose left neighbor was just dropped is measured again.  Two
-    regimes: anywhere, when it is already well inside the resolution (0.4
-    hysteresis against insertion); at the landscape bottom (energy below
-    ``floor``), when it stays within 0.8 of the tear cap - settled
-    near-constant loops would otherwise accumulate in the wake of every
-    slide toward a minimum.  ``protect`` (argmax bracket) and frozen members stay.
-    """
-    chart, m = stack.chart, stack.size
-    skip = loop_distance(chart, stack.loop(slice(None, -2)), stack.loop(slice(2, None)))
+    dist, gauge = pair_distance(chart, stack.loop(slice(None, -1)), stack.loop(slice(1, None)))
     low = stack.energy <= floor
-    keep = np.ones(m, dtype=bool)
-    left = 0
-    for s in range(1, m - 1):
-        if stack.frozen[s] or s in protect:
-            left = s
-            continue
-        dist = skip[s - 1] if left == s - 1 else loop_distance(
-            chart, stack.loop(left), stack.loop(s + 1))
-        settled = low[left] and low[s] and low[s + 1]
-        if dist <= 0.4 * resolution or (settled and dist <= 0.8 * chart.segment_cap):
-            keep[s] = False
-        else:
-            left = s
-    stack.delete(np.flatnonzero(~keep))
+    limit = np.where(low[:-1] & low[1:], chart.segment_cap, resolution)
+    section = np.cumsum((np.diff(limit, prepend=limit[:1]) != 0)
+                        | (np.diff(gauge, prepend=gauge[:1]) != 0))
+    measure = dist / limit
+    total = np.bincount(section, measure)
+    units = np.ceil(total)
+    if not units.sum() <= MAX_MEMBERS - 1:          # also an unmeasurable (inf) gap
+        raise FamilyTearError(f"family needs more than {MAX_MEMBERS} members", round_index)
+    measure = measure * (units / np.maximum(total, 1e-300))[section]
+    edges = np.concatenate([[0.0], np.cumsum(measure)])
+    at = np.arange(1.0, units.sum())
+    # a member on a section border is the old member there, read off the pair it starts
+    s = np.clip(np.searchsorted(edges, at + 1e-9, side="right") - 1, 0, len(measure) - 1)
+    w = np.clip((at - edges[s]) / measure[s], 0.0, 1.0)
+    interior = midpoint_loop(chart, in_gauge(chart, stack.loop(s), gauge[s]), stack.loop(s + 1), w)
+    tau = (1.0 - w) * stack.tau[s] + w * stack.tau[s + 1]
+    stack.delete(slice(1, -1))
+    stack.insert(np.ones(at.size, dtype=int), interior, tau)
+    return at.size
 
 
 def _polish_bracket(stack: _LoopStack, k, opts, sweep):
@@ -437,9 +426,10 @@ def minimax_sweepout(chart: Chart, family: SweepoutFamily,
     A single free member degenerates exactly to ``descend``.  Two stages:
 
     1. relax - all non-frozen members take one bounded descent step per
-       round (one stacked step), with midpoint re-tightening and redundancy
-       pruning, until the family max settles at the ``RELAX_REL`` level
-       (or everything converges, or the max hits the floor);
+       round (one stacked step), and ``_resample`` then respaces the family
+       at its working resolution, until ``STABLE_WINDOW`` rounds pass
+       without the family max falling by more than ``RELAX_REL`` below its
+       lowest level (or everything converges, or the max hits the floor);
     2. polish - adaptive midpoint bisection of the argmax bracket drives
        the argmax member to an approximate critical point (preconditioned
        gradient below ``argmax_grad_tol``) and the max to ``STABLE_REL``
@@ -459,30 +449,25 @@ def minimax_sweepout(chart: Chart, family: SweepoutFamily,
 
     stack = _LoopStack.of(chart, schedule, alpha, family.members, family.frozen)
     insertions = 0
-    window: list[float] = []
     rounds = 0
     all_done = False
     resolution = chart.segment_cap * RESOLUTION_FACTOR
     move_limit = 0.5 * resolution
+    # the family max at its last fall by more than RELAX_REL, and that round
+    lowest, lowest_round = float(np.max(stack.energy)), 0
     for rounds in range(1, sweep.max_rounds + 1):
         status, _ = _armijo_step(stack, np.flatnonzero(~stack.frozen), opts.grad_tol,
                                  max_move=move_limit)
         all_done = not np.any(status == "moved")
         floor = max(VALUE_FLOOR, 1e-9 * float(np.max(np.abs(stack.energy))))
-        insertions += _retighten(stack, resolution, floor, rounds)
-        k_now = int(np.argmax(stack.energy))
-        _prune(stack, resolution, floor, {k_now - 2, k_now - 1, k_now, k_now + 1, k_now + 2})
-
+        insertions += _resample(stack, resolution, floor, rounds)
         value = float(np.max(stack.energy))
-        window.append(value)
-        if len(window) > STABLE_WINDOW:
-            window.pop(0)
         if all_done or value <= VALUE_FLOOR:
             break
-        if len(window) == STABLE_WINDOW:
-            spread = max(window) - min(window)
-            if spread <= RELAX_REL * max(abs(window[-1]), 1e-12):
-                break
+        if value < lowest - RELAX_REL * max(abs(lowest), 1e-12):
+            lowest, lowest_round = value, rounds
+        elif rounds - lowest_round >= STABLE_WINDOW:
+            break
 
     k = int(np.argmax(stack.energy))
     value = float(stack.energy[k])

@@ -242,40 +242,51 @@ def maybe_recenter(chart: Chart, loop: DiscreteLoop) -> DiscreteLoop:
                         frame=loop.frame ^ flip)
 
 
-def loop_distance(chart: Chart, a: DiscreteLoop, b: DiscreteLoop) -> float | np.ndarray:
-    """Max node chart distance, comparing in a common gauge (inf if none works).
+def in_gauge(chart: Chart, loop: DiscreteLoop, gauge) -> DiscreteLoop:
+    """The same loop stored in ``gauge`` (per member of a stack: one gauge each)."""
+    move = np.not_equal(loop.frame, gauge)
+    if not move.any():
+        return loop
+    nodes = np.where(np.expand_dims(move, (-2, -1)), chart.recenter_map(loop.nodes), loop.nodes)
+    return DiscreteLoop(nodes, np.where(move, gauge, loop.frame))
 
-    Stacks of loops are compared pair by pair: in a's gauge, then in b's
-    gauge for the pairs whose gauges differ and do not both fit in a's.
+
+def pair_distance(chart: Chart, a: DiscreteLoop, b: DiscreteLoop) -> tuple[np.ndarray, np.ndarray]:
+    """Max node chart distance of each pair of two stacks, and the gauge it is read in.
+
+    Each pair compares in a's gauge, or in b's where a's gauge does not
+    hold both loops; the distance is inf where neither does.
     """
-    if a.n_nodes != b.n_nodes:
-        return np.inf
-    an, bn = a.nodes.reshape(-1, a.n_nodes, a.dim), b.nodes.reshape(-1, a.n_nodes, a.dim)
-    flip = np.atleast_1d(a.frame != b.frame)
-    dist = np.full(len(flip), np.inf)
-    todo = ~flip | chart.has_recentering
-    for x, y in ((an, bn), (bn, an)):       # y moves into x's gauge where they differ
+    dist = np.full(np.shape(a.nodes)[:-2], np.inf)
+    gauge = np.broadcast_to(a.frame, dist.shape).copy()
+    for g in (a.frame, b.frame):
+        todo = np.isinf(dist)
         if not todo.any():
             break
-        move = flip & todo
-        if move.any():
-            y = y.copy()
-            y[move] = chart.recenter_map(y[move])
+        x, y = in_gauge(chart, a, g).nodes, in_gauge(chart, b, g).nodes
         hold = todo & (chart.contains(x) & chart.contains(y)).all(axis=-1)
         far = np.linalg.norm(chart.wrap_difference(x - y), axis=-1).max(axis=-1)
-        dist[hold] = far[hold]
-        todo = move & ~hold
-    return float(dist[0]) if a.nodes.ndim == 2 else dist
+        dist, gauge = np.where(hold, far, dist), np.where(hold, g, gauge)
+    return dist, gauge
 
 
-def midpoint_loop(chart: Chart, a: DiscreteLoop, b: DiscreteLoop) -> DiscreteLoop:
-    """Nodewise midpoint of two nearby loops, or of each pair of two stacks (in a's gauge)."""
-    flip = np.not_equal(a.frame, b.frame)
-    bn = b.nodes
-    if flip.any():
-        bn = np.where(np.expand_dims(flip, (-2, -1)), chart.recenter_map(bn), bn)
-    diff = chart.wrap_difference(bn - a.nodes)
-    return maybe_recenter(chart, make_loop(chart, a.nodes + 0.5 * diff, frame=a.frame))
+def loop_distance(chart: Chart, a: DiscreteLoop, b: DiscreteLoop) -> float | np.ndarray:
+    """Max node chart distance of two loops, or of each pair of two stacks (``pair_distance``)."""
+    if a.n_nodes != b.n_nodes:
+        return np.inf
+    dist = pair_distance(chart, a, b)[0]
+    return float(dist) if dist.ndim == 0 else dist
+
+
+def midpoint_loop(chart: Chart, a: DiscreteLoop, b: DiscreteLoop, w=0.5) -> DiscreteLoop:
+    """Nodewise point a + w (b - a) of two nearby loops, in a's gauge.
+
+    On two stacks it acts pair by pair, and ``w`` may then hold one weight
+    per pair; the default is the midpoint and ``w = 0`` returns a's nodes.
+    """
+    diff = chart.wrap_difference(in_gauge(chart, b, a.frame).nodes - a.nodes)
+    step = np.expand_dims(w, (-2, -1)) * diff if np.ndim(w) else w * diff
+    return maybe_recenter(chart, make_loop(chart, a.nodes + step, frame=a.frame))
 
 
 # ---------------------------------------------------------------------------

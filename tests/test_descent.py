@@ -4,11 +4,13 @@ import pytest
 from geolab import descent
 from geolab.charts import make_chart
 from geolab.descent import (
+    RESOLUTION_FACTOR,
     DescentOptions,
     SweepOptions,
     SweepoutFamily,
     _armijo_step,
     _LoopStack,
+    _resample,
     descend,
     minimax_sweepout,
     penalty_continuation,
@@ -22,7 +24,14 @@ from geolab.families import (
     random_loop,
     winding_band,
 )
-from geolab.loops import circle_shift, energy, make_loop, segment_checks
+from geolab.loops import (
+    circle_shift,
+    energy,
+    loop_distance,
+    make_loop,
+    pair_distance,
+    segment_checks,
+)
 from geolab.penalty import PenaltySchedule
 
 from conftest import circle_nodes
@@ -147,6 +156,9 @@ def test_birkhoff_family_construction_valid():
     # south constant, equator at |u| = 1, north constant in the flipped gauge
     assert np.allclose(family.members[0].nodes, 0)
     assert np.allclose(family.members[-1].nodes, 0)
+    # the sweepout rebuilds every interior member, so none may be frozen
+    with pytest.raises(ValueError):
+        SweepoutFamily(family.members, [True] * family.size)
 
 
 def test_birkhoff_minimax_small():
@@ -157,16 +169,75 @@ def test_birkhoff_minimax_small():
     assert abs(res.value - 4 * np.pi**2) < 0.01 * 4 * np.pi**2
     assert res.argmax_grad_norm < 1e-3
     assert res.stable
+    assert res.rounds < 200
+
+
+@pytest.mark.parametrize("variant", ["reversed", "circle_shifted"])
+def test_birkhoff_minimax_orientation_and_shift(variant):
+    # the latitude sweep read backwards, or with every member's node
+    # indexing rotated, is the same sweepout: same level, just as fast
+    sph = make_chart("sphere")
+    family = birkhoff_latitudes(sph, 17, 64)
+    if variant == "reversed":
+        other = SweepoutFamily(family.members[::-1], family.frozen[::-1])
+    else:
+        other = SweepoutFamily([circle_shift(lp, 5) for lp in family.members], family.frozen)
+    sweep = SweepOptions(max_rounds=3000)
+    fwd = minimax_sweepout(sph, family, sweep=sweep)
+    res = minimax_sweepout(sph, other, sweep=sweep)
+    assert res.stable and res.rounds < 200
+    assert abs(res.value - fwd.value) <= 1e-6 * fwd.value
 
 
 def test_latitude_sweep_pinned():
-    # the benchmark's sweep: retighten and prune passes must keep the
-    # members, and so the rounds, insertions and value, of the pair walk
+    # the benchmark's sweep: the respaced family, and so the rounds,
+    # insertions, member count and value, are pinned
     sph = make_chart("sphere")
     res = minimax_sweepout(sph, birkhoff_latitudes(sph, 9, 128),
                            sweep=SweepOptions(max_rounds=50))
-    assert (res.rounds, res.insertions, res.family.size) == (50, 370, 143)
-    assert abs(res.value - 39.49427739963668) <= 1e-12 * 39.49427739963668
+    assert (res.rounds, res.insertions, res.family.size) == (50, 1483, 44)
+    assert abs(res.value - 39.49427754661288) <= 1e-12 * 39.49427754661288
+
+
+def _sections(limit, gauge):
+    """Runs of neighbor pairs that share one limit and one gauge (index lists)."""
+    runs = [[0]]
+    for s in range(1, len(limit)):
+        if limit[s] == limit[s - 1] and gauge[s] == gauge[s - 1]:
+            runs[-1].append(s)
+        else:
+            runs.append([s])
+    return runs
+
+
+def test_resample_spacing_on_relaxed_latitudes():
+    sph = make_chart("sphere")
+    family = birkhoff_latitudes(sph, 17, 64)
+    stack = _LoopStack.of(sph, None, None, family.members, family.frozen)
+    resolution = RESOLUTION_FACTOR * sph.segment_cap
+    floor = 1e-9 * 4 * np.pi**2
+    for r in range(1, 21):
+        _armijo_step(stack, np.flatnonzero(~stack.frozen), 1e-8, max_move=0.5 * resolution)
+        _resample(stack, resolution, floor, r)
+    _armijo_step(stack, np.flatnonzero(~stack.frozen), 1e-8, max_move=0.5 * resolution)
+    ends = [(stack.nodes[i].copy(), stack.frame[i], stack.energy[i]) for i in (0, -1)]
+    dist, gauge = pair_distance(sph, stack.loop(slice(None, -1)), stack.loop(slice(1, None)))
+    low = stack.energy <= floor
+    limit = np.where(low[:-1] & low[1:], sph.segment_cap, resolution)
+    units = [np.ceil(np.sum(dist[run] / limit[run])) for run in _sections(limit, gauge)]
+    assert len(units) > 1        # the family crosses the gauge seam
+
+    built = _resample(stack, resolution, floor, 21)
+    assert stack.size == sum(units) + 1 == built + 2
+    assert stack.size >= np.ceil(np.sum(dist / limit)) + 1
+    for i, (nodes, frame, e) in zip((0, -1), ends):
+        assert np.array_equal(stack.nodes[i], nodes) and stack.frame[i] == frame
+        assert stack.energy[i] == e
+    assert not stack.frozen[1:-1].any()
+    low = stack.energy <= floor
+    limit = np.where(low[:-1] & low[1:], sph.segment_cap, resolution)
+    gaps = loop_distance(sph, stack.loop(slice(None, -1)), stack.loop(slice(1, None)))
+    assert np.all(gaps <= limit + 1e-12)
 
 
 def test_family_tear_budget(monkeypatch):

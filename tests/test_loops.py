@@ -19,8 +19,10 @@ from geolab.loops import (
     loop_distance,
     loop_to_json_dict,
     make_loop,
+    maybe_recenter,
     midpoint_loop,
     one_sided_velocities,
+    pair_distance,
     sample_curve,
     winding_numbers,
 )
@@ -237,6 +239,44 @@ def test_stacked_neighbor_calls_sphere_gauges():
     assert abs(dist[1] - 0.1) < 1e-12
     assert abs(dist[2] - 5.05) < 1e-12
     assert dist[3] == np.inf
+    # the gauge each distance is read in: a's, or b's where a's cannot hold both
+    a, b = stack_of([p[0] for p in pairs]), stack_of([p[1] for p in pairs])
+    assert list(pair_distance(sph, a, b)[1]) == [0, 0, 1, 0]
+
+
+def test_weighted_midpoint_loop():
+    sph = make_chart("sphere")
+    n = 16
+    pairs = [
+        (make_loop(sph, circle_nodes(0.5, n)), make_loop(sph, circle_nodes(0.6, n, (0.05, 0.0)))),
+        (make_loop(sph, circle_nodes(0.8, n)),
+         make_loop(sph, sph.recenter_map(circle_nodes(0.9, n)), frame=1)),
+        (make_loop(sph, circle_nodes(0.3, n), frame=1), make_loop(sph, circle_nodes(0.35, n))),
+    ]
+    a, b = stack_of([p[0] for p in pairs]), stack_of([p[1] for p in pairs])
+    # the default weight is the midpoint as it was always taken: b in a's
+    # gauge, half the wrapped difference, then recentered
+    flip = a.frame != b.frame
+    bn = np.where(flip[:, None, None], sph.recenter_map(b.nodes), b.nodes)
+    old = maybe_recenter(sph, make_loop(sph, a.nodes + 0.5 * sph.wrap_difference(bn - a.nodes),
+                                        frame=a.frame))
+    mids = midpoint_loop(sph, a, b)
+    assert np.array_equal(mids.nodes, old.nodes) and np.array_equal(mids.frame, old.frame)
+    assert np.array_equal(midpoint_loop(sph, a, b, 0.5).nodes, mids.nodes)
+    # weight 0 is a itself, bit for bit
+    for a1, b1 in pairs:
+        assert np.array_equal(midpoint_loop(sph, a1, b1, 0.0).nodes, a1.nodes)
+    assert np.array_equal(midpoint_loop(sph, a, b, np.zeros(3)).nodes, a.nodes)
+    # one weight per pair on a stack equals the pairs taken one at a time
+    w = np.array([0.25, 0.7, 0.0])
+    stacked = midpoint_loop(sph, a, b, w)
+    for s, (a1, b1) in enumerate(pairs):
+        alone = midpoint_loop(sph, a1, b1, w[s])
+        assert np.array_equal(stacked.nodes[s], alone.nodes)
+        assert stacked.frame[s] == alone.frame
+    # in one gauge the weight is the fraction of the pair's distance
+    part = loop_distance(sph, pairs[0][0], DiscreteLoop(stacked.nodes[0], stacked.frame[0]))
+    assert abs(part - 0.25 * loop_distance(sph, *pairs[0])) < 1e-12
 
 
 def test_stacked_neighbor_calls_cylinder_wrap():
