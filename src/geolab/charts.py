@@ -1,11 +1,11 @@
 """Chart-based Riemannian metrics and the geodesic flow.
 
-Every manifold in the zoo is presented in a single global coordinate chart
-of dimension ``d`` (the zoo is 2D, the machinery dimension-generic).  A
-chart knows its metric tensor with analytic first and second metric
-derivatives, an optional exhaustion coordinate ``r`` for non-compact
-manifolds, and domain guards.  The finite-difference ``Chart.metric_deriv``
-is kept as the oracle of the analytic derivatives.
+Every manifold in the zoo is a surface, presented in a single global
+coordinate chart of dimension ``d`` = 2.  A chart knows its metric tensor
+with analytic first and second metric derivatives, an optional exhaustion
+coordinate ``r`` for non-compact manifolds, and domain guards.  The
+finite-difference ``Chart.metric_deriv`` is kept as the oracle of the
+analytic derivatives.
 
 Index conventions used throughout:
 
@@ -289,7 +289,7 @@ def _geodesic_rhs(chart: Chart, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarra
     return v, acc
 
 
-def geodesic_flow(chart: Chart, start: TangentVector, t: float, steps: int = 256) -> TangentVector:
+def geodesic_flow(chart: Chart, start: TangentVector, t: float, steps: int) -> TangentVector:
     """Integrate the geodesic equation with fixed-step classical RK4.
 
     Returns the endpoint (position, velocity).  Chart-domain escape raises
@@ -383,7 +383,7 @@ def _integrate(chart: Chart, rhs, state: tuple, t: float, steps: int, what: str)
     return tuple(y[0] for y in traj)
 
 
-def flow_trajectory(chart: Chart, start: TangentVector, t: float, steps: int = 256) -> tuple:
+def flow_trajectory(chart: Chart, start: TangentVector, t: float, steps: int) -> tuple:
     """Full RK4 trajectory of the geodesic flow from one start or a batch of starts.
 
     One start (base and velocity of shape (d,)) gives x and v of shape
@@ -671,7 +671,8 @@ class SphereStereographic(_ConformalChart):
     def recenter_map(self, x):
         x = np.asarray(x, dtype=float)
         s = np.sum(x**2, axis=-1, keepdims=True)
-        out = x / np.maximum(s, 1e-300)
+        # the origin's image is chart infinity, a point no chart holds
+        out = np.where(s > 0, x / np.maximum(s, 1e-300), np.inf)
         out[..., 1] *= -1
         return out
 

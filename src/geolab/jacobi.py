@@ -1,14 +1,20 @@
 """Linearized geodesic flow: Jacobi fields, monodromy, conjugate points.
 
-Along a geodesic we carry a g-orthonormal frame by parallel transport; in
-that frame the Jacobi equation becomes the linear system
+Every chart in the zoo is a surface, and the flow below is written for
+d = 2.  Along a geodesic the velocity frame e_1 = v / |v|_g, e_2 = e_1
+turned +90 degrees is parallel, and in it the Jacobi operator is
 
-    xi'' + Rt(s) xi = 0,     Rt_ab(s) = g( R(e_b, v) v, e_a ),
+    Rt(s) = K(x(s)) |v|_g^2 diag(0, 1),
 
-with Rt symmetric.  The fundamental solution Phi(s) of the first-order form
-is symplectic; its upper-right d x d block B(s) propagates purely vertical
-initial conditions (xi(0) = 0), so conjugate points are the zeros of
-det B(s), with multiplicity dim ker B(s).
+so a Jacobi field splits into a tangential part xi_1'' = 0 (the shear
+[[1, s], [0, 1]]) and one scalar normal equation y'' + K |v|_g^2 y = 0,
+whose 2 x 2 fundamental matrix Y is all the flow integrates.  The
+fundamental solution Phi(s) = shear (+) Y of the first-order form is
+symplectic; its upper-right block B(s) = diag(s, y(s)) propagates purely
+vertical initial conditions (xi(0) = 0), so conjugate points are the zeros
+of det B(s) = s y(s).  A nontrivial solution of a second-order linear
+scalar equation has only simple zeros: each conjugate point is a sign
+change of det B with multiplicity 1.
 
 For a closed geodesic, expressing the time-1 fundamental matrix in a single
 basis (undoing the holonomy of the frame) produces the linearized return
@@ -34,7 +40,6 @@ from .charts import (
     TangentVector,
     _integrate,
     christoffels,
-    curvature_operator,
     metric_speed,
     sectional_curvature,
 )
@@ -47,12 +52,13 @@ from .errors import (
 from .loops import DiscreteLoop, energy, one_sided_velocities
 
 DET_ENDPOINT_REL = 1e-7     # |det B(t)| below this (relative) counts the endpoint
-DET_TANGENT_REL = 1e-8      # local minima of |det B| hunted below this (relative)
 TIME_TOL = 1e-6
 ENDPOINT_MARGIN = 1e-3      # O(1/N^2) wander of a conjugate time sitting at the endpoint
 UNIT_TOL = 1e-4             # an eigenvalue this close to a unit root omega counts as omega
 RANK_REL = 1e-4             # singular values below this (relative) span the kernel
 CLOSURE_TOL = 1e-2          # closure residual (relative to the speed) of a shot orbit
+SHOOT_TOL = 1e-9            # closure residual (relative to the speed) that ends the shooting
+SHOOT_MAX_ITER = 8          # Gauss-Newton steps of one shooting
 STEPS_PER_UNIT = 32         # RK4 steps per unit length of an at-infinity segment
 ORBIT_STEPS = 512           # RK4 steps of an analysed loop's outgoing orbit over [0, 1]
 
@@ -66,7 +72,7 @@ def symplectic_defect(m: np.ndarray) -> float:
 
 @dataclass
 class MonodromyMatrix:
-    """Fundamental Jacobi solution over [0, t] in a parallel orthonormal frame.
+    """Fundamental Jacobi solution over [0, t] in the (parallel) velocity frame.
 
     ``matrix`` maps (xi(0), D xi(0)) frame components to (xi(t), D xi(t))
     frame components; ``frame0``/``frame1`` hold the frame vectors (columns,
@@ -131,77 +137,73 @@ class ConjugateReport:
         return sum(m for s, m in self.times if s < self.t - ENDPOINT_MARGIN)
 
 
-def orthonormal_frame(chart: Chart, x: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-    """g-orthonormal frame at x (columns); first vector along v when given."""
-    d = chart.dim
+def _speed_sq(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """g(v, v) over leading batch axes."""
+    return np.sum(v * (g @ v[..., None])[..., 0], axis=-1)
+
+
+def velocity_frame(chart: Chart, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """g-orthonormal frame (columns) e_1 = v / |v|_g, e_2 = e_1 turned +90 degrees,
+    at one point or over leading batch axes; parallel along a geodesic."""
     g = chart.metric(x)
-    candidates = []
-    if v is not None and np.linalg.norm(v) > 0:
-        candidates.append(np.asarray(v, dtype=float))
-    candidates.extend(np.eye(d))
-    cols = []
-    for c in candidates:
-        w = c.copy()
-        for e in cols:
-            w = w - (e @ g @ w) * e
-        nrm2 = w @ g @ w
-        if nrm2 > 1e-20:
-            cols.append(w / np.sqrt(nrm2))
-        if len(cols) == d:
-            break
-    return np.stack(cols, axis=1)
+    gv = (g @ v[..., None])[..., 0]
+    speed = np.sqrt(np.sum(v * gv, axis=-1))[..., None]
+    # (-(g v)_2, (g v)_1) is g-orthogonal to v, positively oriented, of g-norm
+    # sqrt(det g) |v|_g
+    normal = np.stack([-gv[..., 1], gv[..., 0]], axis=-1)
+    det_g = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    return np.stack([v / speed, normal / (speed * np.sqrt(det_g)[..., None])], axis=-1)
 
 
-def _jacobi_rhs(chart: Chart, x, v, e, phi):
-    d = chart.dim
-    gam = christoffels(chart, x)
-    gam_v = -np.einsum("...kij,...i->...kj", gam, v)      # -Gamma(v, .)
+def _jacobi_rhs(chart: Chart, x, v, y):
+    gam_v = -np.einsum("...kij,...i->...kj", christoffels(chart, x), v)   # -Gamma(v, .)
     acc = (gam_v @ v[..., None])[..., 0]
-    de = gam_v @ e
-    g = chart.metric(x)
-    rop = curvature_operator(chart, x, v)
-    rt = e.swapaxes(-1, -2) @ g @ rop @ e
-    rt = 0.5 * (rt + rt.swapaxes(-1, -2))
-    dphi = np.empty_like(phi)
-    dphi[..., :d, :] = phi[..., d:, :]
-    dphi[..., d:, :] = -rt @ phi[..., :d, :]
-    return v, acc, de, dphi
+    k_vv = chart.gauss_curvature(x) * _speed_sq(chart.metric(x), v)
+    dy = np.empty_like(y)
+    dy[..., 0, :] = y[..., 1, :]
+    dy[..., 1, :] = -k_vv[..., None] * y[..., 0, :]
+    return v, acc, dy
 
 
-def _integrate_jacobi(chart: Chart, start: TangentVector, t: float, steps: int,
-                      initial_frame: np.ndarray | None = None):
+def _integrate_jacobi(chart: Chart, start: TangentVector, t: float, steps: int):
     """Grid integration of (x, v, frame, Phi) from one start or a batch of starts.
 
+    RK4 steps (x, v, Y), Y the fundamental matrix of the normal equation;
+    the velocity frames and Phi = shear (+) Y are read off the grid after.
     One start (base and velocity of shape (d,)) returns the per-step
     arrays x, v, e, Phi, each with leading axis steps+1, and raises
     DomainEscapeError with the exit time when the geodesic leaves the chart.
-    A batch (shape (B, d); ``initial_frame`` (B, d, d) if given) is stepped
-    as one state and returns the four arrays with leading axes (B, steps+1)
-    plus the exit times (B,): inf for a member that stayed inside, n h when
-    a stage point of step n left the chart and (n+1) h when its new point
-    did.  A member's rows are NaN from its exit on.
+    A batch (shape (B, d)) is stepped as one state and returns the four
+    arrays with leading axes (B, steps+1) plus the exit times (B,): inf for
+    a member that stayed inside, n h when a stage point of step n left the
+    chart and (n+1) h when its new point did.  A member's rows are NaN from
+    its exit on.  A chart that is not a surface raises NotImplementedError,
+    a start with zero metric speed ValueError.
     """
-    d = chart.dim
+    if chart.dim != 2:
+        raise NotImplementedError(f"{chart.name}: the Jacobi flow is written for surfaces "
+                                  f"(d = 2), not d = {chart.dim}")
     x = np.asarray(start.base, dtype=float)
     v = np.asarray(start.v, dtype=float)
-    if initial_frame is not None:
-        e = np.array(initial_frame, dtype=float)
-    elif x.ndim > 1:
-        e = np.array([orthonormal_frame(chart, xb, vb) for xb, vb in zip(x, v)])
-    else:
-        e = orthonormal_frame(chart, x, v)
-    phi = np.broadcast_to(np.eye(2 * d), x.shape[:-1] + (2 * d, 2 * d))
+    if not np.all(_speed_sq(chart.metric(x), v) > 0):
+        raise ValueError("a Jacobi flow start needs a nonzero metric speed")
+    y = np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
     rhs = functools.partial(_jacobi_rhs, chart)
-    return _integrate(chart, rhs, (x, v, e, phi), t, steps,
-                      " during Jacobi propagation")
+    xs, vs, ys, *exit_time = _integrate(chart, rhs, (x, v, y), t, steps,
+                                        " during Jacobi propagation")
+    phis = np.zeros(ys.shape[:-2] + (4, 4))
+    phis[..., 0, 0] = phis[..., 2, 2] = 1.0
+    phis[..., 0, 2] = np.linspace(0.0, t, steps + 1)
+    phis[..., 1::2, 1::2] = ys
+    phis[np.isnan(xs[..., 0])] = np.nan
+    return (xs, vs, velocity_frame(chart, xs, vs), phis, *exit_time)
 
 
-def jacobi_propagate(chart: Chart, start: TangentVector, t: float, steps: int = 512,
-                     initial_frame: np.ndarray | None = None) -> MonodromyMatrix:
+def jacobi_propagate(chart: Chart, start: TangentVector, t: float, steps: int) -> MonodromyMatrix:
     """Fundamental Jacobi solution over [0, t] (columns = propagated basis ICs)."""
     if t <= 0:
         raise ValueError("t must be positive")
-    return MonodromyMatrix.of_grid(_integrate_jacobi(chart, start, t, steps, initial_frame))
+    return MonodromyMatrix.of_grid(_integrate_jacobi(chart, start, t, steps))
 
 
 def is_moving(chart: Chart, loop: DiscreteLoop) -> bool:
@@ -220,7 +222,7 @@ def outgoing_orbit(chart: Chart, loop: DiscreteLoop) -> tuple:
 def _refine_root(grid_t: np.ndarray, phis: np.ndarray, k: int):
     """Bisect a sign change of det B inside (grid_t[k], grid_t[k+1]) on the cubic
     Hermite interpolant of B = Phi[:d, d:], whose derivative Phi[d:, d:] the grid
-    holds (Phi' = [[0, I], [-Rt, 0]] Phi); returns the root and B there."""
+    holds (Phi' = [[0, I], [-Rt, 0]] Phi); returns the root."""
     d = phis.shape[-1] // 2
     lo, hi = grid_t[k], grid_t[k + 1]
     b0, b1 = phis[k, :d, d:], phis[k + 1, :d, d:]
@@ -239,25 +241,17 @@ def _refine_root(grid_t: np.ndarray, phis: np.ndarray, k: int):
             hi = mid
         else:
             lo, flo = mid, fmid
-    s_star = 0.5 * (lo + hi)
-    return s_star, b_at(s_star)
-
-
-def _kernel_dim(b: np.ndarray) -> int:
-    sv = np.linalg.svd(b, compute_uv=False)
-    scale = max(float(sv[0]), 1e-300)
-    return int(np.sum(sv < RANK_REL * scale))
+    return 0.5 * (lo + hi)
 
 
 def conjugate_points(chart: Chart, start: TangentVector, t: float,
-                     steps: int = 512) -> ConjugateReport:
+                     steps: int) -> ConjugateReport:
     """Locate conjugate times in (0, t] by zeros of det B(s) on one integrated grid.
 
     Sign changes are bisected on the grid's interpolant of B to ``TIME_TOL``;
-    multiplicity is the numerical kernel dimension of B at the refined
-    root.  Tangential zeros (no sign change) are hunted through local
-    minima of |det B| below 1e-8 relative, and a root at the right endpoint
-    is detected by |det B(t)| alone.
+    a root at the right endpoint is detected by |det B(t)| alone.  Every
+    root is simple (multiplicity 1): det B = s y with y a nontrivial
+    solution of the scalar normal equation.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -273,45 +267,15 @@ def _scan_conjugate_points(t: float, phis: np.ndarray) -> ConjugateReport:
     scale = float(np.max(np.abs(dets)))
     if scale <= 0 or np.all(np.abs(dets[steps // 8:]) < 1e-12 * max(scale, 1e-300)):
         raise DegenerateIntervalError("det B(s) vanishes identically on the grid")
-    found: list[tuple[float, int]] = []
-
     # guard against the trivial root at s = 0 (B(s) ~ s I near the start)
     s_min = max(2 * t / steps, 1e-9)
-
-    for k in range(steps):
-        if grid_t[k + 1] <= s_min:
-            continue
-        if dets[k] * dets[k + 1] < 0 and abs(dets[k + 1]) > DET_ENDPOINT_REL * scale * 1e-2:
-            s_star, b = _refine_root(grid_t, phis, k)
-            mult = _kernel_dim(b)
-            if mult > 0:
-                found.append((s_star, mult))
-        elif (
-            0 < k < steps
-            and abs(dets[k]) < DET_TANGENT_REL * scale
-            and abs(dets[k]) <= abs(dets[k - 1])
-            and abs(dets[k]) <= abs(dets[k + 1])
-            and dets[k - 1] * dets[k + 1] > 0
-        ):
-            b = phis[k][:d, d:]
-            mult = _kernel_dim(b)
-            if mult > 0:
-                found.append((grid_t[k], mult))
-
+    sign_change = ((grid_t[1:] > s_min) & (dets[:-1] * dets[1:] < 0)
+                   & (np.abs(dets[1:]) > DET_ENDPOINT_REL * scale * 1e-2))
+    roots = [_refine_root(grid_t, phis, k) for k in np.flatnonzero(sign_change)]
     # endpoint: a conjugate point exactly at s = t has no sign change to see
-    if abs(dets[-1]) < DET_ENDPOINT_REL * scale:
-        mult = _kernel_dim(phis[-1][:d, d:])
-        if mult > 0 and (not found or t - found[-1][0] > 10 * TIME_TOL):
-            found.append((t, mult))
-
-    # merge refined roots that collapsed to the same time
-    merged: list[tuple[float, int]] = []
-    for s, m in sorted(found):
-        if merged and s - merged[-1][0] <= 10 * TIME_TOL:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], m))
-        else:
-            merged.append((s, m))
-    return ConjugateReport(times=merged, t=t)
+    if abs(dets[-1]) < DET_ENDPOINT_REL * scale and (not roots or t - roots[-1] > 10 * TIME_TOL):
+        roots.append(t)
+    return ConjugateReport(times=[(s, 1) for s in roots], t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -332,26 +296,27 @@ def _chart_to_covariant(chart: Chart, x, v, e):
     return out
 
 
-def refine_closed_orbit(chart: Chart, grid: tuple, max_iter: int = 8,
-                        tol: float = 1e-9) -> tuple[MonodromyMatrix, float]:
+def refine_closed_orbit(chart: Chart, grid: tuple) -> tuple[MonodromyMatrix, float]:
     """Gauss-Newton shooting that closes up an approximately periodic geodesic.
 
     ``grid`` (over [0, 1]) is the first shot; later shots use its step count.
-    Takes at most ``max_iter`` Gauss-Newton steps.  Returns the fundamental
-    solution of the last shooting, whose ``start`` is the corrected initial
-    condition, and the closure residual of that same shooting.  The
+    Takes at most ``SHOOT_MAX_ITER`` Gauss-Newton steps and stops at a
+    closure residual below ``SHOOT_TOL`` (relative to the speed).  Returns
+    the fundamental solution of the last shooting, whose ``start`` is the
+    corrected initial condition, and the closure residual of that same
+    shooting.  The
     linearization of the return map has the orbit's symmetry directions in
     its kernel, so the step uses a least-squares pseudo-inverse.
     """
     mono = MonodromyMatrix.of_grid(grid)
     x0, v0 = mono.start.base, mono.start.v
     speed = max(metric_speed(chart, x0, v0), 1e-12)
-    for it in range(max_iter + 1):
+    for it in range(SHOOT_MAX_ITER + 1):
         fx = chart.wrap_difference(mono.end.base - x0)
         fv = mono.end.v - v0
         f = np.concatenate([fx, fv])
         residual = float(np.linalg.norm(f))
-        if residual < tol * speed or it == max_iter:
+        if residual < SHOOT_TOL * speed or it == SHOOT_MAX_ITER:
             return mono, residual
         a0 = _chart_to_covariant(chart, x0, v0, mono.frame0)
         a1 = _chart_to_covariant(chart, mono.end.base, mono.end.v, mono.frame1)
@@ -361,6 +326,12 @@ def refine_closed_orbit(chart: Chart, grid: tuple, max_iter: int = 8,
         x0 = x0 + step[: chart.dim]
         v0 = v0 + step[chart.dim:]
         mono = jacobi_propagate(chart, TangentVector(x0, v0), 1.0, len(grid[0]) - 1)
+
+
+def _kernel_dim(b: np.ndarray) -> int:
+    sv = np.linalg.svd(b, compute_uv=False)
+    scale = max(float(sv[0]), 1e-300)
+    return int(np.sum(sv < RANK_REL * scale))
 
 
 def eigenspace_dimension(p: np.ndarray, omega: complex) -> int:

@@ -129,6 +129,18 @@ def test_concentric_family_descends_to_zero():
     assert res.stable
 
 
+def test_pole_to_pole_family_is_torn():
+    # the two gauges' chart origins are the two poles, pi apart on the
+    # sphere: each gauge holds the other's origin at chart infinity
+    sph = make_chart("sphere")
+    south = make_loop(sph, np.zeros((16, 2)))
+    north = make_loop(sph, np.zeros((16, 2)), frame=1)
+    assert not np.any(np.isfinite(sph.recenter_map(np.zeros(2))))
+    assert loop_distance(sph, south, north) == np.inf
+    with pytest.raises(FamilyTearError):
+        validate_family(sph, SweepoutFamily([south, north], [True, True]))
+
+
 def test_winding_family_funnel_waist_value():
     fun = make_chart("funnel")
     family = winding_band(fun, 5, 96, z_center=1.0, z_halfwidth=0.5)

@@ -10,11 +10,11 @@ from geolab.jacobi import (
     eigenspace_dimension,
     jacobi_propagate,
     nullity_via_monodromy,
-    orthonormal_frame,
     outgoing_orbit,
     refine_closed_orbit,
     shoot_closed_orbit,
     symplectic_defect,
+    velocity_frame,
 )
 from geolab.loops import make_loop
 
@@ -71,8 +71,7 @@ def test_propagation_multiplicative():
     t = 0.9
     full = jacobi_propagate(fun, start, 2 * t, 512)
     first = jacobi_propagate(fun, start, t, 256)
-    second = jacobi_propagate(fun, TangentVector(first.end.base, first.end.v), t, 256,
-                              initial_frame=first.frame1)
+    second = jacobi_propagate(fun, TangentVector(first.end.base, first.end.v), t, 256)
     composed = second.matrix @ first.matrix
     assert np.max(np.abs(composed - full.matrix)) < 1e-5
 
@@ -80,12 +79,15 @@ def test_propagation_multiplicative():
 def test_orthonormal_frame_is_orthonormal(zoo_chart, rng):
     x = sample_inside(zoo_chart, rng)
     v = rng.standard_normal(2)
-    e = orthonormal_frame(zoo_chart, x, v)
+    e = velocity_frame(zoo_chart, x, v)
     g = zoo_chart.metric(x)
     gram = e.T @ g @ e
     assert np.allclose(gram, np.eye(2), atol=1e-12)
-    # first vector along v: their 2-D cross product vanishes
+    # first vector along v (their 2-D cross product vanishes), the pair
+    # positively oriented; -v gives the frame turned by pi
     assert abs(e[0, 0] * v[1] - e[1, 0] * v[0]) < 1e-12 * np.linalg.norm(v)
+    assert e[:, 0] @ v > 0 and np.linalg.det(e) > 0
+    assert np.array_equal(velocity_frame(zoo_chart, x, -v), -e)
 
 
 def test_sphere_conjugate_points_half_and_full():
@@ -353,7 +355,9 @@ def test_batched_integration_equals_per_start():
                 jacobi._integrate_jacobi(sph, start, 1.0, steps)
             assert jacobi_exit[i] == jexc.value.exit_time
             last = np.flatnonzero(np.isfinite(xs[i, :, 0]))[-1]
-            assert np.all(np.isnan(xs[i, last + 1:])) and np.all(np.isnan(grid[3][i, last + 1:]))
+            assert np.all(np.isnan(xs[i, last + 1:]))
+            # every returned row from the exit on, the assembled shear entries included
+            assert all(np.all(np.isnan(a[i, last + 1:])) for a in grid)
             exits.append("stage" if exc.exit_time == last * h else "point")
             continue
         assert np.isinf(flow_exit[i]) and np.isinf(jacobi_exit[i])
@@ -369,3 +373,29 @@ def test_close_check_rejects_compact_chart():
     sph = make_chart("sphere")
     with pytest.raises(ValueError):
         close_conjugate_points_check(sph, ell=1.0, k_radius=0.0)
+
+
+def test_jacobi_flow_refuses_a_chart_that_is_not_a_surface(monkeypatch):
+    class FlatSpace(FlatPlane):
+        dim = 3
+
+        def metric(self, x):
+            return np.broadcast_to(np.eye(3), np.shape(x)[:-1] + (3, 3))
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("the flow stepped")
+
+    monkeypatch.setattr(charts, "_rk4_batch", no_flow)
+    with pytest.raises(NotImplementedError, match="surface"):
+        jacobi._integrate_jacobi(FlatSpace(), TangentVector(np.zeros(3), [1.0, 0.0, 0.0]),
+                                 1.0, 16)
+
+
+def test_jacobi_flow_refuses_a_start_at_rest():
+    # the velocity frame e_1 = v / |v|_g needs a moving start
+    plane = make_chart("plane")
+    with pytest.raises(ValueError, match="speed"):
+        jacobi._integrate_jacobi(plane, TangentVector([0.0, 0.0], [0.0, 0.0]), 1.0, 16)
+    batch = TangentVector([[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="speed"):
+        jacobi._integrate_jacobi(plane, batch, 1.0, 16)

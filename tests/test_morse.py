@@ -5,8 +5,15 @@ from hypothesis import strategies as st
 
 from geolab.charts import make_chart
 from geolab.errors import CrossCheckError
-from geolab.jacobi import outgoing_orbit, shoot_closed_orbit
-from geolab.loops import DiscreteLoop, circle_shift, energy_gradient, iterate, make_loop
+from geolab.jacobi import eigenspace_dimension, outgoing_orbit, shoot_closed_orbit
+from geolab.loops import (
+    DiscreteLoop,
+    circle_shift,
+    energy_gradient,
+    in_gauge,
+    iterate,
+    make_loop,
+)
 from geolab.morse import (
     SecondVariation,
     assemble_second_variation,
@@ -311,6 +318,47 @@ def test_twisted_inertia_invariant_under_circle_action_reversal_and_conjugation(
     assert inertia(circle_shift(loop, shift), omega) == base
     assert inertia(DiscreteLoop(loop.nodes[::-1]), omega) == base
     assert inertia(loop, np.conj(omega)) == base
+
+
+#: turns k/m of the unit roots omega = exp(2 pi i k/m), m <= 3
+UNIT_ROOT_TURNS = (0.0, 1 / 3, 1 / 2, 2 / 3)
+
+
+def jacobi_invariants(chart, loop):
+    """Open conjugate count of the outgoing orbit and the return map's
+    eigenspace dimensions at every unit root of order at most 3."""
+    report, grid = outgoing_conjugate_report(chart, loop)
+    p = shoot_closed_orbit(chart, grid).return_map()
+    return report.count_open(), [eigenspace_dimension(p, np.exp(2j * np.pi * f))
+                                 for f in UNIT_ROOT_TURNS]
+
+
+@pytest.fixture(scope="module")
+def rotation_orbits():
+    # orbits of rotation isometries: every basepoint and either direction
+    # sees the same conjugate times and a conjugate return map
+    out = {}
+    for name in ("sphere", "funnel", "bumped_cylinder"):
+        chart = make_chart(name)
+        loop = (great_circle_loop if name == "sphere" else waist_loop)(chart, 128)
+        out[name] = chart, loop, jacobi_invariants(chart, loop)
+    return out
+
+
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(["sphere", "funnel", "bumped_cylinder"]),
+       shift=st.integers(0, 127), reverse=st.booleans(), flip=st.booleans())
+def test_jacobi_invariants_under_circle_action_reversal_and_gauge_flip(
+        rotation_orbits, name, shift, reverse, flip):
+    # count_open, not count: after the gauge flip the endpoint root can sit
+    # just past t = 1
+    chart, loop, base = rotation_orbits[name]
+    moved = circle_shift(loop, shift)
+    if reverse:          # the reversed loop keeps node 0 as its basepoint
+        moved = DiscreteLoop(np.roll(moved.nodes[::-1], 1, axis=0), moved.frame)
+    if flip and chart.has_recentering:
+        moved = in_gauge(chart, moved, 1)
+    assert jacobi_invariants(chart, moved) == base
 
 
 @pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (4, 3)])
