@@ -45,6 +45,7 @@ from .families import (
 )
 from .jacobi import (
     _integrate_jacobi,
+    _scan_conjugate_points,
     close_conjugate_points_check,
     eigenspace_dimension,
     is_moving,
@@ -124,10 +125,10 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
     Each analysis artefact is computed once per loop: the exact penalized
     Hessian and its spectrum (index, nullity, lemma bound, and through its
     pinned block the Dirichlet index), and, for a moving loop, one
-    integration of its ``outgoing_orbit``: the conjugate scan reads it (cp_1,
-    based cross-check) and, for a genuine loop, the shooting starts from it
-    (its return map gives ``nullity_monodromy`` and checks each omega-nullity
-    of the Bott table), next to the quadrature Hessian.  The Bott table
+    integration of its ``outgoing_orbit``, whose conjugate scan gives cp_1.
+    For a genuine loop the shooting starts from it; the last shot's return map
+    gives ``nullity_monodromy`` and the Bott omega-nullities, its conjugate
+    scan the based cross-check, next to the quadrature Hessian.  The Bott table
     (``with_bott``) solves one omega-twisted copy of the unpenalized N-node
     Hessian per root of unity and per arc of the mean-index average; no
     iterate is assembled.  ``find`` calls this once per census key (see
@@ -169,9 +170,11 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
         "gradient_norm": sv.gradient_norm,
     }
     if cls.case == "genuine" and orbit is not None:
-        return_map = shoot_closed_orbit(chart, orbit).return_map()
+        closed = shoot_closed_orbit(chart, orbit)
+        return_map = closed.return_map()
         record["nullity_monodromy"] = eigenspace_dimension(return_map, 1.0)
-        record["based_cross_check"] = based_index_verdict(conj, sv)
+        record["based_cross_check"] = based_index_verdict(
+            _scan_conjugate_points(1.0, closed.grid[3]), sv)
         sv_q = assemble_second_variation(chart, loop, schedule, alpha,
                                          method="continuum_quadrature")
         spec_q = index_and_nullity(sv_q)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass, field
 
 import yaml
@@ -10,6 +11,14 @@ from .charts import CHART_BUILDERS
 from .errors import ConfigError
 
 SUBCOMMANDS = ("find", "sweep", "analyze", "verify", "export")
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader with YAML 1.2 floats: 1.1 reads ``1e-08`` (``json.dumps(1e-8)``) as a string."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"), list("-+.0123456789"))
 
 
 @dataclass
@@ -123,7 +132,7 @@ class RunConfig:
 def load_config(path) -> RunConfig:
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_Loader)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as exc:

@@ -50,9 +50,5 @@ class NotAGeodesicError(GeolabError):
     """A loop handed to geodesic-only analysis does not close up as a geodesic."""
 
 
-class DegenerateIntervalError(GeolabError):
-    """det B(s) stayed below the rank threshold on a whole interval."""
-
-
 class CrossCheckError(GeolabError):
     """Two independent computations of the same quantity disagree (hard failure)."""

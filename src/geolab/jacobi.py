@@ -12,20 +12,23 @@ whose 2 x 2 fundamental matrix Y is all the flow integrates.  The
 fundamental solution Phi(s) = shear (+) Y of the first-order form is
 symplectic; its upper-right block B(s) = diag(s, y(s)) propagates purely
 vertical initial conditions (xi(0) = 0), so conjugate points are the zeros
-of det B(s) = s y(s).  A nontrivial solution of a second-order linear
-scalar equation has only simple zeros: each conjugate point is a sign
-change of det B with multiplicity 1.
+of y = Phi[1, 3] (y(0) = 0, y'(0) = 1).  Its lifted Prufer angle theta =
+arg(y' + i y) has theta' = 1 wherever y = 0: it crosses each multiple of pi
+once and upward, so the count on (0, s] is floor(theta(s) / pi) and each
+zero is simple.  Lifting theta from grid nodes needs each step to turn it by
+less than pi; with K |v|_g^2 = w^2 it gains pi per half period pi / w, so
+RK4's own stability bound h w < 2 sqrt(2) suffices.
 
 For a closed geodesic, expressing the time-1 fundamental matrix in a single
 basis (undoing the holonomy of the frame) produces the linearized return
 map P; the nullity of the m-fold iterate is the kernel dimension of
 P^m - Id, the sum of dim ker(P - omega Id) over omega^m = 1.
 
-An analysed loop's Jacobi artefacts share one grid (x, v, frame, Phi), the
-integration of ``outgoing_orbit`` from (basepoint, v_+): it is the first
-shot of ``shoot_closed_orbit``, and the conjugate scan reads its Phi rows.
-The scan (``_scan_conjugate_points``) integrates nothing itself.  The
-tolerances are the module constants below; no caller sets them.
+An analysed loop's first grid (x, v, frame, Phi) integrates its
+``outgoing_orbit`` from (basepoint, v_+) and gives cp_1; it is the first
+shot of ``shoot_closed_orbit``, whose last shot's grid is the closed orbit
+the based cross-check scans.  The scan (``_scan_conjugate_points``)
+integrates nothing.  The tolerances are module constants; no caller sets them.
 """
 
 from __future__ import annotations
@@ -43,16 +46,10 @@ from .charts import (
     metric_speed,
     sectional_curvature,
 )
-from .errors import (
-    DegenerateIntervalError,
-    GeolabError,
-    NotAGeodesicError,
-    SamplingStarvationError,
-)
+from .errors import GeolabError, NotAGeodesicError, SamplingStarvationError
 from .loops import DiscreteLoop, energy, one_sided_velocities
 
-DET_ENDPOINT_REL = 1e-7     # |det B(t)| below this (relative) counts the endpoint
-TIME_TOL = 1e-6
+TIME_TOL = 1e-6             # conjugate times are bisected to this; a zero this close to t is at t
 ENDPOINT_MARGIN = 1e-3      # O(1/N^2) wander of a conjugate time sitting at the endpoint
 UNIT_TOL = 1e-4             # an eigenvalue this close to a unit root omega counts as omega
 RANK_REL = 1e-4             # singular values below this (relative) span the kernel
@@ -76,7 +73,8 @@ class MonodromyMatrix:
 
     ``matrix`` maps (xi(0), D xi(0)) frame components to (xi(t), D xi(t))
     frame components; ``frame0``/``frame1`` hold the frame vectors (columns,
-    chart components) at the two ends.
+    chart components) at the two ends; ``grid`` is the integration grid
+    (x, v, frame, Phi) it was read from.
     """
 
     matrix: np.ndarray
@@ -84,6 +82,7 @@ class MonodromyMatrix:
     frame1: np.ndarray
     start: TangentVector
     end: TangentVector
+    grid: tuple
 
     @property
     def dim(self) -> int:
@@ -100,7 +99,7 @@ class MonodromyMatrix:
         """The fundamental solution over the whole span of a grid (x, v, frame, Phi)."""
         xs, vs, es, phis = grid
         return cls(phis[-1], es[0], es[-1], TangentVector(xs[0], vs[0]),
-                   TangentVector(xs[-1], vs[-1]))
+                   TangentVector(xs[-1], vs[-1]), grid)
 
     def return_map(self) -> np.ndarray:
         """Time-t differential in the fixed frame at the start point.
@@ -118,23 +117,22 @@ class MonodromyMatrix:
 
 @dataclass
 class ConjugateReport:
-    """Conjugate times in (0, t] with multiplicities; count is the total."""
+    """Conjugate times in (0, t], strictly increasing; each is a simple zero, so count is len."""
 
-    times: list = field(default_factory=list)   # list of (s, multiplicity)
+    times: list = field(default_factory=list)
     t: float = 0.0
 
     def __post_init__(self):
-        ss = [s for s, _ in self.times]
-        if any(b <= a for a, b in zip(ss, ss[1:])):
+        if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("conjugate times must be strictly increasing")
 
     @property
     def count(self) -> int:
-        return sum(m for _, m in self.times)
+        return len(self.times)
 
     def count_open(self) -> int:
-        """Total multiplicity on the open interval (0, t - ``ENDPOINT_MARGIN``)."""
-        return sum(m for s, m in self.times if s < self.t - ENDPOINT_MARGIN)
+        """Conjugate times on the open interval (0, t - ``ENDPOINT_MARGIN``)."""
+        return sum(s < self.t - ENDPOINT_MARGIN for s in self.times)
 
 
 def _speed_sq(g: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -219,63 +217,55 @@ def outgoing_orbit(chart: Chart, loop: DiscreteLoop) -> tuple:
     return _integrate_jacobi(chart, TangentVector(loop.basepoint, v_plus), 1.0, ORBIT_STEPS)
 
 
-def _refine_root(grid_t: np.ndarray, phis: np.ndarray, k: int):
-    """Bisect a sign change of det B inside (grid_t[k], grid_t[k+1]) on the cubic
-    Hermite interpolant of B = Phi[:d, d:], whose derivative Phi[d:, d:] the grid
-    holds (Phi' = [[0, I], [-Rt, 0]] Phi); returns the root."""
-    d = phis.shape[-1] // 2
+def _refine_root(grid_t: np.ndarray, y: np.ndarray, dy: np.ndarray, k: int) -> float:
+    """Bisect the sign change of the normal solution y inside (grid_t[k],
+    grid_t[k+1]) to ``TIME_TOL`` on its cubic Hermite interpolant, whose
+    node derivatives dy the grid holds; returns the root."""
     lo, hi = grid_t[k], grid_t[k + 1]
-    b0, b1 = phis[k, :d, d:], phis[k + 1, :d, d:]
-    db0, db1 = (hi - lo) * phis[k, d:, d:], (hi - lo) * phis[k + 1, d:, d:]
+    y0, y1 = y[k], y[k + 1]
+    dy0, dy1 = (hi - lo) * dy[k], (hi - lo) * dy[k + 1]
 
-    def b_at(s):
+    def y_at(s):
         u = (s - grid_t[k]) / (grid_t[k + 1] - grid_t[k])
-        return (b0 + (3 - 2 * u) * u * u * (b1 - b0)
-                + (u - 1) * u * ((u - 1) * db0 + u * db1))
+        return (y0 + (3 - 2 * u) * u * u * (y1 - y0)
+                + (u - 1) * u * ((u - 1) * dy0 + u * dy1))
 
-    flo = np.linalg.det(b0)
+    flo = y0
     while hi - lo > TIME_TOL:
         mid = 0.5 * (lo + hi)
-        fmid = np.linalg.det(b_at(mid))
+        fmid = y_at(mid)
         if flo * fmid <= 0:
             hi = mid
         else:
             lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+    return float(0.5 * (lo + hi))
 
 
 def conjugate_points(chart: Chart, start: TangentVector, t: float,
                      steps: int) -> ConjugateReport:
-    """Locate conjugate times in (0, t] by zeros of det B(s) on one integrated grid.
-
-    Sign changes are bisected on the grid's interpolant of B to ``TIME_TOL``;
-    a root at the right endpoint is detected by |det B(t)| alone.  Every
-    root is simple (multiplicity 1): det B = s y with y a nontrivial
-    solution of the scalar normal equation.
-    """
+    """Conjugate times in (0, t] along the geodesic from ``start``: the
+    ``_scan_conjugate_points`` scan of one integrated grid."""
     if t <= 0:
         raise ValueError("t must be positive")
     return _scan_conjugate_points(t, _integrate_jacobi(chart, start, t, steps)[3])
 
 
 def _scan_conjugate_points(t: float, phis: np.ndarray) -> ConjugateReport:
-    """The scan of ``conjugate_points`` over the Phi rows of one grid on [0, t]."""
-    d = phis.shape[-1] // 2
-    dets = np.linalg.det(phis[:, :d, d:])
-    steps = len(phis) - 1
-    grid_t = np.linspace(0.0, t, steps + 1)
-    scale = float(np.max(np.abs(dets)))
-    if scale <= 0 or np.all(np.abs(dets[steps // 8:]) < 1e-12 * max(scale, 1e-300)):
-        raise DegenerateIntervalError("det B(s) vanishes identically on the grid")
-    # guard against the trivial root at s = 0 (B(s) ~ s I near the start)
-    s_min = max(2 * t / steps, 1e-9)
-    sign_change = ((grid_t[1:] > s_min) & (dets[:-1] * dets[1:] < 0)
-                   & (np.abs(dets[1:]) > DET_ENDPOINT_REL * scale * 1e-2))
-    roots = [_refine_root(grid_t, phis, k) for k in np.flatnonzero(sign_change)]
-    # endpoint: a conjugate point exactly at s = t has no sign change to see
-    if abs(dets[-1]) < DET_ENDPOINT_REL * scale and (not roots or t - roots[-1] > 10 * TIME_TOL):
+    """Conjugate times in (0, t] from the Phi rows of one grid on [0, t]: a root
+    is bisected in each interval where floor(theta / pi) steps up, theta the
+    lifted angle of (y, y') = (Phi[1, 3], Phi[3, 3]).  A zero within ``TIME_TOL``
+    of t is at t: a last root that close below t, or theta(t) that close below
+    a multiple of pi (theta' = 1 there, so the angle gap is the time gap)."""
+    y, dy = phis[:, 1, 3], phis[:, 3, 3]
+    theta = np.unwrap(np.arctan2(y, dy))
+    laps = np.floor(theta / np.pi)
+    grid_t = np.linspace(0.0, t, len(phis))
+    roots = [_refine_root(grid_t, y, dy, k) for k in np.flatnonzero(np.diff(laps) > 0)]
+    if roots and t - roots[-1] < TIME_TOL:
+        roots[-1] = t
+    elif (laps[-1] + 1) * np.pi - theta[-1] < TIME_TOL:
         roots.append(t)
-    return ConjugateReport(times=[(s, 1) for s in roots], t=t)
+    return ConjugateReport(times=roots, t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +292,8 @@ def refine_closed_orbit(chart: Chart, grid: tuple) -> tuple[MonodromyMatrix, flo
     ``grid`` (over [0, 1]) is the first shot; later shots use its step count.
     Takes at most ``SHOOT_MAX_ITER`` Gauss-Newton steps and stops at a
     closure residual below ``SHOOT_TOL`` (relative to the speed).  Returns
-    the fundamental solution of the last shooting, whose ``start`` is the
-    corrected initial condition, and the closure residual of that same
-    shooting.  The
+    the last shot's fundamental solution (its ``start`` the corrected initial
+    condition, its ``grid`` that shot's grid) and closure residual.  The
     linearization of the return map has the orbit's symmetry directions in
     its kernel, so the step uses a least-squares pseudo-inverse.
     """
@@ -325,7 +314,8 @@ def refine_closed_orbit(chart: Chart, grid: tuple) -> tuple[MonodromyMatrix, flo
         step, *_ = np.linalg.lstsq(jac, -f, rcond=1e-8)
         x0 = x0 + step[: chart.dim]
         v0 = v0 + step[chart.dim:]
-        mono = jacobi_propagate(chart, TangentVector(x0, v0), 1.0, len(grid[0]) - 1)
+        mono = MonodromyMatrix.of_grid(
+            _integrate_jacobi(chart, TangentVector(x0, v0), 1.0, len(grid[0]) - 1))
 
 
 def _kernel_dim(b: np.ndarray) -> int:
@@ -345,7 +335,8 @@ def eigenspace_dimension(p: np.ndarray, omega: complex) -> int:
 def shoot_closed_orbit(chart: Chart, grid: tuple) -> MonodromyMatrix:
     """The closed geodesic a genuine critical loop discretizes, shot once from
     its ``outgoing_orbit`` grid: the last Gauss-Newton shooting, whose
-    ``return_map()`` is the orbit's linearized return map.  Raises
+    ``return_map()`` is the orbit's linearized return map and whose ``grid``
+    is the closed orbit over [0, 1], for its conjugate scan.  Raises
     NotAGeodesicError when the orbit refuses to close to ``CLOSURE_TOL``
     (relative to the speed) or wanders off.
     """
@@ -465,7 +456,7 @@ def close_conjugate_points_check(chart: Chart, ell: float, k_radius: float,
                 hits.append({
                     "start": xs[j].tolist(),
                     "velocity": vs[j].tolist(),
-                    "times": [[float(s), int(mu)] for s, mu in report.times],
+                    "times": report.times,
                 })
     part_b = len(hits) == 0
 

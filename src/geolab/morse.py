@@ -222,9 +222,9 @@ def dirichlet_index(chart: Chart, loop: DiscreteLoop, zero_band: float | None = 
 def based_index_verdict(report: ConjugateReport, sv: SecondVariation) -> dict:
     """Dirichlet index of ``sv`` against the open-interval count of ``report``.
 
-    The two numbers are computed by entirely independent routes (pinned
-    eigensolve vs zeros of det B along the shot geodesic) and must agree;
-    a mismatch is a hard failure of one of the two subsystems.
+    The two numbers come from independent routes (pinned eigensolve vs the
+    Prufer-angle count along the shot closed orbit, ``report``) and must
+    agree; a mismatch is a hard failure of one of the two subsystems.
     """
     cp_open = report.count_open()
     idx = pinned_index(sv)
@@ -233,7 +233,7 @@ def based_index_verdict(report: ConjugateReport, sv: SecondVariation) -> dict:
             f"Dirichlet index {idx} != open-interval conjugate count {cp_open}"
         )
     return {"dirichlet_index": idx, "cp_open": cp_open,
-            "conjugate_times": [[float(s), int(mu)] for s, mu in report.times]}
+            "conjugate_times": report.times}
 
 
 def lemma_verdict(report: ConjugateReport, spec: SpectralReport, dim: int) -> dict:

@@ -33,6 +33,13 @@ def test_config_round_trip(tmp_path):
     assert load_config(path) == cfg
 
 
+def test_config_reads_json_written_floats(tmp_path):
+    # json.dumps writes 1e-08, which YAML 1.1 resolvers read as a string
+    path = write_yaml(tmp_path / "cfg.json", json.dumps({"chart": "plane", "grad_tol": 1e-8}))
+    cfg = load_config(path)
+    assert cfg.grad_tol == 1e-8 and isinstance(cfg.grad_tol, float)
+
+
 def test_config_unknown_field(tmp_path):
     path = write_yaml(tmp_path / "bad.yaml", "chart: plane\nwarp_factor: 9\n")
     with pytest.raises(ConfigError, match="warp_factor"):
@@ -56,6 +63,7 @@ def test_config_field_range(tmp_path):
                         ("chart: funnel\nchart_params: {radius: 2.0}\n", "chart_params"),
                         ("chart: plane\nstart_band: 3.0\n", "start_band"),
                         ("chart: plane\nn_nodes: 32.5\n", "n_nodes"),
+                        ("chart: plane\nn_nodes: 1e2\n", "n_nodes"),
                         ("chart: plane\nstart_band: [3.0, 0.0]\n", "start_band"),
                         ("chart: plane\nloop_path: 5\n", "loop_path"),
                         ("chart: plane\nmax_iter: 0\n", "max_iter"),
@@ -322,6 +330,24 @@ def test_cli_sweep_plane_contractible(tmp_path):
     results = read_report(out)["results"]
     assert results["mode"] == "minimax"
     assert results["value"] < 1e-8
+
+
+@pytest.mark.parametrize("n", [48, 64])
+def test_cli_latitude_sweep_based_cross_check(tmp_path, n):
+    # the based cross-check scans the shot closed orbit, whose second
+    # conjugate time is 1; the outgoing orbit's drifts O(1/N^2) below 1 and
+    # would enter the open-interval count
+    cfg = write_yaml(tmp_path / "cfg.yaml",
+                     f"chart: sphere\nfamily: latitudes\nfamily_members: 9\n"
+                     f"n_nodes: {n}\nmax_rounds: 50\n")
+    out = str(tmp_path / "report.json")
+    assert main(["sweep", "--config", cfg, "--quiet", "--out", out]) == 0
+    analysis = read_report(out)["results"]["analysis"]
+    based = analysis["based_cross_check"]
+    assert based["dirichlet_index"] == based["cp_open"] == 1
+    assert np.allclose(based["conjugate_times"], [0.5, 1.0], atol=1e-5)
+    # cp_1 stays the outgoing orbit's count
+    assert analysis["cp1"] == 2
 
 
 def test_cli_report_booleans_are_json_booleans(tmp_path):

@@ -95,10 +95,8 @@ def test_sphere_conjugate_points_half_and_full():
     sph = make_chart("sphere")
     report = conjugate_points(sph, TangentVector([1.0, 0.0], [0.0, 2 * np.pi]), 1.0, 512)
     assert report.count == 2
-    times = [s for s, _ in report.times]
-    mults = [m for _, m in report.times]
+    times = report.times
     assert abs(times[0] - 0.5) < 1e-3 and abs(times[1] - 1.0) < 1e-3
-    assert mults == [1, 1]
     assert report.count_open() == 1
 
 
@@ -106,35 +104,45 @@ def test_sphere_conjugate_iterate_times():
     # m = 2: zeros of sin(4*pi*s) at k/4
     sph = make_chart("sphere")
     report = conjugate_points(sph, TangentVector([1.0, 0.0], [0.0, 4 * np.pi]), 1.0, 1024)
-    times = np.array([s for s, _ in report.times])
+    times = np.array(report.times)
     assert report.count == 4
     assert np.allclose(times, [0.25, 0.5, 0.75, 1.0], atol=1e-3)
     assert report.count_open() == 3
 
 
-def test_scan_reads_conjugate_points_off_the_grid_alone(monkeypatch):
-    # the exact fundamental solution of xi'' + K xi = 0 with sqrt(K) = 3 pi
-    # in the normal slot and K = 0 in the tangential one: B = diag(s,
-    # sin(3 pi s) / (3 pi)) vanishes at 1/3, 2/3 and 1, once each
-    def no_flow(*args, **kwargs):
-        raise AssertionError("the scan integrated a flow")
-
-    monkeypatch.setattr(charts, "_rk4_batch", no_flow)
-    w = 3 * np.pi
-    s = np.linspace(0.0, 1.0, 257)
+def exact_phis(w, steps):
+    """Exact fundamental solution on [0, 1] of xi'' + K xi = 0 with sqrt(K) = w
+    in the normal slot and K = 0 in the tangential one: B = diag(s, y),
+    y = sin(w s) / w vanishing at k pi / w."""
+    s = np.linspace(0.0, 1.0, steps + 1)
     phis = np.zeros((len(s), 4, 4))
     phis[:, 0, 0] = phis[:, 2, 2] = 1.0
     phis[:, 0, 2] = s
     phis[:, 1, 1] = phis[:, 3, 3] = np.cos(w * s)
     phis[:, 1, 3] = np.sin(w * s) / w
     phis[:, 3, 1] = -w * np.sin(w * s)
-    report = jacobi._scan_conjugate_points(1.0, phis)
-    times = np.array([t for t, _ in report.times])
+    return phis
+
+
+def test_scan_reads_conjugate_points_off_the_grid_alone(monkeypatch):
+    # sqrt(K) = 3 pi: y = sin(3 pi s) / (3 pi) vanishes at 1/3, 2/3 and 1,
+    # once each
+    def no_flow(*args, **kwargs):
+        raise AssertionError("the scan integrated a flow")
+
+    monkeypatch.setattr(charts, "_rk4_batch", no_flow)
+    report = jacobi._scan_conjugate_points(1.0, exact_phis(3 * np.pi, 256))
+    times = np.array(report.times)
     assert np.all(np.abs(times - [1 / 3, 2 / 3, 1.0]) < jacobi.TIME_TOL)
-    assert [m for _, m in report.times] == [1, 1, 1]
-    # the endpoint root has no sign change; it is counted by |det B(1)|
-    assert report.times[-1] == (1.0, 1)
+    # the zero at the endpoint, within rounding of theta(1) = 3 pi, is at 1
+    assert report.times[-1] == 1.0
     assert report.count == 3 and report.count_open() == 2
+    # zeros at r and 2r, the first within rounding of node 100 of 256, where
+    # y(node) is tiny and of either sign
+    for root in (100 / 256 - 1e-12, 100 / 256, 100 / 256 + 1e-12):
+        report = jacobi._scan_conjugate_points(1.0, exact_phis(np.pi / root, 256))
+        assert report.count == 2
+        assert np.all(np.abs(np.array(report.times) - [root, 2 * root]) < jacobi.TIME_TOL)
 
 
 def test_conjugate_additive_at_regular_split():
@@ -146,10 +154,10 @@ def test_conjugate_additive_at_regular_split():
     split = 0.6
     total = conjugate_points(sph, start, 1.0, 1024)
     first = conjugate_points(sph, start, split, 1024)
-    late = sum(m for s, m in total.times if s > split)
+    late = sum(s > split for s in total.times)
     assert first.count + late == total.count
-    early = [s for s, _ in total.times if s <= split]
-    assert np.allclose(early, [s for s, _ in first.times], atol=1e-3)
+    early = [s for s in total.times if s <= split]
+    assert np.allclose(early, first.times, atol=1e-3)
 
 
 @pytest.mark.parametrize("name", ["plane", "cylinder", "hyperbolic"])
@@ -169,7 +177,7 @@ def test_no_conjugate_points_nonpositive_curvature(name, rng):
 def test_conjugate_report_validates_ordering():
     from geolab.jacobi import ConjugateReport
     with pytest.raises(ValueError):
-        ConjugateReport(times=[(0.5, 1), (0.3, 1)], t=1.0)
+        ConjugateReport(times=[0.5, 0.3], t=1.0)
 
 
 def fixed_space(p, m):
@@ -298,7 +306,7 @@ def test_close_check_bumped_cylinder(monkeypatch):
     for hit in segments["conjugate_hits"]:
         report = conjugate_points(bc, TangentVector(hit["start"], hit["velocity"]), 12.0,
                                   steps=384)
-        assert [[s, mu] for s, mu in report.times] == hit["times"]
+        assert report.times == hit["times"]
 
 
 def test_close_check_propagates_programming_errors():

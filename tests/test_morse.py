@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 from geolab.charts import make_chart
 from geolab.errors import CrossCheckError
-from geolab.jacobi import eigenspace_dimension, outgoing_orbit, shoot_closed_orbit
+from geolab.jacobi import (
+    _scan_conjugate_points,
+    eigenspace_dimension,
+    outgoing_orbit,
+    shoot_closed_orbit,
+)
 from geolab.loops import (
     DiscreteLoop,
     circle_shift,
@@ -147,8 +152,10 @@ def test_assembly_rejects_unknown_method():
 
 
 def based_index(chart, loop):
-    """Dirichlet index against the open-interval conjugate count along v_+."""
-    return based_index_verdict(outgoing_conjugate_report(chart, loop)[0],
+    """Dirichlet index against the open-interval conjugate count along the
+    shot closed orbit, as ``analyze`` compares them."""
+    closed = shoot_closed_orbit(chart, outgoing_orbit(chart, loop))
+    return based_index_verdict(_scan_conjugate_points(1.0, closed.grid[3]),
                                assemble_second_variation(chart, loop))
 
 
