@@ -126,7 +126,9 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
     Hessian and its spectrum (index, nullity, lemma bound, and through its
     pinned block the Dirichlet index), and, for a moving loop, one
     integration of its ``outgoing_orbit``, whose conjugate scan gives cp_1.
-    For a genuine loop the shooting starts from it; the last shot's return map
+    A genuine loop's orbit is shot closed once (``shoot_closed_orbit``): the
+    outgoing grid when it already closes, else one batch of segments from the
+    polygon's nodes per Gauss-Newton step.  The stitched orbit's return map
     gives ``nullity_monodromy`` and the Bott omega-nullities, its conjugate
     scan the based cross-check, next to the quadrature Hessian.  The Bott table
     (``with_bott``) solves one omega-twisted copy of the unpenalized N-node
@@ -170,7 +172,7 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
         "gradient_norm": sv.gradient_norm,
     }
     if cls.case == "genuine" and orbit is not None:
-        closed = shoot_closed_orbit(chart, orbit)
+        closed = shoot_closed_orbit(chart, loop, orbit)
         return_map = closed.return_map()
         record["nullity_monodromy"] = eigenspace_dimension(return_map, 1.0)
         record["based_cross_check"] = based_index_verdict(

@@ -25,15 +25,21 @@ map P; the nullity of the m-fold iterate is the kernel dimension of
 P^m - Id, the sum of dim ker(P - omega Id) over omega^m = 1.
 
 An analysed loop's first grid (x, v, frame, Phi) integrates its
-``outgoing_orbit`` from (basepoint, v_+) and gives cp_1; it is the first
-shot of ``shoot_closed_orbit``, whose last shot's grid is the closed orbit
-the based cross-check scans.  The scan (``_scan_conjugate_points``)
-integrates nothing.  The tolerances are module constants; no caller sets them.
+``outgoing_orbit`` from (basepoint, v_+) and gives cp_1.  Unless that grid
+already closes, ``shoot_closed_orbit`` closes the orbit by multiple
+shooting: B segments start at evenly spaced polygon nodes, are integrated
+as one batch at the outgoing orbit's step, and Gauss-Newton drives their
+junction mismatches to zero.  Both routes find the fixed point of the same
+discrete time-1 map, and the segments' Phis, multiplied up, give the closed
+orbit's grid, which the based cross-check scans.  The scan
+(``_scan_conjugate_points``) integrates nothing.  The tolerances are module
+constants; no caller sets them.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +52,8 @@ from .charts import (
     metric_speed,
     sectional_curvature,
 )
-from .errors import GeolabError, NotAGeodesicError, SamplingStarvationError
-from .loops import DiscreteLoop, energy, one_sided_velocities
+from .errors import DomainEscapeError, GeolabError, NotAGeodesicError, SamplingStarvationError
+from .loops import DiscreteLoop, energy, one_sided_velocities, outgoing_velocities
 
 TIME_TOL = 1e-6             # conjugate times are bisected to this; a zero this close to t is at t
 ENDPOINT_MARGIN = 1e-3      # O(1/N^2) wander of a conjugate time sitting at the endpoint
@@ -58,6 +64,7 @@ SHOOT_TOL = 1e-9            # closure residual (relative to the speed) that ends
 SHOOT_MAX_ITER = 8          # Gauss-Newton steps of one shooting
 STEPS_PER_UNIT = 32         # RK4 steps per unit length of an at-infinity segment
 ORBIT_STEPS = 512           # RK4 steps of an analysed loop's outgoing orbit over [0, 1]
+SEGMENT_STEPS = 32          # fewest RK4 steps of one closed-orbit shooting segment
 
 
 def symplectic_defect(m: np.ndarray) -> float:
@@ -73,8 +80,9 @@ class MonodromyMatrix:
 
     ``matrix`` maps (xi(0), D xi(0)) frame components to (xi(t), D xi(t))
     frame components; ``frame0``/``frame1`` hold the frame vectors (columns,
-    chart components) at the two ends; ``grid`` is the integration grid
-    (x, v, frame, Phi) it was read from.
+    chart components) at the two ends; ``grid`` is the grid (x, v, frame,
+    Phi) it was read from, one integration or the segments
+    ``refine_closed_orbit`` stitched.
     """
 
     matrix: np.ndarray
@@ -212,7 +220,8 @@ def is_moving(chart: Chart, loop: DiscreteLoop) -> bool:
 
 def outgoing_orbit(chart: Chart, loop: DiscreteLoop) -> tuple:
     """Grid (x, v, frame, Phi) over [0, 1] of the geodesic from the basepoint
-    with the outgoing velocity v_+: the scanned orbit and the first shot."""
+    with the outgoing velocity v_+: the scanned orbit, and the closed orbit
+    when it already closes."""
     _, v_plus = one_sided_velocities(chart, loop)
     return _integrate_jacobi(chart, TangentVector(loop.basepoint, v_plus), 1.0, ORBIT_STEPS)
 
@@ -274,48 +283,98 @@ def _scan_conjugate_points(t: float, phis: np.ndarray) -> ConjugateReport:
 
 
 def _chart_to_covariant(chart: Chart, x, v, e):
-    """Block map taking chart-coordinate (dx, dv) to frame (xi, D xi)."""
+    """Block maps taking chart-coordinate (dx, dv) to frame (xi, D xi), over
+    leading batch axes.  The frame e is g-orthonormal, so e^-1 = e^T g."""
     d = chart.dim
-    einv = np.linalg.inv(e)
-    gam = christoffels(chart, x)
-    gv = np.einsum("kij,i->kj", gam, v)   # dv_cov = dv + Gamma(v, dx)
-    out = np.zeros((2 * d, 2 * d))
-    out[:d, :d] = einv
-    out[d:, :d] = einv @ gv
-    out[d:, d:] = einv
+    einv = np.swapaxes(e, -1, -2) @ chart.metric(x)
+    gv = np.einsum("...kij,...i->...kj", christoffels(chart, x), v)   # dv_cov = dv + Gamma(v, dx)
+    out = np.zeros(x.shape[:-1] + (2 * d, 2 * d))
+    out[..., :d, :d] = einv
+    out[..., d:, :d] = einv @ gv
+    out[..., d:, d:] = einv
     return out
 
 
-def refine_closed_orbit(chart: Chart, grid: tuple) -> tuple[MonodromyMatrix, float]:
-    """Gauss-Newton shooting that closes up an approximately periodic geodesic.
+def _junctions(chart: Chart, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Stacked mismatches (x, v) of each segment's end against the next
+    segment's start, the last against the first; zero on a closed orbit."""
+    fx = chart.wrap_difference(xs[:, -1] - np.roll(xs[:, 0], -1, axis=0))
+    fv = vs[:, -1] - np.roll(vs[:, 0], -1, axis=0)
+    return np.concatenate([fx, fv], axis=1).ravel()
 
-    ``grid`` (over [0, 1]) is the first shot; later shots use its step count.
-    Takes at most ``SHOOT_MAX_ITER`` Gauss-Newton steps and stops at a
-    closure residual below ``SHOOT_TOL`` (relative to the speed).  Returns
-    the last shot's fundamental solution (its ``start`` the corrected initial
-    condition, its ``grid`` that shot's grid) and closure residual.  The
-    linearization of the return map has the orbit's symmetry directions in
-    its kernel, so the step uses a least-squares pseudo-inverse.
+
+def _shoot_segments(chart: Chart, x: np.ndarray, v: np.ndarray) -> tuple:
+    """Grids (x, v, frame, Phi) of the len(x) segments of [0, 1] from the
+    starts (x, v), integrated as one batch at the step 1 / ``ORBIT_STEPS``;
+    raises DomainEscapeError when a segment leaves the chart."""
+    b = len(x)
+    *grid, exit_time = _integrate_jacobi(chart, TangentVector(x, v), 1.0 / b, ORBIT_STEPS // b)
+    escaped = np.flatnonzero(np.isfinite(exit_time))
+    if len(escaped):
+        k = escaped[0]
+        raise DomainEscapeError(f"{chart.name}: geodesic left the chart domain during "
+                                "closed-orbit shooting", exit_time=float(k / b + exit_time[k]))
+    return tuple(grid)
+
+
+def _stitch(chart: Chart, grid: tuple) -> tuple:
+    """One grid (x, v, frame, Phi) over [0, 1] from consecutive segment grids:
+    the rows concatenated (each junction once), the positions lifted across
+    periodic coordinates, and Phi the running product of the segment Phis."""
+    xs, vs, es, phis = grid
+    jumps = xs[:-1, -1] - xs[1:, 0]
+    lifts = np.cumsum(jumps - chart.wrap_difference(jumps), axis=0)
+    xs = xs + np.concatenate([np.zeros((1, xs.shape[-1])), lifts])[:, None]
+    phis = phis.copy()
+    for k in range(1, len(phis)):
+        phis[k] = phis[k] @ phis[k - 1, -1]
+    return tuple(np.concatenate([a[0], a[1:, 1:].reshape((-1,) + a.shape[2:])])
+                 for a in (xs, vs, es, phis))
+
+
+def refine_closed_orbit(chart: Chart, loop: DiscreteLoop,
+                        grid: tuple) -> tuple[MonodromyMatrix, float]:
+    """Multiple-shooting Gauss-Newton that closes up an approximately
+    periodic geodesic, the one the polygon ``loop`` discretizes.
+
+    ``grid`` is the loop's ``outgoing_orbit``; when it already closes to
+    ``SHOOT_TOL`` (relative to the speed) it is returned with no
+    integration.  Otherwise B = gcd(N, ``ORBIT_STEPS`` / ``SEGMENT_STEPS``)
+    segments start at the nodes k N / B with the polygon's outgoing
+    velocities there (B = 1 is the outgoing orbit itself) and are integrated
+    as one batch of ``ORBIT_STEPS`` / B steps each.  Each Gauss-Newton step
+    solves the cyclic block-bidiagonal 4B x 4B junction system by least
+    squares, since the orbit's symmetry directions are in its kernel.  Takes
+    at most ``SHOOT_MAX_ITER`` steps and stops once the stacked junction
+    residual is below ``SHOOT_TOL``.  Returns the fundamental solution
+    stitched from the last shot's segments (its ``start`` the corrected
+    initial condition, its ``grid`` the rows over [0, 1]) and that residual.
     """
-    mono = MonodromyMatrix.of_grid(grid)
-    x0, v0 = mono.start.base, mono.start.v
-    speed = max(metric_speed(chart, x0, v0), 1e-12)
+    d = chart.dim
+    b = math.gcd(loop.n_nodes, ORBIT_STEPS // SEGMENT_STEPS)
+    shot = tuple(a[None] for a in grid)      # the outgoing orbit as one segment
+    speed = max(metric_speed(chart, grid[0][0], grid[1][0]), 1e-12)
+    if b > 1 and np.linalg.norm(_junctions(chart, *shot[:2])) >= SHOOT_TOL * speed:
+        idx = np.arange(b) * (loop.n_nodes // b)
+        shot = _shoot_segments(chart, loop.nodes[idx], outgoing_velocities(chart, loop, idx))
+    b = len(shot[0])                         # 1 when the outgoing orbit is the shot
+    cyclic = -np.eye(2 * d * b, k=2 * d) - np.eye(2 * d * b, k=2 * d * (1 - b))
+    diag = np.arange(b)
     for it in range(SHOOT_MAX_ITER + 1):
-        fx = chart.wrap_difference(mono.end.base - x0)
-        fv = mono.end.v - v0
-        f = np.concatenate([fx, fv])
+        xs, vs, es, phis = shot
+        f = _junctions(chart, xs, vs)
         residual = float(np.linalg.norm(f))
         if residual < SHOOT_TOL * speed or it == SHOOT_MAX_ITER:
-            return mono, residual
-        a0 = _chart_to_covariant(chart, x0, v0, mono.frame0)
-        a1 = _chart_to_covariant(chart, mono.end.base, mono.end.v, mono.frame1)
-        dphi_chart = np.linalg.solve(a1, mono.matrix @ a0)
-        jac = dphi_chart - np.eye(2 * chart.dim)
+            return MonodromyMatrix.of_grid(_stitch(chart, shot)), residual
+        covariant = _chart_to_covariant(chart, *(np.concatenate([a[:, 0], a[:, -1]])
+                                                 for a in (xs, vs, es)))
+        # each segment's flow derivative in chart coordinates on the diagonal
+        jac = cyclic.copy()
+        jac.reshape(b, 2 * d, b, 2 * d)[diag, :, diag, :] += np.linalg.solve(
+            covariant[b:], phis[:, -1] @ covariant[:b])
         step, *_ = np.linalg.lstsq(jac, -f, rcond=1e-8)
-        x0 = x0 + step[: chart.dim]
-        v0 = v0 + step[chart.dim:]
-        mono = MonodromyMatrix.of_grid(
-            _integrate_jacobi(chart, TangentVector(x0, v0), 1.0, len(grid[0]) - 1))
+        step = step.reshape(b, 2, d)
+        shot = _shoot_segments(chart, xs[:, 0] + step[:, 0], vs[:, 0] + step[:, 1])
 
 
 def _kernel_dim(b: np.ndarray) -> int:
@@ -332,15 +391,16 @@ def eigenspace_dimension(p: np.ndarray, omega: complex) -> int:
     return _kernel_dim(p - np.real_if_close(omega) * np.eye(len(p)))
 
 
-def shoot_closed_orbit(chart: Chart, grid: tuple) -> MonodromyMatrix:
-    """The closed geodesic a genuine critical loop discretizes, shot once from
-    its ``outgoing_orbit`` grid: the last Gauss-Newton shooting, whose
+def shoot_closed_orbit(chart: Chart, loop: DiscreteLoop, grid: tuple) -> MonodromyMatrix:
+    """The closed geodesic a genuine critical ``loop`` discretizes, shot once
+    by ``refine_closed_orbit`` from its ``outgoing_orbit`` ``grid`` and the
+    polygon's nodes: the stitched fundamental solution, whose
     ``return_map()`` is the orbit's linearized return map and whose ``grid``
     is the closed orbit over [0, 1], for its conjugate scan.  Raises
     NotAGeodesicError when the orbit refuses to close to ``CLOSURE_TOL``
     (relative to the speed) or wanders off.
     """
-    mono, residual = refine_closed_orbit(chart, grid)
+    mono, residual = refine_closed_orbit(chart, loop, grid)
     x0, v0 = mono.start.base, mono.start.v
     speed = max(metric_speed(chart, x0, v0), 1e-12)
     speed0 = max(metric_speed(chart, grid[0][0], grid[1][0]), 1e-12)
@@ -368,7 +428,7 @@ def nullity_via_monodromy(chart: Chart, loop: DiscreteLoop, m: int = 1) -> int:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    p = shoot_closed_orbit(chart, outgoing_orbit(chart, loop)).return_map()
+    p = shoot_closed_orbit(chart, loop, outgoing_orbit(chart, loop)).return_map()
     return sum(eigenspace_dimension(p, np.exp(2j * np.pi * k / m)) for k in range(m))
 
 

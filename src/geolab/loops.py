@@ -192,6 +192,14 @@ def winding_numbers(chart: Chart, loop: DiscreteLoop) -> dict[int, int]:
     return out
 
 
+def _chord_at_node(gam: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """Velocity at a node from the chord w = N Delta of an adjacent segment,
+    which approximates the velocity at the segment midpoint: the quadratic
+    Christoffel correction moves it half a step, to the segment's start for
+    n = N and to its end for n = -N; over leading batch axes."""
+    return w + np.einsum("...kij,...i,...j->...k", gam, w, w) / (2 * n)
+
+
 def one_sided_velocities(chart: Chart, loop: DiscreteLoop) -> tuple[np.ndarray, np.ndarray]:
     """Discrete one-sided velocities (v(0-), v(0+)) at the basepoint.
 
@@ -204,11 +212,17 @@ def one_sided_velocities(chart: Chart, loop: DiscreteLoop) -> tuple[np.ndarray, 
     n = loop.n_nodes
     deltas = segment_deltas(chart, loop)
     gam = christoffels(chart, loop.basepoint)
-    w_minus = n * deltas[-1]
-    w_plus = n * deltas[0]
-    v_minus = w_minus - np.einsum("kij,i,j->k", gam, w_minus, w_minus) / (2 * n)
-    v_plus = w_plus + np.einsum("kij,i,j->k", gam, w_plus, w_plus) / (2 * n)
-    return v_minus, v_plus
+    return _chord_at_node(gam, n * deltas[-1], -n), _chord_at_node(gam, n * deltas[0], n)
+
+
+def outgoing_velocities(chart: Chart, loop: DiscreteLoop, idx: np.ndarray) -> np.ndarray:
+    """The one-sided velocities v(0+) of ``one_sided_velocities`` at the nodes
+    ``idx`` of one loop, shape (len(idx), d), from one Christoffel evaluation."""
+    from .charts import christoffels
+
+    n = loop.n_nodes
+    return _chord_at_node(christoffels(chart, loop.nodes[idx]),
+                          n * segment_deltas(chart, loop)[idx], n)
 
 
 def double_nodes(chart: Chart, loop: DiscreteLoop) -> DiscreteLoop:

@@ -256,7 +256,7 @@ def lemma_verdict(report: ConjugateReport, spec: SpectralReport, dim: int) -> di
 
 def bott_table(chart: Chart, loop: DiscreteLoop, m_max: int = 6) -> dict:
     """``iteration_table`` of a closed geodesic, shot once from its ``outgoing_orbit``."""
-    return_map = shoot_closed_orbit(chart, outgoing_orbit(chart, loop)).return_map()
+    return_map = shoot_closed_orbit(chart, loop, outgoing_orbit(chart, loop)).return_map()
     return iteration_table(chart, loop, return_map, m_max)
 
 

@@ -272,6 +272,33 @@ def test_cli_analyze_stored_loop(tmp_path, monkeypatch):
         + [(n * d, True)] * 2
 
 
+def test_cli_analyze_great_circle_integrations(tmp_path, monkeypatch):
+    # one single-start integration, the outgoing orbit; the closed orbit is
+    # shot as batches of B = gcd(N, 16) segments of ORBIT_STEPS / B steps
+    from geolab import jacobi
+    from geolab.charts import make_chart
+    runs = []
+    real_integrate = jacobi._integrate_jacobi
+
+    def spy_integrate(chart, start, t, steps):
+        runs.append((np.shape(start.base), t, steps))
+        return real_integrate(chart, start, t, steps)
+
+    monkeypatch.setattr(jacobi, "_integrate_jacobi", spy_integrate)
+    sph = make_chart("sphere")
+    loop_path = tmp_path / "great_circle.json"
+    save_loop_json(sph, great_circle_loop(sph, 128), loop_path)
+    cfg = write_yaml(tmp_path / "cfg.yaml", f"chart: sphere\nloop_path: {loop_path}\nm_max: 2\n")
+    out = str(tmp_path / "report.json")
+    assert main(["analyze", "--config", cfg, "--quiet", "--out", out]) == 0
+    assert read_report(out)["results"]["analysis"]["nullity_monodromy"] == 3
+    assert runs[0] == ((2,), 1.0, jacobi.ORBIT_STEPS)
+    b = 16
+    batches = runs[1:]
+    assert 1 <= len(batches) <= jacobi.SHOOT_MAX_ITER
+    assert all(run == ((b, 2), 1.0 / b, jacobi.ORBIT_STEPS // b) for run in batches)
+
+
 def test_cli_analyze_requires_loop_path(tmp_path):
     cfg = write_yaml(tmp_path / "cfg.yaml", "chart: cylinder\n")
     assert main(["analyze", "--config", cfg, "--quiet"]) == 2

@@ -16,7 +16,7 @@ from geolab.jacobi import (
     symplectic_defect,
     velocity_frame,
 )
-from geolab.loops import make_loop
+from geolab.loops import circle_shift, iterate, make_loop
 
 from conftest import great_circle_loop, sample_inside, waist_loop
 
@@ -187,7 +187,8 @@ def fixed_space(p, m):
 
 def test_nullity_cylinder_shear_kernel():
     cyl = make_chart("cylinder")
-    p = shoot_closed_orbit(cyl, outgoing_orbit(cyl, waist_loop(cyl, 256))).return_map()
+    loop = waist_loop(cyl, 256)
+    p = shoot_closed_orbit(cyl, loop, outgoing_orbit(cyl, loop)).return_map()
     for m in (1, 2, 3):
         assert fixed_space(p, m) == 2
 
@@ -195,7 +196,7 @@ def test_nullity_cylinder_shear_kernel():
 def test_nullity_sphere_all_iterates():
     sph = make_chart("sphere")
     loop = great_circle_loop(sph, 256)
-    p = shoot_closed_orbit(sph, outgoing_orbit(sph, loop)).return_map()
+    p = shoot_closed_orbit(sph, loop, outgoing_orbit(sph, loop)).return_map()
     for m in range(1, 7):
         assert fixed_space(p, m) == 3
     assert nullity_via_monodromy(sph, loop, 2) == 3
@@ -203,7 +204,8 @@ def test_nullity_sphere_all_iterates():
 
 def test_nullity_funnel_waist():
     fun = make_chart("funnel")
-    p = shoot_closed_orbit(fun, outgoing_orbit(fun, waist_loop(fun, 256))).return_map()
+    loop = waist_loop(fun, 256)
+    p = shoot_closed_orbit(fun, loop, outgoing_orbit(fun, loop)).return_map()
     for m in (1, 2, 3, 4):
         assert fixed_space(p, m) == 1
 
@@ -241,16 +243,101 @@ def test_eigenspace_dimension_counts_geometric_multiplicity():
 
 
 def test_refine_closed_orbit_tightens():
-    # the shooting converges to the fixed point of the discrete flow map,
-    # so the reachable residual is set by the RK4 step error
+    # a wobbling polygon near the equator: the segments close onto the great
+    # circle, the fixed point of the discrete time-1 map
     sph = make_chart("sphere")
-    x0 = np.array([1.0, 0.0]) * 1.001
-    v0 = np.array([0.01, 2 * np.pi])
-    grid = jacobi._integrate_jacobi(sph, TangentVector(x0, v0), 1.0, 1024)
-    mono, residual = refine_closed_orbit(sph, grid)
-    x = mono.start.base
-    assert residual < 1e-7 * 2 * np.pi
-    assert np.linalg.norm(x - [1.0, 0.0]) < 0.01
+    n = 128
+    ts = 2 * np.pi * np.arange(n) / n
+    loop = make_loop(sph, great_circle_loop(sph, n).nodes
+                     * (1.001 + 0.002 * np.sin(ts))[:, None])
+    mono, residual = refine_closed_orbit(sph, loop, outgoing_orbit(sph, loop))
+    assert residual < jacobi.SHOOT_TOL * 2 * np.pi
+    assert len(mono.grid[0]) == jacobi.ORBIT_STEPS + 1
+    assert abs(np.linalg.norm(mono.start.base) - 1.0) < 1e-6
+    assert np.linalg.norm(mono.start.base - loop.basepoint) < 0.01
+
+
+def displaced_waist(chart, z, n):
+    """The circle at height z on a revolution chart, n nodes."""
+    return make_loop(chart, np.stack([np.full(n, z), 2 * np.pi * np.arange(n) / n], axis=1))
+
+
+def closure(chart, grid):
+    """|(x(1) - x(0), v(1) - v(0))| of a grid over [0, 1], relative to the speed."""
+    xs, vs = grid[0], grid[1]
+    f = np.concatenate([chart.wrap_difference(xs[-1] - xs[0]), vs[-1] - vs[0]])
+    return float(np.linalg.norm(f)) / metric_speed(chart, xs[0], vs[0])
+
+
+def test_shoot_closes_displaced_funnel_waist():
+    # the basepoint of a single shot from the displaced circle runs off
+    # along the waist's unstable direction (multiplier 535); the segments
+    # close onto the waist itself
+    fun = make_chart("funnel")
+    loop = displaced_waist(fun, 0.01, 128)
+    closed = shoot_closed_orbit(fun, loop, outgoing_orbit(fun, loop))
+    assert abs(closed.start.base[0]) < 1e-8
+    assert closure(fun, closed.grid) < jacobi.SHOOT_TOL
+    assert eigenspace_dimension(closed.return_map(), 1.0) == 1
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_shoot_closes_displaced_funnel_iterates(m):
+    fun = make_chart("funnel")
+    waist = waist_loop(fun, 128)
+    multiplier = np.max(np.abs(np.linalg.eigvals(
+        shoot_closed_orbit(fun, waist, outgoing_orbit(fun, waist)).return_map())))
+    loop = iterate(displaced_waist(fun, 1e-4, 128), m)
+    closed = shoot_closed_orbit(fun, loop, outgoing_orbit(fun, loop))
+    assert abs(closed.start.base[0]) < 1e-8
+    top = np.max(np.abs(np.linalg.eigvals(closed.return_map())))
+    assert abs(top - multiplier ** m) < 1e-3 * multiplier ** m
+
+
+@pytest.mark.xfail(strict=True, reason="RANK_REL * sigma_max (181) swallows the two O(1) "
+                   "singular values of P - Id next to the multiplier's 1.8e6")
+def test_eigenspace_dimension_two_fold_funnel_waist():
+    # the 2-fold waist is hyperbolic like the waist: its only fixed direction
+    # is the flow, so dim ker(P - Id) = 1
+    fun = make_chart("funnel")
+    loop = iterate(waist_loop(fun, 128), 2)
+    p = shoot_closed_orbit(fun, loop, outgoing_orbit(fun, loop)).return_map()
+    assert eigenspace_dimension(p, 1.0) == 1
+
+
+def oracle_loops():
+    sph = make_chart("sphere")
+    out = [(sph, make_loop(sph, great_circle_loop(sph, 128).nodes @ np.array(
+        [[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]]))) for a in (0.0, 0.3, 1.7)]
+    for name in ("funnel", "bumped_cylinder"):
+        chart = make_chart(name)
+        out += [(chart, waist_loop(chart, 128)), (chart, displaced_waist(chart, 0.01, 128))]
+    # basepoint at theta = pi: the segment from the node at theta = 0 continues
+    # the one that ends at theta = 2 pi
+    out.append((chart, circle_shift(displaced_waist(chart, 0.01, 128), 64)))
+    return out
+
+
+@pytest.mark.parametrize("chart, loop", oracle_loops(),
+                         ids=["circle-0", "circle-0.3", "circle-1.7", "funnel", "funnel-0.01",
+                              "bumped", "bumped-0.01", "bumped-0.01-shifted"])
+def test_stitched_orbit_matches_one_shot(chart, loop):
+    # the oracle: one integration of the whole orbit from the returned start
+    closed = shoot_closed_orbit(chart, loop, outgoing_orbit(chart, loop))
+    grid = jacobi._integrate_jacobi(chart, closed.start, 1.0, jacobi.ORBIT_STEPS)
+    assert closure(chart, grid) <= 10 * jacobi.SHOOT_TOL
+    assert np.max(np.abs(grid[0] - closed.grid[0])) < 1e-6
+    assert np.max(np.abs(grid[3] - closed.grid[3])) <= 1e-6 * np.max(np.abs(grid[3]))
+    single = jacobi._scan_conjugate_points(1.0, grid[3]).times
+    stitched = jacobi._scan_conjugate_points(1.0, closed.grid[3]).times
+    assert len(single) == len(stitched)
+    assert np.all(np.abs(np.subtract(single, stitched)) <= jacobi.TIME_TOL)
+    p_single = jacobi.MonodromyMatrix.of_grid(grid).return_map()
+    p_stitched = closed.return_map()
+    for m in (1, 2, 3, 4):
+        for k in range(m):
+            omega = np.exp(2j * np.pi * k / m)
+            assert eigenspace_dimension(p_single, omega) == eigenspace_dimension(p_stitched, omega)
 
 
 def test_close_check_plane_trivial():

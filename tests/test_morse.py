@@ -154,7 +154,7 @@ def test_assembly_rejects_unknown_method():
 def based_index(chart, loop):
     """Dirichlet index against the open-interval conjugate count along the
     shot closed orbit, as ``analyze`` compares them."""
-    closed = shoot_closed_orbit(chart, outgoing_orbit(chart, loop))
+    closed = shoot_closed_orbit(chart, loop, outgoing_orbit(chart, loop))
     return based_index_verdict(_scan_conjugate_points(1.0, closed.grid[3]),
                                assemble_second_variation(chart, loop))
 
@@ -282,7 +282,7 @@ def test_bott_table_bumped_waist_elliptic_mean_index():
     # ind_omega is 3 on (0, theta) and 4 on (theta, pi)
     chart = make_chart("bumped_cylinder")
     loop = waist_loop(chart, 128)
-    return_map = shoot_closed_orbit(chart, outgoing_orbit(chart, loop)).return_map()
+    return_map = shoot_closed_orbit(chart, loop, outgoing_orbit(chart, loop)).return_map()
     eigs = np.linalg.eigvals(return_map)
     theta = float(np.max(np.abs(np.angle(eigs))))
     assert 0.1 < theta < np.pi - 0.1
@@ -335,7 +335,7 @@ def jacobi_invariants(chart, loop):
     """Open conjugate count of the outgoing orbit and the return map's
     eigenspace dimensions at every unit root of order at most 3."""
     report, grid = outgoing_conjugate_report(chart, loop)
-    p = shoot_closed_orbit(chart, grid).return_map()
+    p = shoot_closed_orbit(chart, loop, grid).return_map()
     return report.count_open(), [eigenspace_dimension(p, np.exp(2j * np.pi * f))
                                  for f in UNIT_ROOT_TURNS]
 
