@@ -2,10 +2,15 @@
 
 Every manifold in the zoo is a surface, presented in a single global
 coordinate chart of dimension ``d`` = 2.  A chart knows its metric tensor
-with analytic first and second metric derivatives, an optional exhaustion
-coordinate ``r`` for non-compact manifolds, and domain guards.  The
-finite-difference ``Chart.metric_deriv`` is kept as the oracle of the
-analytic derivatives.
+with analytic first and second metric derivatives, its Christoffel symbols
+in closed form, an optional exhaustion coordinate ``r`` for non-compact
+manifolds, and domain guards.  Each chart family writes its own
+Christoffels: flat, conformal (from the gradient of the log conformal
+factor), a profile surface (from the profile jet rho, rho', rho'') or the
+paraboloid.  The generic Levi-Civita formula ``christoffels_of_metric`` is
+their oracle, fed with the analytic metric derivative or with the
+finite-difference ``Chart.metric_deriv``, itself the oracle of the analytic
+derivatives.
 
 Index conventions used throughout:
 
@@ -49,11 +54,12 @@ class TangentVector:
 class Chart:
     """Base class: domain guards, periodic wrapping and oracle derivatives.
 
-    Subclasses provide ``metric``, ``metric_deriv`` and
-    ``metric_second_deriv`` in closed form and set ``dim``.  The base
-    ``metric_deriv`` (central differences of ``metric``) is the oracle that
-    ``christoffels(..., finite_difference=True)`` reads; the exhaustion
-    derivatives default to finite differences of ``exhaustion``.
+    Subclasses provide ``metric``, ``metric_deriv``,
+    ``metric_second_deriv`` and ``christoffels`` in closed form and set
+    ``dim``.  The base ``metric_deriv`` (central differences of ``metric``)
+    is the oracle that ``christoffels(..., finite_difference=True)`` reads;
+    the exhaustion derivatives default to finite differences of
+    ``exhaustion``.
     """
 
     name = "abstract"
@@ -84,6 +90,10 @@ class Chart:
             e[k] = FD_STEP
             out[..., k, :, :] = (self.metric(x + e) - self.metric(x - e)) / (2 * FD_STEP)
         return out
+
+    def christoffels(self, x: np.ndarray) -> np.ndarray:
+        """Gamma^k_ij in closed form at points the domain guard admits."""
+        raise NotImplementedError
 
     def metric_checked(self, x: np.ndarray) -> np.ndarray:
         """Metric with domain guard and positive-definiteness assertion."""
@@ -178,26 +188,36 @@ class Chart:
 # ---------------------------------------------------------------------------
 
 
-def christoffels(chart: Chart, x: np.ndarray, finite_difference: bool = False) -> np.ndarray:
-    """Christoffel symbols Gamma^k_ij = 1/2 g^{km} (d_i g_jm + d_j g_im - d_m g_ij).
+def christoffels_of_metric(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Generic Gamma^k_ij = 1/2 g^{km} (d_i g_jm + d_j g_im - d_m g_ij).
 
-    ``finite_difference=True`` forces the finite-difference metric
-    derivative even when the chart has an analytic one (oracle path).
+    The oracle of the charts' closed forms: ``g`` is the metric (..., d, d)
+    and ``dg`` its first derivative (..., d, d, d), analytic or finite
+    differences.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all(chart.contains(x)):
-        raise ChartDomainError(f"{chart.name}: Christoffel evaluation outside domain")
-    g = chart.metric(x)
-    if finite_difference:
-        dg = Chart.metric_deriv(chart, x)
-    else:
-        dg = chart.metric_deriv(x)
     ginv = np.linalg.inv(g)
     # s[..., m, i, j] = d_i g_jm + d_j g_im - d_m g_ij
     dj_gim = dg.swapaxes(-1, -3)
     di_gjm = dj_gim.swapaxes(-1, -2)
     s = di_gjm + dj_gim - dg
     return 0.5 * np.einsum("...km,...mij->...kij", ginv, s)
+
+
+def christoffels(chart: Chart, x: np.ndarray, finite_difference: bool = False) -> np.ndarray:
+    """Christoffel symbols Gamma^k_ij of the chart's Levi-Civita connection.
+
+    Returns the chart family's closed form.  ``finite_difference=True``
+    instead applies the generic formula ``christoffels_of_metric`` to the
+    finite-difference metric derivative (the oracle path).  Every RK4 stage
+    of the geodesic and Jacobi flows makes exactly one call, so its call
+    count is the stage count.  Raises ChartDomainError outside the domain.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all(chart.contains(x)):
+        raise ChartDomainError(f"{chart.name}: Christoffel evaluation outside domain")
+    if finite_difference:
+        return christoffels_of_metric(chart.metric(x), Chart.metric_deriv(chart, x))
+    return chart.christoffels(x)
 
 
 def christoffel_deriv(chart: Chart, x: np.ndarray, finite_difference: bool = False) -> np.ndarray:
@@ -429,6 +449,10 @@ class FlatPlane(Chart):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (2, 2, 2, 2))
 
+    def christoffels(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.zeros(x.shape[:-1] + (2, 2, 2))
+
     def gauss_curvature(self, x):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1])
@@ -458,9 +482,11 @@ class FlatPlane(Chart):
 class _ProfileChart(Chart):
     """Surface-of-revolution-type metric diag(1, rho(z)^2) in (z, theta).
 
-    Subclasses supply the profile rho and its first two derivatives.
-    Gauss curvature is -rho''/rho; circles z = const with rho'(z) = 0 are
-    closed geodesics of length 2 pi rho(z).
+    Subclasses supply ``profile_jet``, the profile rho with its first two
+    derivatives.  The only nonzero Christoffels are Gamma^z_thth = -rho rho'
+    and Gamma^th_zth = Gamma^th_thz = rho'/rho.  Gauss curvature is
+    -rho''/rho; circles z = const with rho'(z) = 0 are closed geodesics of
+    length 2 pi rho(z).
     """
 
     z_bound = 300.0  # cosh-type profiles overflow float64 past ~700
@@ -472,18 +498,13 @@ class _ProfileChart(Chart):
         x = np.asarray(x, dtype=float)
         return np.abs(x[..., 0]) < self.z_bound
 
-    def profile(self, z):
-        raise NotImplementedError
-
-    def profile_d1(self, z):
-        raise NotImplementedError
-
-    def profile_d2(self, z):
+    def profile_jet(self, z):
+        """(rho, rho', rho'') at z, each of the shape of z."""
         raise NotImplementedError
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)
-        rho = self.profile(x[..., 0])
+        rho = self.profile_jet(x[..., 0])[0]
         g = np.zeros(x.shape[:-1] + (2, 2))
         g[..., 0, 0] = 1.0
         g[..., 1, 1] = rho**2
@@ -491,23 +512,30 @@ class _ProfileChart(Chart):
 
     def metric_deriv(self, x):
         x = np.asarray(x, dtype=float)
-        z = x[..., 0]
+        rho, d1, _ = self.profile_jet(x[..., 0])
         dg = np.zeros(x.shape[:-1] + (2, 2, 2))
-        dg[..., 0, 1, 1] = 2 * self.profile(z) * self.profile_d1(z)
+        dg[..., 0, 1, 1] = 2 * rho * d1
         return dg
 
     def metric_second_deriv(self, x):
         x = np.asarray(x, dtype=float)
-        z = x[..., 0]
-        rho, d1, d2 = self.profile(z), self.profile_d1(z), self.profile_d2(z)
+        rho, d1, d2 = self.profile_jet(x[..., 0])
         d2g = np.zeros(x.shape[:-1] + (2, 2, 2, 2))
         d2g[..., 0, 0, 1, 1] = 2 * (d1**2 + rho * d2)
         return d2g
 
+    def christoffels(self, x):
+        x = np.asarray(x, dtype=float)
+        rho, d1, _ = self.profile_jet(x[..., 0])
+        gam = np.zeros(x.shape[:-1] + (2, 2, 2))
+        gam[..., 0, 1, 1] = -rho * d1
+        gam[..., 1, 0, 1] = gam[..., 1, 1, 0] = d1 / rho
+        return gam
+
     def gauss_curvature(self, x):
         x = np.asarray(x, dtype=float)
-        z = x[..., 0]
-        return -self.profile_d2(z) / self.profile(z)
+        rho, _, d2 = self.profile_jet(x[..., 0])
+        return -d2 / rho
 
     def exhaustion(self, x):
         return np.abs(np.asarray(x, dtype=float)[..., 0])
@@ -539,14 +567,9 @@ class FlatCylinder(_ProfileChart):
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"cylinder radius must be finite and > 0 (got {radius!r})")
 
-    def profile(self, z):
-        return np.full(np.shape(z), self.radius)
-
-    def profile_d1(self, z):
-        return np.zeros(np.shape(z))
-
-    def profile_d2(self, z):
-        return np.zeros(np.shape(z))
+    def profile_jet(self, z):
+        zero = np.zeros(np.shape(z))
+        return np.full(np.shape(z), self.radius), zero, zero
 
 
 class Funnel(_ProfileChart):
@@ -558,9 +581,9 @@ class Funnel(_ProfileChart):
 
     name = "funnel"
 
-    profile = staticmethod(np.cosh)
-    profile_d1 = staticmethod(np.sinh)
-    profile_d2 = staticmethod(np.cosh)
+    def profile_jet(self, z):
+        rho = np.cosh(z)
+        return rho, np.sinh(z), rho
 
 
 class BumpedCylinder(_ProfileChart):
@@ -581,29 +604,31 @@ class BumpedCylinder(_ProfileChart):
         if not (np.isfinite(self.amplitude) and self.amplitude > -1):
             raise ValueError(f"bump amplitude must be finite and > -1 (got {amplitude!r})")
 
-    def profile(self, z):
+    def profile_jet(self, z):
         z = np.asarray(z, dtype=float)
-        inside = np.abs(z) < 1
-        b = np.where(inside, (1 - z**2) ** 4, 0.0)
-        return 1.0 + self.amplitude * b
-
-    def profile_d1(self, z):
-        z = np.asarray(z, dtype=float)
-        inside = np.abs(z) < 1
-        db = np.where(inside, -8 * z * (1 - z**2) ** 3, 0.0)
-        return self.amplitude * db
-
-    def profile_d2(self, z):
-        z = np.asarray(z, dtype=float)
-        inside = np.abs(z) < 1
-        d2b = np.where(
-            inside, -8 * (1 - z**2) ** 3 + 48 * z**2 * (1 - z**2) ** 2, 0.0
-        )
-        return self.amplitude * d2b
+        z2 = z * z
+        # u vanishes off the bump, and with it every bump term; products,
+        # not powers, so a point's jet does not depend on its batch
+        u = np.maximum(1.0 - z2, 0.0)
+        u2 = u * u
+        u3 = u2 * u
+        a = self.amplitude
+        return (1.0 + a * (u2 * u2), a * (-8 * z * u3),
+                a * (-8 * u3 + 48 * z2 * u2))
 
 
 class _ConformalChart(Chart):
-    """Conformal metric lambda(|u|^2) * I on a planar domain."""
+    """Conformal metric lambda(|u|^2) * I on a planar domain.
+
+    With phi = 1/2 log lambda, Gamma^k_ij = delta_kj d_i phi + delta_ki d_j phi
+    - delta_ij d_k phi; subclasses give grad phi through ``_grad_phi``.
+    """
+
+    #: Gamma^k_ij, flattened over (k, i, j), as entries of (grad phi, -grad phi)
+    _GAMMA_FROM_GRAD = np.array([0, 1, 1, 2, 3, 0, 0, 1])
+
+    def _grad_phi(self, x):
+        raise NotImplementedError
 
     def _lam(self, s):
         raise NotImplementedError
@@ -638,6 +663,12 @@ class _ConformalChart(Chart):
         )
         return hess[..., :, :, None, None] * eye
 
+    def christoffels(self, x):
+        x = np.asarray(x, dtype=float)
+        p = self._grad_phi(x)
+        gam = np.concatenate((p, -p), axis=-1)[..., self._GAMMA_FROM_GRAD]
+        return gam.reshape(x.shape[:-1] + (2, 2, 2))
+
 
 class SphereStereographic(_ConformalChart):
     """Round unit 2-sphere in a stereographic chart, g = 4/(1+|u|^2)^2 I.
@@ -663,6 +694,9 @@ class SphereStereographic(_ConformalChart):
 
     def _d2lam(self, s):
         return 24.0 / (1.0 + s) ** 4
+
+    def _grad_phi(self, x):
+        return -2.0 * x / (1.0 + (x * x).sum(-1))[..., None]
 
     def gauss_curvature(self, x):
         x = np.asarray(x, dtype=float)
@@ -701,6 +735,9 @@ class PoincareDisk(_ConformalChart):
 
     def _d2lam(self, s):
         return 24.0 / (1.0 - s) ** 4
+
+    def _grad_phi(self, x):
+        return 2.0 * x / (1.0 - (x * x).sum(-1))[..., None]
 
     def gauss_curvature(self, x):
         x = np.asarray(x, dtype=float)
@@ -770,6 +807,16 @@ class Paraboloid(Chart):
         d2g[..., 0, 0, 0, 0] = 8.0
         d2g[..., 0, 0, 1, 1] = 2.0
         return d2g
+
+    def christoffels(self, x):
+        x = np.asarray(x, dtype=float)
+        rho = x[..., 0]
+        e = 1.0 + 4.0 * rho * rho        # g_rho_rho
+        gam = np.zeros(x.shape[:-1] + (2, 2, 2))
+        gam[..., 0, 0, 0] = 4.0 * rho / e
+        gam[..., 0, 1, 1] = -rho / e
+        gam[..., 1, 0, 1] = gam[..., 1, 1, 0] = 1.0 / rho
+        return gam
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)

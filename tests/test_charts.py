@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import geolab
 from geolab.charts import (
     FlatPlane,
     TangentVector,
     christoffels,
+    christoffels_of_metric,
     curvature_operator,
     flow_trajectory,
     geodesic_flow,
@@ -14,6 +16,7 @@ from geolab.charts import (
     sectional_curvature,
 )
 from geolab.errors import ChartDomainError, DegeneratePlaneError, DomainEscapeError
+from geolab.jacobi import _integrate_jacobi
 
 from conftest import ZOO, sample_inside
 
@@ -53,12 +56,106 @@ def test_christoffels_funnel_waist_symmetry():
     assert abs(gam[1, 0, 1] - np.tanh(z)) < 1e-12
 
 
-def test_christoffels_paraboloid_fd_oracle():
-    chart = make_chart("paraboloid")
-    x = np.array([1.0, 0.3])
-    analytic = christoffels(chart, x)
-    fd = christoffels(chart, x, finite_difference=True)
-    assert np.max(np.abs(analytic - fd)) < 1e-6
+def sample_batch(chart, rng, n):
+    return np.array([sample_inside(chart, rng) for _ in range(n)])
+
+
+def test_christoffels_closed_form_oracle(zoo_chart, rng):
+    # the chart's closed form against the generic formula, fed with the
+    # analytic metric derivative and with finite differences of the metric
+    x = sample_batch(zoo_chart, rng, 200)
+    closed = christoffels(zoo_chart, x)
+    generic = christoffels_of_metric(zoo_chart.metric(x), zoo_chart.metric_deriv(x))
+    scale = np.max(np.abs(generic), axis=(-3, -2, -1))
+    err = np.max(np.abs(closed - generic), axis=(-3, -2, -1))
+    assert np.all(err <= 1e-13 * scale)
+    fd = christoffels(zoo_chart, x, finite_difference=True)
+    assert np.max(np.abs(closed - fd)) <= 1e-6 * max(np.max(scale), 1.0)
+
+
+def test_christoffels_scalar_matches_stack_bitwise(zoo_chart, rng):
+    # a point's Christoffels do not depend on the batch it is evaluated in
+    x = sample_batch(zoo_chart, rng, 2000)
+    stacked = christoffels(zoo_chart, x)
+    assert all(np.array_equal(christoffels(zoo_chart, xi), gi) for xi, gi in zip(x, stacked))
+
+
+def _bump_profile_by_powers(z, a):
+    """The bump profile written with powers and a mask (rho, rho', rho'')."""
+    inside = np.abs(z) < 1
+    b = np.where(inside, (1 - z**2) ** 4, 0.0)
+    db = np.where(inside, -8 * z * (1 - z**2) ** 3, 0.0)
+    d2b = np.where(inside, -8 * (1 - z**2) ** 3 + 48 * z**2 * (1 - z**2) ** 2, 0.0)
+    return 1.0 + a * b, a * db, a * d2b
+
+
+def test_profile_jets_match_the_profiles(rng):
+    z = np.concatenate([rng.uniform(-3.0, 3.0, 20000), rng.uniform(0.99, 1.01, 2000)])
+    for chart, today in [
+        (make_chart("cylinder", radius=1.7),
+         (np.full(z.shape, 1.7), np.zeros(z.shape), np.zeros(z.shape))),
+        (make_chart("funnel"), (np.cosh(z), np.sinh(z), np.cosh(z))),
+    ]:
+        for got, want in zip(chart.profile_jet(z), today):
+            assert np.array_equal(got, want)
+    bump = make_chart("bumped_cylinder")
+    rho, d1, d2 = bump.profile_jet(z)
+    rho_p, d1_p, d2_p = _bump_profile_by_powers(z, bump.amplitude)
+    # rho to 1 ulp; the derivatives multiply out u^3 where the powers call
+    # pow, which rounds once: a few ulp of the value (rho') or of the
+    # magnitude of its two terms (rho'', which cancels at 7 z^2 = 1)
+    u = np.maximum(1 - z**2, 0.0)
+    d2_terms = bump.amplitude * (8 * u**3 + 48 * z**2 * u**2)
+    assert np.all(np.abs(rho - rho_p) <= np.spacing(rho_p))
+    assert np.all(np.abs(d1 - d1_p) <= 4 * np.spacing(np.abs(d1_p)))
+    assert np.all(np.abs(d2 - d2_p) <= 4 * np.spacing(d2_terms))
+
+
+def test_bump_christoffels_at_the_junction():
+    chart = make_chart("bumped_cylinder")
+    a = chart.amplitude
+    for side in (1.0, -1.0):
+        # continuous across |z| = 1, exactly flat beyond it
+        z = side * (1.0 + np.array([-1e-5, -1e-9, 0.0, 1e-9, 1e-5]))
+        gam = christoffels(chart, np.stack([z, np.full(5, 0.4)], axis=-1))
+        assert np.max(np.abs(np.diff(gam, axis=0))) <= 1e-12
+        outside = side * np.array([1.0, 1.0 + 1e-12, 1.5, 7.0])
+        gam = christoffels(chart, np.stack([outside, np.zeros(4)], axis=-1))
+        assert np.all(gam == 0.0)
+        # Gamma^theta_{z theta} = rho'/rho from the profile 1 + a (1 - z^2)^4
+        z0 = side * 0.5
+        u = 1.0 - z0 * z0
+        expected = -8.0 * a * z0 * u**3 / (1.0 + a * u**4)
+        gam = christoffels(chart, np.array([z0, 2.0]))
+        assert abs(gam[1, 0, 1] - expected) <= 1e-15 * abs(expected)
+        assert gam[1, 1, 0] == gam[1, 0, 1]
+
+
+@pytest.mark.parametrize("name", ["bumped_cylinder", "sphere", "paraboloid"])
+def test_one_christoffel_call_per_rk4_stage(name, monkeypatch):
+    # the trace counts RK4 stages by calls to charts.christoffels: every
+    # right-hand side goes through it, whichever module's name it uses
+    chart = make_chart(name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return christoffels(*args, **kwargs)
+
+    for mod in vars(geolab).values():
+        if getattr(mod, "christoffels", None) is christoffels:
+            monkeypatch.setattr(mod, "christoffels", counted)
+    x0, v0 = SAFE_STARTS[name]
+    bases = np.array([x0, x0, x0])
+    vs = np.array([v0, [0.3, 0.2], [-0.1, 0.25]])
+    steps = 24
+    _, _, exit_time = flow_trajectory(chart, TangentVector(bases, vs), 0.5, steps)
+    assert np.all(np.isinf(exit_time))
+    assert len(calls) == 4 * steps
+    calls.clear()
+    *_, exit_time = _integrate_jacobi(chart, TangentVector(bases, vs), 0.5, steps)
+    assert np.all(np.isinf(exit_time))
+    assert len(calls) == 4 * steps
 
 
 def test_christoffel_index_symmetry(zoo_chart, rng):
@@ -257,11 +354,16 @@ def test_flow_domain_escape_carries_time():
 
 def test_flow_point_refused_inside_the_guard_is_an_escape():
     class WalledPlane(FlatPlane):
-        # refuses x > 1, which its domain guard does not say
+        # refuses x > 1, which its domain guard does not say; the flow
+        # reads the chart through its closed-form Christoffels
         def metric(self, x):
             if np.any(np.asarray(x)[..., 0] > 1.0):
                 raise ChartDomainError("wall")
             return super().metric(x)
+
+        def christoffels(self, x):
+            self.metric(x)
+            return super().christoffels(x)
 
     start = TangentVector([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(DomainEscapeError) as err:
