@@ -115,7 +115,7 @@ class Chart:
         x = np.asarray(x, dtype=float)
         if np.isinf(self.guard_radius):
             return np.ones(x.shape[:-1], dtype=bool) if x.ndim > 1 else True
-        return np.linalg.norm(x, axis=-1) < self.guard_radius
+        return np.sqrt((x * x).sum(-1)) < self.guard_radius
 
     def reduce_point(self, x: np.ndarray) -> np.ndarray:
         """Wrap periodic coordinates into [0, period)."""
@@ -425,6 +425,19 @@ def flow_trajectory(chart: Chart, start: TangentVector, t: float, steps: int) ->
 def metric_speed(chart: Chart, x: np.ndarray, v: np.ndarray) -> float:
     g = chart.metric(x)
     return float(np.sqrt(v @ g @ v))
+
+
+def sample_unit_starts(chart: Chart, rng: np.random.Generator, count: int,
+                       r_min: float, r_max: float) -> TangentVector:
+    """A batch of ``count`` unit-speed starts: per start, a point from
+    ``chart.sample_point(rng, r_min, r_max)``, then a standard normal
+    velocity scaled to metric speed 1."""
+    starts = []
+    for _ in range(count):
+        x = chart.sample_point(rng, r_min, r_max)
+        v = rng.standard_normal(chart.dim)
+        starts.append((x, v / max(metric_speed(chart, x, v), 1e-12)))
+    return TangentVector(*(np.array(a) for a in zip(*starts)))
 
 
 # ---------------------------------------------------------------------------

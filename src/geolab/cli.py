@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .charts import Chart, make_chart, sectional_curvature, flow_trajectory, metric_speed, TangentVector
+from .charts import Chart, flow_trajectory, make_chart, metric_speed, sample_unit_starts, sectional_curvature
 from .config import RunConfig, load_config
 from .descent import (
     DescentOptions,
@@ -44,11 +44,10 @@ from .families import (
     winding_band,
 )
 from .jacobi import (
-    _integrate_jacobi,
-    _scan_conjugate_points,
     close_conjugate_points_check,
     eigenspace_dimension,
     is_moving,
+    jacobi_propagate,
     shoot_closed_orbit,
     symplectic_defect,
 )
@@ -125,12 +124,13 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
     Each analysis artefact is computed once per loop: the exact penalized
     Hessian and its spectrum (index, nullity, lemma bound, and through its
     pinned block the Dirichlet index), and, for a moving loop, one
-    integration of its ``outgoing_orbit``, whose conjugate scan gives cp_1.
-    A genuine loop's orbit is shot closed once (``shoot_closed_orbit``): the
-    outgoing grid when it already closes, else one batch of segments from the
-    polygon's nodes per Gauss-Newton step.  The stitched orbit's return map
-    gives ``nullity_monodromy`` and the Bott omega-nullities, its conjugate
-    scan the based cross-check, next to the quadrature Hessian.  The Bott table
+    integration of its ``outgoing_orbit``, an ``Orbit`` record whose
+    conjugate report gives cp_1.  A genuine loop's orbit is shot closed once
+    (``shoot_closed_orbit``): the outgoing orbit when it already closes, else
+    one batch of segments from the polygon's nodes per Gauss-Newton step.
+    The stitched ``Orbit``'s ``return_map()`` gives ``nullity_monodromy`` and
+    the Bott omega-nullities, its ``conjugate_report()`` the based
+    cross-check, next to the quadrature Hessian.  The Bott table
     (``with_bott``) solves one omega-twisted copy of the unpenalized N-node
     Hessian per root of unity and per arc of the mean-index average; no
     iterate is assembled.  ``find`` calls this once per census key (see
@@ -175,8 +175,7 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
         closed = shoot_closed_orbit(chart, loop, orbit)
         return_map = closed.return_map()
         record["nullity_monodromy"] = eigenspace_dimension(return_map, 1.0)
-        record["based_cross_check"] = based_index_verdict(
-            _scan_conjugate_points(1.0, closed.grid[3]), sv)
+        record["based_cross_check"] = based_index_verdict(closed.conjugate_report(), sv)
         sv_q = assemble_second_variation(chart, loop, schedule, alpha,
                                          method="continuum_quadrature")
         spec_q = index_and_nullity(sv_q)
@@ -367,19 +366,13 @@ def _chart_self_tests(chart: Chart, cfg: RunConfig, rng) -> dict:
     # stepped as one batch per flow: a broken integrator fails all of them,
     # while a single unlucky orbit (chart escape, near-singular passage)
     # only spoils one.  A start counts when both of its runs stay inside.
-    starts = []
-    for _ in range(8):
-        x = (chart.sample_point(rng, 0.0, 1.5) if chart.compact
-             else chart.sample_point(rng, 0.3, 2.0))
-        v = rng.standard_normal(2)
-        starts.append((x, v / max(metric_speed(chart, x, v), 1e-12)))
-    start = TangentVector(*(np.array(a) for a in zip(*starts)))
+    start = sample_unit_starts(chart, rng, 8, *((0.0, 1.5) if chart.compact else (0.3, 2.0)))
     xs, vs, flow_exit = flow_trajectory(chart, start, 4.0, 2048)
-    *_, phis, jacobi_exit = _integrate_jacobi(chart, start, 2.0, 512)
+    orbit, jacobi_exit = jacobi_propagate(chart, start, 2.0, 512)
     ok = np.isinf(flow_exit) & np.isinf(jacobi_exit)
     drift = min((abs(metric_speed(chart, x[-1], v[-1]) - 1.0)
                  for x, v in zip(xs[ok], vs[ok])), default=float("nan"))
-    defect = min((symplectic_defect(p[-1]) for p in phis[ok]), default=float("nan"))
+    defect = min((symplectic_defect(p) for p in orbit.matrix[ok]), default=float("nan"))
     checks["flow_speed_conservation"] = {"drift": drift, "pass": bool(drift < 4e-6)}
     checks["symplectic_defect"] = {"defect": defect, "pass": bool(defect < 1e-6)}
     checks["pass"] = all(c["pass"] for c in checks.values() if isinstance(c, dict))

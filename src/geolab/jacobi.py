@@ -12,28 +12,30 @@ whose 2 x 2 fundamental matrix Y is all the flow integrates.  The
 fundamental solution Phi(s) = shear (+) Y of the first-order form is
 symplectic; its upper-right block B(s) = diag(s, y(s)) propagates purely
 vertical initial conditions (xi(0) = 0), so conjugate points are the zeros
-of y = Phi[1, 3] (y(0) = 0, y'(0) = 1).  Its lifted Prufer angle theta =
-arg(y' + i y) has theta' = 1 wherever y = 0: it crosses each multiple of pi
-once and upward, so the count on (0, s] is floor(theta(s) / pi) and each
-zero is simple.  Lifting theta from grid nodes needs each step to turn it by
-less than pi; with K |v|_g^2 = w^2 it gains pi per half period pi / w, so
-RK4's own stability bound h w < 2 sqrt(2) suffices.
+of y = Y[0, 1] (y(0) = 0, y'(0) = Y[1, 1] = 1).  Its lifted Prufer angle
+theta = arg(y' + i y) has theta' = 1 wherever y = 0: it crosses each
+multiple of pi once and upward, so the count on (0, s] is floor(theta(s) /
+pi) and each zero is simple.  Lifting theta from grid nodes needs each step
+to turn it by less than pi; with K |v|_g^2 = w^2 it gains pi per half
+period pi / w, so RK4's own stability bound h w < 2 sqrt(2) suffices.
 
 For a closed geodesic, expressing the time-1 fundamental matrix in a single
 basis (undoing the holonomy of the frame) produces the linearized return
 map P; the nullity of the m-fold iterate is the kernel dimension of
 P^m - Id, the sum of dim ker(P - omega Id) over omega^m = 1.
 
-An analysed loop's first grid (x, v, frame, Phi) integrates its
-``outgoing_orbit`` from (basepoint, v_+) and gives cp_1.  Unless that grid
-already closes, ``shoot_closed_orbit`` closes the orbit by multiple
-shooting: B segments start at evenly spaced polygon nodes, are integrated
-as one batch at the outgoing orbit's step, and Gauss-Newton drives their
-junction mismatches to zero.  Both routes find the fixed point of the same
-discrete time-1 map, and the segments' Phis, multiplied up, give the closed
-orbit's grid, which the based cross-check scans.  The scan
-(``_scan_conjugate_points``) integrates nothing.  The tolerances are module
-constants; no caller sets them.
+An integration is one ``Orbit`` record: the rows of x, v and Y over [0, t]
+(with a leading batch axis for a batch of starts) and the velocity frames
+at the two ends; Phi and the frames are read only at the ends.  An
+analysed loop's first orbit is its ``outgoing_orbit`` from (basepoint,
+v_+), which gives cp_1.  Unless that orbit already closes,
+``shoot_closed_orbit`` closes it by multiple shooting: B segments start at
+evenly spaced polygon nodes, are integrated as one batch at the outgoing
+orbit's step, and Gauss-Newton drives their junction mismatches to zero.
+Both routes find the fixed point of the same discrete time-1 map, and the
+segments' Ys, multiplied up, give the closed orbit, which the based
+cross-check scans.  The scan (``Orbit.conjugate_report``) integrates
+nothing.  The tolerances are module constants; no caller sets them.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .charts import (
     _integrate,
     christoffels,
     metric_speed,
+    sample_unit_starts,
     sectional_curvature,
 )
 from .errors import DomainEscapeError, GeolabError, NotAGeodesicError, SamplingStarvationError
@@ -58,7 +61,7 @@ from .loops import DiscreteLoop, energy, one_sided_velocities, outgoing_velociti
 TIME_TOL = 1e-6             # conjugate times are bisected to this; a zero this close to t is at t
 ENDPOINT_MARGIN = 1e-3      # O(1/N^2) wander of a conjugate time sitting at the endpoint
 UNIT_TOL = 1e-4             # an eigenvalue this close to a unit root omega counts as omega
-RANK_REL = 1e-4             # singular values below this (relative) span the kernel
+RANK_REL = 1e-4             # singular values below this span the kernel; omega Id sets the unit scale
 CLOSURE_TOL = 1e-2          # closure residual (relative to the speed) of a shot orbit
 SHOOT_TOL = 1e-9            # closure residual (relative to the speed) that ends the shooting
 SHOOT_MAX_ITER = 8          # Gauss-Newton steps of one shooting
@@ -72,55 +75,6 @@ def symplectic_defect(m: np.ndarray) -> float:
     d = len(m) // 2
     j = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
     return float(np.max(np.abs(m.T @ j @ m - j)))
-
-
-@dataclass
-class MonodromyMatrix:
-    """Fundamental Jacobi solution over [0, t] in the (parallel) velocity frame.
-
-    ``matrix`` maps (xi(0), D xi(0)) frame components to (xi(t), D xi(t))
-    frame components; ``frame0``/``frame1`` hold the frame vectors (columns,
-    chart components) at the two ends; ``grid`` is the grid (x, v, frame,
-    Phi) it was read from, one integration or the segments
-    ``refine_closed_orbit`` stitched.
-    """
-
-    matrix: np.ndarray
-    frame0: np.ndarray
-    frame1: np.ndarray
-    start: TangentVector
-    end: TangentVector
-    grid: tuple
-
-    @property
-    def dim(self) -> int:
-        return self.frame0.shape[0]
-
-    @property
-    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        d = self.dim
-        m = self.matrix
-        return m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
-
-    @classmethod
-    def of_grid(cls, grid) -> MonodromyMatrix:
-        """The fundamental solution over the whole span of a grid (x, v, frame, Phi)."""
-        xs, vs, es, phis = grid
-        return cls(phis[-1], es[0], es[-1], TangentVector(xs[0], vs[0]),
-                   TangentVector(xs[-1], vs[-1]), grid)
-
-    def return_map(self) -> np.ndarray:
-        """Time-t differential in the fixed frame at the start point.
-
-        Only meaningful when the orbit closes up; the frame holonomy
-        T = frame0^{-1} frame1 is undone blockwise.
-        """
-        t = np.linalg.solve(self.frame0, self.frame1)
-        d = self.dim
-        conj = np.zeros((2 * d, 2 * d))
-        conj[:d, :d] = t
-        conj[d:, d:] = t
-        return conj @ self.matrix
 
 
 @dataclass
@@ -141,6 +95,55 @@ class ConjugateReport:
     def count_open(self) -> int:
         """Conjugate times on the open interval (0, t - ``ENDPOINT_MARGIN``)."""
         return sum(s < self.t - ENDPOINT_MARGIN for s in self.times)
+
+
+@dataclass(frozen=True)
+class Orbit:
+    """One Jacobi-flow integration over [0, t], or a batch of them.
+
+    ``x`` and ``v`` hold the chart rows (..., steps+1, d) and ``y`` the rows
+    (..., steps+1, 2, 2) of the normal fundamental matrix Y; ``frames``
+    (..., 2, d, d) holds the velocity frames (columns, chart components) at
+    the first and last rows.  The leading axes, if any, index the members
+    of a batch; an escaped member's rows are NaN from its exit on.
+    """
+
+    t: float
+    x: np.ndarray
+    v: np.ndarray
+    y: np.ndarray
+    frames: np.ndarray
+
+    @property
+    def start(self) -> TangentVector:
+        return TangentVector(self.x[..., 0, :], self.v[..., 0, :])
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Phi(t) = [[1, t], [0, 1]] (+) Y(t): maps the frame components
+        (xi_1, xi_2, D xi_1, D xi_2) at 0 to those at t."""
+        y = self.y[..., -1, :, :]
+        phi = np.zeros(y.shape[:-2] + (4, 4))
+        phi[..., 0, 0] = phi[..., 2, 2] = 1.0
+        phi[..., 0, 2] = self.t
+        phi[..., 1::2, 1::2] = y
+        return phi
+
+    def return_map(self) -> np.ndarray:
+        """Time-t differential in the fixed frame at the start point.
+
+        Only meaningful when the orbit closes up; the frame holonomy
+        T = frame0^{-1} frame1 is undone blockwise.
+        """
+        t = np.linalg.solve(self.frames[0], self.frames[1])
+        conj = np.zeros((4, 4))
+        conj[:2, :2] = t
+        conj[2:, 2:] = t
+        return conj @ self.matrix
+
+    def conjugate_report(self) -> ConjugateReport:
+        """Conjugate times in (0, t] read off the Y rows; integrates nothing."""
+        return _scan_conjugate_points(self.t, self.y)
 
 
 def _speed_sq(g: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -171,45 +174,35 @@ def _jacobi_rhs(chart: Chart, x, v, y):
     return v, acc, dy
 
 
-def _integrate_jacobi(chart: Chart, start: TangentVector, t: float, steps: int):
-    """Grid integration of (x, v, frame, Phi) from one start or a batch of starts.
+def jacobi_propagate(chart: Chart, start: TangentVector, t: float,
+                     steps: int) -> Orbit | tuple[Orbit, np.ndarray]:
+    """RK4 integration of (x, v, Y) over [0, t] from one start or a batch of starts.
 
-    RK4 steps (x, v, Y), Y the fundamental matrix of the normal equation;
-    the velocity frames and Phi = shear (+) Y are read off the grid after.
-    One start (base and velocity of shape (d,)) returns the per-step
-    arrays x, v, e, Phi, each with leading axis steps+1, and raises
-    DomainEscapeError with the exit time when the geodesic leaves the chart.
-    A batch (shape (B, d)) is stepped as one state and returns the four
-    arrays with leading axes (B, steps+1) plus the exit times (B,): inf for
-    a member that stayed inside, n h when a stage point of step n left the
-    chart and (n+1) h when its new point did.  A member's rows are NaN from
-    its exit on.  A chart that is not a surface raises NotImplementedError,
-    a start with zero metric speed ValueError.
+    Y is the fundamental matrix of the normal equation; the velocity frames
+    are read off the end rows after.  One start (base and velocity of shape
+    (d,)) returns its ``Orbit`` and raises DomainEscapeError with the exit
+    time when the geodesic leaves the chart.  A batch (shape (B, d)) is
+    stepped as one state and returns the batch ``Orbit`` and the exit times
+    (B,): inf for a member that stayed inside, n h when a stage point of step
+    n left the chart and (n+1) h when its new point did.  A member's rows
+    are NaN from its exit on.  A chart that is not a surface raises
+    NotImplementedError, a start with zero metric speed or t <= 0 ValueError.
     """
+    if t <= 0:
+        raise ValueError("t must be positive")
     if chart.dim != 2:
         raise NotImplementedError(f"{chart.name}: the Jacobi flow is written for surfaces "
                                   f"(d = 2), not d = {chart.dim}")
-    x = np.asarray(start.base, dtype=float)
-    v = np.asarray(start.v, dtype=float)
+    x, v = start.base, start.v
     if not np.all(_speed_sq(chart.metric(x), v) > 0):
         raise ValueError("a Jacobi flow start needs a nonzero metric speed")
     y = np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
     rhs = functools.partial(_jacobi_rhs, chart)
     xs, vs, ys, *exit_time = _integrate(chart, rhs, (x, v, y), t, steps,
                                         " during Jacobi propagation")
-    phis = np.zeros(ys.shape[:-2] + (4, 4))
-    phis[..., 0, 0] = phis[..., 2, 2] = 1.0
-    phis[..., 0, 2] = np.linspace(0.0, t, steps + 1)
-    phis[..., 1::2, 1::2] = ys
-    phis[np.isnan(xs[..., 0])] = np.nan
-    return (xs, vs, velocity_frame(chart, xs, vs), phis, *exit_time)
-
-
-def jacobi_propagate(chart: Chart, start: TangentVector, t: float, steps: int) -> MonodromyMatrix:
-    """Fundamental Jacobi solution over [0, t] (columns = propagated basis ICs)."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return MonodromyMatrix.of_grid(_integrate_jacobi(chart, start, t, steps))
+    ends = [0, -1]
+    orbit = Orbit(t, xs, vs, ys, velocity_frame(chart, xs[..., ends, :], vs[..., ends, :]))
+    return (orbit, *exit_time) if exit_time else orbit
 
 
 def is_moving(chart: Chart, loop: DiscreteLoop) -> bool:
@@ -218,12 +211,12 @@ def is_moving(chart: Chart, loop: DiscreteLoop) -> bool:
     return speed > 1e-4 and energy(chart, loop) > 1e-8
 
 
-def outgoing_orbit(chart: Chart, loop: DiscreteLoop) -> tuple:
-    """Grid (x, v, frame, Phi) over [0, 1] of the geodesic from the basepoint
-    with the outgoing velocity v_+: the scanned orbit, and the closed orbit
-    when it already closes."""
+def outgoing_orbit(chart: Chart, loop: DiscreteLoop) -> Orbit:
+    """Orbit over [0, 1] of the geodesic from the basepoint with the outgoing
+    velocity v_+: the scanned orbit, and the closed orbit when it already
+    closes."""
     _, v_plus = one_sided_velocities(chart, loop)
-    return _integrate_jacobi(chart, TangentVector(loop.basepoint, v_plus), 1.0, ORBIT_STEPS)
+    return jacobi_propagate(chart, TangentVector(loop.basepoint, v_plus), 1.0, ORBIT_STEPS)
 
 
 def _refine_root(grid_t: np.ndarray, y: np.ndarray, dy: np.ndarray, k: int) -> float:
@@ -253,22 +246,20 @@ def _refine_root(grid_t: np.ndarray, y: np.ndarray, dy: np.ndarray, k: int) -> f
 def conjugate_points(chart: Chart, start: TangentVector, t: float,
                      steps: int) -> ConjugateReport:
     """Conjugate times in (0, t] along the geodesic from ``start``: the
-    ``_scan_conjugate_points`` scan of one integrated grid."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return _scan_conjugate_points(t, _integrate_jacobi(chart, start, t, steps)[3])
+    ``Orbit.conjugate_report`` scan of one integration."""
+    return jacobi_propagate(chart, start, t, steps).conjugate_report()
 
 
-def _scan_conjugate_points(t: float, phis: np.ndarray) -> ConjugateReport:
-    """Conjugate times in (0, t] from the Phi rows of one grid on [0, t]: a root
+def _scan_conjugate_points(t: float, ys: np.ndarray) -> ConjugateReport:
+    """Conjugate times in (0, t] from the Y rows of one orbit on [0, t]: a root
     is bisected in each interval where floor(theta / pi) steps up, theta the
-    lifted angle of (y, y') = (Phi[1, 3], Phi[3, 3]).  A zero within ``TIME_TOL``
+    lifted angle of (y, y') = (Y[0, 1], Y[1, 1]).  A zero within ``TIME_TOL``
     of t is at t: a last root that close below t, or theta(t) that close below
     a multiple of pi (theta' = 1 there, so the angle gap is the time gap)."""
-    y, dy = phis[:, 1, 3], phis[:, 3, 3]
+    y, dy = ys[:, 0, 1], ys[:, 1, 1]
     theta = np.unwrap(np.arctan2(y, dy))
     laps = np.floor(theta / np.pi)
-    grid_t = np.linspace(0.0, t, len(phis))
+    grid_t = np.linspace(0.0, t, len(ys))
     roots = [_refine_root(grid_t, y, dy, k) for k in np.flatnonzero(np.diff(laps) > 0)]
     if roots and t - roots[-1] < TIME_TOL:
         roots[-1] = t
@@ -295,92 +286,93 @@ def _chart_to_covariant(chart: Chart, x, v, e):
     return out
 
 
-def _junctions(chart: Chart, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+def _junctions(chart: Chart, shot: Orbit) -> np.ndarray:
     """Stacked mismatches (x, v) of each segment's end against the next
     segment's start, the last against the first; zero on a closed orbit."""
-    fx = chart.wrap_difference(xs[:, -1] - np.roll(xs[:, 0], -1, axis=0))
-    fv = vs[:, -1] - np.roll(vs[:, 0], -1, axis=0)
+    fx = chart.wrap_difference(shot.x[:, -1] - np.roll(shot.x[:, 0], -1, axis=0))
+    fv = shot.v[:, -1] - np.roll(shot.v[:, 0], -1, axis=0)
     return np.concatenate([fx, fv], axis=1).ravel()
 
 
-def _shoot_segments(chart: Chart, x: np.ndarray, v: np.ndarray) -> tuple:
-    """Grids (x, v, frame, Phi) of the len(x) segments of [0, 1] from the
-    starts (x, v), integrated as one batch at the step 1 / ``ORBIT_STEPS``;
-    raises DomainEscapeError when a segment leaves the chart."""
+def _shoot_segments(chart: Chart, x: np.ndarray, v: np.ndarray) -> Orbit:
+    """Batch orbit of the len(x) segments of [0, 1] from the starts (x, v),
+    integrated at the step 1 / ``ORBIT_STEPS``; raises DomainEscapeError
+    when a segment leaves the chart."""
     b = len(x)
-    *grid, exit_time = _integrate_jacobi(chart, TangentVector(x, v), 1.0 / b, ORBIT_STEPS // b)
+    shot, exit_time = jacobi_propagate(chart, TangentVector(x, v), 1.0 / b, ORBIT_STEPS // b)
     escaped = np.flatnonzero(np.isfinite(exit_time))
     if len(escaped):
         k = escaped[0]
         raise DomainEscapeError(f"{chart.name}: geodesic left the chart domain during "
                                 "closed-orbit shooting", exit_time=float(k / b + exit_time[k]))
-    return tuple(grid)
+    return shot
 
 
-def _stitch(chart: Chart, grid: tuple) -> tuple:
-    """One grid (x, v, frame, Phi) over [0, 1] from consecutive segment grids:
-    the rows concatenated (each junction once), the positions lifted across
-    periodic coordinates, and Phi the running product of the segment Phis."""
-    xs, vs, es, phis = grid
-    jumps = xs[:-1, -1] - xs[1:, 0]
+def _stitch(chart: Chart, shot: Orbit) -> Orbit:
+    """One orbit over [0, 1] from a batch of consecutive segments: the rows
+    concatenated (each junction once), the positions lifted across periodic
+    coordinates, Y the running product of the segment Ys (the shears compose
+    by adding their times), and the frames those of the first start and the
+    last end."""
+    jumps = shot.x[:-1, -1] - shot.x[1:, 0]
     lifts = np.cumsum(jumps - chart.wrap_difference(jumps), axis=0)
-    xs = xs + np.concatenate([np.zeros((1, xs.shape[-1])), lifts])[:, None]
-    phis = phis.copy()
-    for k in range(1, len(phis)):
-        phis[k] = phis[k] @ phis[k - 1, -1]
-    return tuple(np.concatenate([a[0], a[1:, 1:].reshape((-1,) + a.shape[2:])])
-                 for a in (xs, vs, es, phis))
+    xs = shot.x + np.concatenate([np.zeros((1, shot.x.shape[-1])), lifts])[:, None]
+    ys = shot.y.copy()
+    for k in range(1, len(ys)):
+        ys[k] = ys[k] @ ys[k - 1, -1]
+    rows = [np.concatenate([a[0], a[1:, 1:].reshape((-1,) + a.shape[2:])])
+            for a in (xs, shot.v, ys)]
+    return Orbit(len(ys) * shot.t, *rows, np.stack([shot.frames[0, 0], shot.frames[-1, 1]]))
 
 
 def refine_closed_orbit(chart: Chart, loop: DiscreteLoop,
-                        grid: tuple) -> tuple[MonodromyMatrix, float]:
+                        orbit: Orbit) -> tuple[Orbit, float]:
     """Multiple-shooting Gauss-Newton that closes up an approximately
     periodic geodesic, the one the polygon ``loop`` discretizes.
 
-    ``grid`` is the loop's ``outgoing_orbit``; when it already closes to
+    ``orbit`` is the loop's ``outgoing_orbit``; when it already closes to
     ``SHOOT_TOL`` (relative to the speed) it is returned with no
     integration.  Otherwise B = gcd(N, ``ORBIT_STEPS`` / ``SEGMENT_STEPS``)
     segments start at the nodes k N / B with the polygon's outgoing
     velocities there (B = 1 is the outgoing orbit itself) and are integrated
     as one batch of ``ORBIT_STEPS`` / B steps each.  Each Gauss-Newton step
     solves the cyclic block-bidiagonal 4B x 4B junction system by least
-    squares, since the orbit's symmetry directions are in its kernel.  Takes
-    at most ``SHOOT_MAX_ITER`` steps and stops once the stacked junction
-    residual is below ``SHOOT_TOL``.  Returns the fundamental solution
-    stitched from the last shot's segments (its ``start`` the corrected
-    initial condition, its ``grid`` the rows over [0, 1]) and that residual.
+    squares, since the orbit's symmetry directions are in its kernel; each
+    segment's block comes from its end frames and end Phi.  Takes at most
+    ``SHOOT_MAX_ITER`` steps and stops once the stacked junction residual is
+    below ``SHOOT_TOL``.  Returns the orbit stitched from the last shot's
+    segments (its ``start`` the corrected initial condition) and that
+    residual.
     """
     d = chart.dim
     b = math.gcd(loop.n_nodes, ORBIT_STEPS // SEGMENT_STEPS)
-    shot = tuple(a[None] for a in grid)      # the outgoing orbit as one segment
-    speed = max(metric_speed(chart, grid[0][0], grid[1][0]), 1e-12)
-    if b > 1 and np.linalg.norm(_junctions(chart, *shot[:2])) >= SHOOT_TOL * speed:
+    # the outgoing orbit as a batch of one segment
+    shot = Orbit(orbit.t, orbit.x[None], orbit.v[None], orbit.y[None], orbit.frames[None])
+    speed = max(metric_speed(chart, orbit.x[0], orbit.v[0]), 1e-12)
+    if b > 1 and np.linalg.norm(_junctions(chart, shot)) >= SHOOT_TOL * speed:
         idx = np.arange(b) * (loop.n_nodes // b)
         shot = _shoot_segments(chart, loop.nodes[idx], outgoing_velocities(chart, loop, idx))
-    b = len(shot[0])                         # 1 when the outgoing orbit is the shot
+    b = len(shot.x)                          # 1 when the outgoing orbit is the shot
     cyclic = -np.eye(2 * d * b, k=2 * d) - np.eye(2 * d * b, k=2 * d * (1 - b))
     diag = np.arange(b)
     for it in range(SHOOT_MAX_ITER + 1):
-        xs, vs, es, phis = shot
-        f = _junctions(chart, xs, vs)
+        f = _junctions(chart, shot)
         residual = float(np.linalg.norm(f))
         if residual < SHOOT_TOL * speed or it == SHOOT_MAX_ITER:
-            return MonodromyMatrix.of_grid(_stitch(chart, shot)), residual
-        covariant = _chart_to_covariant(chart, *(np.concatenate([a[:, 0], a[:, -1]])
-                                                 for a in (xs, vs, es)))
+            return _stitch(chart, shot), residual
+        ends = [np.concatenate([a[:, 0], a[:, -1]]) for a in (shot.x, shot.v, shot.frames)]
+        covariant = _chart_to_covariant(chart, *ends)
         # each segment's flow derivative in chart coordinates on the diagonal
         jac = cyclic.copy()
         jac.reshape(b, 2 * d, b, 2 * d)[diag, :, diag, :] += np.linalg.solve(
-            covariant[b:], phis[:, -1] @ covariant[:b])
+            covariant[b:], shot.matrix @ covariant[:b])
         step, *_ = np.linalg.lstsq(jac, -f, rcond=1e-8)
         step = step.reshape(b, 2, d)
-        shot = _shoot_segments(chart, xs[:, 0] + step[:, 0], vs[:, 0] + step[:, 1])
+        shot = _shoot_segments(chart, shot.x[:, 0] + step[:, 0], shot.v[:, 0] + step[:, 1])
 
 
 def _kernel_dim(b: np.ndarray) -> int:
-    sv = np.linalg.svd(b, compute_uv=False)
-    scale = max(float(sv[0]), 1e-300)
-    return int(np.sum(sv < RANK_REL * scale))
+    return int(np.sum(np.linalg.svd(b, compute_uv=False) < RANK_REL))
 
 
 def eigenspace_dimension(p: np.ndarray, omega: complex) -> int:
@@ -391,20 +383,19 @@ def eigenspace_dimension(p: np.ndarray, omega: complex) -> int:
     return _kernel_dim(p - np.real_if_close(omega) * np.eye(len(p)))
 
 
-def shoot_closed_orbit(chart: Chart, loop: DiscreteLoop, grid: tuple) -> MonodromyMatrix:
+def shoot_closed_orbit(chart: Chart, loop: DiscreteLoop, orbit: Orbit) -> Orbit:
     """The closed geodesic a genuine critical ``loop`` discretizes, shot once
-    by ``refine_closed_orbit`` from its ``outgoing_orbit`` ``grid`` and the
-    polygon's nodes: the stitched fundamental solution, whose
-    ``return_map()`` is the orbit's linearized return map and whose ``grid``
-    is the closed orbit over [0, 1], for its conjugate scan.  Raises
-    NotAGeodesicError when the orbit refuses to close to ``CLOSURE_TOL``
-    (relative to the speed) or wanders off.
+    by ``refine_closed_orbit`` from its ``outgoing_orbit`` and the polygon's
+    nodes: the stitched orbit over [0, 1], whose ``return_map()`` is the
+    orbit's linearized return map and whose ``conjugate_report()`` is its
+    conjugate scan.  Raises NotAGeodesicError when the orbit refuses to close
+    to ``CLOSURE_TOL`` (relative to the speed) or wanders off.
     """
-    mono, residual = refine_closed_orbit(chart, loop, grid)
-    x0, v0 = mono.start.base, mono.start.v
+    closed, residual = refine_closed_orbit(chart, loop, orbit)
+    x0, v0 = closed.start.base, closed.start.v
     speed = max(metric_speed(chart, x0, v0), 1e-12)
-    speed0 = max(metric_speed(chart, grid[0][0], grid[1][0]), 1e-12)
-    moved = float(np.linalg.norm(chart.wrap_difference(x0 - grid[0][0])))
+    speed0 = max(metric_speed(chart, orbit.x[0], orbit.v[0]), 1e-12)
+    moved = float(np.linalg.norm(chart.wrap_difference(x0 - orbit.x[0])))
     # the shooting must tighten the loop's own orbit, not wander off to a
     # different (e.g. constant) one
     if (residual > CLOSURE_TOL * speed
@@ -415,7 +406,7 @@ def shoot_closed_orbit(chart: Chart, loop: DiscreteLoop, grid: tuple) -> Monodro
             f"{moved:.2e}, speed {speed0:.3g} -> {speed:.3g}); "
             "the loop is not a closed geodesic"
         )
-    return mono
+    return closed
 
 
 def nullity_via_monodromy(chart: Chart, loop: DiscreteLoop, m: int = 1) -> int:
@@ -448,10 +439,10 @@ def close_conjugate_points_check(chart: Chart, ell: float, k_radius: float,
     length ell whose trace stays in the region (leaving segments are
     discarded and resampled) and require empty conjugate reports.  The
     segments are integrated in blocks, max(64, ``STEPS_PER_UNIT`` ell) RK4
-    steps each, and every kept segment's grid gets one
-    ``_scan_conjugate_points`` scan, the criterion ``conjugate_points``
-    applies.  The Rauch comparison direction says (a) passing forces (b) to
-    pass; the report records both verdicts and their consistency.
+    steps each, and every kept segment's Y rows get one scan, the criterion
+    ``conjugate_points`` applies.  The Rauch comparison direction says (a)
+    passing forces (b) to pass; the report records both verdicts and their
+    consistency.
     """
     if ell <= 0:
         raise ValueError("ell must be positive")
@@ -490,7 +481,6 @@ def close_conjugate_points_check(chart: Chart, ell: float, k_radius: float,
     discarded = 0
     attempts = 0
     steps = max(64, int(np.ceil(STEPS_PER_UNIT * ell)))
-    d = chart.dim
     while checked < n_samples:
         block = min(n_samples - checked, 100 * n_samples - attempts)
         if block == 0:
@@ -499,23 +489,18 @@ def close_conjugate_points_check(chart: Chart, ell: float, k_radius: float,
                 f"after {attempts + 1} attempts"
             )
         attempts += block
-        starts = []
-        for _ in range(block):
-            x = chart.sample_point(rng, k_radius, k_radius + band)
-            v = rng.standard_normal(d)
-            starts.append((x, v / max(metric_speed(chart, x, v), 1e-12)))
-        xs, vs = (np.array(a) for a in zip(*starts))
-        *grid, exit_time = _integrate_jacobi(chart, TangentVector(xs, vs), ell, steps)
+        starts = sample_unit_starts(chart, rng, block, k_radius, k_radius + band)
+        orbit, exit_time = jacobi_propagate(chart, starts, ell, steps)
         # escaped members hold NaN rows, which fail the comparison
-        kept = np.isinf(exit_time) & np.all(chart.exhaustion(grid[0]) > k_radius, axis=1)
+        kept = np.isinf(exit_time) & np.all(chart.exhaustion(orbit.x) > k_radius, axis=1)
         discarded += block - int(np.count_nonzero(kept))
         checked += int(np.count_nonzero(kept))
         for j in np.flatnonzero(kept):
-            report = _scan_conjugate_points(ell, grid[3][j])
+            report = _scan_conjugate_points(ell, orbit.y[j])
             if report.count > 0:
                 hits.append({
-                    "start": xs[j].tolist(),
-                    "velocity": vs[j].tolist(),
+                    "start": starts.base[j].tolist(),
+                    "velocity": starts.v[j].tolist(),
                     "times": report.times,
                 })
     part_b = len(hits) == 0

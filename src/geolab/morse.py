@@ -30,7 +30,6 @@ from .errors import CrossCheckError
 from .jacobi import (
     UNIT_TOL,
     ConjugateReport,
-    _scan_conjugate_points,
     eigenspace_dimension,
     is_moving,
     outgoing_orbit,
@@ -199,12 +198,12 @@ def index_and_nullity(sv: SecondVariation, zero_band: float | None = None) -> Sp
 
 def outgoing_conjugate_report(chart: Chart, loop: DiscreteLoop) -> tuple:
     """Conjugate points on (0, 1] along the loop's ``outgoing_orbit``, and that
-    grid.  A loop not ``is_moving`` gets an empty report and no grid (None):
+    orbit.  A loop not ``is_moving`` gets an empty report and no orbit (None):
     its first conjugate time, at least pi / (|v| sqrt(K_max)), is beyond 1."""
     if not is_moving(chart, loop):
         return ConjugateReport(t=1.0), None
     orbit = outgoing_orbit(chart, loop)
-    return _scan_conjugate_points(1.0, orbit[3]), orbit
+    return orbit.conjugate_report(), orbit
 
 
 def pinned_index(sv: SecondVariation, zero_band: float | None = None) -> int:

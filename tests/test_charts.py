@@ -16,7 +16,7 @@ from geolab.charts import (
     sectional_curvature,
 )
 from geolab.errors import ChartDomainError, DegeneratePlaneError, DomainEscapeError
-from geolab.jacobi import _integrate_jacobi
+from geolab.jacobi import jacobi_propagate
 
 from conftest import ZOO, sample_inside
 
@@ -153,7 +153,7 @@ def test_one_christoffel_call_per_rk4_stage(name, monkeypatch):
     assert np.all(np.isinf(exit_time))
     assert len(calls) == 4 * steps
     calls.clear()
-    *_, exit_time = _integrate_jacobi(chart, TangentVector(bases, vs), 0.5, steps)
+    _, exit_time = jacobi_propagate(chart, TangentVector(bases, vs), 0.5, steps)
     assert np.all(np.isinf(exit_time))
     assert len(calls) == 4 * steps
 
@@ -169,6 +169,24 @@ def test_christoffels_domain_error():
     sphere = make_chart("sphere")
     with pytest.raises(ChartDomainError):
         christoffels(sphere, np.array([11.0, 0.0]))
+
+
+@pytest.mark.parametrize("name", ["sphere", "hyperbolic"])
+def test_conformal_guard_classifies_as_the_norm(name, rng):
+    # random points, points on the axes at the guard radius and 1 ulp either
+    # side, and points a few ulp from it in random directions: the guard
+    # must agree with |x| < guard_radius through np.linalg.norm on every one
+    chart = make_chart(name)
+    r = chart.guard_radius
+    edge = np.array([np.nextafter(r, 0.0), r, np.nextafter(r, np.inf)])
+    axes = np.concatenate([np.stack([s * edge, np.zeros(3)], axis=1) for s in (1.0, -1.0)])
+    angles = rng.uniform(0.0, 2 * np.pi, 300)
+    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1) * np.resize(edge, 300)[:, None]
+    points = np.concatenate([rng.uniform(-1.5 * r, 1.5 * r, (300, 2)), axes, axes[:, ::-1], ring])
+    expected = np.linalg.norm(points, axis=-1) < r
+    assert 0 < np.count_nonzero(expected) < len(points)
+    assert np.array_equal(chart.contains(points), expected)
+    assert [bool(chart.contains(x)) for x in points] == expected.tolist()
 
 
 CONSTANT_CURVATURE = {

@@ -11,9 +11,9 @@ from geolab.cli import main
 from geolab.config import RunConfig, dump_config, load_config
 from geolab.descent import DescentResult, SweepoutFamily, SweepoutResult
 from geolab.errors import ConfigError
-from geolab.loops import make_loop, one_sided_velocities, save_loop_json
+from geolab.loops import iterate, make_loop, one_sided_velocities, save_loop_json
 
-from conftest import great_circle_loop
+from conftest import great_circle_loop, waist_loop
 
 
 def write_yaml(path, text):
@@ -138,7 +138,7 @@ def test_cli_reports_deterministic(tmp_path):
     find_cfg = write_yaml(tmp_path / "find.yaml",
                           "chart: cylinder\nn_nodes: 48\nn_starts: 3\nseed: 4\n"
                           "grad_tol: 1.0e-6\nstart_band: [0.0, 1.0]\n")
-    # the exact discrete great circle: the shared outgoing grid and the Bott table
+    # the exact discrete great circle: the shared outgoing orbit and the Bott table
     sph = make_chart("sphere")
     loop_path = tmp_path / "great_circle.json"
     save_loop_json(sph, great_circle_loop(sph, 128), loop_path)
@@ -217,13 +217,13 @@ def test_cli_analyze_stored_loop(tmp_path, monkeypatch):
                         ("refine_closed_orbit", "conjugate_points",
                          "assemble_second_variation"))
     starts = []
-    real_integrate = jacobi._integrate_jacobi
+    real_integrate = jacobi.jacobi_propagate
 
     def spy_integrate(chart, start, *args, **kwargs):
         starts.append(start)
         return real_integrate(chart, start, *args, **kwargs)
 
-    monkeypatch.setattr(jacobi, "_integrate_jacobi", spy_integrate)
+    monkeypatch.setattr(jacobi, "jacobi_propagate", spy_integrate)
     solved = []
     real_solve = morse.index_and_nullity
 
@@ -278,13 +278,13 @@ def test_cli_analyze_great_circle_integrations(tmp_path, monkeypatch):
     from geolab import jacobi
     from geolab.charts import make_chart
     runs = []
-    real_integrate = jacobi._integrate_jacobi
+    real_integrate = jacobi.jacobi_propagate
 
     def spy_integrate(chart, start, t, steps):
         runs.append((np.shape(start.base), t, steps))
         return real_integrate(chart, start, t, steps)
 
-    monkeypatch.setattr(jacobi, "_integrate_jacobi", spy_integrate)
+    monkeypatch.setattr(jacobi, "jacobi_propagate", spy_integrate)
     sph = make_chart("sphere")
     loop_path = tmp_path / "great_circle.json"
     save_loop_json(sph, great_circle_loop(sph, 128), loop_path)
@@ -297,6 +297,22 @@ def test_cli_analyze_great_circle_integrations(tmp_path, monkeypatch):
     batches = runs[1:]
     assert 1 <= len(batches) <= jacobi.SHOOT_MAX_ITER
     assert all(run == ((b, 2), 1.0 / b, jacobi.ORBIT_STEPS // b) for run in batches)
+
+
+def test_cli_analyze_two_fold_funnel_waist(tmp_path):
+    # the 2-fold waist is hyperbolic: its return map's multiplier is 1.8e6,
+    # and the one fixed direction (the flow) must still count as the kernel
+    from geolab.charts import make_chart
+    fun = make_chart("funnel")
+    loop_path = tmp_path / "waist2.json"
+    save_loop_json(fun, iterate(waist_loop(fun, 128), 2), loop_path)
+    cfg = write_yaml(tmp_path / "cfg.yaml", f"chart: funnel\nloop_path: {loop_path}\nm_max: 1\n")
+    out = str(tmp_path / "report.json")
+    assert main(["analyze", "--config", cfg, "--quiet", "--out", out]) == 0
+    analysis = read_report(out)["results"]["analysis"]
+    assert (analysis["index"], analysis["nullity"]) == (0, 1)
+    assert analysis["nullity_monodromy"] == 1
+    assert [(r["index"], r["nullity"]) for r in analysis["bott"]["rows"]] == [(0, 1)]
 
 
 def test_cli_analyze_requires_loop_path(tmp_path):

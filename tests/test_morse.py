@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from geolab.charts import make_chart
 from geolab.errors import CrossCheckError
 from geolab.jacobi import (
-    _scan_conjugate_points,
     eigenspace_dimension,
     outgoing_orbit,
     shoot_closed_orbit,
@@ -155,8 +154,7 @@ def based_index(chart, loop):
     """Dirichlet index against the open-interval conjugate count along the
     shot closed orbit, as ``analyze`` compares them."""
     closed = shoot_closed_orbit(chart, loop, outgoing_orbit(chart, loop))
-    return based_index_verdict(_scan_conjugate_points(1.0, closed.grid[3]),
-                               assemble_second_variation(chart, loop))
+    return based_index_verdict(closed.conjugate_report(), assemble_second_variation(chart, loop))
 
 
 def lemma_bound(chart, loop, schedule=None, alpha=None):
@@ -213,7 +211,7 @@ def test_stationary_loop_report_is_empty_without_integration(monkeypatch):
     # the report is empty and no orbit is integrated
     from geolab import jacobi
     calls = []
-    monkeypatch.setattr(jacobi, "_integrate_jacobi", lambda *args: calls.append(args))
+    monkeypatch.setattr(jacobi, "jacobi_propagate", lambda *args: calls.append(args))
     plane = make_chart("plane")
     report, orbit = outgoing_conjugate_report(plane, make_loop(plane, circle_nodes(1e-6, 32)))
     assert report.times == [] and report.t == 1.0
@@ -334,8 +332,8 @@ UNIT_ROOT_TURNS = (0.0, 1 / 3, 1 / 2, 2 / 3)
 def jacobi_invariants(chart, loop):
     """Open conjugate count of the outgoing orbit and the return map's
     eigenspace dimensions at every unit root of order at most 3."""
-    report, grid = outgoing_conjugate_report(chart, loop)
-    p = shoot_closed_orbit(chart, loop, grid).return_map()
+    report, orbit = outgoing_conjugate_report(chart, loop)
+    p = shoot_closed_orbit(chart, loop, orbit).return_map()
     return report.count_open(), [eigenspace_dimension(p, np.exp(2j * np.pi * f))
                                  for f in UNIT_ROOT_TURNS]
 
