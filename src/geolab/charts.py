@@ -12,6 +12,13 @@ their oracle, fed with the analytic metric derivative or with the
 finite-difference ``Chart.metric_deriv``, itself the oracle of the analytic
 derivatives.
 
+The geodesic and Jacobi flows read a chart through its spray alone:
+``Chart.spray(x, v)`` returns the geodesic acceleration -Gamma(v, v) and the
+Jacobi coefficient K g(v, v) from one evaluation of the family's jet, and
+the guarded ``spray`` is the one chart call an RK4 stage makes.  The
+integrator ``_rk4_batch`` steps one packed state array, a row per
+trajectory: (x, v) for the geodesic flow, (x, v, Y) for the Jacobi flow.
+
 Index conventions used throughout:
 
 * ``metric(x)[..., i, j]``                = g_ij(x)
@@ -55,10 +62,10 @@ class Chart:
     """Base class: domain guards, periodic wrapping and oracle derivatives.
 
     Subclasses provide ``metric``, ``metric_deriv``,
-    ``metric_second_deriv`` and ``christoffels`` in closed form and set
-    ``dim``.  The base ``metric_deriv`` (central differences of ``metric``)
-    is the oracle that ``christoffels(..., finite_difference=True)`` reads;
-    the exhaustion derivatives default to finite differences of
+    ``metric_second_deriv``, ``christoffels`` and ``spray`` in closed form
+    and set ``dim``.  The base ``metric_deriv`` (central differences of
+    ``metric``) is the oracle that ``christoffels(..., finite_difference=True)``
+    reads; the exhaustion derivatives default to finite differences of
     ``exhaustion``.
     """
 
@@ -93,6 +100,10 @@ class Chart:
 
     def christoffels(self, x: np.ndarray) -> np.ndarray:
         """Gamma^k_ij in closed form at points the domain guard admits."""
+        raise NotImplementedError
+
+    def spray(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(-Gamma(v, v), K g(v, v)) in closed form, over leading batch axes."""
         raise NotImplementedError
 
     def metric_checked(self, x: np.ndarray) -> np.ndarray:
@@ -208,9 +219,9 @@ def christoffels(chart: Chart, x: np.ndarray, finite_difference: bool = False) -
 
     Returns the chart family's closed form.  ``finite_difference=True``
     instead applies the generic formula ``christoffels_of_metric`` to the
-    finite-difference metric derivative (the oracle path).  Every RK4 stage
-    of the geodesic and Jacobi flows makes exactly one call, so its call
-    count is the stage count.  Raises ChartDomainError outside the domain.
+    finite-difference metric derivative (the oracle path).  The flows do
+    not call it: an RK4 stage reads the chart through ``spray``.  Raises
+    ChartDomainError outside the domain.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(chart.contains(x)):
@@ -218,6 +229,17 @@ def christoffels(chart: Chart, x: np.ndarray, finite_difference: bool = False) -
     if finite_difference:
         return christoffels_of_metric(chart.metric(x), Chart.metric_deriv(chart, x))
     return chart.christoffels(x)
+
+
+def spray(chart: Chart, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The geodesic acceleration -Gamma(v, v) (..., d) and the Jacobi
+    coefficient K g(v, v) (...) of a surface chart, from the chart family's
+    closed form.  The one chart call of an RK4 stage, so its call count is
+    the stage count.  Raises ChartDomainError outside the domain.
+    """
+    if not np.asarray(chart.contains(x)).all():
+        raise ChartDomainError(f"{chart.name}: spray evaluation outside domain")
+    return chart.spray(x, v)
 
 
 def christoffel_deriv(chart: Chart, x: np.ndarray, finite_difference: bool = False) -> np.ndarray:
@@ -303,10 +325,11 @@ def curvature_operator(chart: Chart, x: np.ndarray, v: np.ndarray) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _geodesic_rhs(chart: Chart, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gam = christoffels(chart, x)
-    acc = -np.einsum("...kij,...i,...j->...k", gam, v, v)
-    return v, acc
+def _geodesic_rhs(chart: Chart, y: np.ndarray) -> np.ndarray:
+    """d/ds of packed rows (x, v): (v, -Gamma(v, v))."""
+    d = chart.dim
+    acc, _ = spray(chart, y[:, :d], y[:, d:])
+    return np.concatenate((y[:, d:], acc), axis=1)
 
 
 def geodesic_flow(chart: Chart, start: TangentVector, t: float, steps: int) -> TangentVector:
@@ -324,83 +347,90 @@ def geodesic_flow(chart: Chart, start: TangentVector, t: float, steps: int) -> T
     return TangentVector(x[-1], v[-1])
 
 
-def _rk4_batch(chart: Chart, rhs, state: tuple, t: float,
-               steps: int) -> tuple[tuple, np.ndarray]:
-    """Classical RK4 for y' = rhs(*y) over [0, t], one trajectory per batch member.
+def _rk4_batch(chart: Chart, rhs, y: np.ndarray, t: float,
+               steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 for y' = rhs(y) over [0, t], one trajectory per row of y.
 
-    ``state`` is a tuple of arrays with a leading member axis B whose first
-    entry holds the chart positions; ``rhs`` raises ChartDomainError on
-    points outside the chart (``christoffels`` guards every evaluation).
-    Returns the trajectories, each array of shape (B, steps+1, ...), and
-    the exit times (B,).  A member whose start or RK4 stage point leaves
-    the chart exits at n h (n the step it was in), one whose new point
-    leaves exits at (n+1) h; its rows from then on are NaN.  Members that
-    stay inside have exit time inf.  A refused evaluation is repeated on
-    the members still inside, so their values do not depend on the others.
+    ``y`` is the packed state (B, n) whose first ``chart.dim`` columns hold
+    the chart positions; ``rhs`` maps a (B', n) state to its derivative with
+    one guarded ``spray`` call, which raises ChartDomainError on points
+    outside the chart.  Returns the trajectories (B, steps+1, n) and the
+    exit times (B,).  A member whose start or RK4 stage point leaves the
+    chart exits at n h (n the step it was in), one whose new point leaves
+    exits at (n+1) h; its rows from then on are NaN.  Members that stay
+    inside have exit time inf.  A refused evaluation is repeated on the
+    members still inside, so their values do not depend on the others.
     """
-    b = len(state[0])
+    b, d = len(y), chart.dim
     h = t / steps
     half, sixth = 0.5 * h, h / 6
-    traj = tuple(np.full((b, steps + 1) + np.shape(y)[1:], np.nan) for y in state)
+    traj = np.full((b, steps + 1, y.shape[1]), np.nan)
     exit_time = np.full(b, np.inf)
     live = np.arange(b)
 
-    def leave(keep: np.ndarray, when: float, arrays: list) -> list:
+    def leave(keep: np.ndarray, when: float) -> None:
         nonlocal live
         exit_time[live[~keep]] = when
         live = live[keep]
-        return [[a[keep] for a in y] for y in arrays]
 
-    inside = np.asarray(chart.contains(state[0]))
-    (y,) = leave(inside, 0.0, [state]) if not inside.all() else (state,)
-    for out, a in zip(traj, y):
-        out[live, 0] = a
+    inside = np.asarray(chart.contains(y[:, :d]))
+    if not inside.all():
+        leave(inside, 0.0)
+        y = y[inside]
+    traj[live, 0] = y
     for n in range(steps):
-        if not len(live):
-            break
         ks: list = []
         stage = y
         for c in (half, half, h, None):
             while len(live):
                 try:
-                    ks.append(rhs(*stage))
+                    ks.append(rhs(stage))
                     break
                 except ChartDomainError:
                     # drop the members whose stage point left the chart, or
                     # all of them when the chart refused a point its guard admits
-                    inside = np.asarray(chart.contains(stage[0]))
+                    inside = np.asarray(chart.contains(stage[:, :d]))
                     keep = inside if not inside.all() else np.zeros_like(inside)
-                    y, stage, *ks = leave(keep, n * h, [y, stage, *ks])
+                    leave(keep, n * h)
+                    y, stage, ks = y[keep], stage[keep], [k[keep] for k in ks]
             if not len(live):
-                break
+                return traj, exit_time
             if c is not None:
-                stage = [a + c * k for a, k in zip(y, ks[-1])]
-        if not len(live):
-            break
+                stage = y + c * ks[-1]
         k1, k2, k3, k4 = ks
-        y = [a + sixth * (p + 2 * q + 2 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
-        inside = np.asarray(chart.contains(y[0]))
+        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        inside = np.asarray(chart.contains(y[:, :d]))
         if not inside.all():
-            (y,) = leave(inside, (n + 1) * h, [y])
-        everyone = len(live) == b
-        for out, a in zip(traj, y):
-            out[slice(None) if everyone else live, n + 1] = a
+            leave(inside, (n + 1) * h)
+            y = y[inside]
+        traj[slice(None) if len(live) == b else live, n + 1] = y
     return traj, exit_time
 
 
-def _integrate(chart: Chart, rhs, state: tuple, t: float, steps: int, what: str):
-    """``_rk4_batch`` with the exit times appended for a batched state
-    (positions (B, d)); one start (positions (d,)) runs as a batch of one,
-    returns its own trajectories and raises DomainEscapeError on an exit."""
-    state = tuple(np.asarray(y, dtype=float) for y in state)
-    if state[0].ndim > 1:
-        traj, exit_time = _rk4_batch(chart, rhs, state, t, steps)
-        return (*traj, exit_time)
-    traj, exit_time = _rk4_batch(chart, rhs, tuple(y[None] for y in state), t, steps)
+def _integrate(chart: Chart, rhs, parts: tuple, t: float, steps: int, what: str):
+    """``_rk4_batch`` on the parts of the state (positions first) packed
+    into one array, its rows unpacked into the parts' shapes.  A batch
+    (positions (B, d)) returns the parts' trajectories (B, steps+1, ...)
+    and the exit times; one start (positions (d,)) runs as a batch of one,
+    returns its own trajectories (steps+1, ...) and raises
+    DomainEscapeError on an exit."""
+    parts = [np.asarray(a, dtype=float) for a in parts]
+    batched = parts[0].ndim > 1
+    if not batched:
+        parts = [a[None] for a in parts]
+    b = len(parts[0])
+    tails = [a.shape[1:] for a in parts]
+    traj, exit_time = _rk4_batch(chart, rhs, np.concatenate([a.reshape(b, -1) for a in parts],
+                                                            axis=1), t, steps)
+    cuts = np.cumsum([int(np.prod(tail)) for tail in tails])[:-1]
+    rows = [a.reshape(traj.shape[:2] + tail)
+            for a, tail in zip(np.split(traj, cuts, axis=2), tails)]
+    if batched:
+        return (*rows, exit_time)
     if np.isfinite(exit_time[0]):
         raise DomainEscapeError(f"{chart.name}: geodesic left the chart domain{what}",
                                 exit_time=float(exit_time[0]))
-    return tuple(y[0] for y in traj)
+    return tuple(a[0] for a in rows)
 
 
 def flow_trajectory(chart: Chart, start: TangentVector, t: float, steps: int) -> tuple:
@@ -466,6 +496,10 @@ class FlatPlane(Chart):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (2, 2, 2))
 
+    def spray(self, x, v):
+        v = np.asarray(v, dtype=float)
+        return np.zeros(v.shape), np.zeros(v.shape[:-1])
+
     def gauss_curvature(self, x):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1])
@@ -497,8 +531,9 @@ class _ProfileChart(Chart):
 
     Subclasses supply ``profile_jet``, the profile rho with its first two
     derivatives.  The only nonzero Christoffels are Gamma^z_thth = -rho rho'
-    and Gamma^th_zth = Gamma^th_thz = rho'/rho.  Gauss curvature is
-    -rho''/rho; circles z = const with rho'(z) = 0 are closed geodesics of
+    and Gamma^th_zth = Gamma^th_thz = rho'/rho, so the spray is
+    -Gamma(v, v) = (rho rho' v_th^2, -2 (rho'/rho) v_z v_th).  Gauss curvature
+    is -rho''/rho; circles z = const with rho'(z) = 0 are closed geodesics of
     length 2 pi rho(z).
     """
 
@@ -544,6 +579,16 @@ class _ProfileChart(Chart):
         gam[..., 0, 1, 1] = -rho * d1
         gam[..., 1, 0, 1] = gam[..., 1, 1, 0] = d1 / rho
         return gam
+
+    def spray(self, x, v):
+        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+        rho, d1, d2 = self.profile_jet(x[..., 0])
+        vz, vth = v[..., 0], v[..., 1]
+        vth2 = vth * vth
+        acc = np.empty(v.shape)
+        acc[..., 0] = rho * d1 * vth2
+        acc[..., 1] = -2 * (d1 / rho) * vz * vth
+        return acc, -d2 / rho * (vz * vz + rho * rho * vth2)
 
     def gauss_curvature(self, x):
         x = np.asarray(x, dtype=float)
@@ -634,13 +679,15 @@ class _ConformalChart(Chart):
     """Conformal metric lambda(|u|^2) * I on a planar domain.
 
     With phi = 1/2 log lambda, Gamma^k_ij = delta_kj d_i phi + delta_ki d_j phi
-    - delta_ij d_k phi; subclasses give grad phi through ``_grad_phi``.
+    - delta_ij d_k phi, so the spray is -Gamma(v, v) = |v|^2 grad phi
+    - 2 (grad phi . v) v; subclasses give grad phi through ``_grad_phi``.
     """
 
     #: Gamma^k_ij, flattened over (k, i, j), as entries of (grad phi, -grad phi)
     _GAMMA_FROM_GRAD = np.array([0, 1, 1, 2, 3, 0, 0, 1])
 
-    def _grad_phi(self, x):
+    def _grad_phi(self, x, s):
+        """grad phi at x, with s = |x|^2."""
         raise NotImplementedError
 
     def _lam(self, s):
@@ -678,9 +725,19 @@ class _ConformalChart(Chart):
 
     def christoffels(self, x):
         x = np.asarray(x, dtype=float)
-        p = self._grad_phi(x)
+        p = self._grad_phi(x, (x * x).sum(-1))
         gam = np.concatenate((p, -p), axis=-1)[..., self._GAMMA_FROM_GRAD]
         return gam.reshape(x.shape[:-1] + (2, 2, 2))
+
+    def spray(self, x, v):
+        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+        x0, x1, v0, v1 = x[..., 0], x[..., 1], v[..., 0], v[..., 1]
+        s = x0 * x0 + x1 * x1
+        p = self._grad_phi(x, s)
+        vv = v0 * v0 + v1 * v1
+        pv = p[..., 0] * v0 + p[..., 1] * v1
+        acc = vv[..., None] * p - (2 * pv)[..., None] * v
+        return acc, self.gauss_curvature(x) * self._lam(s) * vv
 
 
 class SphereStereographic(_ConformalChart):
@@ -708,8 +765,8 @@ class SphereStereographic(_ConformalChart):
     def _d2lam(self, s):
         return 24.0 / (1.0 + s) ** 4
 
-    def _grad_phi(self, x):
-        return -2.0 * x / (1.0 + (x * x).sum(-1))[..., None]
+    def _grad_phi(self, x, s):
+        return -2.0 * x / (1.0 + s)[..., None]
 
     def gauss_curvature(self, x):
         x = np.asarray(x, dtype=float)
@@ -749,8 +806,8 @@ class PoincareDisk(_ConformalChart):
     def _d2lam(self, s):
         return 24.0 / (1.0 - s) ** 4
 
-    def _grad_phi(self, x):
-        return 2.0 * x / (1.0 - (x * x).sum(-1))[..., None]
+    def _grad_phi(self, x, s):
+        return 2.0 * x / (1.0 - s)[..., None]
 
     def gauss_curvature(self, x):
         x = np.asarray(x, dtype=float)
@@ -788,8 +845,10 @@ class Paraboloid(Chart):
     """Paraboloid of revolution z = rho^2 in polar chart (rho, theta).
 
     Induced metric diag(1 + 4 rho^2, rho^2); Gauss curvature
-    4/(1 + 4 rho^2)^2.  The polar chart degenerates at the apex, so the
-    domain excludes a tiny disk around rho = 0.
+    4/(1 + 4 rho^2)^2.  With e = 1 + 4 rho^2 the spray is -Gamma(v, v) =
+    (rho (v_th^2 - 4 v_rho^2) / e, -2 v_rho v_th / rho).  The polar chart
+    degenerates at the apex, so the domain excludes a tiny disk around
+    rho = 0.
     """
 
     name = "paraboloid"
@@ -830,6 +889,16 @@ class Paraboloid(Chart):
         gam[..., 0, 1, 1] = -rho / e
         gam[..., 1, 0, 1] = gam[..., 1, 1, 0] = 1.0 / rho
         return gam
+
+    def spray(self, x, v):
+        x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+        rho, vr, vth = x[..., 0], v[..., 0], v[..., 1]
+        rho2, vr2, vth2 = rho * rho, vr * vr, vth * vth
+        e = 1.0 + 4.0 * rho2
+        acc = np.empty(v.shape)
+        acc[..., 0] = rho * (vth2 - 4.0 * vr2) / e
+        acc[..., 1] = -2.0 * vr * vth / rho
+        return acc, 4.0 * (e * vr2 + rho2 * vth2) / (e * e)
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)

@@ -18,6 +18,9 @@ multiple of pi once and upward, so the count on (0, s] is floor(theta(s) /
 pi) and each zero is simple.  Lifting theta from grid nodes needs each step
 to turn it by less than pi; with K |v|_g^2 = w^2 it gains pi per half
 period pi / w, so RK4's own stability bound h w < 2 sqrt(2) suffices.
+The RK4 steps one packed row (x, v, Y) per start, and each stage reads the
+chart once, through the guarded ``charts.spray``: its -Gamma(v, v) moves
+(x, v) and its K g(v, v) moves Y.
 
 For a closed geodesic, expressing the time-1 fundamental matrix in a single
 basis (undoing the holonomy of the frame) produces the linearized return
@@ -54,6 +57,7 @@ from .charts import (
     metric_speed,
     sample_unit_starts,
     sectional_curvature,
+    spray,
 )
 from .errors import DomainEscapeError, GeolabError, NotAGeodesicError, SamplingStarvationError
 from .loops import DiscreteLoop, energy, one_sided_velocities, outgoing_velocities
@@ -164,22 +168,21 @@ def velocity_frame(chart: Chart, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack([v / speed, normal / (speed * np.sqrt(det_g)[..., None])], axis=-1)
 
 
-def _jacobi_rhs(chart: Chart, x, v, y):
-    gam_v = -np.einsum("...kij,...i->...kj", christoffels(chart, x), v)   # -Gamma(v, .)
-    acc = (gam_v @ v[..., None])[..., 0]
-    k_vv = chart.gauss_curvature(x) * _speed_sq(chart.metric(x), v)
-    dy = np.empty_like(y)
-    dy[..., 0, :] = y[..., 1, :]
-    dy[..., 1, :] = -k_vv[..., None] * y[..., 0, :]
-    return v, acc, dy
+def _jacobi_rhs(chart: Chart, y: np.ndarray) -> np.ndarray:
+    """d/ds of packed rows (x, v, Y), Y by rows: (v, -Gamma(v, v), Y[1],
+    -K g(v, v) Y[0])."""
+    acc, k_vv = spray(chart, y[:, :2], y[:, 2:4])
+    return np.concatenate((y[:, 2:4], acc, y[:, 6:], -k_vv[:, None] * y[:, 4:6]), axis=1)
 
 
 def jacobi_propagate(chart: Chart, start: TangentVector, t: float,
                      steps: int) -> Orbit | tuple[Orbit, np.ndarray]:
     """RK4 integration of (x, v, Y) over [0, t] from one start or a batch of starts.
 
-    Y is the fundamental matrix of the normal equation; the velocity frames
-    are read off the end rows after.  One start (base and velocity of shape
+    Y is the fundamental matrix of the normal equation.  The state is packed
+    as one row (x, v, Y) per start, and each RK4 stage reads the chart by
+    one guarded ``spray`` call, whose K g(v, v) drives Y; the velocity
+    frames are read off the end rows after.  One start (base and velocity of shape
     (d,)) returns its ``Orbit`` and raises DomainEscapeError with the exit
     time when the geodesic leaves the chart.  A batch (shape (B, d)) is
     stepped as one state and returns the batch ``Orbit`` and the exit times

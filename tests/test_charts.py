@@ -13,7 +13,9 @@ from geolab.charts import (
     make_chart,
     metric_speed,
     riemann,
+    sample_unit_starts,
     sectional_curvature,
+    spray,
 )
 from geolab.errors import ChartDomainError, DegeneratePlaneError, DomainEscapeError
 from geolab.jacobi import jacobi_propagate
@@ -132,19 +134,19 @@ def test_bump_christoffels_at_the_junction():
 
 
 @pytest.mark.parametrize("name", ["bumped_cylinder", "sphere", "paraboloid"])
-def test_one_christoffel_call_per_rk4_stage(name, monkeypatch):
-    # the trace counts RK4 stages by calls to charts.christoffels: every
-    # right-hand side goes through it, whichever module's name it uses
+def test_one_spray_call_per_rk4_stage(name, monkeypatch):
+    # every right-hand side reads the chart through charts.spray, whichever
+    # module's name it uses, so its call count is the RK4 stage count
     chart = make_chart(name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return christoffels(*args, **kwargs)
+        return spray(*args, **kwargs)
 
     for mod in vars(geolab).values():
-        if getattr(mod, "christoffels", None) is christoffels:
-            monkeypatch.setattr(mod, "christoffels", counted)
+        if getattr(mod, "spray", None) is spray:
+            monkeypatch.setattr(mod, "spray", counted)
     x0, v0 = SAFE_STARTS[name]
     bases = np.array([x0, x0, x0])
     vs = np.array([v0, [0.3, 0.2], [-0.1, 0.25]])
@@ -156,6 +158,55 @@ def test_one_christoffel_call_per_rk4_stage(name, monkeypatch):
     _, exit_time = jacobi_propagate(chart, TangentVector(bases, vs), 0.5, steps)
     assert np.all(np.isinf(exit_time))
     assert len(calls) == 4 * steps
+
+
+def test_spray_closed_form_oracle(zoo_chart, rng):
+    # -Gamma(v, v) against the Christoffel einsum, closed form and finite
+    # differences; K g(v, v) against the analytic and the finite-difference
+    # curvature times g(v, v)
+    x = sample_batch(zoo_chart, rng, 40)
+    v = rng.standard_normal(x.shape)
+    acc, k_vv = spray(zoo_chart, x, v)
+    assert acc.shape == x.shape and k_vv.shape == x.shape[:-1]
+    vv = np.sum(v * v, axis=-1)
+    gam = christoffels(zoo_chart, x)
+    scale = np.max(np.abs(gam), axis=(-3, -2, -1)) * vv + vv
+    closed = -np.einsum("...kij,...i,...j->...k", gam, v, v)
+    assert np.all(np.max(np.abs(acc - closed), axis=-1) <= 1e-14 * scale)
+    fd = -np.einsum("...kij,...i,...j->...k",
+                    christoffels(zoo_chart, x, finite_difference=True), v, v)
+    assert np.all(np.max(np.abs(acc - fd), axis=-1) <= 1e-6 * np.maximum(scale, vv))
+    g = zoo_chart.metric(x)
+    gvv = np.einsum("...i,...ij,...j->...", v, g, v)
+    k = zoo_chart.gauss_curvature(x)
+    assert np.all(np.abs(k_vv - k * gvv) <= 1e-14 * np.maximum(np.abs(k), 1.0) * gvv)
+    for xi, vi, gi, ki in list(zip(x, v, g, k_vv))[:10]:
+        w = rng.standard_normal(2)
+        w = w - (vi @ gi @ w) / (vi @ gi @ vi) * vi
+        k_fd = sectional_curvature(zoo_chart, xi, vi, w, finite_difference=True)
+        assert abs(ki - k_fd * (vi @ gi @ vi)) <= 1e-5 * max(abs(k_fd), 1.0) * (vi @ gi @ vi)
+
+
+def test_spray_of_a_member_matches_its_batch_of_one_bitwise(zoo_chart, rng):
+    # a member's spray does not depend on the batch it is evaluated in
+    x = sample_batch(zoo_chart, rng, 500)
+    v = rng.standard_normal(x.shape)
+    acc, k_vv = spray(zoo_chart, x, v)
+    for i in range(len(x)):
+        acc_i, k_i = spray(zoo_chart, x[i:i + 1], v[i:i + 1])
+        assert np.array_equal(acc_i[0], acc[i]) and k_i[0] == k_vv[i]
+
+
+def test_flow_and_jacobi_step_the_same_geodesic_bitwise(zoo_chart, rng):
+    # both flows step (x, v) through the one spray, so the Jacobi flow's
+    # geodesic rows are the geodesic flow's, bit for bit
+    band = (0.0, 1.5) if zoo_chart.compact else (0.3, 2.0)
+    starts = sample_unit_starts(zoo_chart, rng, 6, *band)
+    xs, vs, flow_exit = flow_trajectory(zoo_chart, starts, 2.0, 256)
+    orbit, jacobi_exit = jacobi_propagate(zoo_chart, starts, 2.0, 256)
+    assert np.array_equal(flow_exit, jacobi_exit)
+    assert np.array_equal(xs, orbit.x, equal_nan=True)
+    assert np.array_equal(vs, orbit.v, equal_nan=True)
 
 
 def test_christoffel_index_symmetry(zoo_chart, rng):
@@ -373,15 +424,15 @@ def test_flow_domain_escape_carries_time():
 def test_flow_point_refused_inside_the_guard_is_an_escape():
     class WalledPlane(FlatPlane):
         # refuses x > 1, which its domain guard does not say; the flow
-        # reads the chart through its closed-form Christoffels
+        # reads the chart through its closed-form spray
         def metric(self, x):
             if np.any(np.asarray(x)[..., 0] > 1.0):
                 raise ChartDomainError("wall")
             return super().metric(x)
 
-        def christoffels(self, x):
+        def spray(self, x, v):
             self.metric(x)
-            return super().christoffels(x)
+            return super().spray(x, v)
 
     start = TangentVector([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(DomainEscapeError) as err:
