@@ -175,16 +175,17 @@ def test_spray_closed_form_oracle(zoo_chart, rng):
     assert np.all(np.max(np.abs(acc - closed), axis=-1) <= 1e-14 * scale)
     fd = -np.einsum("...kij,...i,...j->...k",
                     christoffels(zoo_chart, x, finite_difference=True), v, v)
-    assert np.all(np.max(np.abs(acc - fd), axis=-1) <= 1e-6 * np.maximum(scale, vv))
+    assert np.all(np.max(np.abs(acc - fd), axis=-1) <= 1e-6 * scale)
     g = zoo_chart.metric(x)
     gvv = np.einsum("...i,...ij,...j->...", v, g, v)
     k = zoo_chart.gauss_curvature(x)
     assert np.all(np.abs(k_vv - k * gvv) <= 1e-14 * np.maximum(np.abs(k), 1.0) * gvv)
-    for xi, vi, gi, ki in list(zip(x, v, g, k_vv))[:10]:
+    for xi, vi, gi, gvvi, ki in zip(x[:10], v, g, gvv, k_vv):
+        # a g-orthogonal partner of v spans a well-conditioned plane
         w = rng.standard_normal(2)
-        w = w - (vi @ gi @ w) / (vi @ gi @ vi) * vi
+        w = w - (vi @ gi @ w) / gvvi * vi
         k_fd = sectional_curvature(zoo_chart, xi, vi, w, finite_difference=True)
-        assert abs(ki - k_fd * (vi @ gi @ vi)) <= 1e-5 * max(abs(k_fd), 1.0) * (vi @ gi @ vi)
+        assert abs(ki - k_fd * gvvi) <= 1e-5 * max(abs(k_fd), 1.0) * gvvi
 
 
 def test_spray_of_a_member_matches_its_batch_of_one_bitwise(zoo_chart, rng):
