@@ -134,7 +134,7 @@ def test_bump_christoffels_at_the_junction():
 
 
 @pytest.mark.parametrize("name", ["bumped_cylinder", "sphere", "paraboloid"])
-def test_one_spray_call_per_rk4_stage(name, monkeypatch):
+def test_one_christoffel_call_per_rk4_stage(name, monkeypatch):
     # every right-hand side reads the chart through charts.spray, whichever
     # module's name it uses, so its call count is the RK4 stage count
     chart = make_chart(name)
