@@ -1,4 +1,4 @@
-"""Chart-based Riemannian metrics and the geodesic flow.
+"""Chart-based Riemannian metrics and their spray.
 
 Every manifold in the zoo is a surface, presented in a single global
 coordinate chart of dimension ``d`` = 2.  A chart knows its metric tensor
@@ -12,12 +12,12 @@ their oracle, fed with the analytic metric derivative or with the
 finite-difference ``Chart.metric_deriv``, itself the oracle of the analytic
 derivatives.
 
-The geodesic and Jacobi flows read a chart through its spray alone:
-``Chart.spray(x, v)`` returns the geodesic acceleration -Gamma(v, v) and the
-Jacobi coefficient K g(v, v) from one evaluation of the family's jet, and
-the guarded ``spray`` is the one chart call an RK4 stage makes.  The
-integrator ``_rk4_batch`` steps one packed state array, a row per
-trajectory: (x, v) for the geodesic flow, (x, v, Y) for the Jacobi flow.
+The flow reads a chart through its spray alone: ``Chart.spray(x, v)``
+returns the geodesic acceleration -Gamma(v, v) and the Jacobi coefficient
+K g(v, v) from one evaluation of the family's jet, and the guarded
+``spray`` is the one chart call an RK4 stage makes.  This module integrates
+nothing: the one integrator is ``jacobi.jacobi_propagate``, whose (x, v)
+rows are the geodesic flow; ``geodesic_flow`` reads its endpoint.
 
 Index conventions used throughout:
 
@@ -33,12 +33,11 @@ All metric-level evaluations broadcast over leading batch axes.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartDomainError, DegeneratePlaneError, DomainEscapeError
+from .errors import ChartDomainError, DegeneratePlaneError
 
 FD_STEP = 1e-5
 _EYE2 = np.eye(2)
@@ -325,131 +324,23 @@ def curvature_operator(chart: Chart, x: np.ndarray, v: np.ndarray) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _geodesic_rhs(chart: Chart, y: np.ndarray) -> np.ndarray:
-    """d/ds of packed rows (x, v): (v, -Gamma(v, v))."""
-    d = chart.dim
-    acc, _ = spray(chart, y[:, :d], y[:, d:])
-    return np.concatenate((y[:, d:], acc), axis=1)
-
-
 def geodesic_flow(chart: Chart, start: TangentVector, t: float, steps: int) -> TangentVector:
-    """Integrate the geodesic equation with fixed-step classical RK4.
+    """Endpoint (position, velocity) of the geodesic from one start after
+    time t: the last (x, v) row of ``jacobi.jacobi_propagate``, whose RK4
+    is the only integrator.  Metric speed g(v, v) is conserved to relative
+    1e-6 per unit time at 256 steps/unit.
 
-    Returns the endpoint (position, velocity).  Chart-domain escape raises
-    DomainEscapeError carrying the exit time.  Metric speed g(v, v) is
-    conserved to relative 1e-6 per unit time at 256 steps/unit.
+    A geodesic that leaves the chart raises DomainEscapeError carrying the
+    exit time; a start outside the chart exits at time 0.  ``steps`` < 16,
+    t <= 0 or a start with zero metric speed raise ValueError.  Nothing in
+    the package calls it; the benchmark's tracer probes this name.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    from .jacobi import jacobi_propagate   # jacobi imports this module
+
     if steps < 16:
         raise ValueError("steps must be >= 16")
-    x, v = flow_trajectory(chart, start, t, steps)
-    return TangentVector(x[-1], v[-1])
-
-
-def _rk4_batch(chart: Chart, rhs, y: np.ndarray, t: float,
-               steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Classical RK4 for y' = rhs(y) over [0, t], one trajectory per row of y.
-
-    ``y`` is the packed state (B, n) whose first ``chart.dim`` columns hold
-    the chart positions; ``rhs`` maps a (B', n) state to its derivative with
-    one guarded ``spray`` call, which raises ChartDomainError on points
-    outside the chart.  Returns the trajectories (B, steps+1, n) and the
-    exit times (B,).  A member whose start or RK4 stage point leaves the
-    chart exits at n h (n the step it was in), one whose new point leaves
-    exits at (n+1) h; its rows from then on are NaN.  Members that stay
-    inside have exit time inf.  A refused evaluation is repeated on the
-    members still inside, so their values do not depend on the others.
-    """
-    b, d = len(y), chart.dim
-    h = t / steps
-    half, sixth = 0.5 * h, h / 6
-    traj = np.full((b, steps + 1, y.shape[1]), np.nan)
-    exit_time = np.full(b, np.inf)
-    live = np.arange(b)
-
-    def leave(keep: np.ndarray, when: float) -> None:
-        nonlocal live
-        exit_time[live[~keep]] = when
-        live = live[keep]
-
-    inside = np.asarray(chart.contains(y[:, :d]))
-    if not inside.all():
-        leave(inside, 0.0)
-        y = y[inside]
-    traj[live, 0] = y
-    for n in range(steps):
-        ks: list = []
-        stage = y
-        for c in (half, half, h, None):
-            while len(live):
-                try:
-                    ks.append(rhs(stage))
-                    break
-                except ChartDomainError:
-                    # drop the members whose stage point left the chart, or
-                    # all of them when the chart refused a point its guard admits
-                    inside = np.asarray(chart.contains(stage[:, :d]))
-                    keep = inside if not inside.all() else np.zeros_like(inside)
-                    leave(keep, n * h)
-                    y, stage, ks = y[keep], stage[keep], [k[keep] for k in ks]
-            if not len(live):
-                return traj, exit_time
-            if c is not None:
-                stage = y + c * ks[-1]
-        k1, k2, k3, k4 = ks
-        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        inside = np.asarray(chart.contains(y[:, :d]))
-        if not inside.all():
-            leave(inside, (n + 1) * h)
-            y = y[inside]
-        traj[slice(None) if len(live) == b else live, n + 1] = y
-    return traj, exit_time
-
-
-def _integrate(chart: Chart, rhs, parts: tuple, t: float, steps: int, what: str):
-    """``_rk4_batch`` on the parts of the state (positions first) packed
-    into one array, its rows unpacked into the parts' shapes.  A batch
-    (positions (B, d)) returns the parts' trajectories (B, steps+1, ...)
-    and the exit times; one start (positions (d,)) runs as a batch of one,
-    returns its own trajectories (steps+1, ...) and raises
-    DomainEscapeError on an exit."""
-    parts = [np.asarray(a, dtype=float) for a in parts]
-    batched = parts[0].ndim > 1
-    if not batched:
-        parts = [a[None] for a in parts]
-    b = len(parts[0])
-    tails = [a.shape[1:] for a in parts]
-    traj, exit_time = _rk4_batch(chart, rhs, np.concatenate([a.reshape(b, -1) for a in parts],
-                                                            axis=1), t, steps)
-    cuts = np.cumsum([int(np.prod(tail)) for tail in tails])[:-1]
-    rows = [a.reshape(traj.shape[:2] + tail)
-            for a, tail in zip(np.split(traj, cuts, axis=2), tails)]
-    if batched:
-        return (*rows, exit_time)
-    if np.isfinite(exit_time[0]):
-        raise DomainEscapeError(f"{chart.name}: geodesic left the chart domain{what}",
-                                exit_time=float(exit_time[0]))
-    return tuple(a[0] for a in rows)
-
-
-def flow_trajectory(chart: Chart, start: TangentVector, t: float, steps: int) -> tuple:
-    """Full RK4 trajectory of the geodesic flow from one start or a batch of starts.
-
-    One start (base and velocity of shape (d,)) gives x and v of shape
-    (steps+1, d); a start outside the chart raises ChartDomainError and a
-    trajectory that leaves it raises DomainEscapeError with the exit time.
-    A batch (base and velocity of shape (B, d)) is stepped as one state and
-    never raises for an escape: it gives x and v of shape (B, steps+1, d)
-    and the exit times (B,), inf for a member that stayed inside.  A member
-    exits at n h when a stage point of step n (or its start, n = 0) is
-    outside the chart and at (n+1) h when its new point is; its rows are
-    NaN from then on.
-    """
-    if start.base.ndim == 1 and not np.all(chart.contains(start.base)):
-        raise ChartDomainError(f"{chart.name}: flow start outside domain")
-    rhs = functools.partial(_geodesic_rhs, chart)
-    return _integrate(chart, rhs, (start.base, start.v), t, steps, "")
+    orbit = jacobi_propagate(chart, start, t, steps)
+    return TangentVector(orbit.x[-1], orbit.v[-1])
 
 
 def metric_speed(chart: Chart, x: np.ndarray, v: np.ndarray) -> float:

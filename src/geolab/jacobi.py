@@ -18,9 +18,10 @@ multiple of pi once and upward, so the count on (0, s] is floor(theta(s) /
 pi) and each zero is simple.  Lifting theta from grid nodes needs each step
 to turn it by less than pi; with K |v|_g^2 = w^2 it gains pi per half
 period pi / w, so RK4's own stability bound h w < 2 sqrt(2) suffices.
-The RK4 steps one packed row (x, v, Y) per start, and each stage reads the
-chart once, through the guarded ``charts.spray``: its -Gamma(v, v) moves
-(x, v) and its K g(v, v) moves Y.
+This module owns the lab's one integrator: ``_rk4_batch`` steps one packed
+row (x, v, Y) per start, and each stage reads the chart once, through the
+guarded ``charts.spray``: its -Gamma(v, v) moves (x, v) and its K g(v, v)
+moves Y.  The (x, v) rows are the geodesic flow; nothing else integrates it.
 
 For a closed geodesic, expressing the time-1 fundamental matrix in a single
 basis (undoing the holonomy of the frame) produces the linearized return
@@ -43,7 +44,6 @@ nothing.  The tolerances are module constants; no caller sets them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -52,14 +52,14 @@ import numpy as np
 from .charts import (
     Chart,
     TangentVector,
-    _integrate,
     christoffels,
     metric_speed,
     sample_unit_starts,
     sectional_curvature,
     spray,
 )
-from .errors import DomainEscapeError, GeolabError, NotAGeodesicError, SamplingStarvationError
+from .errors import (ChartDomainError, DomainEscapeError, GeolabError, NotAGeodesicError,
+                     SamplingStarvationError)
 from .loops import DiscreteLoop, energy, one_sided_velocities, outgoing_velocities
 
 TIME_TOL = 1e-6             # conjugate times are bisected to this; a zero this close to t is at t
@@ -175,21 +175,81 @@ def _jacobi_rhs(chart: Chart, y: np.ndarray) -> np.ndarray:
     return np.concatenate((y[:, 2:4], acc, y[:, 6:], -k_vv[:, None] * y[:, 4:6]), axis=1)
 
 
+def _rk4_batch(chart: Chart, y: np.ndarray, t: float,
+               steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 for y' = ``_jacobi_rhs``(y) over [0, t], one start per
+    row of the packed (B, 8) state y = (x, v, Y by rows).
+
+    Each stage makes one guarded ``spray`` call, which raises
+    ChartDomainError on points outside the chart.  Returns the trajectories
+    (B, steps+1, 8) and the exit times (B,).  A member whose start or RK4
+    stage point leaves the chart exits at n h (n the step it was in), one
+    whose new point leaves exits at (n+1) h; its rows from then on are NaN.
+    Members that stay inside have exit time inf.  A refused evaluation is
+    repeated on the members still inside, so their values do not depend on
+    the others.
+    """
+    b = len(y)
+    h = t / steps
+    half, sixth = 0.5 * h, h / 6
+    traj = np.full((b, steps + 1, y.shape[1]), np.nan)
+    exit_time = np.full(b, np.inf)
+    live = np.arange(b)
+
+    def leave(keep: np.ndarray, when: float) -> None:
+        nonlocal live
+        exit_time[live[~keep]] = when
+        live = live[keep]
+
+    inside = np.asarray(chart.contains(y[:, :2]))
+    if not inside.all():
+        leave(inside, 0.0)
+        y = y[inside]
+    traj[live, 0] = y
+    for n in range(steps):
+        ks: list = []
+        stage = y
+        for c in (half, half, h, None):
+            while len(live):
+                try:
+                    ks.append(_jacobi_rhs(chart, stage))
+                    break
+                except ChartDomainError:
+                    # drop the members whose stage point left the chart, or
+                    # all of them when the chart refused a point its guard admits
+                    inside = np.asarray(chart.contains(stage[:, :2]))
+                    keep = inside if not inside.all() else np.zeros_like(inside)
+                    leave(keep, n * h)
+                    y, stage, ks = y[keep], stage[keep], [k[keep] for k in ks]
+            if not len(live):
+                return traj, exit_time
+            if c is not None:
+                stage = y + c * ks[-1]
+        k1, k2, k3, k4 = ks
+        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        inside = np.asarray(chart.contains(y[:, :2]))
+        if not inside.all():
+            leave(inside, (n + 1) * h)
+            y = y[inside]
+        traj[slice(None) if len(live) == b else live, n + 1] = y
+    return traj, exit_time
+
+
 def jacobi_propagate(chart: Chart, start: TangentVector, t: float,
                      steps: int) -> Orbit | tuple[Orbit, np.ndarray]:
     """RK4 integration of (x, v, Y) over [0, t] from one start or a batch of starts.
 
     Y is the fundamental matrix of the normal equation.  The state is packed
-    as one row (x, v, Y) per start, and each RK4 stage reads the chart by
-    one guarded ``spray`` call, whose K g(v, v) drives Y; the velocity
-    frames are read off the end rows after.  One start (base and velocity of shape
-    (d,)) returns its ``Orbit`` and raises DomainEscapeError with the exit
-    time when the geodesic leaves the chart.  A batch (shape (B, d)) is
-    stepped as one state and returns the batch ``Orbit`` and the exit times
-    (B,): inf for a member that stayed inside, n h when a stage point of step
-    n left the chart and (n+1) h when its new point did.  A member's rows
-    are NaN from its exit on.  A chart that is not a surface raises
-    NotImplementedError, a start with zero metric speed or t <= 0 ValueError.
+    as one row (x, v, Y) per start and stepped by ``_rk4_batch``; the
+    velocity frames are read off the end rows after.  One start (base and
+    velocity of shape (d,)) runs as a batch of one, returns its ``Orbit``
+    and raises DomainEscapeError with the exit time when the geodesic
+    leaves the chart (time 0 for a start outside it).  A batch (shape
+    (B, d)) returns the batch ``Orbit`` and the exit times (B,): inf for a
+    member that stayed inside, n h when a stage point of step n left the
+    chart and (n+1) h when its new point did.  A member's rows are NaN from
+    its exit on.  A chart that is not a surface raises NotImplementedError,
+    a start with zero metric speed or t <= 0 ValueError.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -199,13 +259,20 @@ def jacobi_propagate(chart: Chart, start: TangentVector, t: float,
     x, v = start.base, start.v
     if not np.all(_speed_sq(chart.metric(x), v) > 0):
         raise ValueError("a Jacobi flow start needs a nonzero metric speed")
-    y = np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
-    rhs = functools.partial(_jacobi_rhs, chart)
-    xs, vs, ys, *exit_time = _integrate(chart, rhs, (x, v, y), t, steps,
-                                        " during Jacobi propagation")
+    batched = x.ndim > 1
+    x, v = np.atleast_2d(x, v)
+    y = np.tile(np.eye(2).ravel(), (len(x), 1))
+    rows, exit_time = _rk4_batch(chart, np.concatenate([x, v, y], axis=1), t, steps)
+    if not batched:
+        if np.isfinite(exit_time[0]):
+            raise DomainEscapeError(f"{chart.name}: geodesic left the chart domain during "
+                                    "Jacobi propagation", exit_time=float(exit_time[0]))
+        rows = rows[0]
+    xs, vs = rows[..., :2], rows[..., 2:4]
     ends = [0, -1]
-    orbit = Orbit(t, xs, vs, ys, velocity_frame(chart, xs[..., ends, :], vs[..., ends, :]))
-    return (orbit, *exit_time) if exit_time else orbit
+    orbit = Orbit(t, xs, vs, rows[..., 4:].reshape(rows.shape[:-1] + (2, 2)),
+                  velocity_frame(chart, xs[..., ends, :], vs[..., ends, :]))
+    return (orbit, exit_time) if batched else orbit
 
 
 def is_moving(chart: Chart, loop: DiscreteLoop) -> bool:

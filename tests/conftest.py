@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from geolab.charts import TangentVector, flow_trajectory, make_chart
+from geolab.charts import TangentVector, make_chart
+from geolab.jacobi import jacobi_propagate
 from geolab.loops import DiscreteLoop, make_loop
 from geolab.penalty import PenaltySchedule
 
@@ -61,7 +62,7 @@ def shoot_corner_arc(chart, z0, guess, steps=1024):
     bases = np.tile([z0, 0.0], (len(offsets), 1))
     av = np.asarray(guess, dtype=float)
     for _ in range(60):
-        xs, _, _ = flow_trajectory(chart, TangentVector(bases, av + offsets), 1.0, steps)
+        xs = jacobi_propagate(chart, TangentVector(bases, av + offsets), 1.0, steps)[0].x
         ends = xs[:, -1] - target
         f = ends[0]
         if np.linalg.norm(f) < 1e-11:
@@ -71,7 +72,8 @@ def shoot_corner_arc(chart, z0, guess, steps=1024):
         while np.linalg.norm(step) > 0.5:
             step = step / 2
         av = av + step
-    xs, vs = flow_trajectory(chart, TangentVector([z0, 0.0], av), 1.0, steps)
+    orbit = jacobi_propagate(chart, TangentVector([z0, 0.0], av), 1.0, steps)
+    xs, vs = orbit.x, orbit.v
     assert np.linalg.norm(xs[-1] - target) < 1e-9, "corner-arc shooting failed"
     return av, xs, vs
 

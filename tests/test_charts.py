@@ -8,12 +8,10 @@ from geolab.charts import (
     christoffels,
     christoffels_of_metric,
     curvature_operator,
-    flow_trajectory,
     geodesic_flow,
     make_chart,
     metric_speed,
     riemann,
-    sample_unit_starts,
     sectional_curvature,
     spray,
 )
@@ -135,7 +133,7 @@ def test_bump_christoffels_at_the_junction():
 
 @pytest.mark.parametrize("name", ["bumped_cylinder", "sphere", "paraboloid"])
 def test_one_christoffel_call_per_rk4_stage(name, monkeypatch):
-    # every right-hand side reads the chart through charts.spray, whichever
+    # the right-hand side reads the chart through charts.spray, whichever
     # module's name it uses, so its call count is the RK4 stage count
     chart = make_chart(name)
     calls = []
@@ -151,10 +149,6 @@ def test_one_christoffel_call_per_rk4_stage(name, monkeypatch):
     bases = np.array([x0, x0, x0])
     vs = np.array([v0, [0.3, 0.2], [-0.1, 0.25]])
     steps = 24
-    _, _, exit_time = flow_trajectory(chart, TangentVector(bases, vs), 0.5, steps)
-    assert np.all(np.isinf(exit_time))
-    assert len(calls) == 4 * steps
-    calls.clear()
     _, exit_time = jacobi_propagate(chart, TangentVector(bases, vs), 0.5, steps)
     assert np.all(np.isinf(exit_time))
     assert len(calls) == 4 * steps
@@ -196,18 +190,6 @@ def test_spray_of_a_member_matches_its_batch_of_one_bitwise(zoo_chart, rng):
     for i in range(len(x)):
         acc_i, k_i = spray(zoo_chart, x[i:i + 1], v[i:i + 1])
         assert np.array_equal(acc_i[0], acc[i]) and k_i[0] == k_vv[i]
-
-
-def test_flow_and_jacobi_step_the_same_geodesic_bitwise(zoo_chart, rng):
-    # both flows step (x, v) through the one spray, so the Jacobi flow's
-    # geodesic rows are the geodesic flow's, bit for bit
-    band = (0.0, 1.5) if zoo_chart.compact else (0.3, 2.0)
-    starts = sample_unit_starts(zoo_chart, rng, 6, *band)
-    xs, vs, flow_exit = flow_trajectory(zoo_chart, starts, 2.0, 256)
-    orbit, jacobi_exit = jacobi_propagate(zoo_chart, starts, 2.0, 256)
-    assert np.array_equal(flow_exit, jacobi_exit)
-    assert np.array_equal(xs, orbit.x, equal_nan=True)
-    assert np.array_equal(vs, orbit.v, equal_nan=True)
 
 
 def test_christoffel_index_symmetry(zoo_chart, rng):
@@ -420,6 +402,10 @@ def test_flow_domain_escape_carries_time():
     with pytest.raises(DomainEscapeError) as err:
         geodesic_flow(sphere, TangentVector([9.0, 0.0], [50.0, 0.0]), 2.0, 256)
     assert 0 <= err.value.exit_time <= 2.0
+    # a start outside the chart exits at once
+    with pytest.raises(DomainEscapeError) as err:
+        geodesic_flow(sphere, TangentVector([11.0, 0.0], [1.0, 0.0]), 2.0, 256)
+    assert err.value.exit_time == 0.0
 
 
 def test_flow_point_refused_inside_the_guard_is_an_escape():
@@ -440,7 +426,7 @@ def test_flow_point_refused_inside_the_guard_is_an_escape():
         geodesic_flow(WalledPlane(), start, 2.0, 16)
     # the first stage point past the wall is x_8 + h/2, in step 8
     assert err.value.exit_time == 8 * 2.0 / 16
-    _, _, exit_time = flow_trajectory(
+    _, exit_time = jacobi_propagate(
         WalledPlane(), TangentVector(np.tile(start.base, (2, 1)), [[1.0, 0.0], [0.0, 1.0]]),
         2.0, 16)
     # the batch cannot tell whose point was refused: both members exit
@@ -453,6 +439,10 @@ def test_flow_rejects_bad_arguments():
         geodesic_flow(plane, TangentVector([0, 0], [1, 0]), -1.0, 64)
     with pytest.raises(ValueError):
         geodesic_flow(plane, TangentVector([0, 0], [1, 0]), 1.0, 8)
+    with pytest.raises(ValueError):
+        geodesic_flow(plane, TangentVector([0, 0], [1, 0]), 0.0, 64)
+    with pytest.raises(ValueError, match="speed"):
+        geodesic_flow(plane, TangentVector([0, 0], [0, 0]), 1.0, 64)
 
 
 def test_sphere_recentering_isometry(rng):

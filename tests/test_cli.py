@@ -357,6 +357,35 @@ def test_cli_verify_chart_nearly_parallel_plane(tmp_path):
     assert checks["pass"]
 
 
+def test_cli_verify_chart_integrates_each_start_once(monkeypatch):
+    # the speed drift and the symplectic defect read one batch integration:
+    # every RK4 stage calls charts.spray once, whichever module's name it uses
+    import geolab
+    from geolab import cli
+    from geolab.charts import make_chart, spray
+    calls, runs = [], []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return spray(*args, **kwargs)
+
+    for mod in vars(geolab).values():
+        if getattr(mod, "spray", None) is spray:
+            monkeypatch.setattr(mod, "spray", counted)
+    real_integrate = cli.jacobi_propagate
+
+    def spy_integrate(chart, start, t, steps):
+        runs.append((np.shape(start.base), t, steps))
+        return real_integrate(chart, start, t, steps)
+
+    monkeypatch.setattr(cli, "jacobi_propagate", spy_integrate)
+    cfg = RunConfig(chart="bumped_cylinder", n_samples=5)
+    checks = cli._chart_self_tests(make_chart(cfg.chart), cfg, np.random.default_rng(0))
+    assert checks["pass"]
+    assert len(calls) == 4 * 2048
+    assert runs == [((8, 2), 4.0, 2048)]
+
+
 def test_cli_verify_conjpoints_compact_skips(tmp_path):
     cfg = write_yaml(tmp_path / "cfg.yaml", "chart: sphere\nn_samples: 10\n")
     out = str(tmp_path / "report.json")
