@@ -446,7 +446,7 @@ class _ProfileChart(Chart):
         rho = self.profile_jet(x[..., 0])[0]
         g = np.zeros(x.shape[:-1] + (2, 2))
         g[..., 0, 0] = 1.0
-        g[..., 1, 1] = rho**2
+        g[..., 1, 1] = rho * rho
         return g
 
     def metric_deriv(self, x):
@@ -460,7 +460,7 @@ class _ProfileChart(Chart):
         x = np.asarray(x, dtype=float)
         rho, d1, d2 = self.profile_jet(x[..., 0])
         d2g = np.zeros(x.shape[:-1] + (2, 2, 2, 2))
-        d2g[..., 0, 0, 1, 1] = 2 * (d1**2 + rho * d2)
+        d2g[..., 0, 0, 1, 1] = 2 * (d1 * d1 + rho * d2)
         return d2g
 
     def christoffels(self, x):
@@ -605,7 +605,7 @@ class _ConformalChart(Chart):
 
     def metric_second_deriv(self, x):
         x = np.asarray(x, dtype=float)
-        s = np.sum(x**2, axis=-1)
+        s = (x * x).sum(-1)
         dl, d2l = self._dlam(s), self._d2lam(s)
         eye = np.eye(2)
         # d_l d_k lambda = 2 dl delta_lk + 4 d2l u_l u_k
@@ -648,7 +648,7 @@ class SphereStereographic(_ConformalChart):
     segment_cap = 0.75
 
     def _lam(self, s):
-        return 4.0 / (1.0 + s) ** 2
+        return 4.0 / ((1.0 + s) * (1.0 + s))
 
     def _dlam(self, s):
         return -8.0 / (1.0 + s) ** 3
@@ -689,7 +689,7 @@ class PoincareDisk(_ConformalChart):
     segment_cap = 0.15
 
     def _lam(self, s):
-        return 4.0 / (1.0 - s) ** 2
+        return 4.0 / ((1.0 - s) * (1.0 - s))
 
     def _dlam(self, s):
         return 8.0 / (1.0 - s) ** 3
@@ -711,7 +711,8 @@ class PoincareDisk(_ConformalChart):
     def exhaustion_grad(self, x):
         x = np.asarray(x, dtype=float)
         rho = np.linalg.norm(x, axis=-1, keepdims=True)
-        fac = 2.0 / (1.0 - np.clip(rho, 0, 1 - 1e-15) ** 2)
+        rho_c = np.clip(rho, 0, 1 - 1e-15)
+        fac = 2.0 / (1.0 - rho_c * rho_c)
         return fac * x / np.maximum(rho, 1e-14)
 
     def exhaustion_hess(self, x):
@@ -719,8 +720,9 @@ class PoincareDisk(_ConformalChart):
         rho = np.linalg.norm(x, axis=-1)
         rho = np.clip(rho, 1e-14, 1 - 1e-15)
         uhat = x / rho[..., None]
-        rp = 2.0 / (1.0 - rho**2)                       # dr/drho
-        rpp = 4.0 * rho / (1.0 - rho**2) ** 2           # d2r/drho2
+        q = 1.0 - rho * rho
+        rp = 2.0 / q                                    # dr/drho
+        rpp = 4.0 * rho / (q * q)                       # d2r/drho2
         eye = np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
         uu = uhat[..., :, None] * uhat[..., None, :]
         return rpp[..., None, None] * uu + (rp / rho)[..., None, None] * (eye - uu)
@@ -752,8 +754,8 @@ class Paraboloid(Chart):
         x = np.asarray(x, dtype=float)
         rho = x[..., 0]
         g = np.zeros(x.shape[:-1] + (2, 2))
-        g[..., 0, 0] = 1.0 + 4.0 * rho**2
-        g[..., 1, 1] = rho**2
+        g[..., 0, 0] = 1.0 + 4.0 * (rho * rho)
+        g[..., 1, 1] = rho * rho
         return g
 
     def metric_deriv(self, x):
@@ -798,7 +800,8 @@ class Paraboloid(Chart):
     def gauss_curvature(self, x):
         x = np.asarray(x, dtype=float)
         rho = x[..., 0]
-        return 4.0 / (1.0 + 4.0 * rho**2) ** 2
+        e = 1.0 + 4.0 * (rho * rho)
+        return 4.0 / (e * e)
 
     def exhaustion(self, x):
         return np.asarray(x, dtype=float)[..., 0]

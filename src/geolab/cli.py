@@ -72,24 +72,8 @@ from .penalty import (
     classify_critical_point,
     corner_residual,
     penalized_energy,
+    penalized_gradient,
 )
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    # bool before int: bool is a subclass of int
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
 
 
 def _schedule(cfg: RunConfig) -> PenaltySchedule:
@@ -136,16 +120,12 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
     iterate is assembled.  ``find`` calls this once per census key (see
     ``run_find``), so ``index`` is not part of the key.
     """
-    import warnings
-
     e_loop = energy(chart, loop)
     e_pen = penalized_energy(chart, schedule, alpha, loop)
     cls = classify_critical_point(chart, schedule, alpha, loop, cfg.ell,
                                   cfg.k_radius if cfg.k_radius > 0 else None,
                                   acceptance_level)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        residual = corner_residual(chart, schedule, alpha, loop)
+    residual = corner_residual(chart, schedule, alpha, loop)
     sv = assemble_second_variation(chart, loop, schedule, alpha)
     spec = index_and_nullity(sv)
     conj, orbit = outgoing_conjugate_report(chart, loop)
@@ -169,7 +149,7 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
         "basepoint": loop.basepoint.tolist(),
         "basepoint_r": (float(chart.exhaustion(loop.basepoint))
                         if not chart.compact else None),
-        "gradient_norm": sv.gradient_norm,
+        "gradient_norm": float(np.linalg.norm(penalized_gradient(chart, schedule, alpha, loop))),
     }
     if cls.case == "genuine" and orbit is not None:
         closed = shoot_closed_orbit(chart, loop, orbit)
@@ -476,7 +456,8 @@ def main(argv=None) -> int:
         report["failure"] = {"type": type(exc).__name__, "message": str(exc)}
         code = 3
 
-    text = json.dumps(_jsonable(report), indent=1, sort_keys=True)
+    # np.float64 is a float; arrays and the other numpy scalars go through .tolist()
+    text = json.dumps(report, indent=1, sort_keys=True, default=lambda o: o.tolist())
     if args.out and args.subcommand != "export":
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

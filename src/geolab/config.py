@@ -10,9 +10,6 @@ import yaml
 from .charts import CHART_BUILDERS
 from .errors import ConfigError
 
-SUBCOMMANDS = ("find", "sweep", "analyze", "verify", "export")
-
-
 class _Loader(yaml.SafeLoader):
     """SafeLoader with YAML 1.2 floats: 1.1 reads ``1e-08`` (``json.dumps(1e-8)``) as a string."""
 
@@ -142,8 +139,3 @@ def load_config(path) -> RunConfig:
     if data is None:
         data = {}
     return RunConfig.from_dict(data)
-
-
-def dump_config(cfg: RunConfig, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(cfg.to_dict(), fh, sort_keys=True)

@@ -79,7 +79,6 @@ class DescentResult:
     iterations: int
     energy: float
     grad_norm: float
-    doublings: int = 0
 
 
 _MEMBER_FIELDS = ("nodes", "frame", "energy", "tau", "stall", "frozen")
@@ -259,7 +258,7 @@ def descend(chart: Chart, loop: DiscreteLoop, schedule: PenaltySchedule | None =
         break
     return DescentResult(
         loop=stack.loop(0), converged=converged, iterations=iterations,
-        energy=float(stack.energy[0]), grad_norm=float(grad_norm), doublings=doublings,
+        energy=float(stack.energy[0]), grad_norm=float(grad_norm),
     )
 
 
@@ -316,7 +315,6 @@ class SweepoutResult:
     the interior of each relax round's respaced family, two per polish cycle."""
 
     value: float
-    argmax_index: int
     argmax: DiscreteLoop
     family: SweepoutFamily
     rounds: int
@@ -444,7 +442,7 @@ def minimax_sweepout(chart: Chart, family: SweepoutFamily,
     if family.size == 1 and not family.frozen[0]:
         res = descend(chart, family.members[0], schedule, alpha, opts)
         fam = SweepoutFamily([res.loop], [False])
-        return SweepoutResult(res.energy, 0, res.loop, fam, res.iterations,
+        return SweepoutResult(res.energy, res.loop, fam, res.iterations,
                               res.converged, res.grad_norm, 0)
 
     stack = _LoopStack.of(chart, schedule, alpha, family.members, family.frozen)
@@ -485,7 +483,7 @@ def minimax_sweepout(chart: Chart, family: SweepoutFamily,
     out_family = SweepoutFamily([stack.loop(s) for s in range(stack.size)],
                                 [bool(f) for f in stack.frozen])
     return SweepoutResult(
-        value=value, argmax_index=k, argmax=stack.loop(k), family=out_family,
+        value=value, argmax=stack.loop(k), family=out_family,
         rounds=rounds, stable=stable, argmax_grad_norm=argmax_grad,
         insertions=insertions,
     )

@@ -96,12 +96,12 @@ def winding_band(chart: Chart, n_members: int = 9, n_nodes: int = 128,
 
 
 def random_loop(chart: Chart, rng: np.random.Generator, n_nodes: int = 128,
-                winding: int = 0, r_band: tuple[float, float] = (0.0, 3.0),
-                scale: float = 0.6) -> DiscreteLoop:
+                winding: int = 0, r_band: tuple[float, float] = (0.0, 3.0)) -> DiscreteLoop:
     """Seeded random smooth loop, contractible or winding once.
 
     Contractible: a center point plus a low-order random Fourier polygon.
     Winding: a graph over the periodic angle with random Fourier height.
+    Every Fourier amplitude is scaled by 0.6.
     """
     ts = 2 * np.pi * np.arange(n_nodes) / n_nodes
     if winding:
@@ -110,12 +110,12 @@ def random_loop(chart: Chart, rng: np.random.Generator, n_nodes: int = 128,
         z0 = chart.sample_point(rng, *r_band)[0]
         height = np.full(n_nodes, z0)
         for k in (1, 2):
-            height = height + scale * rng.uniform(-0.5, 0.5) * np.cos(k * ts + rng.uniform(0, 2 * np.pi))
+            height = height + 0.6 * rng.uniform(-0.5, 0.5) * np.cos(k * ts + rng.uniform(0, 2 * np.pi))
         return make_loop(chart, np.stack([height, ts], axis=1))
     center = chart.sample_point(rng, *r_band)
     nodes = np.broadcast_to(center, (n_nodes, 2)).copy()
     for k in (1, 2, 3):
-        amp = scale * rng.uniform(0.2, 1.0) / k
+        amp = 0.6 * rng.uniform(0.2, 1.0) / k
         phase = rng.uniform(0, 2 * np.pi)
         nodes[:, 0] += amp * np.cos(k * ts + phase)
         nodes[:, 1] += amp * np.sin(k * ts + rng.uniform(0, 2 * np.pi))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,12 +65,6 @@ class DiscreteLoop:
 def make_loop(chart: Chart, nodes: np.ndarray, frame: int = 0) -> DiscreteLoop:
     """Build a loop with periodic coordinates reduced to one period."""
     return DiscreteLoop(chart.reduce_point(np.asarray(nodes, dtype=float)), frame=frame)
-
-
-def sample_curve(chart: Chart, fn, n_nodes: int, frame: int = 0) -> DiscreteLoop:
-    """Sample a smooth closed curve t -> fn(t), t in [0, 1), at n_nodes points."""
-    ts = np.arange(n_nodes) / n_nodes
-    return make_loop(chart, np.array([fn(t) for t in ts]), frame=frame)
 
 
 def _shift_nodes(x: np.ndarray, k: int) -> np.ndarray:
@@ -156,13 +150,6 @@ def preconditioned_norm(grad: np.ndarray) -> float | np.ndarray:
     """|g|_M = sqrt(g . M^{-1} g), the gradient norm every solver thresholds."""
     norm = np.sqrt(np.maximum(np.sum(grad * precondition(grad), axis=(-2, -1)), 0.0))
     return float(norm) if norm.ndim == 0 else norm
-
-
-def loop_length(chart: Chart, loop: DiscreteLoop) -> float:
-    """Polygonal metric length sum_i g(m_i)(Delta_i, Delta_i)^(1/2)."""
-    deltas = validate_loop(chart, loop)
-    g = chart.metric(loop.nodes + 0.5 * deltas)
-    return float(np.sum(np.sqrt(np.einsum("ni,nij,nj->n", deltas, g, deltas))))
 
 
 def iterate(loop: DiscreteLoop, m: int) -> DiscreteLoop:
@@ -327,24 +314,8 @@ def loop_from_csv(text: str) -> DiscreteLoop:
     return DiscreteLoop(np.array([r[1] for r in rows]))
 
 
-def loop_to_json_dict(chart: Chart, loop: DiscreteLoop) -> dict:
-    return {
-        "chart": chart.name,
-        "frame": loop.frame,
-        "winding": {str(k): w for k, w in winding_numbers(chart, loop).items()},
-        "nodes": loop.nodes.tolist(),
-    }
-
-
-def loop_from_json_dict(data: dict) -> DiscreteLoop:
-    return DiscreteLoop(np.array(data["nodes"], dtype=float), frame=int(data.get("frame", 0)))
-
-
-def save_loop_json(chart: Chart, loop: DiscreteLoop, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(loop_to_json_dict(chart, loop), fh, indent=1)
-
-
 def load_loop_json(path) -> DiscreteLoop:
+    """A loop from a JSON object with ``nodes`` and an optional gauge ``frame``."""
     with open(path) as fh:
-        return loop_from_json_dict(json.load(fh))
+        data = json.load(fh)
+    return DiscreteLoop(np.array(data["nodes"], dtype=float), frame=int(data.get("frame", 0)))

@@ -35,13 +35,8 @@ from .jacobi import (
     outgoing_orbit,
     shoot_closed_orbit,
 )
-from .loops import DiscreteLoop, energy_gradient, validate_loop
-from .penalty import (
-    PenaltySchedule,
-    penalty_coordinate_hess,
-    penalty_gradient_and_hessian,
-    penalized_gradient,
-)
+from .loops import DiscreteLoop, validate_loop
+from .penalty import PenaltySchedule, penalty_coordinate_hess, penalty_gradient_and_hessian
 
 ZERO_BAND_SCALE = 1e-6
 
@@ -55,8 +50,6 @@ class SecondVariation:
     n_nodes: int
     dim: int
     alpha: int | None = None
-    gradient_norm: float = 0.0
-    critical: bool = True          # False: spectrum computed, indices not trustworthy
 
 
 @dataclass
@@ -68,10 +61,6 @@ class SpectralReport:
     zero_band: float
     eigenvalues: np.ndarray        # sorted, continuum normalization
     ambiguous: bool
-
-    @property
-    def positive_count(self) -> int:
-        return self.eigenvalues.size - self.index - self.nullity
 
 
 def _second_deriv_blocks(chart: Chart, loop: DiscreteLoop, deltas: np.ndarray):
@@ -120,8 +109,9 @@ def assemble_second_variation(chart: Chart, loop: DiscreteLoop,
                               method: str = "exact_discrete") -> SecondVariation:
     """Assemble the Hessian of the (penalized) discrete energy at a loop.
 
-    The loop should be a converged critical point; otherwise the spectrum
-    is still assembled but flagged non-critical.
+    The loop should be a converged critical point: the spectrum of any loop
+    is assembled, but its index and nullity mean something only there.  The
+    assembly evaluates no gradient; the caller reports how critical the loop is.
     """
     deltas = validate_loop(chart, loop)
     n, d = loop.n_nodes, loop.dim
@@ -142,19 +132,13 @@ def assemble_second_variation(chart: Chart, loop: DiscreteLoop,
     h = scale * h.reshape(n * d, n * d)
 
     if schedule is not None and alpha is not None:
-        gnorm = float(np.linalg.norm(penalized_gradient(chart, schedule, alpha, loop)))
         if method == "exact_discrete":
             h[:d, :d] += penalty_coordinate_hess(chart, schedule, alpha, loop.basepoint)
         else:
             _, hess_cov = penalty_gradient_and_hessian(chart, schedule, alpha, loop.basepoint)
             h[:d, :d] += hess_cov
-    else:
-        gnorm = float(np.linalg.norm(energy_gradient(chart, loop)))
     h = 0.5 * (h + h.T)
-    return SecondVariation(
-        matrix=h, method=method, n_nodes=n, dim=d, alpha=alpha,
-        gradient_norm=gnorm, critical=bool(gnorm < 1e-3 * n),
-    )
+    return SecondVariation(matrix=h, method=method, n_nodes=n, dim=d, alpha=alpha)
 
 
 def twisted_hessian(sv: SecondVariation, omega: complex) -> SecondVariation:
@@ -206,16 +190,15 @@ def outgoing_conjugate_report(chart: Chart, loop: DiscreteLoop) -> tuple:
     return orbit.conjugate_report(), orbit
 
 
-def pinned_index(sv: SecondVariation, zero_band: float | None = None) -> int:
+def pinned_index(sv: SecondVariation) -> int:
     """Negative inertia of the basepoint-pinned block of an assembled Hessian;
     the penalty only enters the basepoint block, so this is the Dirichlet index."""
-    pinned = replace(sv, matrix=sv.matrix[sv.dim:, sv.dim:])
-    return index_and_nullity(pinned, zero_band).index
+    return index_and_nullity(replace(sv, matrix=sv.matrix[sv.dim:, sv.dim:])).index
 
 
-def dirichlet_index(chart: Chart, loop: DiscreteLoop, zero_band: float | None = None) -> int:
+def dirichlet_index(chart: Chart, loop: DiscreteLoop) -> int:
     """Negative inertia of the basepoint-pinned (Dirichlet) second variation."""
-    return pinned_index(assemble_second_variation(chart, loop), zero_band)
+    return pinned_index(assemble_second_variation(chart, loop))
 
 
 def based_index_verdict(report: ConjugateReport, sv: SecondVariation) -> dict:

@@ -20,7 +20,6 @@ accepted the loop.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +129,7 @@ def penalized_gradient(chart: Chart, schedule: PenaltySchedule, alpha: int,
 
 
 def corner_residual(chart: Chart, schedule: PenaltySchedule, alpha: int,
-                    loop: DiscreteLoop, grad_tol: float = 1e-3) -> np.ndarray:
+                    loop: DiscreteLoop) -> np.ndarray:
     """Velocity-jump defect at the basepoint: v(0-) - v(0+) + 1/2 grad f_alpha.
 
     The first variation of E + f(gamma(0)) with E = integral g(gd, gd) dt
@@ -144,14 +143,6 @@ def corner_residual(chart: Chart, schedule: PenaltySchedule, alpha: int,
     smooth closed geodesics off the penalty support.
     """
     validate_loop(chart, loop)
-    n = loop.n_nodes
-    gnorm = float(np.linalg.norm(penalized_gradient(chart, schedule, alpha, loop))) / n
-    if gnorm > grad_tol:
-        warnings.warn(
-            f"corner residual of a non-critical loop (scaled gradient {gnorm:.2e}); "
-            "the value is computed but not meaningful",
-            stacklevel=2,
-        )
     v_minus, v_plus = one_sided_velocities(chart, loop)
     grad_f, _ = penalty_gradient_and_hessian(chart, schedule, alpha, loop.basepoint)
     return (v_minus - v_plus) + 0.5 * grad_f

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from geolab.charts import TangentVector, make_chart
 from geolab.jacobi import jacobi_propagate
-from geolab.loops import DiscreteLoop, make_loop
+from geolab.loops import DiscreteLoop, make_loop, validate_loop
 from geolab.penalty import PenaltySchedule
 
 ZOO = ["plane", "cylinder", "sphere", "hyperbolic", "paraboloid", "funnel",
@@ -30,6 +32,19 @@ def sample_inside(chart, rng):
 def circle_nodes(radius, n, center=(0.0, 0.0)):
     ts = 2 * np.pi * np.arange(n) / n
     return np.asarray(center) + radius * np.stack([np.cos(ts), np.sin(ts)], axis=1)
+
+
+def save_loop_json(chart, loop, path):
+    """Write ``loop`` as the JSON object that ``analyze`` reads (nodes and gauge frame)."""
+    with open(path, "w") as fh:
+        json.dump({"chart": chart.name, "frame": loop.frame, "nodes": loop.nodes.tolist()}, fh)
+
+
+def loop_length(chart, loop):
+    """Polygonal metric length sum_i g(m_i)(Delta_i, Delta_i)^(1/2)."""
+    deltas = validate_loop(chart, loop)
+    g = chart.metric(loop.nodes + 0.5 * deltas)
+    return float(np.sum(np.sqrt(np.einsum("ni,nij,nj->n", deltas, g, deltas))))
 
 
 def waist_loop(chart, n):

@@ -74,10 +74,25 @@ def test_christoffels_closed_form_oracle(zoo_chart, rng):
 
 
 def test_christoffels_scalar_matches_stack_bitwise(zoo_chart, rng):
-    # a point's Christoffels do not depend on the batch it is evaluated in
+    # a point's chart values do not depend on the batch it is evaluated in
     x = sample_batch(zoo_chart, rng, 2000)
-    stacked = christoffels(zoo_chart, x)
-    assert all(np.array_equal(christoffels(zoo_chart, xi), gi) for xi, gi in zip(x, stacked))
+    v = rng.standard_normal(x.shape)
+    values = {  # each gives a tuple of arrays
+        "christoffels": lambda y, w: (christoffels(zoo_chart, y),),
+        "metric": lambda y, w: (zoo_chart.metric(y),),
+        "gauss_curvature": lambda y, w: (zoo_chart.gauss_curvature(y),),
+        "spray": lambda y, w: spray(zoo_chart, y, w),
+    }
+    if not zoo_chart.compact:
+        for name in ("exhaustion", "exhaustion_grad", "exhaustion_hess"):
+            values[name] = lambda y, w, f=getattr(zoo_chart, name): (f(y),)
+    differ = {}
+    for name, value in values.items():
+        stacked = value(x, v)
+        differ[name] = sum(
+            not all(np.array_equal(a, s[i]) for a, s in zip(value(x[i], v[i]), stacked))
+            for i in range(len(x)))
+    assert differ == dict.fromkeys(values, 0)
 
 
 def _bump_profile_by_powers(z, a):

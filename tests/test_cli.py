@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -6,14 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from geolab.cli import main
-from geolab.config import RunConfig, dump_config, load_config
+from geolab.config import RunConfig, load_config
 from geolab.descent import DescentResult, SweepoutFamily, SweepoutResult
 from geolab.errors import ConfigError
-from geolab.loops import iterate, make_loop, one_sided_velocities, save_loop_json
+from geolab.loops import iterate, make_loop, one_sided_velocities
 
-from conftest import great_circle_loop, waist_loop
+from conftest import great_circle_loop, save_loop_json, waist_loop
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_yaml(path, text):
@@ -29,7 +33,7 @@ def read_report(path):
 def test_config_round_trip(tmp_path):
     cfg = RunConfig(chart="funnel", n_nodes=96, seed=5, alpha=2, ell=7.5)
     path = tmp_path / "cfg.yaml"
-    dump_config(cfg, path)
+    path.write_text(yaml.safe_dump(cfg.to_dict()))
     assert load_config(path) == cfg
 
 
@@ -404,6 +408,25 @@ def test_cli_sweep_plane_contractible(tmp_path):
     assert results["value"] < 1e-8
 
 
+def test_cli_continuation_sweep_funnel(tmp_path):
+    # alpha_max selects the penalty continuation; the winding band slides
+    # to the waist, a genuine closed geodesic of energy 4 pi^2
+    cfg = write_yaml(tmp_path / "cfg.yaml",
+                     "chart: funnel\nn_nodes: 64\nfamily: winding_band\nfamily_members: 5\n"
+                     "family_z_center: 3.0\nfamily_z_halfwidth: 0.5\nalpha: 0\nalpha_max: 1\n")
+    out = str(tmp_path / "report.json")
+    assert main(["sweep", "--config", cfg, "--quiet", "--out", out]) == 0
+    results = read_report(out)["results"]
+    assert results["mode"] == "continuation"
+    assert results["alphas"] == [0, 1]
+    assert results["monotonicity_violations"] == []
+    assert results["terminal"]["stable"] is True
+    analysis = results["terminal"]["analysis"]
+    assert analysis["case"] == "genuine"
+    assert (analysis["index"], analysis["nullity"], analysis["nullity_monodromy"]) == (0, 1, 1)
+    assert abs(analysis["energy"] - 4 * np.pi**2) <= 1e-6 * 4 * np.pi**2
+
+
 @pytest.mark.parametrize("n", [48, 64])
 def test_cli_latitude_sweep_based_cross_check(tmp_path, n):
     # the based cross-check scans the shot closed orbit, whose second
@@ -436,13 +459,18 @@ def test_cli_report_booleans_are_json_booleans(tmp_path):
     assert read_report(out)["results"]["pass"] is True
 
 
-def test_benchmark_probes_resolve():
-    # the traced benchmark rebinds these names; a deleted or renamed one
-    # would fail every traced run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+def _benchmark_tracer():
+    path = REPO / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_probes_resolve():
+    # the traced benchmark rebinds these names; a deleted or renamed one
+    # would fail every traced run
+    tracer = _benchmark_tracer()
     missing = [f"{mod}.{fn}" for mod, fns in tracer.TRACED.items() for fn in fns
                if not callable(getattr(importlib.import_module(f"geolab.{mod}"), fn, None))]
     cli = importlib.import_module("geolab.cli")
@@ -453,3 +481,32 @@ def test_benchmark_probes_resolve():
     assert {"rounds", "insertions", "family"} <= fields
     assert isinstance(SweepoutFamily.size, property)
     assert "iterations" in {f.name for f in dataclasses.fields(DescentResult)}
+
+
+def test_every_module_level_name_is_referenced():
+    # a module-level function, class or assigned name that nothing in the
+    # package references is dead code; names only the tests call belong in
+    # the tests
+    tracer = _benchmark_tracer()
+    exempt = {fn for fns in tracer.TRACED.values() for fn in fns} | set(tracer.ROOTS)
+    exempt |= {"main",
+               # the discrete circle action and the m-fold iterate are the
+               # oracles of the invariance and Bott iteration tests
+               "circle_shift", "iterate"}
+    statements = [(p.stem, stmt) for p in sorted((REPO / "src" / "geolab").glob("*.py"))
+                  for stmt in ast.parse(p.read_text()).body]
+    refs = [{n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+             if isinstance(n, (ast.Name, ast.Attribute))} for _, stmt in statements]
+    unreferenced = []
+    for k, (module, stmt) in enumerate(statements):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        unreferenced += [f"{module}.{name}" for name in names
+                         if name not in exempt and not name.startswith("__")
+                         and not any(name in r for j, r in enumerate(refs) if j != k)]
+    assert unreferenced == []

@@ -12,22 +12,19 @@ from geolab.loops import (
     energy,
     energy_gradient,
     iterate,
+    load_loop_json,
     loop_from_csv,
-    loop_from_json_dict,
-    loop_length,
     loop_to_csv,
     loop_distance,
-    loop_to_json_dict,
     make_loop,
     maybe_recenter,
     midpoint_loop,
     one_sided_velocities,
     pair_distance,
-    sample_curve,
     winding_numbers,
 )
 
-from conftest import ZOO, circle_nodes, sample_inside
+from conftest import ZOO, circle_nodes, loop_length, sample_inside, save_loop_json
 
 
 def random_smooth_loop(chart, rng, n=32, scale=0.3):
@@ -171,7 +168,7 @@ def test_refinement_second_order():
     plane = make_chart("plane")
     errs = []
     for n in (64, 128, 256):
-        loop = sample_curve(plane, lambda t: [np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], n)
+        loop = make_loop(plane, circle_nodes(1.0, n))
         errs.append(abs(energy(plane, loop) - 4 * np.pi**2))
     assert 3.5 < errs[0] / errs[1] < 4.5
     assert 3.5 < errs[1] / errs[2] < 4.5
@@ -305,16 +302,13 @@ def test_csv_round_trip(rng):
         loop_from_csv("bogus,header\n0,1.0,2.0\n")
 
 
-def test_json_round_trip_carries_winding_and_frame():
-    cyl = make_chart("cylinder")
-    ts = 2 * np.pi * np.arange(32) / 32
-    loop = make_loop(cyl, np.stack([0.2 * np.cos(ts), ts], axis=1))
-    data = loop_to_json_dict(cyl, loop)
-    assert data["winding"] == {"1": 1}
-    assert data["chart"] == "cylinder"
-    back = loop_from_json_dict(data)
+def test_json_round_trip_carries_frame(tmp_path):
+    sph = make_chart("sphere")
+    loop = make_loop(sph, circle_nodes(0.4, 32), frame=1)
+    save_loop_json(sph, loop, tmp_path / "loop.json")
+    back = load_loop_json(tmp_path / "loop.json")
     assert np.array_equal(back.nodes, loop.nodes)
-    assert back.frame == loop.frame
+    assert back.frame == loop.frame == 1
 
 
 # -- property tests ---------------------------------------------------------

@@ -18,7 +18,7 @@ from geolab.penalty import (
     penalty_value,
 )
 
-from conftest import circle_nodes, waist_loop
+from conftest import waist_loop
 
 
 def test_schedule_radii_increasing():
@@ -131,14 +131,6 @@ def test_corner_residual_smooth_geodesic_refines():
     sched = PenaltySchedule(r0=5.0, dr=1.0)
     res = corner_residual(cyl, sched, 0, waist_loop(cyl, 256))
     assert np.linalg.norm(res) < 1e-3
-
-
-def test_corner_residual_warns_off_critical(rng):
-    plane = make_chart("plane")
-    sched = PenaltySchedule(r0=2.0, dr=1.0)
-    loop = make_loop(plane, circle_nodes(1.0, 32))  # not critical
-    with pytest.warns(UserWarning):
-        corner_residual(plane, sched, 0, loop)
 
 
 def test_corner_point_residual_and_refinement(corner_point):
