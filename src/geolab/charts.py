@@ -599,17 +599,19 @@ class _ConformalChart(Chart):
 
     def metric_deriv(self, x):
         x = np.asarray(x, dtype=float)
-        s = (x * x).sum(-1)
-        dlam_dx = 2 * self._dlam(s)[..., None] * x          # [..., k]
+        # s keeps its last axis, so the power in _dlam runs numpy's array loop
+        # also for one point (on a 0-d s it is C pow, which can differ in the last bit)
+        s = (x * x).sum(-1, keepdims=True)
+        dlam_dx = 2 * self._dlam(s) * x                     # [..., k]
         return dlam_dx[..., :, None, None] * _EYE2
 
     def metric_second_deriv(self, x):
         x = np.asarray(x, dtype=float)
-        s = (x * x).sum(-1)
+        s = (x * x).sum(-1, keepdims=True)
         dl, d2l = self._dlam(s), self._d2lam(s)
         eye = np.eye(2)
         # d_l d_k lambda = 2 dl delta_lk + 4 d2l u_l u_k
-        hess = 2 * dl[..., None, None] * eye + 4 * d2l[..., None, None] * (
+        hess = 2 * dl[..., None] * eye + 4 * d2l[..., None] * (
             x[..., :, None] * x[..., None, :]
         )
         return hess[..., :, :, None, None] * eye

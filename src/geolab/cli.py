@@ -32,7 +32,7 @@ from .config import RunConfig, load_config
 from .descent import (
     DescentOptions,
     SweepOptions,
-    descend,
+    descend_starts,
     minimax_sweepout,
     penalty_continuation,
 )
@@ -172,7 +172,7 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
 
 
 def run_find(cfg: RunConfig, quiet: bool) -> dict:
-    """Descend every start; analyse each census key once, on its first start.
+    """Descend all starts as one stack; analyse each census key once, on its first start.
 
     A key comes from the descended loop alone: penalized energy (to 1e-6)
     and basepoint r (0 on compact charts).  The constant loops off the
@@ -185,15 +185,16 @@ def run_find(cfg: RunConfig, quiet: bool) -> dict:
     opts = _descent_options(cfg)
     rng = np.random.default_rng(cfg.seed)
     can_wind = chart.periods is not None and np.any(np.isfinite(np.asarray(chart.periods)))
+    # "mixed" alternates contractible and winding starts
+    windings = [{"winding": 1, "contractible": 0}.get(cfg.winding_mix, i % 2) if can_wind else 0
+                for i in range(cfg.n_starts)]
+    starts = [random_loop(chart, rng, cfg.n_nodes, winding=w, r_band=tuple(cfg.start_band))
+              for w in windings]
+    descended = descend_starts(chart, starts, schedule, cfg.alpha, opts)
 
     census: dict[tuple, dict] = {}
     failures = 0
-    for i in range(cfg.n_starts):
-        # "mixed" alternates contractible and winding starts
-        winding = {"winding": 1, "contractible": 0}.get(cfg.winding_mix, i % 2) if can_wind else 0
-        loop = random_loop(chart, rng, cfg.n_nodes, winding=winding,
-                           r_band=tuple(cfg.start_band))
-        res = descend(chart, loop, schedule, cfg.alpha, opts)
+    for i, res in enumerate(descended):
         if not res.converged:
             failures += 1
             _progress(quiet, f"start {i}: no convergence in {res.iterations} iterations")

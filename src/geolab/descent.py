@@ -10,14 +10,15 @@ thresholded everywhere is the preconditioned one, |g|_M = sqrt(g . M^{-1} g).
 Every descent steps a stack of M loops: nodes (M, N, d) with per-member
 gauge, energy, step size and stall count.  One step makes one gradient,
 one preconditioner and one trial-energy call per backtracking round for
-all members, which part ways only through masks.  ``descend`` is a stack
-of one.  The sweepout minimax keeps its family as a stack: every free
-member steps each round, one stacked neighbor distance and one stacked
-nodewise interpolation then respace the family evenly in units of its
-resolution, the lowest family max is tracked until it stops falling,
-and the argmax bracket is then bisected down to the saddle.  The
-returned value approximates the minimax level from the family side; the
-gap to the true level is reported, not bounded.
+all members, which part ways only through masks.  ``descend_starts``
+descends many starts as one stack, each member on its own step budget;
+``descend`` is its batch of one.  The sweepout minimax keeps its family
+as a stack: every free member steps each round, one stacked neighbor
+distance and one stacked nodewise interpolation then respace the family
+evenly in units of its resolution, the lowest family max is tracked
+until it stops falling, and the argmax bracket is then bisected down to
+the saddle.  The returned value approximates the minimax level from the
+family side; the gap to the true level is reported, not bounded.
 """
 
 from __future__ import annotations
@@ -222,44 +223,57 @@ def _armijo_step(stack: _LoopStack, members, grad_tol: float, max_move: float | 
     return status, gnorm
 
 
+def descend_starts(chart: Chart, loops, schedule: PenaltySchedule | None = None,
+                   alpha: int | None = None,
+                   opts: DescentOptions = DescentOptions()) -> list[DescentResult]:
+    """Drive each of ``loops`` (one node count N) to a critical point, as one stack.
+
+    Each iteration steps every member still descending.  A member's step
+    does not depend on the others, so each result is that of the loop
+    descended alone; ``max_iter`` counts each member's own steps.  Accepted
+    steps never raise the energy (asserted).  A member's first unavoidable
+    segment-cap violation doubles its nodes, and it goes on with its step
+    count in a stack of 2N nodes; a second one is a hard error.
+    """
+    for loop in loops:
+        validate_loop(chart, loop)
+    n = len(loops)
+    results = [None] * n
+    # (start indices, loops, steps taken, |g|_M) per stack; one that has
+    # taken steps holds doubled members
+    batches = [(np.arange(n), [maybe_recenter(chart, lp) for lp in loops], 0, np.full(n, np.inf))]
+    while batches:
+        starts, members, taken, grad_norm = batches.pop()
+        k = taken
+        stack = _LoopStack.of(chart, schedule, alpha, members)
+        live, steps = np.arange(stack.size), np.full(stack.size, k)
+        converged = np.zeros_like(steps, bool)
+        while live.size and k < opts.max_iter:
+            status, grad_norm[live] = _armijo_step(stack, live, opts.grad_tol)
+            k += 1
+            steps[live], converged[live] = k, status == "converged"
+            for r in live[status == "stalled"]:
+                # a stall after an accepted move measured the norm one loop back
+                grad_norm[r] = preconditioned_norm(stack.gradient(stack.loop(r)))
+                converged[r] = grad_norm[r] <= STALL_GRAD_ACCEPT
+            capped = live[status == "cap_stalled"]
+            if capped.size:
+                if taken:     # a second cap stall of doubled members
+                    raise RefineNeededError("segment cap blocks descent even after node doubling")
+                # their results are rewritten when the doubled stack ends
+                batches.append((starts[capped], [double_nodes(chart, stack.loop(r)) for r in capped],
+                                k, grad_norm[capped]))
+            live = live[status == "moved"]
+        for r, i in enumerate(starts):
+            results[i] = DescentResult(stack.loop(r), bool(converged[r]), int(steps[r]),
+                                       float(stack.energy[r]), float(grad_norm[r]))
+    return results
+
+
 def descend(chart: Chart, loop: DiscreteLoop, schedule: PenaltySchedule | None = None,
             alpha: int | None = None, opts: DescentOptions = DescentOptions()) -> DescentResult:
-    """Drive one loop to a critical point of the (penalized) energy.
-
-    The penalized energy is non-increasing across accepted steps (asserted).
-    A segment-cap violation that backtracking cannot avoid triggers one
-    automatic node doubling; a second one is a hard error.
-    """
-    validate_loop(chart, loop)
-    stack = _LoopStack.of(chart, schedule, alpha, [maybe_recenter(chart, loop)])
-    doublings = 0
-    iterations = 0
-    converged = False
-    grad_norm = np.inf
-    while iterations < opts.max_iter:
-        (status,), (grad_norm,) = _armijo_step(stack, [0], opts.grad_tol)
-        iterations += 1
-        if status == "moved":
-            continue
-        if status == "converged":
-            converged = True
-        elif status == "stalled":
-            # a stall after an accepted move measured the norm one loop back
-            grad_norm = preconditioned_norm(stack.gradient(stack.loop(0)))
-            converged = grad_norm <= STALL_GRAD_ACCEPT
-        elif status == "cap_stalled":
-            if doublings >= 1:
-                raise RefineNeededError(
-                    "segment cap blocks descent even after node doubling"
-                )
-            doublings += 1
-            stack = _LoopStack.of(chart, schedule, alpha, [double_nodes(chart, stack.loop(0))])
-            continue
-        break
-    return DescentResult(
-        loop=stack.loop(0), converged=converged, iterations=iterations,
-        energy=float(stack.energy[0]), grad_norm=float(grad_norm),
-    )
+    """Drive one loop to a critical point: ``descend_starts`` of a batch of one."""
+    return descend_starts(chart, [loop], schedule, alpha, opts)[0]
 
 
 # ---------------------------------------------------------------------------

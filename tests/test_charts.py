@@ -80,6 +80,8 @@ def test_christoffels_scalar_matches_stack_bitwise(zoo_chart, rng):
     values = {  # each gives a tuple of arrays
         "christoffels": lambda y, w: (christoffels(zoo_chart, y),),
         "metric": lambda y, w: (zoo_chart.metric(y),),
+        "metric_deriv": lambda y, w: (zoo_chart.metric_deriv(y),),
+        "metric_second_deriv": lambda y, w: (zoo_chart.metric_second_deriv(y),),
         "gauss_curvature": lambda y, w: (zoo_chart.gauss_curvature(y),),
         "spray": lambda y, w: spray(zoo_chart, y, w),
     }

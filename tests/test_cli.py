@@ -214,6 +214,22 @@ def test_cli_find_analyses_each_critical_point_once(tmp_path, monkeypatch):
     assert waist["index"] == 0
 
 
+def test_cli_find_steps_all_starts_as_one_stack(tmp_path, monkeypatch):
+    # the starts descend together: one stacked step per iteration of the
+    # longest descent, not one per iteration of each start
+    from geolab import cli, descent
+    calls = count_calls(monkeypatch, (cli, descent), ("descend_starts", "_armijo_step"))
+    cfg = write_yaml(tmp_path / "cfg.yaml",
+                     "chart: funnel\nn_nodes: 128\nn_starts: 4\nwinding_mix: mixed\n"
+                     "start_band: [0.0, 3.0]\npenalty_r0: 2.0\ngrad_tol: 1.0e-8\n"
+                     "seed: 1826701614\n")
+    assert main(["find", "--config", cfg, "--quiet", "--out", str(tmp_path / "r.json")]) == 0
+    (results,) = calls["descend_starts"]
+    iterations = [res.iterations for res in results]
+    assert sum(iterations) > max(iterations) > 1
+    assert len(calls["_armijo_step"]) == max(iterations)
+
+
 def test_cli_analyze_stored_loop(tmp_path, monkeypatch):
     from geolab import cli, jacobi, morse
     from geolab.charts import make_chart

@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geolab import descent
 from geolab.charts import make_chart
 from geolab.descent import (
     RESOLUTION_FACTOR,
+    STALL_GRAD_ACCEPT,
     DescentOptions,
+    DescentResult,
     SweepOptions,
     SweepoutFamily,
     _armijo_step,
     _LoopStack,
     _resample,
     descend,
+    descend_starts,
     minimax_sweepout,
     penalty_continuation,
     preconditioned_norm,
@@ -26,9 +31,11 @@ from geolab.families import (
 )
 from geolab.loops import (
     circle_shift,
+    double_nodes,
     energy,
     loop_distance,
     make_loop,
+    maybe_recenter,
     pair_distance,
     segment_checks,
 )
@@ -289,6 +296,15 @@ def test_penalty_continuation_rejects_bad_range():
         penalty_continuation(fun, sched, [2, 1], family)
 
 
+def _widest_latitude(chart, circle, lo, hi):
+    """Chart radius in [lo, hi] of the widest ``circle`` multiple the segment cap admits."""
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        _, over_cap, outside = segment_checks(chart, make_loop(chart, mid * circle))
+        lo, hi = (lo, mid) if (over_cap or outside) else (mid, hi)
+    return lo
+
+
 @pytest.mark.parametrize("max_move", [None, 0.05])
 def test_stacked_step_equals_members_stepped_alone(max_move):
     # one step of a stacked family equals each member stepped as a stack of
@@ -299,11 +315,7 @@ def test_stacked_step_equals_members_stepped_alone(max_move):
     circle = np.stack([np.cos(ts), np.sin(ts)], axis=1)
     # widest admissible latitude circle: descent pushes it outward, so every
     # trial stretches its segments past the cap
-    lo, hi = 3.0, 4.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        _, over_cap, outside = segment_checks(sph, make_loop(sph, mid * circle))
-        lo, hi = (lo, mid) if (over_cap or outside) else (mid, hi)
+    lo = _widest_latitude(sph, circle, 3.0, 4.0)
     members = [
         make_loop(sph, 0.8 * circle + 0.1 * np.cos(3 * ts)[:, None] * circle),
         make_loop(sph, 0.5 * circle, frame=1),                   # flipped gauge
@@ -328,3 +340,81 @@ def test_stacked_step_equals_members_stepped_alone(max_move):
         assert np.max(np.abs(alone.nodes[0] - family.nodes[s])) <= 1e-12
         assert abs(alone.energy[0] - family.energy[s]) <= 1e-12
         assert abs(alone.tau[0] - family.tau[s]) <= 1e-12
+
+
+def _descend_alone(chart, loop, schedule, alpha, opts):
+    """The single-loop descent, a stack of one stepped alone: the reference."""
+    stack = _LoopStack.of(chart, schedule, alpha, [maybe_recenter(chart, loop)])
+    doubled, iterations, converged, grad_norm = False, 0, False, np.inf
+    while iterations < opts.max_iter:
+        (status,), (grad_norm,) = _armijo_step(stack, [0], opts.grad_tol)
+        iterations += 1
+        if status == "cap_stalled":
+            assert not doubled
+            doubled = True
+            stack = _LoopStack.of(chart, schedule, alpha, [double_nodes(chart, stack.loop(0))])
+        elif status != "moved":
+            if status == "stalled":
+                grad_norm = preconditioned_norm(stack.gradient(stack.loop(0)))
+            converged = status == "converged" or grad_norm <= STALL_GRAD_ACCEPT
+            break
+    return DescentResult(stack.loop(0), converged, iterations, stack.energy[0], grad_norm)
+
+
+def _assert_same_results(results, others):
+    for a, b in zip(results, others, strict=True):
+        assert np.array_equal(a.loop.nodes, b.loop.nodes) and a.loop.frame == b.loop.frame
+        assert (a.iterations, a.energy, a.grad_norm) == (b.iterations, b.energy, b.grad_norm)
+        assert a.converged == b.converged
+
+
+def _check_batch(chart, starts, schedule, alpha, opts):
+    """``descend_starts`` of the batch, checked member by member against each start alone."""
+    batch = descend_starts(chart, starts, schedule, alpha, opts)
+    _assert_same_results(batch, [descend(chart, lp, schedule, alpha, opts) for lp in starts])
+    _assert_same_results(batch, [_descend_alone(chart, lp, schedule, alpha, opts) for lp in starts])
+    return batch
+
+
+@pytest.mark.parametrize("max_iter", [20000, 100])
+def test_descend_starts_funnel_members_equal_starts_descended_alone(rng, max_iter):
+    # a contractible start, a winding start and a contractible start on the
+    # penalty ramp; at max_iter 100 the winding start is cut off while the
+    # contractible ones converge
+    fun = make_chart("funnel")
+    sched = PenaltySchedule(r0=2.0, dr=1.0)
+    starts = [random_loop(fun, rng, 64, winding=0, r_band=(0.0, 3.0)),
+              random_loop(fun, rng, 64, winding=1, r_band=(0.5, 2.0)),
+              random_loop(fun, rng, 64, winding=0, r_band=(2.0, 3.0))]
+    batch = _check_batch(fun, starts, sched, 0, DescentOptions(max_iter=max_iter))
+    assert [r.converged for r in batch] == [True, max_iter > 100, True]
+
+
+@pytest.mark.parametrize("max_iter", [20000, 1])
+def test_descend_starts_doubles_a_capped_member_alone(max_iter):
+    # the widest latitude the cap admits inside the recenter trigger: its
+    # first step is cap-blocked, so it doubles to 48 nodes and descends on in
+    # a stack of its own; at max_iter 1 it ends on its doubled loop
+    sph = make_chart("sphere")
+    circle = circle_nodes(1.0, 24)
+    ts = 2 * np.pi * np.arange(24) / 24
+    starts = [make_loop(sph, 0.8 * circle + 0.1 * np.cos(3 * ts)[:, None] * circle),
+              make_loop(sph, _widest_latitude(sph, circle, 2.0, 3.0) * circle),
+              make_loop(sph, 0.5 * circle, frame=1)]
+    assert np.all(np.linalg.norm(starts[1].nodes, axis=-1) < sph.recenter_trigger)
+    batch = _check_batch(sph, starts, None, None, DescentOptions(max_iter=max_iter))
+    assert [r.loop.n_nodes for r in batch] == [24, 48, 24]
+    assert [r.converged for r in batch] == [max_iter > 1] * 3
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), order=st.permutations(range(4)))
+def test_descend_starts_permuted_starts_permute_results(seed, order):
+    fun = make_chart("funnel")
+    rng = np.random.default_rng(seed)
+    starts = [random_loop(fun, rng, 32, winding=k % 2, r_band=(0.0, 3.0)) for k in range(4)]
+    sched = PenaltySchedule(r0=2.0, dr=1.0)
+    opts = DescentOptions(max_iter=30)
+    results = descend_starts(fun, starts, sched, 0, opts)
+    permuted = descend_starts(fun, [starts[k] for k in order], sched, 0, opts)
+    _assert_same_results(permuted, [results[k] for k in order])
