@@ -2,10 +2,11 @@
 
 Chart-based metrics with their spray and curvature, discrete free loops
 with exact energy gradients, a basepoint penalty restoring compactness on
-non-compact charts, preconditioned descent and sweepout minimax, one RK4
-Jacobi flow whose (x, v) rows are the geodesic flow / conjugate points /
-linearized return maps, and Morse index machinery with built-in
-cross-checks between the spectral and symplectic routes.
+non-compact charts, preconditioned descent and sweepout minimax, one
+adaptive Dormand-Prince Jacobi flow whose (x, v) rows are the geodesic
+flow / conjugate points / linearized return maps, and Morse index
+machinery with built-in cross-checks between the spectral and symplectic
+routes.
 """
 
 __version__ = "0.1.0"

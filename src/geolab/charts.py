@@ -15,9 +15,10 @@ derivatives.
 The flow reads a chart through its spray alone: ``Chart.spray(x, v)``
 returns the geodesic acceleration -Gamma(v, v) and the Jacobi coefficient
 K g(v, v) from one evaluation of the family's jet, and the guarded
-``spray`` is the one chart call an RK4 stage makes.  This module integrates
-nothing: the one integrator is ``jacobi.jacobi_propagate``, whose (x, v)
-rows are the geodesic flow; ``geodesic_flow`` reads its endpoint.
+``spray`` is the one chart call an integrator stage makes.  This module
+integrates nothing: the one integrator is ``flow.dopri_batch``, reached
+through ``jacobi.jacobi_propagate``, whose (x, v) rows are the geodesic
+flow; ``geodesic_flow`` reads its endpoint.
 
 Index conventions used throughout:
 
@@ -219,8 +220,8 @@ def christoffels(chart: Chart, x: np.ndarray, finite_difference: bool = False) -
     Returns the chart family's closed form.  ``finite_difference=True``
     instead applies the generic formula ``christoffels_of_metric`` to the
     finite-difference metric derivative (the oracle path).  The flows do
-    not call it: an RK4 stage reads the chart through ``spray``.  Raises
-    ChartDomainError outside the domain.
+    not call it: an integrator stage reads the chart through ``spray``.
+    Raises ChartDomainError outside the domain.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(chart.contains(x)):
@@ -233,8 +234,8 @@ def christoffels(chart: Chart, x: np.ndarray, finite_difference: bool = False) -
 def spray(chart: Chart, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The geodesic acceleration -Gamma(v, v) (..., d) and the Jacobi
     coefficient K g(v, v) (...) of a surface chart, from the chart family's
-    closed form.  The one chart call of an RK4 stage, so its call count is
-    the stage count.  Raises ChartDomainError outside the domain.
+    closed form.  The one chart call of an integrator stage, so its call
+    count is the stage count.  Raises ChartDomainError outside the domain.
     """
     if not np.asarray(chart.contains(x)).all():
         raise ChartDomainError(f"{chart.name}: spray evaluation outside domain")
@@ -324,22 +325,20 @@ def curvature_operator(chart: Chart, x: np.ndarray, v: np.ndarray) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def geodesic_flow(chart: Chart, start: TangentVector, t: float, steps: int) -> TangentVector:
+def geodesic_flow(chart: Chart, start: TangentVector, t: float) -> TangentVector:
     """Endpoint (position, velocity) of the geodesic from one start after
-    time t: the last (x, v) row of ``jacobi.jacobi_propagate``, whose RK4
-    is the only integrator.  Metric speed g(v, v) is conserved to relative
-    1e-6 per unit time at 256 steps/unit.
+    time t: the last (x, v) row of ``jacobi.jacobi_propagate``, whose steps
+    hold each one's error estimate within ``jacobi.FLOW_TOL``.  Metric
+    speed g(v, v) is conserved to 1e-10 per unit time on the zoo's charts.
 
     A geodesic that leaves the chart raises DomainEscapeError carrying the
-    exit time; a start outside the chart exits at time 0.  ``steps`` < 16,
-    t <= 0 or a start with zero metric speed raise ValueError.  Nothing in
-    the package calls it; the benchmark's tracer probes this name.
+    exit time; a start outside the chart exits at time 0.  t <= 0 or a
+    start with zero metric speed raise ValueError.  Nothing in the package
+    calls it; the benchmark's tracer probes this name.
     """
     from .jacobi import jacobi_propagate   # jacobi imports this module
 
-    if steps < 16:
-        raise ValueError("steps must be >= 16")
-    orbit = jacobi_propagate(chart, start, t, steps)
+    orbit = jacobi_propagate(chart, start, t)
     return TangentVector(orbit.x[-1], orbit.v[-1])
 
 

@@ -344,15 +344,16 @@ def _chart_self_tests(chart: Chart, cfg: RunConfig, rng) -> dict:
     checks["curvature_fd_agreement"] = {"max_rel_err": kappa_err, "pass": kappa_err < 1e-5}
 
     # flow speed conservation and symplecticity.  Several seeded starts,
-    # integrated once as one batch: a broken integrator fails all of them,
-    # while a single unlucky orbit (chart escape, near-singular passage)
-    # only spoils one.  A start counts when its orbit stays inside.
+    # integrated once as one batch on steps the integrator's error estimate
+    # chooses, so every start that stays inside is held to it: a broken
+    # integrator or spray fails the worst of them.  A start counts when its
+    # orbit stays inside.
     start = sample_unit_starts(chart, rng, 8, *((0.0, 1.5) if chart.compact else (0.3, 2.0)))
-    orbit, exit_time = jacobi_propagate(chart, start, 4.0, 2048)
+    orbit, exit_time = jacobi_propagate(chart, start, 4.0)
     ok = np.isinf(exit_time)
-    drift = min((abs(metric_speed(chart, x[-1], v[-1]) - 1.0)
+    drift = max((abs(metric_speed(chart, x[-1], v[-1]) - 1.0)
                  for x, v in zip(orbit.x[ok], orbit.v[ok])), default=float("nan"))
-    defect = min((symplectic_defect(p) for p in orbit.matrix[ok]), default=float("nan"))
+    defect = max((symplectic_defect(p) for p in orbit.matrix[ok]), default=float("nan"))
     checks["flow_speed_conservation"] = {"drift": drift, "pass": bool(drift < 4e-6)}
     checks["symplectic_defect"] = {"defect": defect, "pass": bool(defect < 1e-6)}
     checks["pass"] = all(c["pass"] for c in checks.values() if isinstance(c, dict))

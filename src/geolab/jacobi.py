@@ -17,29 +17,32 @@ theta = arg(y' + i y) has theta' = 1 wherever y = 0: it crosses each
 multiple of pi once and upward, so the count on (0, s] is floor(theta(s) /
 pi) and each zero is simple.  Lifting theta from grid nodes needs each step
 to turn it by less than pi; with K |v|_g^2 = w^2 it gains pi per half
-period pi / w, so RK4's own stability bound h w < 2 sqrt(2) suffices.
-This module owns the lab's one integrator: ``_rk4_batch`` steps one packed
-row (x, v, Y) per start, and each stage reads the chart once, through the
-guarded ``charts.spray``: its -Gamma(v, v) moves (x, v) and its K g(v, v)
-moves Y.  The (x, v) rows are the geodesic flow; nothing else integrates it.
+period pi / w, so any step with h w < pi suffices.
+
+The lab's one integrator, ``flow.dopri_batch``, steps x, v and Y with the
+embedded Dormand-Prince 5(4) pair: on steps it chooses, each within the
+one tolerance ``FLOW_TOL`` and capped so that h w stays far under pi, or
+on a given grid of row times, which the shooting re-shoots and the
+at-infinity segments replay.
 
 For a closed geodesic, expressing the time-1 fundamental matrix in a single
 basis (undoing the holonomy of the frame) produces the linearized return
 map P; the nullity of the m-fold iterate is the kernel dimension of
 P^m - Id, the sum of dim ker(P - omega Id) over omega^m = 1.
 
-An integration is one ``Orbit`` record: the rows of x, v and Y over [0, t]
-(with a leading batch axis for a batch of starts) and the velocity frames
-at the two ends; Phi and the frames are read only at the ends.  An
-analysed loop's first orbit is its ``outgoing_orbit`` from (basepoint,
-v_+), which gives cp_1.  Unless that orbit already closes,
-``shoot_closed_orbit`` closes it by multiple shooting: B segments start at
-evenly spaced polygon nodes, are integrated as one batch at the outgoing
-orbit's step, and Gauss-Newton drives their junction mismatches to zero.
-Both routes find the fixed point of the same discrete time-1 map, and the
-segments' Ys, multiplied up, give the closed orbit, which the based
-cross-check scans.  The scan (``Orbit.conjugate_report``) integrates
-nothing.  The tolerances are module constants; no caller sets them.
+An integration is one ``Orbit`` record: its grid of row times on [0, t],
+the rows of x, v and Y there (with a leading batch axis for a batch of
+starts) and the velocity frames at the two ends; Phi and the frames are
+read only at the ends.  An analysed loop's first orbit is its
+``outgoing_orbit`` from (basepoint, v_+), which gives cp_1.  Unless that
+orbit already closes, ``shoot_closed_orbit`` closes it by multiple
+shooting: B segments start at evenly spaced polygon nodes, are integrated
+as one batch on one grid of row times, and Gauss-Newton drives their
+junction mismatches to zero, each re-shoot replaying that grid.  Both
+routes find the closed orbit as a fixed point of the time-1 map, and the
+segments' Ys, multiplied up, give its Y, which the based cross-check
+scans.  The scan (``Orbit.conjugate_report``) integrates nothing.  The
+tolerances are module constants; no caller sets them.
 """
 
 from __future__ import annotations
@@ -56,10 +59,9 @@ from .charts import (
     metric_speed,
     sample_unit_starts,
     sectional_curvature,
-    spray,
 )
-from .errors import (ChartDomainError, DomainEscapeError, GeolabError, NotAGeodesicError,
-                     SamplingStarvationError)
+from .errors import DomainEscapeError, GeolabError, NotAGeodesicError, SamplingStarvationError
+from .flow import dopri_batch
 from .loops import DiscreteLoop, energy, one_sided_velocities, outgoing_velocities
 
 TIME_TOL = 1e-6             # conjugate times are bisected to this; a zero this close to t is at t
@@ -69,9 +71,15 @@ RANK_REL = 1e-4             # singular values below this span the kernel; omega 
 CLOSURE_TOL = 1e-2          # closure residual (relative to the speed) of a shot orbit
 SHOOT_TOL = 1e-9            # closure residual (relative to the speed) that ends the shooting
 SHOOT_MAX_ITER = 8          # Gauss-Newton steps of one shooting
-STEPS_PER_UNIT = 32         # RK4 steps per unit length of an at-infinity segment
-ORBIT_STEPS = 512           # RK4 steps of an analysed loop's outgoing orbit over [0, 1]
-SEGMENT_STEPS = 32          # fewest RK4 steps of one closed-orbit shooting segment
+STEPS_PER_UNIT = 32         # grid rows per unit length of an at-infinity segment
+MAX_SEGMENTS = 16           # a closed orbit is shot as gcd(N, MAX_SEGMENTS) segments
+# One tolerance for every integration: each step's error estimate, relative
+# to max(1, |state|), for every member.  The consumers need the Y rows to
+# TIME_TOL (a conjugate time errs as y does, |y'| = 1 at a zero) and Phi to
+# UNIT_TOL^2 (a Jordan block at a unit root, the shear for one, turns a
+# matrix error e into an eigenvalue error sqrt(e)); a tenth of the tighter
+# holds Phi(1) of the reference orbits within 2e-9 to 2e-8 of the truth.
+FLOW_TOL = min(TIME_TOL, UNIT_TOL ** 2) / 10
 
 
 def symplectic_defect(m: np.ndarray) -> float:
@@ -105,14 +113,17 @@ class ConjugateReport:
 class Orbit:
     """One Jacobi-flow integration over [0, t], or a batch of them.
 
-    ``x`` and ``v`` hold the chart rows (..., steps+1, d) and ``y`` the rows
-    (..., steps+1, 2, 2) of the normal fundamental matrix Y; ``frames``
-    (..., 2, d, d) holds the velocity frames (columns, chart components) at
-    the first and last rows.  The leading axes, if any, index the members
-    of a batch; an escaped member's rows are NaN from its exit on.
+    ``grid`` holds the row times (rows,), shared by the members of a batch,
+    from 0 to t.  ``x`` and ``v`` hold the chart rows (..., rows, d) and
+    ``y`` the rows (..., rows, 2, 2) of the normal fundamental matrix Y;
+    ``frames`` (..., 2, d, d) holds the velocity frames (columns, chart
+    components) at the first and last rows.  The leading axes, if any,
+    index the members of a batch; an escaped member's rows are NaN from its
+    exit on.
     """
 
     t: float
+    grid: np.ndarray
     x: np.ndarray
     v: np.ndarray
     y: np.ndarray
@@ -147,7 +158,7 @@ class Orbit:
 
     def conjugate_report(self) -> ConjugateReport:
         """Conjugate times in (0, t] read off the Y rows; integrates nothing."""
-        return _scan_conjugate_points(self.t, self.y)
+        return _scan_conjugate_points(self.grid, self.y)
 
 
 def _speed_sq(g: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -168,91 +179,31 @@ def velocity_frame(chart: Chart, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack([v / speed, normal / (speed * np.sqrt(det_g)[..., None])], axis=-1)
 
 
-def _jacobi_rhs(chart: Chart, y: np.ndarray) -> np.ndarray:
-    """d/ds of packed rows (x, v, Y), Y by rows: (v, -Gamma(v, v), Y[1],
-    -K g(v, v) Y[0])."""
-    acc, k_vv = spray(chart, y[:, :2], y[:, 2:4])
-    return np.concatenate((y[:, 2:4], acc, y[:, 6:], -k_vv[:, None] * y[:, 4:6]), axis=1)
-
-
-def _rk4_batch(chart: Chart, y: np.ndarray, t: float,
-               steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Classical RK4 for y' = ``_jacobi_rhs``(y) over [0, t], one start per
-    row of the packed (B, 8) state y = (x, v, Y by rows).
-
-    Each stage makes one guarded ``spray`` call, which raises
-    ChartDomainError on points outside the chart.  Returns the trajectories
-    (B, steps+1, 8) and the exit times (B,).  A member whose start or RK4
-    stage point leaves the chart exits at n h (n the step it was in), one
-    whose new point leaves exits at (n+1) h; its rows from then on are NaN.
-    Members that stay inside have exit time inf.  A refused evaluation is
-    repeated on the members still inside, so their values do not depend on
-    the others.
-    """
-    b = len(y)
-    h = t / steps
-    half, sixth = 0.5 * h, h / 6
-    traj = np.full((b, steps + 1, y.shape[1]), np.nan)
-    exit_time = np.full(b, np.inf)
-    live = np.arange(b)
-
-    def leave(keep: np.ndarray, when: float) -> None:
-        nonlocal live
-        exit_time[live[~keep]] = when
-        live = live[keep]
-
-    inside = np.asarray(chart.contains(y[:, :2]))
-    if not inside.all():
-        leave(inside, 0.0)
-        y = y[inside]
-    traj[live, 0] = y
-    for n in range(steps):
-        ks: list = []
-        stage = y
-        for c in (half, half, h, None):
-            while len(live):
-                try:
-                    ks.append(_jacobi_rhs(chart, stage))
-                    break
-                except ChartDomainError:
-                    # drop the members whose stage point left the chart, or
-                    # all of them when the chart refused a point its guard admits
-                    inside = np.asarray(chart.contains(stage[:, :2]))
-                    keep = inside if not inside.all() else np.zeros_like(inside)
-                    leave(keep, n * h)
-                    y, stage, ks = y[keep], stage[keep], [k[keep] for k in ks]
-            if not len(live):
-                return traj, exit_time
-            if c is not None:
-                stage = y + c * ks[-1]
-        k1, k2, k3, k4 = ks
-        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        inside = np.asarray(chart.contains(y[:, :2]))
-        if not inside.all():
-            leave(inside, (n + 1) * h)
-            y = y[inside]
-        traj[slice(None) if len(live) == b else live, n + 1] = y
-    return traj, exit_time
-
-
 def jacobi_propagate(chart: Chart, start: TangentVector, t: float,
-                     steps: int) -> Orbit | tuple[Orbit, np.ndarray]:
-    """RK4 integration of (x, v, Y) over [0, t] from one start or a batch of starts.
+                     grid: np.ndarray | None = None) -> Orbit | tuple[Orbit, np.ndarray]:
+    """Dormand-Prince integration of (x, v, Y) over [0, t] from one start or
+    a batch of starts.
 
     Y is the fundamental matrix of the normal equation.  The state is packed
-    as one row (x, v, Y) per start and stepped by ``_rk4_batch``; the
-    velocity frames are read off the end rows after.  One start (base and
-    velocity of shape (d,)) runs as a batch of one, returns its ``Orbit``
-    and raises DomainEscapeError with the exit time when the geodesic
-    leaves the chart (time 0 for a start outside it).  A batch (shape
-    (B, d)) returns the batch ``Orbit`` and the exit times (B,): inf for a
-    member that stayed inside, n h when a stage point of step n left the
-    chart and (n+1) h when its new point did.  A member's rows are NaN from
-    its exit on.  A chart that is not a surface raises NotImplementedError,
-    a start with zero metric speed or t <= 0 ValueError.
+    as one row (x, v, Y) per start and stepped by ``flow.dopri_batch``, which
+    chooses the steps, or replays ``grid``, row times rising strictly from
+    0 to t; the velocity frames are read off the end rows after.  One start
+    (base and velocity of shape (d,)) runs as a batch of one, returns its
+    ``Orbit`` and raises DomainEscapeError with the exit time when the
+    geodesic leaves the chart (time 0 for a start outside it).  A batch
+    (shape (B, d)) returns the batch ``Orbit`` and the exit times (B,): inf
+    for a member that stayed inside, s_n when a stage point of the step from
+    row time s_n left the chart and s_{n+1} when its new point did.  A
+    member's rows are NaN from its exit on.  A chart that is not a surface
+    raises NotImplementedError; a start with zero metric speed, t <= 0 or a
+    grid that does not rise from 0 to t raise ValueError.
     """
     if t <= 0:
         raise ValueError("t must be positive")
+    if grid is not None:
+        grid = np.asarray(grid, dtype=float)
+        if grid[0] != 0.0 or grid[-1] != t or not np.all(np.diff(grid) > 0):
+            raise ValueError("a replayed grid must rise strictly from 0 to t")
     if chart.dim != 2:
         raise NotImplementedError(f"{chart.name}: the Jacobi flow is written for surfaces "
                                   f"(d = 2), not d = {chart.dim}")
@@ -262,7 +213,8 @@ def jacobi_propagate(chart: Chart, start: TangentVector, t: float,
     batched = x.ndim > 1
     x, v = np.atleast_2d(x, v)
     y = np.tile(np.eye(2).ravel(), (len(x), 1))
-    rows, exit_time = _rk4_batch(chart, np.concatenate([x, v, y], axis=1), t, steps)
+    rows, grid, exit_time = dopri_batch(chart, np.concatenate([x, v, y], axis=1), t, grid,
+                                        FLOW_TOL, TIME_TOL)
     if not batched:
         if np.isfinite(exit_time[0]):
             raise DomainEscapeError(f"{chart.name}: geodesic left the chart domain during "
@@ -270,7 +222,7 @@ def jacobi_propagate(chart: Chart, start: TangentVector, t: float,
         rows = rows[0]
     xs, vs = rows[..., :2], rows[..., 2:4]
     ends = [0, -1]
-    orbit = Orbit(t, xs, vs, rows[..., 4:].reshape(rows.shape[:-1] + (2, 2)),
+    orbit = Orbit(t, grid, xs, vs, rows[..., 4:].reshape(rows.shape[:-1] + (2, 2)),
                   velocity_frame(chart, xs[..., ends, :], vs[..., ends, :]))
     return (orbit, exit_time) if batched else orbit
 
@@ -286,7 +238,7 @@ def outgoing_orbit(chart: Chart, loop: DiscreteLoop) -> Orbit:
     velocity v_+: the scanned orbit, and the closed orbit when it already
     closes."""
     _, v_plus = one_sided_velocities(chart, loop)
-    return jacobi_propagate(chart, TangentVector(loop.basepoint, v_plus), 1.0, ORBIT_STEPS)
+    return jacobi_propagate(chart, TangentVector(loop.basepoint, v_plus), 1.0)
 
 
 def _refine_root(grid_t: np.ndarray, y: np.ndarray, dy: np.ndarray, k: int) -> float:
@@ -314,23 +266,25 @@ def _refine_root(grid_t: np.ndarray, y: np.ndarray, dy: np.ndarray, k: int) -> f
 
 
 def conjugate_points(chart: Chart, start: TangentVector, t: float,
-                     steps: int) -> ConjugateReport:
+                     grid: np.ndarray | None = None) -> ConjugateReport:
     """Conjugate times in (0, t] along the geodesic from ``start``: the
-    ``Orbit.conjugate_report`` scan of one integration."""
-    return jacobi_propagate(chart, start, t, steps).conjugate_report()
+    ``Orbit.conjugate_report`` scan of one integration (on ``grid`` when
+    given)."""
+    return jacobi_propagate(chart, start, t, grid).conjugate_report()
 
 
-def _scan_conjugate_points(t: float, ys: np.ndarray) -> ConjugateReport:
-    """Conjugate times in (0, t] from the Y rows of one orbit on [0, t]: a root
-    is bisected in each interval where floor(theta / pi) steps up, theta the
-    lifted angle of (y, y') = (Y[0, 1], Y[1, 1]).  A zero within ``TIME_TOL``
-    of t is at t: a last root that close below t, or theta(t) that close below
-    a multiple of pi (theta' = 1 there, so the angle gap is the time gap)."""
+def _scan_conjugate_points(grid: np.ndarray, ys: np.ndarray) -> ConjugateReport:
+    """Conjugate times in (0, t] from the Y rows of one orbit at the row times
+    ``grid`` on [0, t]: a root is bisected in each interval where
+    floor(theta / pi) steps up, theta the lifted angle of (y, y') =
+    (Y[0, 1], Y[1, 1]).  A zero within ``TIME_TOL`` of t is at t: a last
+    root that close below t, or theta(t) that close below a multiple of pi
+    (theta' = 1 there, so the angle gap is the time gap)."""
+    t = float(grid[-1])
     y, dy = ys[:, 0, 1], ys[:, 1, 1]
     theta = np.unwrap(np.arctan2(y, dy))
     laps = np.floor(theta / np.pi)
-    grid_t = np.linspace(0.0, t, len(ys))
-    roots = [_refine_root(grid_t, y, dy, k) for k in np.flatnonzero(np.diff(laps) > 0)]
+    roots = [_refine_root(grid, y, dy, k) for k in np.flatnonzero(np.diff(laps) > 0)]
     if roots and t - roots[-1] < TIME_TOL:
         roots[-1] = t
     elif (laps[-1] + 1) * np.pi - theta[-1] < TIME_TOL:
@@ -364,12 +318,13 @@ def _junctions(chart: Chart, shot: Orbit) -> np.ndarray:
     return np.concatenate([fx, fv], axis=1).ravel()
 
 
-def _shoot_segments(chart: Chart, x: np.ndarray, v: np.ndarray) -> Orbit:
+def _shoot_segments(chart: Chart, x: np.ndarray, v: np.ndarray,
+                    grid: np.ndarray | None = None) -> Orbit:
     """Batch orbit of the len(x) segments of [0, 1] from the starts (x, v),
-    integrated at the step 1 / ``ORBIT_STEPS``; raises DomainEscapeError
-    when a segment leaves the chart."""
+    on their own common steps or replaying ``grid``; raises
+    DomainEscapeError when a segment leaves the chart."""
     b = len(x)
-    shot, exit_time = jacobi_propagate(chart, TangentVector(x, v), 1.0 / b, ORBIT_STEPS // b)
+    shot, exit_time = jacobi_propagate(chart, TangentVector(x, v), 1.0 / b, grid)
     escaped = np.flatnonzero(np.isfinite(exit_time))
     if len(escaped):
         k = escaped[0]
@@ -380,10 +335,10 @@ def _shoot_segments(chart: Chart, x: np.ndarray, v: np.ndarray) -> Orbit:
 
 def _stitch(chart: Chart, shot: Orbit) -> Orbit:
     """One orbit over [0, 1] from a batch of consecutive segments: the rows
-    concatenated (each junction once), the positions lifted across periodic
-    coordinates, Y the running product of the segment Ys (the shears compose
-    by adding their times), and the frames those of the first start and the
-    last end."""
+    and row times concatenated (each junction once), the positions lifted
+    across periodic coordinates, Y the running product of the segment Ys
+    (the shears compose by adding their times), and the frames those of the
+    first start and the last end."""
     jumps = shot.x[:-1, -1] - shot.x[1:, 0]
     lifts = np.cumsum(jumps - chart.wrap_difference(jumps), axis=0)
     xs = shot.x + np.concatenate([np.zeros((1, shot.x.shape[-1])), lifts])[:, None]
@@ -392,7 +347,9 @@ def _stitch(chart: Chart, shot: Orbit) -> Orbit:
         ys[k] = ys[k] @ ys[k - 1, -1]
     rows = [np.concatenate([a[0], a[1:, 1:].reshape((-1,) + a.shape[2:])])
             for a in (xs, shot.v, ys)]
-    return Orbit(len(ys) * shot.t, *rows, np.stack([shot.frames[0, 0], shot.frames[-1, 1]]))
+    grid = np.concatenate([shot.grid] + [k * shot.t + shot.grid[1:] for k in range(1, len(ys))])
+    return Orbit(len(ys) * shot.t, grid, *rows,
+                 np.stack([shot.frames[0, 0], shot.frames[-1, 1]]))
 
 
 def refine_closed_orbit(chart: Chart, loop: DiscreteLoop,
@@ -402,22 +359,24 @@ def refine_closed_orbit(chart: Chart, loop: DiscreteLoop,
 
     ``orbit`` is the loop's ``outgoing_orbit``; when it already closes to
     ``SHOOT_TOL`` (relative to the speed) it is returned with no
-    integration.  Otherwise B = gcd(N, ``ORBIT_STEPS`` / ``SEGMENT_STEPS``)
-    segments start at the nodes k N / B with the polygon's outgoing
-    velocities there (B = 1 is the outgoing orbit itself) and are integrated
-    as one batch of ``ORBIT_STEPS`` / B steps each.  Each Gauss-Newton step
-    solves the cyclic block-bidiagonal 4B x 4B junction system by least
-    squares, since the orbit's symmetry directions are in its kernel; each
-    segment's block comes from its end frames and end Phi.  Takes at most
-    ``SHOOT_MAX_ITER`` steps and stops once the stacked junction residual is
-    below ``SHOOT_TOL``.  Returns the orbit stitched from the last shot's
-    segments (its ``start`` the corrected initial condition) and that
-    residual.
+    integration.  Otherwise B = gcd(N, ``MAX_SEGMENTS``) segments start at
+    the nodes k N / B with the polygon's outgoing velocities there (B = 1 is
+    the outgoing orbit itself) and are integrated as one batch over
+    [0, 1 / B] on common steps.  Each Gauss-Newton step solves the cyclic
+    block-bidiagonal 4B x 4B junction system by least squares, since the
+    orbit's symmetry directions are in its kernel; each segment's block
+    comes from its end frames and end Phi.  Each re-shoot replays the first
+    shot's grid, so the junction map is smooth in the starts.  Takes at
+    most ``SHOOT_MAX_ITER`` steps and stops once the stacked junction
+    residual is below ``SHOOT_TOL``.  Returns the orbit stitched from the
+    last shot's segments (its ``start`` the corrected initial condition) and
+    that residual.
     """
     d = chart.dim
-    b = math.gcd(loop.n_nodes, ORBIT_STEPS // SEGMENT_STEPS)
+    b = math.gcd(loop.n_nodes, MAX_SEGMENTS)
     # the outgoing orbit as a batch of one segment
-    shot = Orbit(orbit.t, orbit.x[None], orbit.v[None], orbit.y[None], orbit.frames[None])
+    shot = Orbit(orbit.t, orbit.grid, orbit.x[None], orbit.v[None], orbit.y[None],
+                 orbit.frames[None])
     speed = max(metric_speed(chart, orbit.x[0], orbit.v[0]), 1e-12)
     if b > 1 and np.linalg.norm(_junctions(chart, shot)) >= SHOOT_TOL * speed:
         idx = np.arange(b) * (loop.n_nodes // b)
@@ -438,7 +397,8 @@ def refine_closed_orbit(chart: Chart, loop: DiscreteLoop,
             covariant[b:], shot.matrix @ covariant[:b])
         step, *_ = np.linalg.lstsq(jac, -f, rcond=1e-8)
         step = step.reshape(b, 2, d)
-        shot = _shoot_segments(chart, shot.x[:, 0] + step[:, 0], shot.v[:, 0] + step[:, 1])
+        shot = _shoot_segments(chart, shot.x[:, 0] + step[:, 0], shot.v[:, 0] + step[:, 1],
+                               shot.grid)
 
 
 def _kernel_dim(b: np.ndarray) -> int:
@@ -508,8 +468,9 @@ def close_conjugate_points_check(chart: Chart, ell: float, k_radius: float,
     bound (pi/ell)^2.  Part (b): sample unit-speed geodesic segments of
     length ell whose trace stays in the region (leaving segments are
     discarded and resampled) and require empty conjugate reports.  The
-    segments are integrated in blocks, max(64, ``STEPS_PER_UNIT`` ell) RK4
-    steps each, and every kept segment's Y rows get one scan, the criterion
+    segments are integrated in blocks, each replaying one grid of
+    max(64, ``STEPS_PER_UNIT`` ell) even steps, whose rows the region test
+    reads, and every kept segment's Y rows get one scan, the criterion
     ``conjugate_points`` applies.  The Rauch comparison direction says (a)
     passing forces (b) to pass; the report records both verdicts and their
     consistency.
@@ -550,7 +511,7 @@ def close_conjugate_points_check(chart: Chart, ell: float, k_radius: float,
     checked = 0
     discarded = 0
     attempts = 0
-    steps = max(64, int(np.ceil(STEPS_PER_UNIT * ell)))
+    grid = np.linspace(0.0, ell, max(64, int(np.ceil(STEPS_PER_UNIT * ell))) + 1)
     while checked < n_samples:
         block = min(n_samples - checked, 100 * n_samples - attempts)
         if block == 0:
@@ -560,13 +521,13 @@ def close_conjugate_points_check(chart: Chart, ell: float, k_radius: float,
             )
         attempts += block
         starts = sample_unit_starts(chart, rng, block, k_radius, k_radius + band)
-        orbit, exit_time = jacobi_propagate(chart, starts, ell, steps)
+        orbit, exit_time = jacobi_propagate(chart, starts, ell, grid)
         # escaped members hold NaN rows, which fail the comparison
         kept = np.isinf(exit_time) & np.all(chart.exhaustion(orbit.x) > k_radius, axis=1)
         discarded += block - int(np.count_nonzero(kept))
         checked += int(np.count_nonzero(kept))
         for j in np.flatnonzero(kept):
-            report = _scan_conjugate_points(ell, orbit.y[j])
+            report = _scan_conjugate_points(grid, orbit.y[j])
             if report.count > 0:
                 hits.append({
                     "start": starts.base[j].tolist(),

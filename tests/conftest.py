@@ -68,7 +68,7 @@ def shoot_corner_arc(chart, z0, guess, steps=1024):
     By the theta-reflection/time-reversal symmetry the arc returns with
     velocity (-a, b), so its basepoint velocity jump is purely radial:
     (-2a, 0).  Damped Newton on the 2x2 shooting system; returns the
-    initial velocity and trajectory arrays.
+    initial velocity and trajectory arrays, on ``steps`` even steps.
     """
     target = np.array([z0, 2 * np.pi])
     h = 1e-7
@@ -76,8 +76,9 @@ def shoot_corner_arc(chart, z0, guess, steps=1024):
     offsets = np.array([[0.0, 0.0], [h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
     bases = np.tile([z0, 0.0], (len(offsets), 1))
     av = np.asarray(guess, dtype=float)
+    grid = np.linspace(0.0, 1.0, steps + 1)
     for _ in range(60):
-        xs = jacobi_propagate(chart, TangentVector(bases, av + offsets), 1.0, steps)[0].x
+        xs = jacobi_propagate(chart, TangentVector(bases, av + offsets), 1.0, grid)[0].x
         ends = xs[:, -1] - target
         f = ends[0]
         if np.linalg.norm(f) < 1e-11:
@@ -87,7 +88,7 @@ def shoot_corner_arc(chart, z0, guess, steps=1024):
         while np.linalg.norm(step) > 0.5:
             step = step / 2
         av = av + step
-    orbit = jacobi_propagate(chart, TangentVector([z0, 0.0], av), 1.0, steps)
+    orbit = jacobi_propagate(chart, TangentVector([z0, 0.0], av), 1.0, grid)
     xs, vs = orbit.x, orbit.v
     assert np.linalg.norm(xs[-1] - target) < 1e-9, "corner-arc shooting failed"
     return av, xs, vs

@@ -151,7 +151,9 @@ def test_bump_christoffels_at_the_junction():
 @pytest.mark.parametrize("name", ["bumped_cylinder", "sphere", "paraboloid"])
 def test_one_christoffel_call_per_rk4_stage(name, monkeypatch):
     # the right-hand side reads the chart through charts.spray, whichever
-    # module's name it uses, so its call count is the RK4 stage count
+    # module's name it uses, so its call count is the stage count: one first
+    # slope, then six per Dormand-Prince step (the seventh is the next
+    # step's first), on a replayed grid as on chosen steps
     chart = make_chart(name)
     calls = []
 
@@ -166,9 +168,15 @@ def test_one_christoffel_call_per_rk4_stage(name, monkeypatch):
     bases = np.array([x0, x0, x0])
     vs = np.array([v0, [0.3, 0.2], [-0.1, 0.25]])
     steps = 24
-    _, exit_time = jacobi_propagate(chart, TangentVector(bases, vs), 0.5, steps)
+    _, exit_time = jacobi_propagate(chart, TangentVector(bases, vs), 0.5,
+                                    np.linspace(0.0, 0.5, steps + 1))
     assert np.all(np.isinf(exit_time))
-    assert len(calls) == 4 * steps
+    assert len(calls) == 1 + 6 * steps
+    calls.clear()
+    orbit, exit_time = jacobi_propagate(chart, TangentVector(bases, vs), 0.5)
+    assert np.all(np.isinf(exit_time))
+    # rejected steps cost six calls too
+    assert len(calls) >= 1 + 6 * (len(orbit.grid) - 1) and (len(calls) - 1) % 6 == 0
 
 
 def test_spray_closed_form_oracle(zoo_chart, rng):
@@ -355,21 +363,21 @@ def test_exhaustion_grad_hess_fd(rng):
 
 def test_flow_flat_straight_line():
     plane = make_chart("plane")
-    out = geodesic_flow(plane, TangentVector([0.0, 0.0], [1.0, 0.0]), 3.0, 64)
+    out = geodesic_flow(plane, TangentVector([0.0, 0.0], [1.0, 0.0]), 3.0)
     assert np.allclose(out.base, [3.0, 0.0], atol=1e-12)
     assert np.allclose(out.v, [1.0, 0.0], atol=1e-12)
 
 
 def test_flow_cylinder_pure_angular():
     cyl = make_chart("cylinder")
-    out = geodesic_flow(cyl, TangentVector([0.0, 0.0], [0.0, 1.0]), 1.0, 64)
+    out = geodesic_flow(cyl, TangentVector([0.0, 0.0], [0.0, 1.0]), 1.0)
     assert np.allclose(out.base, [0.0, 1.0], atol=1e-12)
 
 
 def test_flow_sphere_great_circle_closes():
     sphere = make_chart("sphere")
     start = TangentVector([1.0, 0.0], [0.0, 1.0])  # unit metric speed on |u| = 1
-    out = geodesic_flow(sphere, start, 2 * np.pi, 2048)
+    out = geodesic_flow(sphere, start, 2 * np.pi)
     err = np.hypot(np.linalg.norm(out.base - start.base), np.linalg.norm(out.v - start.v))
     assert err < 1e-4
 
@@ -392,10 +400,10 @@ def test_flow_speed_conservation(name):
     v0 = np.asarray(v0) / metric_speed(chart, np.asarray(x0, float), np.asarray(v0, float))
     t = 10.0
     try:
-        out = geodesic_flow(chart, TangentVector(x0, v0), t, 2560)
+        out = geodesic_flow(chart, TangentVector(x0, v0), t)
     except DomainEscapeError:
         t = 4.0
-        out = geodesic_flow(chart, TangentVector(x0, v0), t, 1024)
+        out = geodesic_flow(chart, TangentVector(x0, v0), t)
     drift = abs(metric_speed(chart, out.base, out.v) - 1.0)
     assert drift < 1e-6 * t
 
@@ -406,9 +414,9 @@ def test_flow_semigroup(name):
     x0, v0 = SAFE_STARTS[name]
     start = TangentVector(np.asarray(x0, float), np.asarray(v0, float))
     t, s = 1.3, 0.7
-    once = geodesic_flow(chart, start, t + s, 512)
-    mid = geodesic_flow(chart, start, t, 256)
-    twice = geodesic_flow(chart, TangentVector(mid.base, mid.v), s, 256)
+    once = geodesic_flow(chart, start, t + s)
+    mid = geodesic_flow(chart, start, t)
+    twice = geodesic_flow(chart, TangentVector(mid.base, mid.v), s)
     assert np.linalg.norm(once.base - twice.base) < 1e-5
     assert np.linalg.norm(once.v - twice.v) < 1e-5
 
@@ -417,11 +425,11 @@ def test_flow_domain_escape_carries_time():
     sphere = make_chart("sphere")
     # radially outward from near the guard: escapes quickly
     with pytest.raises(DomainEscapeError) as err:
-        geodesic_flow(sphere, TangentVector([9.0, 0.0], [50.0, 0.0]), 2.0, 256)
+        geodesic_flow(sphere, TangentVector([9.0, 0.0], [50.0, 0.0]), 2.0)
     assert 0 <= err.value.exit_time <= 2.0
     # a start outside the chart exits at once
     with pytest.raises(DomainEscapeError) as err:
-        geodesic_flow(sphere, TangentVector([11.0, 0.0], [1.0, 0.0]), 2.0, 256)
+        geodesic_flow(sphere, TangentVector([11.0, 0.0], [1.0, 0.0]), 2.0)
     assert err.value.exit_time == 0.0
 
 
@@ -440,12 +448,16 @@ def test_flow_point_refused_inside_the_guard_is_an_escape():
 
     start = TangentVector([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(DomainEscapeError) as err:
-        geodesic_flow(WalledPlane(), start, 2.0, 16)
-    # the first stage point past the wall is x_8 + h/2, in step 8
-    assert err.value.exit_time == 8 * 2.0 / 16
+        geodesic_flow(WalledPlane(), start, 2.0)
+    assert 0.0 < err.value.exit_time <= 1.0
+    grid = np.linspace(0.0, 2.0, 17)
+    with pytest.raises(DomainEscapeError) as err:
+        jacobi_propagate(WalledPlane(), start, 2.0, grid)
+    # the first stage point past the wall is x_8 + h/5, in step 8
+    assert err.value.exit_time == grid[8] == 1.0
     _, exit_time = jacobi_propagate(
         WalledPlane(), TangentVector(np.tile(start.base, (2, 1)), [[1.0, 0.0], [0.0, 1.0]]),
-        2.0, 16)
+        2.0, grid)
     # the batch cannot tell whose point was refused: both members exit
     assert list(exit_time) == [1.0, 1.0]
 
@@ -453,13 +465,16 @@ def test_flow_point_refused_inside_the_guard_is_an_escape():
 def test_flow_rejects_bad_arguments():
     plane = make_chart("plane")
     with pytest.raises(ValueError):
-        geodesic_flow(plane, TangentVector([0, 0], [1, 0]), -1.0, 64)
+        geodesic_flow(plane, TangentVector([0, 0], [1, 0]), -1.0)
     with pytest.raises(ValueError):
-        geodesic_flow(plane, TangentVector([0, 0], [1, 0]), 1.0, 8)
-    with pytest.raises(ValueError):
-        geodesic_flow(plane, TangentVector([0, 0], [1, 0]), 0.0, 64)
+        geodesic_flow(plane, TangentVector([0, 0], [1, 0]), 0.0)
     with pytest.raises(ValueError, match="speed"):
-        geodesic_flow(plane, TangentVector([0, 0], [0, 0]), 1.0, 64)
+        geodesic_flow(plane, TangentVector([0, 0], [0, 0]), 1.0)
+    # a replayed grid must rise strictly from 0 to t
+    start = TangentVector([0.0, 0.0], [1.0, 0.0])
+    for grid in ([0.0, 0.5, 0.9], [0.1, 0.5, 1.0], [0.0, 0.6, 0.5, 1.0]):
+        with pytest.raises(ValueError, match="grid"):
+            jacobi_propagate(plane, start, 1.0, grid)
 
 
 def test_sphere_recentering_isometry(rng):

@@ -293,16 +293,19 @@ def test_cli_analyze_stored_loop(tmp_path, monkeypatch):
 
 
 def test_cli_analyze_great_circle_integrations(tmp_path, monkeypatch):
-    # one single-start integration, the outgoing orbit; the closed orbit is
-    # shot as batches of B = gcd(N, 16) segments of ORBIT_STEPS / B steps
+    # one single-start integration, the outgoing orbit, on its own steps; the
+    # closed orbit is shot as batches of B = gcd(N, 16) segments over 1 / B,
+    # the first on its own steps and every re-shoot replaying its grid
     from geolab import jacobi
     from geolab.charts import make_chart
-    runs = []
+    runs, grids = [], []
     real_integrate = jacobi.jacobi_propagate
 
-    def spy_integrate(chart, start, t, steps):
-        runs.append((np.shape(start.base), t, steps))
-        return real_integrate(chart, start, t, steps)
+    def spy_integrate(chart, start, t, grid=None):
+        runs.append((np.shape(start.base), t, grid is None))
+        out = real_integrate(chart, start, t, grid)
+        grids.append((out[0] if isinstance(out, tuple) else out).grid)
+        return out
 
     monkeypatch.setattr(jacobi, "jacobi_propagate", spy_integrate)
     sph = make_chart("sphere")
@@ -312,11 +315,13 @@ def test_cli_analyze_great_circle_integrations(tmp_path, monkeypatch):
     out = str(tmp_path / "report.json")
     assert main(["analyze", "--config", cfg, "--quiet", "--out", out]) == 0
     assert read_report(out)["results"]["analysis"]["nullity_monodromy"] == 3
-    assert runs[0] == ((2,), 1.0, jacobi.ORBIT_STEPS)
+    assert runs[0] == ((2,), 1.0, True)
     b = 16
     batches = runs[1:]
-    assert 1 <= len(batches) <= jacobi.SHOOT_MAX_ITER
-    assert all(run == ((b, 2), 1.0 / b, jacobi.ORBIT_STEPS // b) for run in batches)
+    assert 2 <= len(batches) <= jacobi.SHOOT_MAX_ITER
+    assert batches[0] == ((b, 2), 1.0 / b, True)
+    assert all(run == ((b, 2), 1.0 / b, False) for run in batches[1:])
+    assert all(np.array_equal(grid, grids[1]) for grid in grids[2:])
 
 
 def test_cli_analyze_two_fold_funnel_waist(tmp_path):
@@ -378,11 +383,14 @@ def test_cli_verify_chart_nearly_parallel_plane(tmp_path):
 
 
 def test_cli_verify_chart_integrates_each_start_once(monkeypatch):
-    # the speed drift and the symplectic defect read one batch integration:
-    # every RK4 stage calls charts.spray once, whichever module's name it uses
+    # the speed drift and the symplectic defect read one batch integration on
+    # the steps its error estimate chooses: every stage calls charts.spray
+    # once, whichever module's name it uses, and the whole batch takes at
+    # most an eighth of the 4 x 2048 calls of fixed-step RK4 at h = 1/512
     import geolab
     from geolab import cli
-    from geolab.charts import make_chart, spray
+    from geolab.charts import make_chart, metric_speed, spray
+    from geolab.jacobi import symplectic_defect
     calls, runs = [], []
 
     def counted(*args, **kwargs):
@@ -394,16 +402,28 @@ def test_cli_verify_chart_integrates_each_start_once(monkeypatch):
             monkeypatch.setattr(mod, "spray", counted)
     real_integrate = cli.jacobi_propagate
 
-    def spy_integrate(chart, start, t, steps):
-        runs.append((np.shape(start.base), t, steps))
-        return real_integrate(chart, start, t, steps)
+    def spy_integrate(chart, start, t, grid=None):
+        runs.append((np.shape(start.base), t, grid))
+        out = real_integrate(chart, start, t, grid)
+        orbits.append(out)
+        return out
 
+    orbits = []
     monkeypatch.setattr(cli, "jacobi_propagate", spy_integrate)
     cfg = RunConfig(chart="bumped_cylinder", n_samples=5)
-    checks = cli._chart_self_tests(make_chart(cfg.chart), cfg, np.random.default_rng(0))
+    chart = make_chart(cfg.chart)
+    checks = cli._chart_self_tests(chart, cfg, np.random.default_rng(0))
     assert checks["pass"]
-    assert len(calls) == 4 * 2048
-    assert runs == [((8, 2), 4.0, 2048)]
+    assert runs == [((8, 2), 4.0, None)]
+    assert len(calls) <= 1024
+    # the report holds the worst start, not the best (starts that stay off
+    # the bump, where the flow is exact, read 0)
+    (orbit, exit_time), = orbits
+    ok = np.isinf(exit_time)
+    drifts = [abs(metric_speed(chart, x[-1], v[-1]) - 1.0) for x, v in zip(orbit.x[ok], orbit.v[ok])]
+    defects = [symplectic_defect(p) for p in orbit.matrix[ok]]
+    assert checks["flow_speed_conservation"]["drift"] == max(drifts) > 0.0
+    assert checks["symplectic_defect"]["defect"] == max(defects) > min(defects)
 
 
 def test_cli_verify_conjpoints_compact_skips(tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from geolab.charts import FlatPlane, TangentVector, make_chart, metric_speed
+from geolab.charts import (FlatPlane, Funnel, TangentVector, make_chart, metric_speed,
+                           sample_unit_starts)
 from geolab import jacobi
 from geolab.errors import DomainEscapeError, NotAGeodesicError, SamplingStarvationError
 from geolab.jacobi import (
@@ -24,7 +25,7 @@ from conftest import great_circle_loop, sample_inside, waist_loop
 def test_flat_fundamental_solution_is_shear():
     plane = make_chart("plane")
     t = 2.5
-    mono = jacobi_propagate(plane, TangentVector([0.0, 0.0], [1.0, 0.0]), t, 64)
+    mono = jacobi_propagate(plane, TangentVector([0.0, 0.0], [1.0, 0.0]), t)
     expected = np.block([
         [np.eye(2), t * np.eye(2)],
         [np.zeros((2, 2)), np.eye(2)],
@@ -36,7 +37,7 @@ def test_sphere_time_one_blocks():
     # loop closes at t = 1 with speed 2*pi: the normal block is a full
     # rotation (identity), the tangential block the unit shear
     sph = make_chart("sphere")
-    mono = jacobi_propagate(sph, TangentVector([1.0, 0.0], [0.0, 2 * np.pi]), 1.0, 512)
+    mono = jacobi_propagate(sph, TangentVector([1.0, 0.0], [0.0, 2 * np.pi]), 1.0)
     expected = np.eye(4)
     expected[0, 2] = 1.0  # tangential shear entry
     assert np.max(np.abs(mono.matrix - expected)) < 1e-5
@@ -45,12 +46,72 @@ def test_sphere_time_one_blocks():
 def test_hyperbolic_normal_block_cosh_sinh():
     hyp = make_chart("hyperbolic")
     # unit metric speed at the origin: chart velocity 1/2
-    orbit = jacobi_propagate(hyp, TangentVector([0.0, 0.0], [0.5, 0.0]), 1.0, 512)
+    orbit = jacobi_propagate(hyp, TangentVector([0.0, 0.0], [0.5, 0.0]), 1.0)
     expected = [[np.cosh(1), np.sinh(1)], [np.sinh(1), np.cosh(1)]]
     assert np.max(np.abs(orbit.y[-1] - expected)) < 1e-5
     assert np.array_equal(orbit.matrix[1::2, 1::2], orbit.y[-1])
     # tangential column is the flat shear
     assert orbit.matrix[0, 0] == 1.0 and orbit.matrix[0, 2] == 1.0
+
+
+def test_chosen_steps_meet_the_analytic_oracles():
+    # on the steps the error estimate chooses, Phi is within 20 FLOW_TOL of
+    # the analytic one (fixed-step RK4 at h = 1/512 reached 3.1e-8 on the
+    # great circle): the plane's shear, the great circle's shear (+) I at
+    # t = 1 and the hyperbolic plane's cosh/sinh block; the great circle's
+    # conjugate times 1/2 and 1 are read off that grid within TIME_TOL
+    tol = 20 * jacobi.FLOW_TOL
+    t = 2.5
+    flat = jacobi_propagate(make_chart("plane"), TangentVector([0.0, 0.0], [1.0, 0.0]), t)
+    shear = np.eye(4)
+    shear[[0, 1], [2, 3]] = t
+    assert np.max(np.abs(flat.matrix - shear)) < tol
+    circle = jacobi_propagate(make_chart("sphere"), TangentVector([1.0, 0.0], [0.0, 2 * np.pi]),
+                              1.0)
+    shear = np.eye(4)
+    shear[0, 2] = 1.0
+    assert np.max(np.abs(circle.matrix - shear)) < tol
+    assert len(circle.grid) < 512
+    times = circle.conjugate_report().times
+    assert len(times) == 2 and np.all(np.abs(np.subtract(times, [0.5, 1.0])) < jacobi.TIME_TOL)
+    hyp = jacobi_propagate(make_chart("hyperbolic"), TangentVector([0.0, 0.0], [0.5, 0.0]), 1.0)
+    block = [[np.cosh(1.0), np.sinh(1.0)], [np.sinh(1.0), np.cosh(1.0)]]
+    assert np.max(np.abs(hyp.y[-1] - block)) < tol
+
+
+def test_step_grown_over_the_flat_part_is_retried_in_the_bump(monkeypatch):
+    # on the bumped cylinder's flat part the error estimate is zero and the
+    # step grows fivefold per step; the first step into the bump is then
+    # rejected and retried shorter, so Phi agrees with a 4096-step replay
+    from geolab import charts, flow
+    bc = make_chart("bumped_cylinder")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return charts.spray(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "spray", counted)
+    start = TangentVector([3.0, 0.0], [-1.0, 0.3])
+    orbit = jacobi_propagate(bc, start, 5.0)
+    assert len(calls) > 1 + 6 * (len(orbit.grid) - 1)
+    fine = jacobi_propagate(bc, start, 5.0, np.linspace(0.0, 5.0, 4097))
+    assert np.max(np.abs(orbit.matrix - fine.matrix)) < 1e-6 * np.max(np.abs(fine.matrix))
+
+
+def test_paraboloid_apex_start_holds_its_speed():
+    # a unit-speed start drawn as the verify self-test draws them that
+    # passes rho = 0.017, where Gamma^theta_{rho theta} = 1/rho is large:
+    # fixed-step RK4 at h = 1/256 drifted 4.4e-6 in speed over t = 2, above
+    # the self-test's bound 4e-6; the chosen steps hold it to the flow
+    # tolerance
+    par = make_chart("paraboloid")
+    starts = sample_unit_starts(par, np.random.default_rng(20), 8, 0.3, 2.0)
+    orbit = jacobi_propagate(par, TangentVector(starts.base[5], starts.v[5]), 2.0)
+    assert 0.015 < np.min(orbit.x[:, 0]) < 0.02
+    drift = abs(metric_speed(par, orbit.x[-1], orbit.v[-1]) - 1.0)
+    assert drift < 4e-6
+    assert drift < 2 * len(orbit.grid) * jacobi.FLOW_TOL
 
 
 def test_orbit_matrix_is_shear_plus_normal_block(rng):
@@ -59,7 +120,7 @@ def test_orbit_matrix_is_shear_plus_normal_block(rng):
     fun = make_chart("funnel")
     start = TangentVector([[0.3, 0.1], [-0.2, 1.0]], [[0.4, 0.8], [0.1, -0.6]])
     t = 0.7
-    batch, exit_time = jacobi_propagate(fun, start, t, 64)
+    batch, exit_time = jacobi_propagate(fun, start, t)
     assert np.all(np.isinf(exit_time))
     tangential, normal = [0, 2], [1, 3]
     for phi, y in zip(batch.matrix, batch.y[:, -1]):
@@ -75,7 +136,7 @@ def test_symplectic_invariant(zoo_chart, rng):
         v = rng.standard_normal(2)
         v = v / metric_speed(zoo_chart, x, v)
         try:
-            mono = jacobi_propagate(zoo_chart, TangentVector(x, v), 2.0, 512)
+            mono = jacobi_propagate(zoo_chart, TangentVector(x, v), 2.0)
         except Exception:
             continue
         assert symplectic_defect(mono.matrix) < 1e-6
@@ -85,9 +146,9 @@ def test_propagation_multiplicative():
     fun = make_chart("funnel")
     start = TangentVector([0.3, 0.1], [0.4, 0.8])
     t = 0.9
-    full = jacobi_propagate(fun, start, 2 * t, 512)
-    first = jacobi_propagate(fun, start, t, 256)
-    second = jacobi_propagate(fun, TangentVector(first.x[-1], first.v[-1]), t, 256)
+    full = jacobi_propagate(fun, start, 2 * t)
+    first = jacobi_propagate(fun, start, t)
+    second = jacobi_propagate(fun, TangentVector(first.x[-1], first.v[-1]), t)
     composed = second.matrix @ first.matrix
     assert np.max(np.abs(composed - full.matrix)) < 1e-5
 
@@ -109,7 +170,7 @@ def test_orthonormal_frame_is_orthonormal(zoo_chart, rng):
 def test_sphere_conjugate_points_half_and_full():
     # normal Jacobi solutions vanish at the zeros of sin(2*pi*s): s = 1/2, 1
     sph = make_chart("sphere")
-    report = conjugate_points(sph, TangentVector([1.0, 0.0], [0.0, 2 * np.pi]), 1.0, 512)
+    report = conjugate_points(sph, TangentVector([1.0, 0.0], [0.0, 2 * np.pi]), 1.0)
     assert report.count == 2
     times = report.times
     assert abs(times[0] - 0.5) < 1e-3 and abs(times[1] - 1.0) < 1e-3
@@ -119,7 +180,7 @@ def test_sphere_conjugate_points_half_and_full():
 def test_sphere_conjugate_iterate_times():
     # m = 2: zeros of sin(4*pi*s) at k/4
     sph = make_chart("sphere")
-    report = conjugate_points(sph, TangentVector([1.0, 0.0], [0.0, 4 * np.pi]), 1.0, 1024)
+    report = conjugate_points(sph, TangentVector([1.0, 0.0], [0.0, 4 * np.pi]), 1.0)
     times = np.array(report.times)
     assert report.count == 4
     assert np.allclose(times, [0.25, 0.5, 0.75, 1.0], atol=1e-3)
@@ -127,11 +188,13 @@ def test_sphere_conjugate_iterate_times():
 
 
 def exact_ys(w, steps):
-    """Exact rows Y(s) on [0, 1] of the normal equation y'' + w^2 y = 0:
-    y = Y[0, 1] = sin(w s) / w vanishes at k pi / w."""
+    """Row times s of ``steps`` even steps on [0, 1] and the exact rows Y(s)
+    of the normal equation y'' + w^2 y = 0: y = Y[0, 1] = sin(w s) / w
+    vanishes at k pi / w."""
     s = np.linspace(0.0, 1.0, steps + 1)
     c, sn = np.cos(w * s), np.sin(w * s)
-    return np.stack([np.stack([c, sn / w], axis=-1), np.stack([-w * sn, c], axis=-1)], axis=-2)
+    return s, np.stack([np.stack([c, sn / w], axis=-1), np.stack([-w * sn, c], axis=-1)],
+                       axis=-2)
 
 
 def test_scan_reads_conjugate_points_off_the_grid_alone(monkeypatch):
@@ -140,8 +203,8 @@ def test_scan_reads_conjugate_points_off_the_grid_alone(monkeypatch):
     def no_flow(*args, **kwargs):
         raise AssertionError("the scan integrated a flow")
 
-    monkeypatch.setattr(jacobi, "_rk4_batch", no_flow)
-    report = jacobi._scan_conjugate_points(1.0, exact_ys(3 * np.pi, 256))
+    monkeypatch.setattr(jacobi, "dopri_batch", no_flow)
+    report = jacobi._scan_conjugate_points(*exact_ys(3 * np.pi, 256))
     times = np.array(report.times)
     assert np.all(np.abs(times - [1 / 3, 2 / 3, 1.0]) < jacobi.TIME_TOL)
     # the zero at the endpoint, within rounding of theta(1) = 3 pi, is at 1
@@ -150,7 +213,7 @@ def test_scan_reads_conjugate_points_off_the_grid_alone(monkeypatch):
     # zeros at r and 2r, the first within rounding of node 100 of 256, where
     # y(node) is tiny and of either sign
     for root in (100 / 256 - 1e-12, 100 / 256, 100 / 256 + 1e-12):
-        report = jacobi._scan_conjugate_points(1.0, exact_ys(np.pi / root, 256))
+        report = jacobi._scan_conjugate_points(*exact_ys(np.pi / root, 256))
         assert report.count == 2
         assert np.all(np.abs(np.array(report.times) - [root, 2 * root]) < jacobi.TIME_TOL)
 
@@ -162,8 +225,8 @@ def test_conjugate_additive_at_regular_split():
     sph = make_chart("sphere")
     start = TangentVector([1.0, 0.0], [0.0, 4 * np.pi])  # two turns: 4 zeros
     split = 0.6
-    total = conjugate_points(sph, start, 1.0, 1024)
-    first = conjugate_points(sph, start, split, 1024)
+    total = conjugate_points(sph, start, 1.0)
+    first = conjugate_points(sph, start, split)
     late = sum(s > split for s in total.times)
     assert first.count + late == total.count
     early = [s for s in total.times if s <= split]
@@ -178,7 +241,7 @@ def test_no_conjugate_points_nonpositive_curvature(name, rng):
         v = rng.standard_normal(2)
         v = v / metric_speed(chart, x, v)
         try:
-            report = conjugate_points(chart, TangentVector(x, v), 4.0, 256)
+            report = conjugate_points(chart, TangentVector(x, v), 4.0)
         except Exception:
             continue
         assert report.count == 0
@@ -262,8 +325,11 @@ def test_refine_closed_orbit_tightens():
                      * (1.001 + 0.002 * np.sin(ts))[:, None])
     closed, residual = refine_closed_orbit(sph, loop, outgoing_orbit(sph, loop))
     assert residual < jacobi.SHOOT_TOL * 2 * np.pi
-    assert closed.t == 1.0
-    assert len(closed.x) == len(closed.v) == len(closed.y) == jacobi.ORBIT_STEPS + 1
+    assert closed.t == 1.0 == closed.grid[-1] and closed.grid[0] == 0.0
+    assert len(closed.x) == len(closed.v) == len(closed.y) == len(closed.grid)
+    # 16 segments on one grid: the junctions k / 16 are row times
+    assert np.all(np.diff(closed.grid) > 0)
+    assert np.all(np.isin(np.arange(17) / 16, closed.grid))
     assert abs(np.linalg.norm(closed.start.base) - 1.0) < 1e-6
     assert np.linalg.norm(closed.start.base - loop.basepoint) < 0.01
 
@@ -333,9 +399,10 @@ def oracle_loops():
                          ids=["circle-0", "circle-0.3", "circle-1.7", "funnel", "funnel-0.01",
                               "bumped", "bumped-0.01", "bumped-0.01-shifted"])
 def test_stitched_orbit_matches_one_shot(chart, loop):
-    # the oracle: one integration of the whole orbit from the returned start
+    # the oracle: one integration of the whole orbit from the returned start,
+    # replaying the stitched orbit's grid
     closed = shoot_closed_orbit(chart, loop, outgoing_orbit(chart, loop))
-    one = jacobi_propagate(chart, closed.start, 1.0, jacobi.ORBIT_STEPS)
+    one = jacobi_propagate(chart, closed.start, 1.0, closed.grid)
     assert closure(chart, one) <= 10 * jacobi.SHOOT_TOL
     assert one.t == closed.t
     assert np.max(np.abs(one.x - closed.x)) < 1e-6
@@ -404,7 +471,7 @@ def test_close_check_bumped_cylinder(monkeypatch):
     monkeypatch.setattr(jacobi, "jacobi_propagate", integrate)
     for hit in segments["conjugate_hits"]:
         report = conjugate_points(bc, TangentVector(hit["start"], hit["velocity"]), 12.0,
-                                  steps=384)
+                                  np.linspace(0.0, 12.0, 385))
         assert report.times == hit["times"]
 
 
@@ -437,38 +504,51 @@ def test_close_check_segment_starvation_trips_at_attempt_limit():
 
 
 def test_batched_integration_equals_per_start():
-    # safe starts and three that leave the guard radius 10: [9, 0] at speed
-    # 50 in the stage points of the first step, [5, 0] at speed 5 in a stage
-    # point of step 8, and one whose new point leaves while every RK4 stage
-    # point of that step is inside (from 9.344 to 9.353 on this ray)
-    sph = make_chart("sphere")
-    base = np.array([[1.0, 0.0], [0.3, -0.2], [9.0, 0.0], [0.5, 0.5], [9.35, 0.0],
-                     [5.0, 0.0]])
-    vel = np.array([[0.0, 2 * np.pi], [1.0, 0.4], [50.0, 0.0], [-0.7, 1.1],
-                    [20 * np.cos(1.0), 20 * np.sin(1.0)], [5.0, 0.0]])
-    steps = 16
-    h = 1.0 / steps
-    batch = TangentVector(base, vel)
-    orbits, exit_time = jacobi_propagate(sph, batch, 1.0, steps)
+    # a batch takes one common step, and each member's rows are the ones it
+    # gets replayed alone on the batch's grid, bitwise and exits included.
+    # On a funnel cut off at |z| = 2 two starts stay inside, one starts
+    # outside, one leaves in a stage point of a step, and one leaves in the
+    # new point of a step whose stage points are all inside: outward funnel
+    # geodesics reach farthest at the step's end, and its start sits 4e-7
+    # inside the 8.5e-7 wide band of such starts
+    class ShortFunnel(Funnel):
+        z_bound = 2.0
+
+    fun = ShortFunnel()
+    base = np.array([[0.0, 0.0], [0.3, 1.0], [2.5, 0.0], [1.2, 0.3], [1.507081, 0.0]])
+    vel = np.array([[0.2, 1.0], [-0.4, 0.5], [1.0, 0.0], [1.5, 0.5], [1.0, 0.2]])
+    orbits, exit_time = jacobi_propagate(fun, TangentVector(base, vel), 1.0)
+    grid = orbits.grid
+    assert grid[0] == 0.0 and grid[-1] == 1.0 and np.all(np.diff(grid) > 0)
     exits = []
     for i, (x0, v0) in enumerate(zip(base, vel)):
+        alone, alone_exit = jacobi_propagate(fun, TangentVector(x0[None], v0[None]), 1.0, grid)
+        assert alone_exit[0] == exit_time[i]
+        for name in ("x", "v", "y", "frames"):
+            assert np.array_equal(getattr(alone, name)[0], getattr(orbits, name)[i],
+                                  equal_nan=True), name
         start = TangentVector(x0, v0)
         try:
-            single = jacobi_propagate(sph, start, 1.0, steps)
+            single = jacobi_propagate(fun, start, 1.0, grid)
         except DomainEscapeError as exc:
             assert exit_time[i] == exc.exit_time
-            last = np.flatnonzero(np.isfinite(orbits.x[i, :, 0]))[-1]
+            finite = np.flatnonzero(np.isfinite(orbits.x[i, :, 0]))
+            last = finite[-1] if len(finite) else -1
             # every returned row from the exit on, and the frame at the end
             assert all(np.all(np.isnan(a[i, last + 1:])) for a in (orbits.x, orbits.v, orbits.y))
             assert np.all(np.isnan(orbits.frames[i, 1]))
-            exits.append("stage" if exc.exit_time == last * h else "point")
+            if last < 0:
+                exits.append("start")
+            else:
+                exits.append("stage" if exc.exit_time == grid[last] else "point")
+                assert exc.exit_time == grid[last + (exits[-1] == "point")]
             continue
         assert np.isinf(exit_time[i])
-        for name in ("x", "v", "y", "frames", "matrix"):
-            a, b = getattr(single, name), getattr(orbits, name)[i]
-            assert np.array_equal(a, b), name
-    assert exits == ["stage", "point", "stage"]
-    assert list(exit_time[[2, 4, 5]]) == [0.0, h, 8 * h]
+        for name in ("grid", "x", "v", "y", "frames", "matrix"):
+            a, b = getattr(single, name), getattr(orbits, name)
+            assert np.array_equal(a, b if name == "grid" else b[i]), name
+    assert exits == ["start", "stage", "point"]
+    assert exit_time[2] == 0.0
 
 
 def test_close_check_rejects_compact_chart():
@@ -487,16 +567,16 @@ def test_jacobi_flow_refuses_a_chart_that_is_not_a_surface(monkeypatch):
     def no_flow(*args, **kwargs):
         raise AssertionError("the flow stepped")
 
-    monkeypatch.setattr(jacobi, "_rk4_batch", no_flow)
+    monkeypatch.setattr(jacobi, "dopri_batch", no_flow)
     with pytest.raises(NotImplementedError, match="surface"):
-        jacobi_propagate(FlatSpace(), TangentVector(np.zeros(3), [1.0, 0.0, 0.0]), 1.0, 16)
+        jacobi_propagate(FlatSpace(), TangentVector(np.zeros(3), [1.0, 0.0, 0.0]), 1.0)
 
 
 def test_jacobi_flow_refuses_a_start_at_rest():
     # the velocity frame e_1 = v / |v|_g needs a moving start
     plane = make_chart("plane")
     with pytest.raises(ValueError, match="speed"):
-        jacobi_propagate(plane, TangentVector([0.0, 0.0], [0.0, 0.0]), 1.0, 16)
+        jacobi_propagate(plane, TangentVector([0.0, 0.0], [0.0, 0.0]), 1.0)
     batch = TangentVector([[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="speed"):
-        jacobi_propagate(plane, batch, 1.0, 16)
+        jacobi_propagate(plane, batch, 1.0)
