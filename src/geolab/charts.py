@@ -2,15 +2,13 @@
 
 Every manifold in the zoo is a surface, presented in a single global
 coordinate chart of dimension ``d`` = 2.  A chart knows its metric tensor
-with analytic first and second metric derivatives, its Christoffel symbols
-in closed form, an optional exhaustion coordinate ``r`` for non-compact
-manifolds, and domain guards.  Each chart family writes its own
-Christoffels: flat, conformal (from the gradient of the log conformal
-factor), a profile surface (from the profile jet rho, rho', rho'') or the
-paraboloid.  The generic Levi-Civita formula ``christoffels_of_metric`` is
-their oracle, fed with the analytic metric derivative or with the
-finite-difference ``Chart.metric_deriv``, itself the oracle of the analytic
-derivatives.
+with analytic first and second metric derivatives, its Gauss curvature
+and spray in closed form, an optional exhaustion coordinate ``r`` for
+non-compact manifolds, and domain guards.  The Christoffels are written
+once, for every chart: the generic Levi-Civita formula
+``christoffels_of_metric`` on the chart's analytic metric derivative, or,
+as their oracle, on the finite-difference ``Chart.metric_deriv``, itself
+the oracle of the analytic derivatives.
 
 The flow reads a chart through its spray alone: ``Chart.spray(x, v)``
 returns the geodesic acceleration -Gamma(v, v) and the Jacobi coefficient
@@ -62,8 +60,8 @@ class Chart:
     """Base class: domain guards, periodic wrapping and oracle derivatives.
 
     Subclasses provide ``metric``, ``metric_deriv``,
-    ``metric_second_deriv``, ``christoffels`` and ``spray`` in closed form
-    and set ``dim``.  The base ``metric_deriv`` (central differences of
+    ``metric_second_deriv``, ``gauss_curvature`` and ``spray`` in closed
+    form and set ``dim``.  The base ``metric_deriv`` (central differences of
     ``metric``) is the oracle that ``christoffels(..., finite_difference=True)``
     reads; the exhaustion derivatives default to finite differences of
     ``exhaustion``.
@@ -97,10 +95,6 @@ class Chart:
             e[k] = FD_STEP
             out[..., k, :, :] = (self.metric(x + e) - self.metric(x - e)) / (2 * FD_STEP)
         return out
-
-    def christoffels(self, x: np.ndarray) -> np.ndarray:
-        """Gamma^k_ij in closed form at points the domain guard admits."""
-        raise NotImplementedError
 
     def spray(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(-Gamma(v, v), K g(v, v)) in closed form, over leading batch axes."""
@@ -179,8 +173,8 @@ class Chart:
     # -- misc ---------------------------------------------------------------
 
     def gauss_curvature(self, x: np.ndarray) -> np.ndarray:
-        """Analytic Gauss curvature (2D charts); raises if unavailable."""
-        raise NotImplementedError(f"{self.name}: no analytic curvature")
+        """Gauss curvature K(x) in closed form, over leading batch axes."""
+        raise NotImplementedError
 
     def sample_point(self, rng: np.random.Generator, r_min: float = 0.0,
                      r_max: float = 3.0) -> np.ndarray:
@@ -202,9 +196,8 @@ class Chart:
 def christoffels_of_metric(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Generic Gamma^k_ij = 1/2 g^{km} (d_i g_jm + d_j g_im - d_m g_ij).
 
-    The oracle of the charts' closed forms: ``g`` is the metric (..., d, d)
-    and ``dg`` its first derivative (..., d, d, d), analytic or finite
-    differences.
+    ``g`` is the metric (..., d, d) and ``dg`` its first derivative
+    (..., d, d, d), analytic or finite differences.
     """
     ginv = np.linalg.inv(g)
     # s[..., m, i, j] = d_i g_jm + d_j g_im - d_m g_ij
@@ -217,18 +210,17 @@ def christoffels_of_metric(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
 def christoffels(chart: Chart, x: np.ndarray, finite_difference: bool = False) -> np.ndarray:
     """Christoffel symbols Gamma^k_ij of the chart's Levi-Civita connection.
 
-    Returns the chart family's closed form.  ``finite_difference=True``
-    instead applies the generic formula ``christoffels_of_metric`` to the
-    finite-difference metric derivative (the oracle path).  The flows do
-    not call it: an integrator stage reads the chart through ``spray``.
-    Raises ChartDomainError outside the domain.
+    The generic formula ``christoffels_of_metric`` on the chart's analytic
+    metric derivative; ``finite_difference=True`` feeds it the
+    finite-difference metric derivative instead (the oracle path).  The
+    flows do not call it: an integrator stage reads the chart through
+    ``spray``.  Raises ChartDomainError outside the domain.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(chart.contains(x)):
         raise ChartDomainError(f"{chart.name}: Christoffel evaluation outside domain")
-    if finite_difference:
-        return christoffels_of_metric(chart.metric(x), Chart.metric_deriv(chart, x))
-    return chart.christoffels(x)
+    dg = Chart.metric_deriv(chart, x) if finite_difference else chart.metric_deriv(x)
+    return christoffels_of_metric(chart.metric(x), dg)
 
 
 def spray(chart: Chart, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,9 +298,7 @@ def curvature_operator(chart: Chart, x: np.ndarray, v: np.ndarray) -> np.ndarray
 
     Closed-form 2D expression R(w,v)v = K (g(v,v) w - g(w,v) v) from the
     chart's analytic Gauss curvature.  ``x`` and ``v`` of shape (..., 2)
-    give matrices of shape (..., 2, 2), one per leading index.  Charts
-    without analytic curvature raise NotImplementedError; ``riemann`` is
-    the finite-difference route to their curvature.
+    give matrices of shape (..., 2, 2), one per leading index.
     """
     if chart.dim != 2:
         raise NotImplementedError(f"{chart.name}: closed-form curvature needs a surface")
@@ -381,10 +371,6 @@ class FlatPlane(Chart):
     def metric_second_deriv(self, x):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (2, 2, 2, 2))
-
-    def christoffels(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (2, 2, 2))
 
     def spray(self, x, v):
         v = np.asarray(v, dtype=float)
@@ -462,14 +448,6 @@ class _ProfileChart(Chart):
         d2g[..., 0, 0, 1, 1] = 2 * (d1 * d1 + rho * d2)
         return d2g
 
-    def christoffels(self, x):
-        x = np.asarray(x, dtype=float)
-        rho, d1, _ = self.profile_jet(x[..., 0])
-        gam = np.zeros(x.shape[:-1] + (2, 2, 2))
-        gam[..., 0, 1, 1] = -rho * d1
-        gam[..., 1, 0, 1] = gam[..., 1, 1, 0] = d1 / rho
-        return gam
-
     def spray(self, x, v):
         x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
         rho, d1, d2 = self.profile_jet(x[..., 0])
@@ -483,7 +461,7 @@ class _ProfileChart(Chart):
     def gauss_curvature(self, x):
         x = np.asarray(x, dtype=float)
         rho, _, d2 = self.profile_jet(x[..., 0])
-        return -d2 / rho
+        return -d2 / rho + 0.0      # + 0.0: flat ground reads 0.0, not -0.0
 
     def exhaustion(self, x):
         return np.abs(np.asarray(x, dtype=float)[..., 0])
@@ -573,9 +551,6 @@ class _ConformalChart(Chart):
     - 2 (grad phi . v) v; subclasses give grad phi through ``_grad_phi``.
     """
 
-    #: Gamma^k_ij, flattened over (k, i, j), as entries of (grad phi, -grad phi)
-    _GAMMA_FROM_GRAD = np.array([0, 1, 1, 2, 3, 0, 0, 1])
-
     def _grad_phi(self, x, s):
         """grad phi at x, with s = |x|^2."""
         raise NotImplementedError
@@ -614,12 +589,6 @@ class _ConformalChart(Chart):
             x[..., :, None] * x[..., None, :]
         )
         return hess[..., :, :, None, None] * eye
-
-    def christoffels(self, x):
-        x = np.asarray(x, dtype=float)
-        p = self._grad_phi(x, (x * x).sum(-1))
-        gam = np.concatenate((p, -p), axis=-1)[..., self._GAMMA_FROM_GRAD]
-        return gam.reshape(x.shape[:-1] + (2, 2, 2))
 
     def spray(self, x, v):
         x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
@@ -773,16 +742,6 @@ class Paraboloid(Chart):
         d2g[..., 0, 0, 0, 0] = 8.0
         d2g[..., 0, 0, 1, 1] = 2.0
         return d2g
-
-    def christoffels(self, x):
-        x = np.asarray(x, dtype=float)
-        rho = x[..., 0]
-        e = 1.0 + 4.0 * rho * rho        # g_rho_rho
-        gam = np.zeros(x.shape[:-1] + (2, 2, 2))
-        gam[..., 0, 0, 0] = 4.0 * rho / e
-        gam[..., 0, 1, 1] = -rho / e
-        gam[..., 1, 0, 1] = gam[..., 1, 1, 0] = 1.0 / rho
-        return gam
 
     def spray(self, x, v):
         x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)

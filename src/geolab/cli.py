@@ -317,7 +317,9 @@ def run_analyze(cfg: RunConfig, quiet: bool) -> dict:
 
 def _chart_self_tests(chart: Chart, cfg: RunConfig, rng) -> dict:
     checks = {}
-    # metric positive definite + curvature agreement on random samples
+    # the closed-form curvature against the finite-difference Riemann
+    # oracle on random samples (the oracle's metric check guards positive
+    # definiteness)
     kappa_err = 0.0
     for _ in range(min(cfg.n_samples, 50)):
         if chart.compact:
@@ -330,17 +332,11 @@ def _chart_self_tests(chart: Chart, cfg: RunConfig, rng) -> dict:
             # would amplify the oracle's error by |v|^2 |w|^2 / Gram
             g = chart.metric(x)
             w = w - (v @ g @ w) / (v @ g @ v) * v
-            k_generic = sectional_curvature(chart, x, v, w)
             k_fd = sectional_curvature(chart, x, v, w, finite_difference=True)
         except GeolabError:
             continue
-        scale = max(abs(k_generic), 1.0)
-        kappa_err = max(kappa_err, abs(k_generic - k_fd) / scale)
-        try:
-            k_analytic = float(chart.gauss_curvature(x))
-            kappa_err = max(kappa_err, abs(k_generic - k_analytic) / scale)
-        except NotImplementedError:
-            pass
+        k = float(chart.gauss_curvature(x))
+        kappa_err = max(kappa_err, abs(k - k_fd) / max(abs(k), 1.0))
     checks["curvature_fd_agreement"] = {"max_rel_err": kappa_err, "pass": kappa_err < 1e-5}
 
     # flow speed conservation and symplecticity.  Several seeded starts,

@@ -10,14 +10,13 @@ from .errors import ConfigError
 from .loops import DiscreteLoop, make_loop
 
 
-def circle_loop(chart: Chart, center: np.ndarray, radius: float, n_nodes: int,
-                frame: int = 0) -> DiscreteLoop:
+def circle_loop(chart: Chart, center: np.ndarray, radius: float, n_nodes: int) -> DiscreteLoop:
     """Round coordinate circle around a chart point."""
     ts = 2 * np.pi * np.arange(n_nodes) / n_nodes
     nodes = np.asarray(center, dtype=float) + radius * np.stack(
         [np.cos(ts), np.sin(ts)], axis=1
     )
-    return make_loop(chart, nodes, frame=frame)
+    return make_loop(chart, nodes)
 
 
 def latitude_circle(radius: float, n_nodes: int, orientation: int = 1) -> np.ndarray:
@@ -59,15 +58,14 @@ def birkhoff_latitudes(chart: Chart, n_members: int = 33, n_nodes: int = 128) ->
 
 
 def concentric_circles(chart: Chart, n_members: int = 17, n_nodes: int = 64,
-                       r_max: float = 1.5, center=(0.0, 0.0)) -> SweepoutFamily:
-    """Contractible plane family: circles grown from a point and back."""
+                       r_max: float = 1.5) -> SweepoutFamily:
+    """Contractible plane family: circles grown from the origin and back."""
     if n_members < 3:
         raise ConfigError("concentric sweepout needs at least 3 members")
     members = []
     for s in range(n_members):
         radius = r_max * np.sin(np.pi * s / (n_members - 1))
-        members.append(circle_loop(chart, np.asarray(center, dtype=float),
-                                   max(radius, 0.0), n_nodes))
+        members.append(circle_loop(chart, np.zeros(2), max(radius, 0.0), n_nodes))
     frozen = [False] * n_members
     frozen[0] = frozen[-1] = True
     return SweepoutFamily(members, frozen)

@@ -58,9 +58,8 @@ from .charts import (
     christoffels,
     metric_speed,
     sample_unit_starts,
-    sectional_curvature,
 )
-from .errors import DomainEscapeError, GeolabError, NotAGeodesicError, SamplingStarvationError
+from .errors import DomainEscapeError, NotAGeodesicError, SamplingStarvationError
 from .flow import dopri_batch
 from .loops import DiscreteLoop, energy, one_sided_velocities, outgoing_velocities
 
@@ -463,17 +462,17 @@ def close_conjugate_points_check(chart: Chart, ell: float, k_radius: float,
                                  sample_band: float | None = None) -> dict:
     """Two-part probe of the region {r > k_radius} for a length budget ell.
 
-    Part (a): sample sectional curvature (random points in the band plus
-    deterministic points hugging the inner boundary) against the Rauch
-    bound (pi/ell)^2.  Part (b): sample unit-speed geodesic segments of
-    length ell whose trace stays in the region (leaving segments are
-    discarded and resampled) and require empty conjugate reports.  The
-    segments are integrated in blocks, each replaying one grid of
-    max(64, ``STEPS_PER_UNIT`` ell) even steps, whose rows the region test
-    reads, and every kept segment's Y rows get one scan, the criterion
-    ``conjugate_points`` applies.  The Rauch comparison direction says (a)
-    passing forces (b) to pass; the report records both verdicts and their
-    consistency.
+    Part (a): the largest Gauss curvature K, read in closed form at random
+    points in the band and at points hugging its inner boundary, against
+    the Rauch bound (pi/ell)^2 (on a surface every plane has curvature K).
+    Part (b): sample unit-speed geodesic segments of length ell whose trace
+    stays in the region (leaving segments are discarded and resampled) and
+    require empty conjugate reports.  The segments are integrated in
+    blocks, each replaying one grid of max(64, ``STEPS_PER_UNIT`` ell) even
+    steps, whose rows the region test reads, and every kept segment's Y
+    rows get one scan, the criterion ``conjugate_points`` applies.  The
+    Rauch comparison direction says (a) passing forces (b) to pass; the
+    report records both verdicts and their consistency.
     """
     if ell <= 0:
         raise ValueError("ell must be positive")
@@ -483,26 +482,12 @@ def close_conjugate_points_check(chart: Chart, ell: float, k_radius: float,
     band = sample_band if sample_band is not None else max(ell, 5.0)
     bound = (np.pi / ell) ** 2
 
-    # part (a): curvature sampling
-    kappas = []
-    edge_offsets = np.linspace(1e-4, band, 9)[:5]
-    points = []
-    for off in edge_offsets:
-        for _ in range(2):
-            points.append(chart.sample_point(rng, k_radius + off * 0.999, k_radius + off))
+    # part (a): the curvature at sampled points
+    points = [chart.sample_point(rng, k_radius + off * 0.999, k_radius + off)
+              for off in np.linspace(1e-4, band, 9)[:5] for _ in range(2)]
     while len(points) < n_samples:
         points.append(chart.sample_point(rng, k_radius, k_radius + band))
-    for x in points[:n_samples]:
-        v = rng.standard_normal(chart.dim)
-        w = rng.standard_normal(chart.dim)
-        try:
-            kappas.append(sectional_curvature(chart, x, v, w))
-        except GeolabError:
-            continue
-    if not kappas:
-        raise SamplingStarvationError(
-            f"no curvature sample of {n_samples} in r > {k_radius} was admissible")
-    max_kappa = float(np.max(kappas))
+    max_kappa = float(np.max(chart.gauss_curvature(np.array(points[:n_samples]))))
     part_a = bool(max_kappa < bound)
 
     # part (b): geodesic segment sampling, integrated in blocks of exactly

@@ -426,6 +426,29 @@ def test_cli_verify_chart_integrates_each_start_once(monkeypatch):
     assert checks["symplectic_defect"]["defect"] == max(defects) > min(defects)
 
 
+def test_cli_verify_reads_sectional_curvature_as_the_oracle_only(tmp_path, monkeypatch):
+    # the closed-form K is the curvature both parts read; sectional_curvature
+    # runs only as the self-test's finite-difference oracle, once a sample,
+    # whichever module's name it goes through
+    import geolab
+    from geolab.charts import sectional_curvature
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("finite_difference", False))
+        return sectional_curvature(*args, **kwargs)
+
+    for mod in vars(geolab).values():
+        if getattr(mod, "sectional_curvature", None) is sectional_curvature:
+            monkeypatch.setattr(mod, "sectional_curvature", counted)
+    cfg = write_yaml(tmp_path / "cfg.yaml", "chart: bumped_cylinder\nell: 3.0\nk_radius: 1.0\n"
+                                            "n_samples: 25\nseed: 5\n")
+    out = str(tmp_path / "report.json")
+    assert main(["verify", "all", "--config", cfg, "--quiet", "--out", out]) == 0
+    assert read_report(out)["results"]["pass"] is True
+    assert calls == [True] * min(25, 50)
+
+
 def test_cli_verify_conjpoints_compact_skips(tmp_path):
     cfg = write_yaml(tmp_path / "cfg.yaml", "chart: sphere\nn_samples: 10\n")
     out = str(tmp_path / "report.json")

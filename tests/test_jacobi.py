@@ -99,6 +99,23 @@ def test_step_grown_over_the_flat_part_is_retried_in_the_bump(monkeypatch):
     assert np.max(np.abs(orbit.matrix - fine.matrix)) < 1e-6 * np.max(np.abs(fine.matrix))
 
 
+def test_slow_great_circle_steps_at_the_root_cap():
+    # at speed w = 0.01 the error estimate would allow steps with h w above
+    # (384 TIME_TOL w)^(1/4), the bound that keeps the cubic Hermite error
+    # h^4 w^3 / 384 of a bisected conjugate time within TIME_TOL; every
+    # chosen step stays under it, the longest sits on it, and the first
+    # conjugate time, pi / w, is found within TIME_TOL
+    w = 0.01
+    sph = make_chart("sphere")
+    orbit = jacobi_propagate(sph, TangentVector([1.0, 0.0], [0.0, w]), 1.25 * np.pi / w)
+    cap = (384 * jacobi.TIME_TOL * w) ** 0.25
+    hw = np.diff(orbit.grid) * w
+    assert np.all(hw <= cap * (1 + 1e-9))
+    assert abs(np.max(hw) / cap - 1.0) <= 1e-9
+    times = orbit.conjugate_report().times
+    assert len(times) == 1 and abs(times[0] - np.pi / w) <= jacobi.TIME_TOL
+
+
 def test_paraboloid_apex_start_holds_its_speed():
     # a unit-speed start drawn as the verify self-test draws them that
     # passes rho = 0.017, where Gamma^theta_{rho theta} = 1/rho is large:
@@ -438,6 +455,18 @@ def test_close_check_paraboloid_curvature_threshold():
     assert not failing["curvature"]["pass"]
 
 
+@pytest.mark.parametrize("name, kappa", [
+    ("funnel", -1.0), ("hyperbolic", -1.0), ("plane", 0.0), ("cylinder", 0.0),
+])
+def test_close_check_reads_constant_curvature_exactly(name, kappa):
+    # part (a) reads the closed-form K, not a finite-difference Riemann
+    # tensor, so a constant-curvature chart reports its constant exactly
+    report = close_conjugate_points_check(make_chart(name), ell=3.0, k_radius=0.5,
+                                          n_samples=20, seed=0)
+    assert report["curvature"]["max_kappa"] == kappa
+    assert report["curvature"]["pass"]
+
+
 def test_close_check_bumped_cylinder(monkeypatch):
     bc = make_chart("bumped_cylinder")
     integrations = [0]
@@ -456,7 +485,7 @@ def test_close_check_bumped_cylinder(monkeypatch):
     segments = outside["segments"]
     assert integrations[0] == segments["checked"] + segments["discarded"]
     # the draw order: x then v per attempt, the same sequence as one by one
-    assert segments["discarded"] == 9
+    assert segments["discarded"] == 24
     integrations[0] = 0
     crossing = close_conjugate_points_check(bc, ell=12.0, k_radius=0.0,
                                             n_samples=25, seed=3, sample_band=3.0)
@@ -465,7 +494,7 @@ def test_close_check_bumped_cylinder(monkeypatch):
     segments = crossing["segments"]
     assert integrations[0] == segments["checked"] + segments["discarded"]
     assert segments["discarded"] == 0
-    assert len(segments["conjugate_hits"]) == 4
+    assert len(segments["conjugate_hits"]) == 1
     assert crossing["rauch_consistent"]
     # the scan of the check's own orbit is the report conjugate_points gives
     monkeypatch.setattr(jacobi, "jacobi_propagate", integrate)
