@@ -6,9 +6,10 @@ with analytic first and second metric derivatives, its Gauss curvature
 and spray in closed form, an optional exhaustion coordinate ``r`` for
 non-compact manifolds, and domain guards.  The Christoffels are written
 once, for every chart: the generic Levi-Civita formula
-``christoffels_of_metric`` on the chart's analytic metric derivative, or,
-as their oracle, on the finite-difference ``Chart.metric_deriv``, itself
-the oracle of the analytic derivatives.
+``christoffels_of_metric`` on the chart's analytic metric derivative.  Each
+closed form has an oracle built from the one below it: ``central_difference``
+of ``metric`` and of ``metric_deriv`` for the metric derivatives, and
+Brioschi's formula on the analytic jet, ``sectional_curvature``, for K.
 
 The flow reads a chart through its spray alone: ``Chart.spray(x, v)``
 returns the geodesic acceleration -Gamma(v, v) and the Jacobi coefficient
@@ -24,8 +25,6 @@ Index conventions used throughout:
 * ``metric_deriv(x)[..., k, i, j]``       = d_k g_ij(x)
 * ``metric_second_deriv(x)[..., l, k, i, j]`` = d_l d_k g_ij(x)
 * ``christoffels(...)[..., k, i, j]``     = Gamma^k_ij (symmetric in i, j)
-* ``riemann(...)[..., l, k, i, j]``       = R^l_kij, i.e. the component of
-  R(e_i, e_j) e_k along e_l.
 
 All metric-level evaluations broadcast over leading batch axes.
 """
@@ -36,10 +35,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartDomainError, DegeneratePlaneError
+from .errors import ChartDomainError
 
 FD_STEP = 1e-5
 _EYE2 = np.eye(2)
+
+
+def central_difference(f, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
+    """d_k f(x) as (f(x + step e_k) - f(x - step e_k)) / (2 step), on an axis k
+    after the batch axes of ``x`` and before the axes of f's values."""
+    x = np.asarray(x, dtype=float)
+    return np.stack([(f(x + e) - f(x - e)) / (2 * step) for e in step * np.eye(x.shape[-1])],
+                    axis=x.ndim - 1)
 
 
 @dataclass
@@ -59,12 +66,10 @@ class TangentVector:
 class Chart:
     """Base class: domain guards, periodic wrapping and oracle derivatives.
 
-    Subclasses provide ``metric``, ``metric_deriv``,
-    ``metric_second_deriv``, ``gauss_curvature`` and ``spray`` in closed
-    form and set ``dim``.  The base ``metric_deriv`` (central differences of
-    ``metric``) is the oracle that ``christoffels(..., finite_difference=True)``
-    reads; the exhaustion derivatives default to finite differences of
-    ``exhaustion``.
+    Subclasses provide ``metric``, ``metric_deriv``, ``metric_second_deriv``,
+    ``gauss_curvature`` and ``spray`` in closed form and set ``dim``.  The
+    base ``metric_deriv`` and exhaustion derivatives are central differences
+    of ``metric`` and ``exhaustion``, the oracles of the analytic ones.
     """
 
     name = "abstract"
@@ -86,15 +91,8 @@ class Chart:
         raise NotImplementedError
 
     def metric_deriv(self, x: np.ndarray) -> np.ndarray:
-        """Central finite differences of ``metric``, step 1e-5."""
-        x = np.asarray(x, dtype=float)
-        d = self.dim
-        out = np.empty(x.shape[:-1] + (d, d, d))
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = FD_STEP
-            out[..., k, :, :] = (self.metric(x + e) - self.metric(x - e)) / (2 * FD_STEP)
-        return out
+        """Central finite differences of ``metric``, step ``FD_STEP``."""
+        return central_difference(self.metric, x)
 
     def spray(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(-Gamma(v, v), K g(v, v)) in closed form, over leading batch axes."""
@@ -149,25 +147,10 @@ class Chart:
         raise NotImplementedError(f"{self.name}: no exhaustion coordinate")
 
     def exhaustion_grad(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        d = self.dim
-        out = np.empty(x.shape[:-1] + (d,)) if x.ndim > 1 else np.empty(d)
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = FD_STEP
-            out[..., k] = (self.exhaustion(x + e) - self.exhaustion(x - e)) / (2 * FD_STEP)
-        return out
+        return central_difference(self.exhaustion, x)
 
     def exhaustion_hess(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        d = self.dim
-        out = np.empty(x.shape[:-1] + (d, d)) if x.ndim > 1 else np.empty((d, d))
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = FD_STEP
-            out[..., k, :] = (
-                self.exhaustion_grad(x + e) - self.exhaustion_grad(x - e)
-            ) / (2 * FD_STEP)
+        out = central_difference(self.exhaustion_grad, x)
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
     # -- misc ---------------------------------------------------------------
@@ -207,20 +190,17 @@ def christoffels_of_metric(g: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...km,...mij->...kij", ginv, s)
 
 
-def christoffels(chart: Chart, x: np.ndarray, finite_difference: bool = False) -> np.ndarray:
+def christoffels(chart: Chart, x: np.ndarray) -> np.ndarray:
     """Christoffel symbols Gamma^k_ij of the chart's Levi-Civita connection.
 
     The generic formula ``christoffels_of_metric`` on the chart's analytic
-    metric derivative; ``finite_difference=True`` feeds it the
-    finite-difference metric derivative instead (the oracle path).  The
-    flows do not call it: an integrator stage reads the chart through
-    ``spray``.  Raises ChartDomainError outside the domain.
+    metric derivative.  The flows do not call it: an integrator stage reads
+    the chart through ``spray``.  Raises ChartDomainError outside the domain.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(chart.contains(x)):
         raise ChartDomainError(f"{chart.name}: Christoffel evaluation outside domain")
-    dg = Chart.metric_deriv(chart, x) if finite_difference else chart.metric_deriv(x)
-    return christoffels_of_metric(chart.metric(x), dg)
+    return christoffels_of_metric(chart.metric(x), chart.metric_deriv(x))
 
 
 def spray(chart: Chart, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,63 +214,38 @@ def spray(chart: Chart, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nd
     return chart.spray(x, v)
 
 
-def christoffel_deriv(chart: Chart, x: np.ndarray, finite_difference: bool = False) -> np.ndarray:
-    """d_l Gamma^k_ij by central differences of ``christoffels``.
+#: units of eps in ``sectional_curvature``'s rounding bound, a few per product and sum
+BRIOSCHI_ROUNDING = 32.0
 
-    ``finite_difference=True`` differences the oracle Christoffels (from
-    finite differences of g) with the wider outer step 10 * FD_STEP.
+
+def sectional_curvature(chart: Chart, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss curvature by Brioschi's formula on the analytic jet, over leading
+    batch axes, and a bound on its rounding: the oracle of the closed-form
+    ``gauss_curvature`` (on a surface every plane has curvature K).
+
+    With g = [[E, F], [F, G]] in coordinates (u, v) = (x0, x1),
+    K = (det A - det B) / (EG - F^2)^2 (do Carmo, *Differential Geometry of
+    Curves and Surfaces*, 4-3); A and B border g with a first row p and
+    column q, so each is A_00 det g - p adj(g) q.  The bound is
+    ``BRIOSCHI_ROUNDING`` eps times the terms' absolute sum over (EG - F^2)^2,
+    times (EG + F^2) / (EG - F^2).  Raises ChartDomainError outside the domain.
     """
     x = np.asarray(x, dtype=float)
-    d = chart.dim
-    step = 10 * FD_STEP if finite_difference else FD_STEP
-    out = np.empty(x.shape[:-1] + (d, d, d, d))
-    for l in range(d):
-        e = np.zeros(d)
-        e[l] = step
-        out[..., l, :, :, :] = (
-            christoffels(chart, x + e, finite_difference)
-            - christoffels(chart, x - e, finite_difference)
-        ) / (2 * step)
-    return out
+    g, dg, d2g = chart.metric_checked(x), chart.metric_deriv(x), chart.metric_second_deriv(x)
+    E, F, G = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+    (Eu, Fu, Gu), (Ev, Fv, Gv) = ((dg[..., k, 0, 0], dg[..., k, 0, 1], dg[..., k, 1, 1])
+                                  for k in (0, 1))
+    gram = E * G - F * F
 
+    def bordered(p, q):             # p adj(g) q with adj(g) = [[G, -F], [-F, E]]
+        return p[0] * q[0] * G - (p[0] * q[1] + p[1] * q[0]) * F + p[1] * q[1] * E
 
-def riemann(chart: Chart, x: np.ndarray, finite_difference: bool = False) -> np.ndarray:
-    """Riemann tensor R^l_kij = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik.
-
-    ``finite_difference=True`` builds it from finite differences of g only
-    (the oracle of the analytic curvature).
-    """
-    gam = christoffels(chart, x, finite_difference)
-    dgam = christoffel_deriv(chart, x, finite_difference)
-    term1 = np.einsum("...iljk->...lkij", dgam)
-    term2 = np.einsum("...jlik->...lkij", dgam)
-    term3 = np.einsum("...lim,...mjk->...lkij", gam, gam)
-    term4 = np.einsum("...ljm,...mik->...lkij", gam, gam)
-    return term1 - term2 + term3 - term4
-
-
-def sectional_curvature(chart: Chart, x: np.ndarray, v: np.ndarray, w: np.ndarray,
-                        finite_difference: bool = False) -> float:
-    """Sectional curvature g(R(v,w)w, v) / (g(v,v) g(w,w) - g(v,w)^2).
-
-    Independent of the basis of span{v, w}; raises DegeneratePlaneError when
-    the Gram determinant falls below 1e-12 times the norm scale.
-    ``finite_difference=True`` reads the oracle Riemann tensor.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    g = chart.metric_checked(x)
-    gvv = v @ g @ v
-    gww = w @ g @ w
-    gvw = v @ g @ w
-    den = gvv * gww - gvw**2
-    if den <= 1e-12 * max(gvv * gww, 1e-300):
-        raise DegeneratePlaneError("v, w span a degenerate plane")
-    rm = riemann(chart, x, finite_difference)
-    rvw_w = np.einsum("lkij,k,i,j->l", rm, w, v, w)
-    num = rvw_w @ g @ v
-    return float(num / den)
+    terms = ((d2g[..., 0, 1, 0, 1] - d2g[..., 1, 1, 0, 0] / 2 - d2g[..., 0, 0, 1, 1] / 2) * gram,
+             -bordered((Eu / 2, Fu - Ev / 2), (Fv - Gu / 2, Gv / 2)),
+             bordered((Ev / 2, Gu / 2), (Ev / 2, Gu / 2)))
+    size = sum(np.abs(t) for t in terms) * (E * G + F * F) / gram
+    return (sum(terms) / (gram * gram),
+            BRIOSCHI_ROUNDING * np.finfo(float).eps * size / (gram * gram))
 
 
 def curvature_operator(chart: Chart, x: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -27,7 +27,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .charts import Chart, make_chart, metric_speed, sample_unit_starts, sectional_curvature
+from .charts import (FD_STEP, Chart, central_difference, make_chart, metric_speed,
+                     sample_unit_starts, sectional_curvature)
 from .config import RunConfig, load_config
 from .descent import (
     DescentOptions,
@@ -315,29 +316,38 @@ def run_analyze(cfg: RunConfig, quiet: bool) -> dict:
     return {"loop_path": str(cfg.loop_path), "analysis": record}
 
 
+def _difference_link(f, df, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, the largest error of the analytic derivative ``df`` against
+    the central difference D(h) of ``f`` at h = ``FD_STEP``, and its bound
+    2 |D(2h) - D(h)| / 3 + 3 eps (|f| + |x| |D(h)|) / h.  The first term is
+    twice the two-step truncation estimate, which undercounts by up to 1.29 on
+    a stencil across a jump in f's third derivative (the bumped cylinder's
+    C^3 junction); in the rounding floor each value of f is off by two units
+    of eps of |f| and of |x| |df|, and D(h) and the estimate by 1.5 times that.
+    """
+    d1, d2 = central_difference(f, x), central_difference(f, x, 2 * FD_STEP)
+    err, est, f_size, x_size, d_size = (np.abs(a).reshape(len(x), -1).max(-1)
+                                        for a in (df(x) - d1, (d2 - d1) / 3, f(x), x, d1))
+    return err, 2 * est + 3 * np.finfo(float).eps * (f_size + x_size * d_size) / FD_STEP
+
+
 def _chart_self_tests(chart: Chart, cfg: RunConfig, rng) -> dict:
+    # the curvature chain, each link within its derived bound: dg and d2g
+    # against central differences of g and dg, and the closed-form K against
+    # Brioschi's K; a link reports its point of least relative margin
+    x = np.array([chart.sample_point(rng, *((0.0, 2.0) if chart.compact else (0.1, 3.0)))
+                  for _ in range(min(cfg.n_samples, 50))])
+    k, rounding = sectional_curvature(chart, x)
     checks = {}
-    # the closed-form curvature against the finite-difference Riemann
-    # oracle on random samples (the oracle's metric check guards positive
-    # definiteness)
-    kappa_err = 0.0
-    for _ in range(min(cfg.n_samples, 50)):
-        if chart.compact:
-            x = chart.sample_point(rng, 0.0, 2.0)
-        else:
-            x = chart.sample_point(rng, 0.1, 3.0)
-        v, w = rng.standard_normal(2), rng.standard_normal(2)
-        try:
-            # a g-orthogonal basis of the same plane: nearly parallel v, w
-            # would amplify the oracle's error by |v|^2 |w|^2 / Gram
-            g = chart.metric(x)
-            w = w - (v @ g @ w) / (v @ g @ v) * v
-            k_fd = sectional_curvature(chart, x, v, w, finite_difference=True)
-        except GeolabError:
-            continue
-        k = float(chart.gauss_curvature(x))
-        kappa_err = max(kappa_err, abs(k - k_fd) / max(abs(k), 1.0))
-    checks["curvature_fd_agreement"] = {"max_rel_err": kappa_err, "pass": kappa_err < 1e-5}
+    for name, (err, bound) in {
+        "metric_deriv_fd": _difference_link(chart.metric, chart.metric_deriv, x),
+        "metric_second_deriv_fd": _difference_link(chart.metric_deriv,
+                                                   chart.metric_second_deriv, x),
+        "brioschi_curvature": (np.abs(chart.gauss_curvature(x) - k), rounding),
+    }.items():
+        i = int(np.argmax(np.where(err <= bound, err / np.maximum(bound, 1e-300), np.inf)))
+        checks[name] = {"error": float(err[i]), "bound": float(bound[i]),
+                        "pass": bool(np.all(err <= bound))}
 
     # flow speed conservation and symplecticity.  Several seeded starts,
     # integrated once as one batch on steps the integrator's error estimate

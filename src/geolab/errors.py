@@ -26,10 +26,6 @@ class DomainEscapeError(GeolabError):
         self.exit_time = exit_time
 
 
-class DegeneratePlaneError(GeolabError):
-    """Sectional curvature requested for a (numerically) degenerate 2-plane."""
-
-
 class RefineNeededError(GeolabError):
     """A loop segment exceeds the chart convexity cap; the loop needs more nodes."""
 

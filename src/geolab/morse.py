@@ -11,8 +11,8 @@ are kept permanently as mutual oracles:
 
 Eigenvalues are reported in continuum normalization (matrix eigenvalue
 times the node count), which makes them mesh-independent approximations of
-the second-variation spectrum; the default zero band is 1e-6 times the
-reported spectral radius.
+the second-variation spectrum; the zero band is 1e-6 times the reported
+spectral radius.
 
 Iterates are never assembled: by Bott's formula the inertia of the m-fold
 iterate is the sum over omega^m = 1 of that of the N-node Hessian whose
@@ -153,17 +153,18 @@ def twisted_hessian(sv: SecondVariation, omega: complex) -> SecondVariation:
     return replace(sv, matrix=h)
 
 
-def index_and_nullity(sv: SecondVariation, zero_band: float | None = None) -> SpectralReport:
+def index_and_nullity(sv: SecondVariation) -> SpectralReport:
     """Inertia counts from a full Hermitian eigensolve.
 
     Eigenvalues are reported as N times the matrix eigenvalues (continuum
-    normalization); the default band is 1e-6 times the reported spectral
-    radius.  Eigenvalues within a factor 10 of the band edge raise the
-    ambiguity flag - the caller should refine N, not trust the counts.
+    normalization); the band is ``ZERO_BAND_SCALE`` times the reported
+    spectral radius (an all-zero spectrum has none: ValueError).
+    Eigenvalues within a factor 10 of the band edge raise the ambiguity
+    flag - the caller should refine N, not trust the counts.
     """
     eigs = np.linalg.eigvalsh(sv.matrix) * sv.n_nodes
     radius = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    band = zero_band if zero_band is not None else ZERO_BAND_SCALE * radius
+    band = ZERO_BAND_SCALE * radius
     if band <= 0:
         raise ValueError("zero band must be positive")
     index = int(np.sum(eigs < -band))

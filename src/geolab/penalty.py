@@ -162,8 +162,6 @@ class Classification:
     """
 
     case: str                      # "genuine" | "penalty_supported"
-    penalty_at_basepoint: float
-    separation_checked: bool
     containment_ok: bool | None    # None when the separation condition was not checkable
     basepoint_excess: float | None
     acceptance_level: float
@@ -224,16 +222,14 @@ def classify_critical_point(chart: Chart, schedule: PenaltySchedule, alpha: int,
     g_f[0] = penalty_coordinate_grad(chart, schedule, alpha, loop.basepoint)
     ramp = preconditioned_norm(g_f)
     audit = {
-        "penalty_at_basepoint": penalty_value(chart, schedule, alpha, loop.basepoint),
         "basepoint_excess": excess,
         "acceptance_level": float(acceptance_level),
         "ramp_gradient_norm": ramp,
     }
     if ramp <= acceptance_level:
-        return Classification("genuine", separation_checked=False, containment_ok=None, **audit)
+        return Classification("genuine", containment_ok=None, **audit)
     if k_radius is None or schedule.radius(alpha) - k_radius <= ell:
-        return Classification("penalty_supported", separation_checked=False,
-                              containment_ok=None, **audit)
+        return Classification("penalty_supported", containment_ok=None, **audit)
     r_nodes = chart.exhaustion(loop.nodes)
-    return Classification("penalty_supported", separation_checked=True,
+    return Classification("penalty_supported",
                           containment_ok=bool(np.all(r_nodes > k_radius)), **audit)

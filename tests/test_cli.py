@@ -15,7 +15,7 @@ from geolab.descent import DescentResult, SweepoutFamily, SweepoutResult
 from geolab.errors import ConfigError
 from geolab.loops import iterate, make_loop, one_sided_velocities
 
-from conftest import great_circle_loop, save_loop_json, waist_loop
+from conftest import ZOO, great_circle_loop, save_loop_json, waist_loop
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -370,16 +370,75 @@ def test_cli_verify_chart(tmp_path):
     assert checks["pass"]
 
 
-def test_cli_verify_chart_nearly_parallel_plane(tmp_path):
-    # sample 6 of this seed draws v, w nearly parallel on the bump; the
-    # curvature of their plane must still match the finite-difference oracle
-    cfg = write_yaml(tmp_path / "cfg.yaml",
-                     "chart: bumped_cylinder\nn_samples: 25\nseed: 787255413\n")
-    out = str(tmp_path / "report.json")
-    assert main(["verify", "chart", "--config", cfg, "--quiet", "--out", out]) == 0
-    checks = read_report(out)["results"]["chart_self_tests"]
-    assert checks["curvature_fd_agreement"]["pass"], checks["curvature_fd_agreement"]
-    assert checks["pass"]
+@pytest.mark.parametrize("name", ZOO)
+def test_cli_verify_chart_links_hold_on_the_zoo(name):
+    # each link of the curvature chain within its derived bound, at seeds 0-7
+    from geolab import cli
+    from geolab.charts import make_chart
+    chart = make_chart(name)
+    for seed in range(8):
+        checks = cli._chart_self_tests(chart, RunConfig(chart=name, n_samples=50),
+                                       np.random.default_rng(seed))
+        assert checks["pass"], (seed, checks)
+
+
+def test_cli_verify_difference_link_holds_across_the_bump_junction():
+    # the bump's profile is C^3 at |z| = 1, so d g_thth jumps in its third
+    # derivative there; on stencils across it the two-step estimate alone
+    # undercounts the second derivative's error by up to 1.29
+    from geolab import cli
+    from geolab.charts import FD_STEP, make_chart
+    chart = make_chart("bumped_cylinder")
+    z = np.concatenate([side * (1.0 + FD_STEP * np.linspace(-3.0, 3.0, 601)) for side in (1, -1)])
+    x = np.stack([z, np.full(z.shape, 0.7)], axis=-1)
+    for f, df in ((chart.metric, chart.metric_deriv),
+                  (chart.metric_deriv, chart.metric_second_deriv)):
+        err, bound = cli._difference_link(f, df, x)
+        assert np.all(err <= bound)
+    # there the second derivative's error exceeds half its bound, and with it
+    # the two-step estimate |D(2h) - D(h)| / 3 alone
+    assert np.any(err > bound / 2)
+
+
+def _bump_without_the_rho_prime_square():
+    from geolab.charts import BumpedCylinder
+
+    class Chart(BumpedCylinder):
+        # d2 g_thth = 2 (rho'^2 + rho rho''), with its 2 rho'^2 dropped
+        def metric_second_deriv(self, x):
+            d2g = super().metric_second_deriv(x)
+            d1 = self.profile_jet(np.asarray(x, dtype=float)[..., 0])[1]
+            d2g[..., 0, 0, 1, 1] -= 2 * d1 * d1
+            return d2g
+
+    return Chart()
+
+
+def _funnel_with_scaled_curvature():
+    from geolab.charts import Funnel
+
+    class Chart(Funnel):
+        # the closed-form K alone is off, by one part in a million; the spray
+        # reads the profile, not gauss_curvature
+        def gauss_curvature(self, x):
+            return (1 + 1e-6) * super().gauss_curvature(x)
+
+    return Chart()
+
+
+@pytest.mark.parametrize("make, failing", [
+    # Brioschi reads the second derivative too, so the curvature link fails with it
+    (_bump_without_the_rho_prime_square, {"metric_second_deriv_fd", "brioschi_curvature"}),
+    (_funnel_with_scaled_curvature, {"brioschi_curvature"}),
+], ids=["bump_without_rho_prime_square", "funnel_with_scaled_curvature"])
+def test_cli_verify_chart_negative_controls_fail_at_their_link(make, failing):
+    from geolab import cli
+    chart = make()
+    for seed in range(8):
+        checks = cli._chart_self_tests(chart, RunConfig(chart=chart.name, n_samples=25),
+                                       np.random.default_rng(seed))
+        assert {k for k, c in checks.items() if isinstance(c, dict) and not c["pass"]} == failing
+        assert checks["pass"] is False
 
 
 def test_cli_verify_chart_integrates_each_start_once(monkeypatch):
@@ -428,15 +487,15 @@ def test_cli_verify_chart_integrates_each_start_once(monkeypatch):
 
 def test_cli_verify_reads_sectional_curvature_as_the_oracle_only(tmp_path, monkeypatch):
     # the closed-form K is the curvature both parts read; sectional_curvature
-    # runs only as the self-test's finite-difference oracle, once a sample,
-    # whichever module's name it goes through
+    # runs only as the self-test's Brioschi oracle, in one call over all its
+    # samples, whichever module's name it goes through
     import geolab
     from geolab.charts import sectional_curvature
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("finite_difference", False))
-        return sectional_curvature(*args, **kwargs)
+    def counted(chart, x):
+        calls.append(np.shape(x))
+        return sectional_curvature(chart, x)
 
     for mod in vars(geolab).values():
         if getattr(mod, "sectional_curvature", None) is sectional_curvature:
@@ -446,7 +505,7 @@ def test_cli_verify_reads_sectional_curvature_as_the_oracle_only(tmp_path, monke
     out = str(tmp_path / "report.json")
     assert main(["verify", "all", "--config", cfg, "--quiet", "--out", out]) == 0
     assert read_report(out)["results"]["pass"] is True
-    assert calls == [True] * min(25, 50)
+    assert calls == [(min(25, 50), 2)]
 
 
 def test_cli_verify_conjpoints_compact_skips(tmp_path):

@@ -513,12 +513,14 @@ def test_close_check_propagates_programming_errors():
         close_conjugate_points_check(BrokenPlane(), ell=5.0, k_radius=0.0, n_samples=5)
 
 
-def test_close_check_starves_without_admissible_curvature_samples():
+def test_close_check_discards_starts_outside_the_chart_until_segments_starve():
+    # part (a) reads K at its points without a domain check; in part (b)
+    # every start exits at time 0 and is discarded, 100 n_samples of them
     class NowherePlane(FlatPlane):
         def contains(self, x):
             return np.zeros(np.shape(x)[:-1], dtype=bool)
 
-    with pytest.raises(SamplingStarvationError):
+    with pytest.raises(SamplingStarvationError, match="after 501 attempts"):
         close_conjugate_points_check(NowherePlane(), ell=5.0, k_radius=0.0, n_samples=5)
 
 

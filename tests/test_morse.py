@@ -99,8 +99,10 @@ def test_index_and_nullity_band_logic():
     sv2 = SecondVariation(matrix=np.diag(eigs / n), method="exact_discrete",
                           n_nodes=n, dim=d)
     assert index_and_nullity(sv2).ambiguous
-    with pytest.raises(ValueError):
-        index_and_nullity(sv, zero_band=0.0)
+    # an all-zero spectrum has no band
+    with pytest.raises(ValueError, match="zero band"):
+        index_and_nullity(SecondVariation(matrix=np.zeros((n * d, n * d)),
+                                          method="exact_discrete", n_nodes=n, dim=d))
 
 
 def test_sphere_great_circle_index_nullity():
