@@ -345,10 +345,10 @@ def validate_family(chart: Chart, family: SweepoutFamily) -> None:
                          DiscreteLoop(nodes[1:], frame[1:]))
     for s in np.flatnonzero(dist > chart.segment_cap)[:1]:
         raise FamilyTearError(f"family members {s}, {s+1} are {dist[s]:.3g} apart "
-                              f"(cap {chart.segment_cap})", round_index=-1)
+                              f"(cap {chart.segment_cap})")
 
 
-def _resample(stack: _LoopStack, resolution, floor, round_index) -> int:
+def _resample(stack: _LoopStack, resolution, floor) -> int:
     """Respace the family one gap limit apart; returns the rebuilt member count.
 
     Each neighbor gap is measured in its limit: ``resolution``, or the chart
@@ -369,7 +369,7 @@ def _resample(stack: _LoopStack, resolution, floor, round_index) -> int:
     total = np.bincount(section, measure)
     units = np.ceil(total)
     if not units.sum() <= MAX_MEMBERS - 1:          # also an unmeasurable (inf) gap
-        raise FamilyTearError(f"family needs more than {MAX_MEMBERS} members", round_index)
+        raise FamilyTearError(f"family needs more than {MAX_MEMBERS} members")
     measure = measure * (units / np.maximum(total, 1e-300))[section]
     edges = np.concatenate([[0.0], np.cumsum(measure)])
     at = np.arange(1.0, units.sum())
@@ -472,7 +472,7 @@ def minimax_sweepout(chart: Chart, family: SweepoutFamily,
                                  max_move=move_limit)
         all_done = not np.any(status == "moved")
         floor = max(VALUE_FLOOR, 1e-9 * float(np.max(np.abs(stack.energy))))
-        insertions += _resample(stack, resolution, floor, rounds)
+        insertions += _resample(stack, resolution, floor)
         value = float(np.max(stack.energy))
         if all_done or value <= VALUE_FLOOR:
             break

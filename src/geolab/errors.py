@@ -33,10 +33,6 @@ class RefineNeededError(GeolabError):
 class FamilyTearError(GeolabError):
     """A sweepout family tore apart beyond the insertion budget."""
 
-    def __init__(self, message: str, round_index: int):
-        super().__init__(message)
-        self.round_index = round_index
-
 
 class SamplingStarvationError(GeolabError):
     """Could not draw enough admissible samples within the oversampling budget."""

@@ -22,8 +22,10 @@ period pi / w, so any step with h w < pi suffices.
 The lab's one integrator, ``flow.dopri_batch``, steps x, v and Y with the
 embedded Dormand-Prince 5(4) pair: on steps it chooses, each within the
 one tolerance ``FLOW_TOL`` and capped so that h w stays far under pi, or
-on a given grid of row times, which the shooting re-shoots and the
-at-infinity segments replay.
+on a given grid of row times, which only the shooting's re-shoots replay.
+The at-infinity segments run on chosen steps in the region itself: a copy
+of the chart whose domain is {r > k_radius}, so the flow's exit test is
+the region test.
 
 For a closed geodesic, expressing the time-1 fundamental matrix in a single
 basis (undoing the holonomy of the frame) produces the linearized return
@@ -47,6 +49,7 @@ tolerances are module constants; no caller sets them.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -70,7 +73,6 @@ RANK_REL = 1e-4             # singular values below this span the kernel; omega 
 CLOSURE_TOL = 1e-2          # closure residual (relative to the speed) of a shot orbit
 SHOOT_TOL = 1e-9            # closure residual (relative to the speed) that ends the shooting
 SHOOT_MAX_ITER = 8          # Gauss-Newton steps of one shooting
-STEPS_PER_UNIT = 32         # grid rows per unit length of an at-infinity segment
 MAX_SEGMENTS = 16           # a closed orbit is shot as gcd(N, MAX_SEGMENTS) segments
 # One tolerance for every integration: each step's error estimate, relative
 # to max(1, |state|), for every member.  The consumers need the Y rows to
@@ -264,12 +266,10 @@ def _refine_root(grid_t: np.ndarray, y: np.ndarray, dy: np.ndarray, k: int) -> f
     return float(0.5 * (lo + hi))
 
 
-def conjugate_points(chart: Chart, start: TangentVector, t: float,
-                     grid: np.ndarray | None = None) -> ConjugateReport:
+def conjugate_points(chart: Chart, start: TangentVector, t: float) -> ConjugateReport:
     """Conjugate times in (0, t] along the geodesic from ``start``: the
-    ``Orbit.conjugate_report`` scan of one integration (on ``grid`` when
-    given)."""
-    return jacobi_propagate(chart, start, t, grid).conjugate_report()
+    ``Orbit.conjugate_report`` scan of one integration."""
+    return jacobi_propagate(chart, start, t).conjugate_report()
 
 
 def _scan_conjugate_points(grid: np.ndarray, ys: np.ndarray) -> ConjugateReport:
@@ -468,17 +468,21 @@ def close_conjugate_points_check(chart: Chart, ell: float, k_radius: float,
     Part (b): sample unit-speed geodesic segments of length ell whose trace
     stays in the region (leaving segments are discarded and resampled) and
     require empty conjugate reports.  The segments are integrated in
-    blocks, each replaying one grid of max(64, ``STEPS_PER_UNIT`` ell) even
-    steps, whose rows the region test reads, and every kept segment's Y
-    rows get one scan, the criterion ``conjugate_points`` applies.  The
-    Rauch comparison direction says (a) passing forces (b) to pass; the
-    report records both verdicts and their consistency.
+    blocks on chosen steps in the region itself, a shallow copy of the
+    chart whose ``contains`` also requires r > k_radius: a segment is kept
+    exactly when its exit time is inf, every stage point of its steps
+    inside the region, and each kept segment's Y rows get one scan, the
+    criterion ``conjugate_points`` applies.  The Rauch comparison direction
+    says (a) passing forces (b) to pass; the report records both verdicts
+    and their consistency.
     """
     if ell <= 0:
         raise ValueError("ell must be positive")
     if chart.compact:
         raise ValueError("the check needs a non-compact chart with an exhaustion")
     rng = np.random.default_rng(seed)
+    region = copy.copy(chart)
+    region.contains = lambda x: np.asarray(chart.contains(x)) & (chart.exhaustion(x) > k_radius)
     band = sample_band if sample_band is not None else max(ell, 5.0)
     bound = (np.pi / ell) ** 2
 
@@ -496,23 +500,21 @@ def close_conjugate_points_check(chart: Chart, ell: float, k_radius: float,
     checked = 0
     discarded = 0
     attempts = 0
-    grid = np.linspace(0.0, ell, max(64, int(np.ceil(STEPS_PER_UNIT * ell))) + 1)
     while checked < n_samples:
         block = min(n_samples - checked, 100 * n_samples - attempts)
         if block == 0:
             raise SamplingStarvationError(
                 f"could not find {n_samples} segments staying in r > {k_radius} "
-                f"after {attempts + 1} attempts"
+                f"after {attempts} attempts"
             )
         attempts += block
         starts = sample_unit_starts(chart, rng, block, k_radius, k_radius + band)
-        orbit, exit_time = jacobi_propagate(chart, starts, ell, grid)
-        # escaped members hold NaN rows, which fail the comparison
-        kept = np.isinf(exit_time) & np.all(chart.exhaustion(orbit.x) > k_radius, axis=1)
+        orbit, exit_time = jacobi_propagate(region, starts, ell)
+        kept = np.isinf(exit_time)
         discarded += block - int(np.count_nonzero(kept))
         checked += int(np.count_nonzero(kept))
         for j in np.flatnonzero(kept):
-            report = _scan_conjugate_points(grid, orbit.y[j])
+            report = _scan_conjugate_points(orbit.grid, orbit.y[j])
             if report.count > 0:
                 hits.append({
                     "start": starts.base[j].tolist(),

@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -628,3 +629,31 @@ def test_every_module_level_name_is_referenced():
                          if name not in exempt and not name.startswith("__")
                          and not any(name in r for j, r in enumerate(refs) if j != k)]
     assert unreferenced == []
+
+
+def test_every_docstring_reference_names_something():
+    # each part of the leading dotted identifier of a ``reference`` in the
+    # package's docstrings and comments must name something the package
+    # still has: a function, class, attribute, argument, keyword, module or
+    # string constant; a deleted name left in prose fails
+    names, quoted = set(), []
+    for path in sorted((REPO / "src" / "geolab").glob("*.py")):
+        text = path.read_text()
+        names.add(path.stem)
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+                names.add(node.arg)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+        quoted += [(path.stem, ref.rstrip(".")) for ref in re.findall(r"``([A-Za-z_][\w.]*)", text)]
+    assert quoted
+    assert [f"{module}: ``{ref}``" for module, ref in quoted
+            if not all(part in names for part in ref.split("."))] == []

@@ -235,9 +235,9 @@ def test_resample_spacing_on_relaxed_latitudes():
     stack = _LoopStack.of(sph, None, None, family.members, family.frozen)
     resolution = RESOLUTION_FACTOR * sph.segment_cap
     floor = 1e-9 * 4 * np.pi**2
-    for r in range(1, 21):
+    for _ in range(20):
         _armijo_step(stack, np.flatnonzero(~stack.frozen), 1e-8, max_move=0.5 * resolution)
-        _resample(stack, resolution, floor, r)
+        _resample(stack, resolution, floor)
     _armijo_step(stack, np.flatnonzero(~stack.frozen), 1e-8, max_move=0.5 * resolution)
     ends = [(stack.nodes[i].copy(), stack.frame[i], stack.energy[i]) for i in (0, -1)]
     dist, gauge = pair_distance(sph, stack.loop(slice(None, -1)), stack.loop(slice(1, None)))
@@ -246,7 +246,7 @@ def test_resample_spacing_on_relaxed_latitudes():
     units = [np.ceil(np.sum(dist[run] / limit[run])) for run in _sections(limit, gauge)]
     assert len(units) > 1        # the family crosses the gauge seam
 
-    built = _resample(stack, resolution, floor, 21)
+    built = _resample(stack, resolution, floor)
     assert stack.size == sum(units) + 1 == built + 2
     assert stack.size >= np.ceil(np.sum(dist / limit)) + 1
     for i, (nodes, frame, e) in zip((0, -1), ends):

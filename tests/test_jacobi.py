@@ -3,9 +3,10 @@ import pytest
 
 from geolab.charts import (FlatPlane, Funnel, TangentVector, make_chart, metric_speed,
                            sample_unit_starts)
-from geolab import jacobi
+from geolab import flow, jacobi
 from geolab.errors import DomainEscapeError, NotAGeodesicError, SamplingStarvationError
 from geolab.jacobi import (
+    TIME_TOL,
     close_conjugate_points_check,
     conjugate_points,
     eigenspace_dimension,
@@ -496,12 +497,61 @@ def test_close_check_bumped_cylinder(monkeypatch):
     assert segments["discarded"] == 0
     assert len(segments["conjugate_hits"]) == 1
     assert crossing["rauch_consistent"]
-    # the scan of the check's own orbit is the report conjugate_points gives
+    # the scan of the check's own orbit is the report conjugate_points gives,
+    # the steps chosen for one start instead of for its block
     monkeypatch.setattr(jacobi, "jacobi_propagate", integrate)
     for hit in segments["conjugate_hits"]:
-        report = conjugate_points(bc, TangentVector(hit["start"], hit["velocity"]), 12.0,
-                                  np.linspace(0.0, 12.0, 385))
-        assert report.times == hit["times"]
+        report = conjugate_points(bc, TangentVector(hit["start"], hit["velocity"]), 12.0)
+        assert len(report.times) == len(hit["times"])
+        assert np.allclose(report.times, hit["times"], rtol=0.0, atol=TIME_TOL)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_close_check_bumped_cylinder_segments_take_few_stages(monkeypatch, seed):
+    # the segments take the steps the flow chooses, not one replayed even
+    # grid of max(64, 32 ell) rows per block (577 stages a block at ell 3)
+    calls = [0]
+    spray = flow.spray
+
+    def counted(*args):
+        calls[0] += 1
+        return spray(*args)
+
+    monkeypatch.setattr(flow, "spray", counted)
+    close_conjugate_points_check(make_chart("bumped_cylinder"), ell=3.0, k_radius=1.0,
+                                 n_samples=25, seed=seed)
+    assert calls[0] < 200
+
+
+@pytest.mark.parametrize("name, ell, k_radius", [
+    ("bumped_cylinder", 3.0, 1.0), ("funnel", 3.0, 0.5), ("hyperbolic", 3.0, 0.5),
+    ("paraboloid", 10.0, 1.2), ("plane", 5.0, 0.0), ("cylinder", 5.0, 0.5),
+])
+def test_close_check_keeps_the_segments_the_even_grid_row_test_kept(monkeypatch, name, ell,
+                                                                     k_radius):
+    # the region's exit test against the row test it replaced: each block's
+    # starts replayed on the chart itself over max(64, 32 ell) even steps,
+    # kept when they stay in the chart and r > k_radius at every row
+    chart = make_chart(name)
+    integrate = jacobi.jacobi_propagate
+    masks = []
+
+    def compared(region, starts, t):
+        orbit, exit_time = integrate(region, starts, t)
+        grid = np.linspace(0.0, t, max(64, int(np.ceil(32 * t))) + 1)
+        even, even_exit = integrate(chart, starts, t, grid)
+        rows_inside = np.all(chart.exhaustion(even.x) > k_radius, axis=1)
+        masks.append((np.isinf(exit_time), np.isinf(even_exit) & rows_inside))
+        return orbit, exit_time
+
+    monkeypatch.setattr(jacobi, "jacobi_propagate", compared)
+    for seed in range(4):
+        masks.clear()
+        report = close_conjugate_points_check(chart, ell, k_radius, n_samples=25, seed=seed)
+        for kept, rows_kept in masks:
+            assert np.array_equal(kept, rows_kept)
+        assert sum(int(np.count_nonzero(kept)) for kept, _ in masks) == 25
+        assert report["segments"]["checked"] == 25
 
 
 def test_close_check_propagates_programming_errors():
@@ -520,7 +570,7 @@ def test_close_check_discards_starts_outside_the_chart_until_segments_starve():
         def contains(self, x):
             return np.zeros(np.shape(x)[:-1], dtype=bool)
 
-    with pytest.raises(SamplingStarvationError, match="after 501 attempts"):
+    with pytest.raises(SamplingStarvationError, match="after 500 attempts"):
         close_conjugate_points_check(NowherePlane(), ell=5.0, k_radius=0.0, n_samples=5)
 
 
@@ -530,7 +580,7 @@ def test_close_check_segment_starvation_trips_at_attempt_limit():
         def exhaustion(self, x):
             return np.zeros(np.shape(x)[:-1])
 
-    with pytest.raises(SamplingStarvationError, match="after 301 attempts"):
+    with pytest.raises(SamplingStarvationError, match="after 300 attempts"):
         close_conjugate_points_check(FloorPlane(), ell=2.0, k_radius=0.0, n_samples=3)
 
 
