@@ -64,12 +64,13 @@ class TangentVector:
 
 
 class Chart:
-    """Base class: domain guards, periodic wrapping and oracle derivatives.
+    """Base class: domain guards and periodic wrapping.
 
     Subclasses provide ``metric``, ``metric_deriv``, ``metric_second_deriv``,
-    ``gauss_curvature`` and ``spray`` in closed form and set ``dim``.  The
-    base ``metric_deriv`` and exhaustion derivatives are central differences
-    of ``metric`` and ``exhaustion``, the oracles of the analytic ones.
+    ``gauss_curvature`` and ``spray`` in closed form and set ``dim``; a
+    non-compact chart also provides ``exhaustion`` with its gradient
+    ``exhaustion_grad`` and Hessian ``exhaustion_hess``.  The oracles of
+    these closed forms are ``central_difference`` of the one below.
     """
 
     name = "abstract"
@@ -91,8 +92,7 @@ class Chart:
         raise NotImplementedError
 
     def metric_deriv(self, x: np.ndarray) -> np.ndarray:
-        """Central finite differences of ``metric``, step ``FD_STEP``."""
-        return central_difference(self.metric, x)
+        raise NotImplementedError
 
     def spray(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(-Gamma(v, v), K g(v, v)) in closed form, over leading batch axes."""
@@ -145,13 +145,6 @@ class Chart:
 
     def exhaustion(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{self.name}: no exhaustion coordinate")
-
-    def exhaustion_grad(self, x: np.ndarray) -> np.ndarray:
-        return central_difference(self.exhaustion, x)
-
-    def exhaustion_hess(self, x: np.ndarray) -> np.ndarray:
-        out = central_difference(self.exhaustion_grad, x)
-        return 0.5 * (out + np.swapaxes(out, -1, -2))
 
     # -- misc ---------------------------------------------------------------
 
@@ -310,53 +303,6 @@ def sample_unit_starts(chart: Chart, rng: np.random.Generator, count: int,
 # ---------------------------------------------------------------------------
 
 
-class FlatPlane(Chart):
-    """Euclidean plane, identity metric; exhaustion r = |x|."""
-
-    name = "plane"
-
-    def metric(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
-
-    def metric_deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (2, 2, 2))
-
-    def metric_second_deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (2, 2, 2, 2))
-
-    def spray(self, x, v):
-        v = np.asarray(v, dtype=float)
-        return np.zeros(v.shape), np.zeros(v.shape[:-1])
-
-    def gauss_curvature(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1])
-
-    def exhaustion(self, x):
-        return np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
-
-    def exhaustion_grad(self, x):
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        return x / np.maximum(r, 1e-14)
-
-    def exhaustion_hess(self, x):
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
-        xhat = x / np.maximum(r[..., None], 1e-14)
-        eye = np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
-        proj = eye - xhat[..., :, None] * xhat[..., None, :]
-        return proj / np.maximum(r[..., None, None], 1e-14)
-
-    def sample_point(self, rng, r_min=0.0, r_max=3.0):
-        r = rng.uniform(r_min, r_max)
-        phi = rng.uniform(0, 2 * np.pi)
-        return np.array([r * np.cos(phi), r * np.sin(phi)])
-
-
 class _ProfileChart(Chart):
     """Surface-of-revolution-type metric diag(1, rho(z)^2) in (z, theta).
 
@@ -501,14 +447,12 @@ class BumpedCylinder(_ProfileChart):
 class _ConformalChart(Chart):
     """Conformal metric lambda(|u|^2) * I on a planar domain.
 
-    With phi = 1/2 log lambda, Gamma^k_ij = delta_kj d_i phi + delta_ki d_j phi
-    - delta_ij d_k phi, so the spray is -Gamma(v, v) = |v|^2 grad phi
-    - 2 (grad phi . v) v; subclasses give grad phi through ``_grad_phi``.
+    Subclasses give lambda and its first two derivatives in s = |u|^2
+    (``_lam``, ``_dlam``, ``_d2lam``); the metric jet and the spray follow.
+    With phi = 1/2 log lambda, grad phi = (lambda'/lambda) u and
+    Gamma^k_ij = delta_kj d_i phi + delta_ki d_j phi - delta_ij d_k phi, so
+    the spray is -Gamma(v, v) = |v|^2 grad phi - 2 (grad phi . v) v.
     """
-
-    def _grad_phi(self, x, s):
-        """grad phi at x, with s = |x|^2."""
-        raise NotImplementedError
 
     def _lam(self, s):
         raise NotImplementedError
@@ -547,13 +491,52 @@ class _ConformalChart(Chart):
 
     def spray(self, x, v):
         x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-        x0, x1, v0, v1 = x[..., 0], x[..., 1], v[..., 0], v[..., 1]
-        s = x0 * x0 + x1 * x1
-        p = self._grad_phi(x, s)
-        vv = v0 * v0 + v1 * v1
-        pv = p[..., 0] * v0 + p[..., 1] * v1
-        acc = vv[..., None] * p - (2 * pv)[..., None] * v
-        return acc, self.gauss_curvature(x) * self._lam(s) * vv
+        s = (x * x).sum(-1, keepdims=True)     # keeps its last axis, as in metric_deriv
+        lam = self._lam(s)
+        p = self._dlam(s) / lam * x             # grad phi
+        vv = (v * v).sum(-1, keepdims=True)
+        acc = vv * p - 2 * (p * v).sum(-1, keepdims=True) * v
+        return acc, self.gauss_curvature(x) * lam[..., 0] * vv[..., 0]
+
+
+class FlatPlane(_ConformalChart):
+    """Euclidean plane, the conformal chart with lambda = 1; exhaustion r = |x|."""
+
+    name = "plane"
+
+    def _lam(self, s):
+        return np.ones(np.shape(s))
+
+    def _dlam(self, s):
+        return np.zeros(np.shape(s))
+
+    def _d2lam(self, s):
+        return np.zeros(np.shape(s))
+
+    def gauss_curvature(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.zeros(x.shape[:-1])
+
+    def exhaustion(self, x):
+        return np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
+
+    def exhaustion_grad(self, x):
+        x = np.asarray(x, dtype=float)
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        return x / np.maximum(r, 1e-14)
+
+    def exhaustion_hess(self, x):
+        x = np.asarray(x, dtype=float)
+        r = np.linalg.norm(x, axis=-1)
+        xhat = x / np.maximum(r[..., None], 1e-14)
+        eye = np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
+        proj = eye - xhat[..., :, None] * xhat[..., None, :]
+        return proj / np.maximum(r[..., None, None], 1e-14)
+
+    def sample_point(self, rng, r_min=0.0, r_max=3.0):
+        r = rng.uniform(r_min, r_max)
+        phi = rng.uniform(0, 2 * np.pi)
+        return np.array([r * np.cos(phi), r * np.sin(phi)])
 
 
 class SphereStereographic(_ConformalChart):
@@ -580,9 +563,6 @@ class SphereStereographic(_ConformalChart):
 
     def _d2lam(self, s):
         return 24.0 / (1.0 + s) ** 4
-
-    def _grad_phi(self, x, s):
-        return -2.0 * x / (1.0 + s)[..., None]
 
     def gauss_curvature(self, x):
         x = np.asarray(x, dtype=float)
@@ -621,9 +601,6 @@ class PoincareDisk(_ConformalChart):
 
     def _d2lam(self, s):
         return 24.0 / (1.0 - s) ** 4
-
-    def _grad_phi(self, x, s):
-        return 2.0 * x / (1.0 - s)[..., None]
 
     def gauss_curvature(self, x):
         x = np.asarray(x, dtype=float)

@@ -13,7 +13,7 @@ one preconditioner and one trial-energy call per backtracking round for
 all members, which part ways only through masks.  ``descend_starts``
 descends many starts as one stack, each member on its own step budget;
 ``descend`` is its batch of one.  The sweepout minimax keeps its family
-as a stack: every free member steps each round, one stacked neighbor
+as a stack: every member steps each round, one stacked neighbor
 distance and one stacked nodewise interpolation then respace the family
 evenly in units of its resolution, the lowest family max is tracked
 until it stops falling, and the argmax bracket is then bisected down to
@@ -82,7 +82,7 @@ class DescentResult:
     grad_norm: float
 
 
-_MEMBER_FIELDS = ("nodes", "frame", "energy", "tau", "stall", "frozen")
+_MEMBER_FIELDS = ("nodes", "frame", "energy", "tau", "stall")
 
 
 @dataclass
@@ -97,11 +97,10 @@ class _LoopStack:
     energy: np.ndarray       # objective value
     tau: np.ndarray          # trusted step size
     stall: np.ndarray        # accepted steps in a row without float-resolved progress
-    frozen: np.ndarray       # members the sweepout never steps
 
     @classmethod
     def of(cls, chart: Chart, schedule: PenaltySchedule | None, alpha: int | None,
-           loops, frozen=None) -> "_LoopStack":
+           loops) -> "_LoopStack":
         """Stack ``loops`` under the penalized energy (the energy without a schedule)."""
         if schedule is None:
             value, gradient = partial(energy, chart), partial(energy_gradient, chart)
@@ -111,8 +110,7 @@ class _LoopStack:
         m = len(loops)
         nodes, frame = np.stack([lp.nodes for lp in loops]), np.array([lp.frame for lp in loops])
         return cls(chart, value, gradient, nodes, frame, value(DiscreteLoop(nodes, frame)),
-                   np.full(m, INITIAL_STEP), np.zeros(m, dtype=int),
-                   np.zeros(m, dtype=bool) if frozen is None else np.array(frozen, dtype=bool))
+                   np.full(m, INITIAL_STEP), np.zeros(m, dtype=int))
 
     @property
     def size(self) -> int:
@@ -124,7 +122,7 @@ class _LoopStack:
 
     def insert(self, s, loops: DiscreteLoop, tau) -> None:
         """Insert the stack ``loops`` before the members at positions ``s`` (np.insert)."""
-        row = (loops.nodes, loops.frame, self.value(loops), tau, 0, False)
+        row = (loops.nodes, loops.frame, self.value(loops), tau, 0)
         for name, v in zip(_MEMBER_FIELDS, row):
             setattr(self, name, np.insert(getattr(self, name), s, v, axis=0))
 
@@ -283,16 +281,13 @@ def descend(chart: Chart, loop: DiscreteLoop, schedule: PenaltySchedule | None =
 
 @dataclass
 class SweepoutFamily:
-    """Ordered one-parameter family of loops; frozen end members never move."""
+    """Ordered one-parameter family of loops.
+
+    Every member steps in the sweepout.  An end member that is a critical
+    point (a constant loop) converges at once and so never moves.
+    """
 
     members: list
-    frozen: list
-
-    def __post_init__(self):
-        if len(self.members) != len(self.frozen):
-            raise ValueError("frozen flags must match the member count")
-        if any(self.frozen[1:-1]):
-            raise ValueError("only the end members of a family may be frozen")
 
     @property
     def size(self) -> int:
@@ -425,7 +420,6 @@ def _polish_bracket(stack: _LoopStack, k, opts, sweep):
             ):
                 success = True
                 break
-    stack.frozen[lo:lo + n] = False
     return lo + int(np.argmax(stack.energy[lo:lo + n])), values, cycles, success
 
 
@@ -435,13 +429,14 @@ def minimax_sweepout(chart: Chart, family: SweepoutFamily,
                      sweep: SweepOptions = SweepOptions()) -> SweepoutResult:
     """Relax a sweepout family and return the stabilized max of the energy.
 
-    A single free member degenerates exactly to ``descend``.  Two stages:
+    A single member degenerates exactly to ``descend``.  Two stages:
 
-    1. relax - all non-frozen members take one bounded descent step per
-       round (one stacked step), and ``_resample`` then respaces the family
-       at its working resolution, until ``STABLE_WINDOW`` rounds pass
-       without the family max falling by more than ``RELAX_REL`` below its
-       lowest level (or everything converges, or the max hits the floor);
+    1. relax - every member takes one bounded descent step per round (one
+       stacked step; a converged member, such as a constant end loop, stays
+       put), and ``_resample`` then respaces the family at its working
+       resolution, until ``STABLE_WINDOW`` rounds pass without the family
+       max falling by more than ``RELAX_REL`` below its lowest level (or
+       everything converges, or the max hits the floor);
     2. polish - adaptive midpoint bisection of the argmax bracket drives
        the argmax member to an approximate critical point (preconditioned
        gradient below ``argmax_grad_tol``) and the max to ``STABLE_REL``
@@ -453,13 +448,13 @@ def minimax_sweepout(chart: Chart, family: SweepoutFamily,
     toward the lowest family index.
     """
     validate_family(chart, family)
-    if family.size == 1 and not family.frozen[0]:
+    if family.size == 1:
         res = descend(chart, family.members[0], schedule, alpha, opts)
-        fam = SweepoutFamily([res.loop], [False])
+        fam = SweepoutFamily([res.loop])
         return SweepoutResult(res.energy, res.loop, fam, res.iterations,
                               res.converged, res.grad_norm, 0)
 
-    stack = _LoopStack.of(chart, schedule, alpha, family.members, family.frozen)
+    stack = _LoopStack.of(chart, schedule, alpha, family.members)
     insertions = 0
     rounds = 0
     all_done = False
@@ -468,7 +463,7 @@ def minimax_sweepout(chart: Chart, family: SweepoutFamily,
     # the family max at its last fall by more than RELAX_REL, and that round
     lowest, lowest_round = float(np.max(stack.energy)), 0
     for rounds in range(1, sweep.max_rounds + 1):
-        status, _ = _armijo_step(stack, np.flatnonzero(~stack.frozen), opts.grad_tol,
+        status, _ = _armijo_step(stack, np.arange(stack.size), opts.grad_tol,
                                  max_move=move_limit)
         all_done = not np.any(status == "moved")
         floor = max(VALUE_FLOOR, 1e-9 * float(np.max(np.abs(stack.energy))))
@@ -494,8 +489,7 @@ def minimax_sweepout(chart: Chart, family: SweepoutFamily,
     else:
         stable = True
 
-    out_family = SweepoutFamily([stack.loop(s) for s in range(stack.size)],
-                                [bool(f) for f in stack.frozen])
+    out_family = SweepoutFamily([stack.loop(s) for s in range(stack.size)])
     return SweepoutResult(
         value=value, argmax=stack.loop(k), family=out_family,
         rounds=rounds, stable=stable, argmax_grad_norm=argmax_grad,

@@ -32,7 +32,8 @@ def birkhoff_latitudes(chart: Chart, n_members: int = 33, n_nodes: int = 128) ->
     members (radius > 1) are built in the recentered gauge, where the same
     circle has radius (1-z)/(1+z)-ish < 1 and reversed orientation, so the
     family stays inside the chart guard and remains nodewise continuous
-    across the gauge switch.  Both pole members are frozen constant loops.
+    across the gauge switch.  Both pole members are constant loops, critical
+    at level 0, so the sweepout never moves them.
     """
     if chart.name != "sphere":
         raise ConfigError("the latitude sweepout needs the sphere chart")
@@ -52,32 +53,33 @@ def birkhoff_latitudes(chart: Chart, n_members: int = 33, n_nodes: int = 128) ->
                 make_loop(chart, latitude_circle(1.0 / radius, n_nodes, orientation=-1),
                           frame=1)
             )
-    frozen = [False] * n_members
-    frozen[0] = frozen[-1] = True
-    return SweepoutFamily(members, frozen)
+    return SweepoutFamily(members)
 
 
 def concentric_circles(chart: Chart, n_members: int = 17, n_nodes: int = 64,
                        r_max: float = 1.5) -> SweepoutFamily:
-    """Contractible plane family: circles grown from the origin and back."""
+    """Contractible plane family: circles grown from the origin and back.
+
+    Both end members are the constant loop at the origin, critical at level
+    0, so the sweepout never moves them.
+    """
     if n_members < 3:
         raise ConfigError("concentric sweepout needs at least 3 members")
     members = []
     for s in range(n_members):
         radius = r_max * np.sin(np.pi * s / (n_members - 1))
         members.append(circle_loop(chart, np.zeros(2), max(radius, 0.0), n_nodes))
-    frozen = [False] * n_members
-    frozen[0] = frozen[-1] = True
-    return SweepoutFamily(members, frozen)
+    return SweepoutFamily(members)
 
 
 def winding_band(chart: Chart, n_members: int = 9, n_nodes: int = 128,
                  z_center: float = 5.0, z_halfwidth: float = 1.0) -> SweepoutFamily:
     """Non-contractible family on a revolution chart: circles winding once.
 
-    Members sit at evenly spaced heights in [z_center - h, z_center + h];
-    none is frozen (every member lies in the same nontrivial class, so the
-    whole family may slide to the minimizer).
+    Members sit at evenly spaced heights in [z_center - h, z_center + h].
+    Its ends are meant to move as much as its interior: every member lies in
+    the same nontrivial class, so the whole family may slide to the
+    minimizer.
     """
     if chart.periods is None or not np.isfinite(chart.periods[1]):
         raise ConfigError("winding family needs a chart with a periodic angle")
@@ -90,7 +92,7 @@ def winding_band(chart: Chart, n_members: int = 9, n_nodes: int = 128,
     for z in heights:
         nodes = np.stack([np.full(n_nodes, z), ts], axis=1)
         members.append(make_loop(chart, nodes))
-    return SweepoutFamily(members, [False] * n_members)
+    return SweepoutFamily(members)
 
 
 def random_loop(chart: Chart, rng: np.random.Generator, n_nodes: int = 128,

@@ -3,9 +3,10 @@ import pytest
 
 import geolab
 from geolab.charts import (
-    Chart,
+    CHART_BUILDERS,
     FlatPlane,
     TangentVector,
+    central_difference,
     christoffels,
     christoffels_of_metric,
     curvature_operator,
@@ -43,6 +44,26 @@ def test_christoffels_flat_plane_zero(rng):
     assert np.allclose(christoffels(plane, x), 0.0)
 
 
+def test_plane_is_exactly_flat_through_the_conformal_formulas(rng):
+    # the plane is the conformal chart with lambda = 1: its jet, spray,
+    # connection and curvature are zero exactly, not within a tolerance
+    plane = make_chart("plane")
+    for shape in ((2,), (3, 4, 2)):
+        x, v = 3 * rng.standard_normal(shape), rng.standard_normal(shape)
+        batch = shape[:-1]
+        assert np.array_equal(plane.metric(x), np.broadcast_to(np.eye(2), batch + (2, 2)))
+        for value, axes in ((plane.metric_deriv(x), 3), (plane.metric_second_deriv(x), 4),
+                            *zip(spray(plane, x, v), (1, 0)), (christoffels(plane, x), 3),
+                            (plane.gauss_curvature(x), 0)):
+            assert value.shape == batch + (2,) * axes
+            assert np.all(value == 0)
+
+
+def test_zoo_fixture_covers_every_chart():
+    # a chart missing from ZOO would escape every zoo-parametrized test
+    assert set(ZOO) == set(CHART_BUILDERS)
+
+
 def test_christoffels_funnel_waist_symmetry():
     fun = make_chart("funnel")
     gam = christoffels(fun, np.array([0.0, 0.0]))
@@ -66,7 +87,7 @@ def test_christoffels_closed_form_oracle(zoo_chart, rng):
     x = sample_batch(zoo_chart, rng, 200)
     closed = christoffels(zoo_chart, x)
     scale = np.max(np.abs(closed), axis=(-3, -2, -1))
-    fd = christoffels_of_metric(zoo_chart.metric(x), Chart.metric_deriv(zoo_chart, x))
+    fd = christoffels_of_metric(zoo_chart.metric(x), central_difference(zoo_chart.metric, x))
     assert np.max(np.abs(closed - fd)) <= 1e-6 * max(np.max(scale), 1.0)
 
 
@@ -189,8 +210,8 @@ def test_spray_closed_form_oracle(zoo_chart, rng):
     scale = np.max(np.abs(gam), axis=(-3, -2, -1)) * vv + vv
     closed = -np.einsum("...kij,...i,...j->...k", gam, v, v)
     assert np.all(np.max(np.abs(acc - closed), axis=-1) <= 1e-14 * scale)
-    fd = -np.einsum("...kij,...i,...j->...k",
-                    christoffels_of_metric(zoo_chart.metric(x), Chart.metric_deriv(zoo_chart, x)),
+    dg_fd = central_difference(zoo_chart.metric, x)
+    fd = -np.einsum("...kij,...i,...j->...k", christoffels_of_metric(zoo_chart.metric(x), dg_fd),
                     v, v)
     assert np.all(np.max(np.abs(acc - fd), axis=-1) <= 1e-6 * scale)
     g = zoo_chart.metric(x)
@@ -325,13 +346,12 @@ def test_exhaustion_proper_on_rays():
 
 
 def test_exhaustion_grad_hess_fd(rng):
-    # analytic overrides against the generic finite-difference fallback
+    # the closed forms against central differences of the one below
     for name in ("plane", "hyperbolic", "paraboloid"):
         chart = make_chart(name)
         x = chart.sample_point(rng, 0.7, 2.0)
-        from geolab.charts import Chart
-        g_fd = Chart.exhaustion_grad(chart, x)
-        h_fd = Chart.exhaustion_hess(chart, x)
+        g_fd = central_difference(chart.exhaustion, x)
+        h_fd = central_difference(chart.exhaustion_grad, x)
         assert np.max(np.abs(chart.exhaustion_grad(x) - g_fd)) < 1e-6
         assert np.max(np.abs(chart.exhaustion_hess(x) - h_fd)) < 1e-5
 

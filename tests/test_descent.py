@@ -121,7 +121,7 @@ def test_preconditioned_norm_positive(rng):
 def test_single_member_family_reduces_to_descend(rng):
     plane = make_chart("plane")
     loop = random_loop(plane, rng, 32)
-    family = SweepoutFamily([loop], [False])
+    family = SweepoutFamily([loop])
     res_sweep = minimax_sweepout(plane, family)
     res_desc = descend(plane, loop)
     assert abs(res_sweep.value - res_desc.energy) < 1e-12
@@ -136,6 +136,24 @@ def test_concentric_family_descends_to_zero():
     assert res.stable
 
 
+@pytest.mark.parametrize("chart_name, make, sweep", [
+    ("sphere", lambda c: birkhoff_latitudes(c, 9, 128), SweepOptions(max_rounds=50)),
+    ("plane", lambda c: concentric_circles(c, 11, 48, r_max=1.2), SweepOptions()),
+], ids=["latitudes", "concentric"])
+def test_constant_end_members_never_move(chart_name, make, sweep):
+    # the sweepout steps every member: a constant end loop is critical at
+    # level 0, so each step finds it converged and leaves it as it is
+    chart = make_chart(chart_name)
+    family = make(chart)
+    res = minimax_sweepout(chart, family, sweep=sweep)
+    ends = [res.family.members[i] for i in (0, -1)]
+    for got, want in zip(ends, (family.members[0], family.members[-1])):
+        assert np.array_equal(got.nodes, want.nodes) and got.frame == want.frame
+    stack = _LoopStack.of(chart, None, None, ends)
+    status, _ = _armijo_step(stack, np.arange(2), DescentOptions().grad_tol)
+    assert list(status) == ["converged", "converged"]
+
+
 def test_pole_to_pole_family_is_torn():
     # the two gauges' chart origins are the two poles, pi apart on the
     # sphere: each gauge holds the other's origin at chart infinity
@@ -145,7 +163,7 @@ def test_pole_to_pole_family_is_torn():
     assert not np.any(np.isfinite(sph.recenter_map(np.zeros(2))))
     assert loop_distance(sph, south, north) == np.inf
     with pytest.raises(FamilyTearError):
-        validate_family(sph, SweepoutFamily([south, north], [True, True]))
+        validate_family(sph, SweepoutFamily([south, north]))
 
 
 def test_winding_family_funnel_waist_value():
@@ -162,7 +180,7 @@ def test_minimax_reversal_invariance():
     family = winding_band(fun, 5, 96, z_center=3.0, z_halfwidth=0.5)
     fwd = minimax_sweepout(fun, family, sched, 0)
     rev_members = list(reversed(winding_band(fun, 5, 96, 3.0, 0.5).members))
-    rev = minimax_sweepout(fun, SweepoutFamily(rev_members, [False] * 5), sched, 0)
+    rev = minimax_sweepout(fun, SweepoutFamily(rev_members), sched, 0)
     assert abs(fwd.value - rev.value) < 1e-6
 
 
@@ -170,14 +188,10 @@ def test_birkhoff_family_construction_valid():
     sph = make_chart("sphere")
     family = birkhoff_latitudes(sph, 17, 64)
     validate_family(sph, family)
-    assert family.frozen[0] and family.frozen[-1]
     assert family.members[0].frame == 0 and family.members[-1].frame == 1
     # south constant, equator at |u| = 1, north constant in the flipped gauge
     assert np.allclose(family.members[0].nodes, 0)
     assert np.allclose(family.members[-1].nodes, 0)
-    # the sweepout rebuilds every interior member, so none may be frozen
-    with pytest.raises(ValueError):
-        SweepoutFamily(family.members, [True] * family.size)
 
 
 def test_birkhoff_minimax_small():
@@ -198,9 +212,9 @@ def test_birkhoff_minimax_orientation_and_shift(variant):
     sph = make_chart("sphere")
     family = birkhoff_latitudes(sph, 17, 64)
     if variant == "reversed":
-        other = SweepoutFamily(family.members[::-1], family.frozen[::-1])
+        other = SweepoutFamily(family.members[::-1])
     else:
-        other = SweepoutFamily([circle_shift(lp, 5) for lp in family.members], family.frozen)
+        other = SweepoutFamily([circle_shift(lp, 5) for lp in family.members])
     sweep = SweepOptions(max_rounds=3000)
     fwd = minimax_sweepout(sph, family, sweep=sweep)
     res = minimax_sweepout(sph, other, sweep=sweep)
@@ -232,13 +246,13 @@ def _sections(limit, gauge):
 def test_resample_spacing_on_relaxed_latitudes():
     sph = make_chart("sphere")
     family = birkhoff_latitudes(sph, 17, 64)
-    stack = _LoopStack.of(sph, None, None, family.members, family.frozen)
+    stack = _LoopStack.of(sph, None, None, family.members)
     resolution = RESOLUTION_FACTOR * sph.segment_cap
     floor = 1e-9 * 4 * np.pi**2
     for _ in range(20):
-        _armijo_step(stack, np.flatnonzero(~stack.frozen), 1e-8, max_move=0.5 * resolution)
+        _armijo_step(stack, np.arange(stack.size), 1e-8, max_move=0.5 * resolution)
         _resample(stack, resolution, floor)
-    _armijo_step(stack, np.flatnonzero(~stack.frozen), 1e-8, max_move=0.5 * resolution)
+    _armijo_step(stack, np.arange(stack.size), 1e-8, max_move=0.5 * resolution)
     ends = [(stack.nodes[i].copy(), stack.frame[i], stack.energy[i]) for i in (0, -1)]
     dist, gauge = pair_distance(sph, stack.loop(slice(None, -1)), stack.loop(slice(1, None)))
     low = stack.energy <= floor
@@ -252,7 +266,6 @@ def test_resample_spacing_on_relaxed_latitudes():
     for i, (nodes, frame, e) in zip((0, -1), ends):
         assert np.array_equal(stack.nodes[i], nodes) and stack.frame[i] == frame
         assert stack.energy[i] == e
-    assert not stack.frozen[1:-1].any()
     low = stack.energy <= floor
     limit = np.where(low[:-1] & low[1:], sph.segment_cap, resolution)
     gaps = loop_distance(sph, stack.loop(slice(None, -1)), stack.loop(slice(1, None)))
