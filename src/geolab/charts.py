@@ -26,7 +26,12 @@ Index conventions used throughout:
 * ``metric_second_deriv(x)[..., l, k, i, j]`` = d_l d_k g_ij(x)
 * ``christoffels(...)[..., k, i, j]``     = Gamma^k_ij (symmetric in i, j)
 
-All metric-level evaluations broadcast over leading batch axes.
+All metric-level evaluations broadcast over leading batch axes, and a
+point's value never depends on its batch.  Sums over the length-d
+coordinate axis in the kernels a descent step runs are written term by
+term (``_squared_norm``): on a surface, numpy's per-call cost of a
+reduction over two entries dwarfs its two products, and the explicit sum
+gives numpy's reduction bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +44,17 @@ from .errors import ChartDomainError
 
 FD_STEP = 1e-5
 _EYE2 = np.eye(2)
+
+
+def _squared_norm(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """|x|^2 over the last axis, the squares summed term by term from k = 0:
+    for d = 2 bit for bit ``(x * x).sum(-1)``.  ``keepdims`` keeps a length-1
+    last axis, so that one point still runs numpy's array loops."""
+    sq = x * x
+    out = sq[..., 0]
+    for k in range(1, sq.shape[-1]):
+        out = out + sq[..., k]
+    return out[..., None] if keepdims else out
 
 
 def central_difference(f, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
@@ -118,7 +134,7 @@ class Chart:
         x = np.asarray(x, dtype=float)
         if np.isinf(self.guard_radius):
             return np.ones(x.shape[:-1], dtype=bool) if x.ndim > 1 else True
-        return np.sqrt((x * x).sum(-1)) < self.guard_radius
+        return np.sqrt(_squared_norm(x)) < self.guard_radius
 
     def reduce_point(self, x: np.ndarray) -> np.ndarray:
         """Wrap periodic coordinates into [0, period)."""
@@ -466,15 +482,14 @@ class _ConformalChart(Chart):
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)
-        s = (x * x).sum(-1)
-        lam = self._lam(s)
+        lam = self._lam(_squared_norm(x))
         return lam[..., None, None] * _EYE2
 
     def metric_deriv(self, x):
         x = np.asarray(x, dtype=float)
         # s keeps its last axis, so the power in _dlam runs numpy's array loop
         # also for one point (on a 0-d s it is C pow, which can differ in the last bit)
-        s = (x * x).sum(-1, keepdims=True)
+        s = _squared_norm(x, keepdims=True)
         dlam_dx = 2 * self._dlam(s) * x                     # [..., k]
         return dlam_dx[..., :, None, None] * _EYE2
 
@@ -570,7 +585,7 @@ class SphereStereographic(_ConformalChart):
 
     def recenter_map(self, x):
         x = np.asarray(x, dtype=float)
-        s = np.sum(x**2, axis=-1, keepdims=True)
+        s = _squared_norm(x, keepdims=True)
         # the origin's image is chart infinity, a point no chart holds
         out = np.where(s > 0, x / np.maximum(s, 1e-300), np.inf)
         out[..., 1] *= -1

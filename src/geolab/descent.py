@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import Chart
+from .charts import Chart, _squared_norm
 from .errors import ChartDomainError, CrossCheckError, FamilyTearError, RefineNeededError
 from .loops import (
     DiscreteLoop,
@@ -164,7 +164,7 @@ def _armijo_step(stack: _LoopStack, members, grad_tol: float, max_move: float | 
     converged = gnorm < grad_tol
     step = stack.tau[idx]
     if max_move is not None:
-        reach = np.linalg.norm(p, axis=-1).max(axis=-1)
+        reach = np.sqrt(_squared_norm(p)).max(axis=-1)
         far = reach > 0
         step = np.where(far, np.minimum(step, max_move / np.where(far, reach, 1.0)), step)
 

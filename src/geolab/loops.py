@@ -8,7 +8,12 @@ not jump more than the chart segment cap between consecutive nodes (this
 caps angular resolution and is enforced, not silently fixed).  A
 ``DiscreteLoop`` may also hold a stack of M loops with one N (nodes
 (M, N, d), one gauge each); validation, energy, gradient, preconditioner
-and recentering then act, and report, member by member.
+and recentering then act, and report, member by member, and a member's
+value never depends on its batch.  The kernels a descent step runs sum
+over the length-d coordinate axis term by term and transform along a
+contiguous node axis: on a surface (d = 2) numpy's per-call cost of a
+reduction or contraction over the coordinate axis outweighs its
+arithmetic, and the explicit sums give numpy's values bit for bit.
 
 The energy of a loop is the midpoint-rule discretization
 
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import Chart
+from .charts import Chart, _squared_norm
 from .errors import ChartDomainError, RefineNeededError
 
 
@@ -80,7 +85,7 @@ def segment_deltas(chart: Chart, loop: DiscreteLoop) -> np.ndarray:
 def segment_checks(chart: Chart, loop: DiscreteLoop) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Segment deltas and per-member flags (segment over the cap, node off the chart)."""
     deltas = segment_deltas(chart, loop)
-    lengths = np.linalg.norm(deltas, axis=-1)
+    lengths = np.sqrt(_squared_norm(deltas))
     return (deltas, (lengths >= chart.segment_cap).any(axis=-1),
             ~chart.contains(loop.nodes).all(axis=-1))
 
@@ -89,7 +94,7 @@ def validate_loop(chart: Chart, loop: DiscreteLoop) -> np.ndarray:
     """Enforce the segment cap and the chart domain on every member; return the deltas."""
     deltas, over_cap, outside = segment_checks(chart, loop)
     if over_cap.any():
-        lengths = np.linalg.norm(deltas, axis=-1)
+        lengths = np.sqrt(_squared_norm(deltas))
         worst = np.unravel_index(np.argmax(lengths), lengths.shape)
         raise RefineNeededError(
             f"{chart.name}: segment {worst[-1]} has chart length {lengths[worst]:.4g} "
@@ -118,13 +123,19 @@ def energy_gradient(chart: Chart, loop: DiscreteLoop) -> np.ndarray:
                       + 1/2 D_{j-1}^T (dg)(m_{j-1}) D_{j-1}
                       + 1/2 D_j^T (dg)(m_j) D_j ].
     """
-    n = loop.n_nodes
+    n, dims = loop.n_nodes, range(loop.dim)
     deltas = validate_loop(chart, loop)
     mids = loop.nodes + 0.5 * deltas
-    # one metric array at a time, largest first: on a stack they are the
-    # largest temporaries
-    qd = np.einsum("...nkij,...ni,...nj->...nk", chart.metric_deriv(mids), deltas, deltas)
-    gd = np.einsum("...nij,...nj->...ni", chart.metric(mids), deltas)
+    # qd_k = D^T (d_k g) D and gd = g D, summed term by term in einsum's
+    # order: from 0, over (i, j) row by row, each product left to right; one
+    # metric array at a time, largest first: on a stack they are the largest
+    # temporaries
+    cols = [deltas[..., i, None] for i in dims]
+    dg = chart.metric_deriv(mids)
+    qd = sum(dg[..., i, j] * cols[i] * cols[j] for i in dims for j in dims)
+    del dg
+    g = chart.metric(mids)
+    gd = sum(g[..., j] * cols[j] for j in dims)
     return n * (
         2.0 * _shift_nodes(gd, -1)
         - 2.0 * gd
@@ -138,12 +149,14 @@ def precondition(grad: np.ndarray) -> np.ndarray:
 
     The operator is the discrete H^1 inner product on nodal fields (L the
     second-difference circulant); nodes run along axis -2, so a stack of
-    gradients (M, N, d) is solved member by member.
+    gradients (M, N, d) is solved member by member, each as if alone.  The
+    transforms run on a contiguous copy with the nodes last, which is
+    cheaper than striding along axis -2 and gives the same values bit for bit.
     """
     n = grad.shape[-2]
     lam = 1.0 / n + n * (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n))
-    ghat = np.fft.rfft(grad, axis=-2)
-    return np.fft.irfft(ghat / lam[:, None], n=n, axis=-2)
+    ghat = np.fft.rfft(np.ascontiguousarray(grad.swapaxes(-1, -2)))
+    return np.fft.irfft(ghat / lam, n=n).swapaxes(-1, -2)
 
 
 def preconditioned_norm(grad: np.ndarray) -> float | np.ndarray:
@@ -231,12 +244,12 @@ def maybe_recenter(chart: Chart, loop: DiscreteLoop) -> DiscreteLoop:
     """Flip the gauge (of each member) when that moves the loop farther from the guard."""
     if not chart.has_recentering:
         return loop
-    reach = np.linalg.norm(loop.nodes, axis=-1).max(axis=-1)
+    reach = np.sqrt(_squared_norm(loop.nodes)).max(axis=-1)
     far = reach > chart.recenter_trigger
     if not far.any():
         return loop
     flipped = chart.recenter_map(loop.nodes)
-    flip = far & (np.linalg.norm(flipped, axis=-1).max(axis=-1) < reach)
+    flip = far & (np.sqrt(_squared_norm(flipped)).max(axis=-1) < reach)
     if not flip.any():
         return loop
     return DiscreteLoop(np.where(flip[..., None, None], flipped, loop.nodes),
@@ -266,7 +279,7 @@ def pair_distance(chart: Chart, a: DiscreteLoop, b: DiscreteLoop) -> tuple[np.nd
             break
         x, y = in_gauge(chart, a, g).nodes, in_gauge(chart, b, g).nodes
         hold = todo & (chart.contains(x) & chart.contains(y)).all(axis=-1)
-        far = np.linalg.norm(chart.wrap_difference(x - y), axis=-1).max(axis=-1)
+        far = np.sqrt(_squared_norm(chart.wrap_difference(x - y))).max(axis=-1)
         dist, gauge = np.where(hold, far, dist), np.where(hold, g, gauge)
     return dist, gauge
 

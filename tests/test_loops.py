@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geolab.charts import make_chart
+from geolab.charts import _squared_norm, make_chart
 from geolab.errors import RefineNeededError
 from geolab.loops import (
     DiscreteLoop,
@@ -11,6 +11,7 @@ from geolab.loops import (
     double_nodes,
     energy,
     energy_gradient,
+    in_gauge,
     iterate,
     load_loop_json,
     loop_from_csv,
@@ -21,6 +22,10 @@ from geolab.loops import (
     midpoint_loop,
     one_sided_velocities,
     pair_distance,
+    precondition,
+    segment_checks,
+    segment_deltas,
+    validate_loop,
     winding_numbers,
 )
 
@@ -309,6 +314,171 @@ def test_json_round_trip_carries_frame(tmp_path):
     back = load_loop_json(tmp_path / "loop.json")
     assert np.array_equal(back.nodes, loop.nodes)
     assert back.frame == loop.frame == 1
+
+
+# -- the stack kernels against the formulas they replace, bit for bit -------
+#
+# A descent step sums over the length-2 coordinate axis term by term and
+# transforms along a contiguous node axis.  The formulas below are the
+# reductions, einsums and strided transforms those kernels replace; every
+# value must equal theirs bit for bit, on a stack and member by member.
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                                  np.ascontiguousarray(b).view(np.uint64))
+
+
+def norm_oracle(x):
+    return np.linalg.norm(x, axis=-1)
+
+
+def gradient_oracle(chart, loop):
+    deltas = validate_loop(chart, loop)
+    mids = loop.nodes + 0.5 * deltas
+    qd = np.einsum("...nkij,...ni,...nj->...nk", chart.metric_deriv(mids), deltas, deltas)
+    gd = np.einsum("...nij,...nj->...ni", chart.metric(mids), deltas)
+    return loop.n_nodes * (2.0 * np.roll(gd, 1, axis=-2) - 2.0 * gd
+                           + 0.5 * np.roll(qd, 1, axis=-2) + 0.5 * qd)
+
+
+def regrouped_gradient(chart, loop):
+    """The conformal gradient with qd_k = d_k lambda |D|^2: equal to
+    ``energy_gradient`` in exact arithmetic, not in floats."""
+    deltas = validate_loop(chart, loop)
+    mids = loop.nodes + 0.5 * deltas
+    qd = chart.metric_deriv(mids)[..., 0, 0] * (deltas * deltas).sum(-1, keepdims=True)
+    gd = np.einsum("...nij,...nj->...ni", chart.metric(mids), deltas)
+    return loop.n_nodes * (2.0 * np.roll(gd, 1, axis=-2) - 2.0 * gd
+                           + 0.5 * np.roll(qd, 1, axis=-2) + 0.5 * qd)
+
+
+def precondition_oracle(grad):
+    n = grad.shape[-2]
+    lam = 1.0 / n + n * (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n))
+    return np.fft.irfft(np.fft.rfft(grad, axis=-2) / lam[:, None], n=n, axis=-2)
+
+
+def recenter_oracle(chart, loop):
+    if not chart.has_recentering:
+        return loop
+    reach = norm_oracle(loop.nodes).max(axis=-1)
+    flipped = chart.recenter_map(loop.nodes)
+    flip = (reach > chart.recenter_trigger) & (norm_oracle(flipped).max(axis=-1) < reach)
+    return DiscreteLoop(np.where(flip[..., None, None], flipped, loop.nodes),
+                        frame=loop.frame ^ flip)
+
+
+def pair_distance_oracle(chart, a, b):
+    dist = np.full(a.nodes.shape[:-2], np.inf)
+    gauge = np.broadcast_to(a.frame, dist.shape).copy()
+    for g in (a.frame, b.frame):
+        x, y = in_gauge(chart, a, g).nodes, in_gauge(chart, b, g).nodes
+        hold = np.isinf(dist) & (chart.contains(x) & chart.contains(y)).all(axis=-1)
+        far = norm_oracle(chart.wrap_difference(x - y)).max(axis=-1)
+        dist, gauge = np.where(hold, far, dist), np.where(hold, g, gauge)
+    return dist, gauge
+
+
+def chart_kernel_oracles(chart, x):
+    """(name, new value, oracle) of the chart kernels that sum over the coordinates."""
+    out = []
+    if np.isfinite(chart.guard_radius):
+        out.append(("contains", chart.contains(x), np.sqrt((x * x).sum(-1)) < chart.guard_radius))
+    if hasattr(chart, "_lam"):
+        s, s_kept = (x * x).sum(-1), (x * x).sum(-1, keepdims=True)
+        out += [("metric", chart.metric(x), chart._lam(s)[..., None, None] * np.eye(2)),
+                ("metric_deriv", chart.metric_deriv(x),
+                 (2 * chart._dlam(s_kept) * x)[..., :, None, None] * np.eye(2))]
+    if chart.has_recentering:
+        old = np.where(np.sum(x**2, axis=-1, keepdims=True) > 0,
+                       x / np.maximum(np.sum(x**2, axis=-1, keepdims=True), 1e-300), np.inf)
+        old[..., 1] *= -1
+        out.append(("recenter_map", chart.recenter_map(x), old))
+    return out
+
+
+def kernel_stacks(chart, rng, n=128):
+    """Two stacks (a, b) of loops on ``chart``, b mostly near a: winding loops
+    with theta wrapped on the profile charts, both gauges and a loop past the
+    recentering trigger on the sphere, and a constant loop on every chart
+    (its zero deltas give signed-zero products)."""
+    ts = 2 * np.pi * np.arange(n) / n
+    if chart.periods is not None and chart.name != "paraboloid":
+        loops = [make_loop(chart, np.stack([z0 + 0.3 * np.sin(k * ts + ph), ts + ph], axis=1))
+                 for z0, k, ph in [(0.0, 1, 0.0), (-0.4, 2, 1.3), (0.7, 3, 5.9), (-1.2, 1, 3.1)]]
+    elif chart.name == "sphere":
+        loops = [make_loop(chart, nodes, frame=f) for nodes, f in [
+            (circle_nodes(0.8, n), 0), (circle_nodes(0.5, n, (-0.1, 0.2)), 1),
+            (circle_nodes(0.3, n, (3.3, 0.0)), 0),          # past the recentering trigger
+            (circle_nodes(1.0 / np.cos(np.pi / n), n), 1)]]
+        loops.append(make_loop(chart, np.zeros((n, 2))))     # the pole member
+    else:
+        loops = [random_smooth_loop(chart, rng, n, scale=0.1) for _ in range(4)]
+    loops.append(make_loop(chart, np.broadcast_to(sample_inside(chart, rng), (n, 2))))
+    a = stack_of(loops)
+    nodes = chart.reduce_point(a.nodes + 1e-2 * rng.standard_normal(a.nodes.shape))
+    b = DiscreteLoop(nodes, a.frame.copy())
+    if chart.has_recentering:
+        # b's odd members in the other gauge, and a first pair that only
+        # b's gauge holds (b's first member lies past the guard in a's)
+        b = in_gauge(chart, b, np.arange(len(loops)) % 2)
+        b.nodes[0], b.frame[0] = circle_nodes(0.09, n), 1
+    return a, b
+
+
+def check_stack_kernels(chart, a, b, gradient=energy_gradient):
+    for x in (a.nodes, b.nodes, segment_deltas(chart, a)):
+        assert same_bits(np.sqrt(_squared_norm(x)), norm_oracle(x))
+        assert same_bits(_squared_norm(x, keepdims=True), (x * x).sum(-1, keepdims=True))
+        for name, new, old in chart_kernel_oracles(chart, x):
+            assert same_bits(new, old), name
+    # a member pushed over the segment cap
+    pushed = a.nodes.copy()
+    pushed[1, 5, 0] += 1.5 * chart.segment_cap
+    for nodes in (a.nodes, pushed):
+        deltas, over_cap, outside = segment_checks(chart, DiscreteLoop(nodes, a.frame))
+        assert np.array_equal(over_cap, (norm_oracle(deltas) >= chart.segment_cap).any(axis=-1))
+    assert over_cap[1] and not over_cap[0]
+    grad = gradient(chart, a)
+    assert same_bits(grad, gradient_oracle(chart, a)), "energy_gradient"
+    p = precondition(grad)
+    assert same_bits(p, precondition_oracle(grad))
+    moved, moved_oracle = maybe_recenter(chart, a), recenter_oracle(chart, a)
+    assert same_bits(moved.nodes, moved_oracle.nodes)
+    assert np.array_equal(moved.frame, moved_oracle.frame)
+    dist, gauge = pair_distance(chart, a, b)
+    dist_oracle, gauge_oracle = pair_distance_oracle(chart, a, b)
+    assert same_bits(dist, dist_oracle) and np.array_equal(gauge, gauge_oracle)
+    # each row is its member evaluated alone
+    for s in range(a.nodes.shape[0]):
+        a1, b1 = DiscreteLoop(a.nodes[s], a.frame[s]), DiscreteLoop(b.nodes[s], b.frame[s])
+        grad1 = gradient(chart, a1)
+        assert same_bits(grad1, grad[s]) and same_bits(precondition(grad1), p[s])
+        moved1 = maybe_recenter(chart, a1)
+        assert same_bits(moved1.nodes, moved.nodes[s]) and moved1.frame == moved.frame[s]
+        dist1, gauge1 = pair_distance(chart, a1, b1)
+        assert same_bits(dist1, dist[s]) and gauge1 == gauge[s]
+    return moved, dist
+
+
+def test_stack_kernels_equal_the_reductions_they_replace(zoo_chart, rng):
+    a, b = kernel_stacks(zoo_chart, rng)
+    moved, dist = check_stack_kernels(zoo_chart, a, b)
+    assert np.isfinite(dist).all()
+    if zoo_chart.has_recentering:
+        # the stack exercises both gauges, a flip and a pair read in b's gauge
+        assert set(a.frame) == {0, 1} and (moved.frame != a.frame).any()
+        assert (pair_distance(zoo_chart, a, b)[1] != a.frame).any()
+
+
+def test_stack_kernel_check_fails_on_a_regrouped_gradient(rng):
+    # negative control: d_k lambda |D|^2 is the same qd in exact arithmetic
+    sph = make_chart("sphere")
+    a, b = kernel_stacks(sph, rng)
+    with pytest.raises(AssertionError, match="energy_gradient"):
+        check_stack_kernels(sph, a, b, gradient=regrouped_gradient)
 
 
 # -- property tests ---------------------------------------------------------
