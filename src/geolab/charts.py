@@ -3,8 +3,11 @@
 Every manifold in the zoo is a surface, presented in a single global
 coordinate chart of dimension ``d`` = 2.  A chart knows its metric tensor
 with analytic first and second metric derivatives, its Gauss curvature
-and spray in closed form, an optional exhaustion coordinate ``r`` for
-non-compact manifolds, and domain guards.  The Christoffels are written
+and spray in closed form, and domain guards.  A non-compact chart has an
+exhaustion coordinate ``r`` in one of two forms: r = |x_0| on the surfaces
+of revolution (``_RevolutionChart``), r = f(|u|) on the conformal discs
+(``_ConformalChart``).  ``periods`` is set exactly on the charts with a
+periodic angle, the surfaces of revolution.  The Christoffels are written
 once, for every chart: the generic Levi-Civita formula
 ``christoffels_of_metric`` on the chart's analytic metric derivative.  Each
 closed form has an oracle built from the one below it: ``central_difference``
@@ -83,15 +86,18 @@ class Chart:
     """Base class: domain guards and periodic wrapping.
 
     Subclasses provide ``metric``, ``metric_deriv``, ``metric_second_deriv``,
-    ``gauss_curvature`` and ``spray`` in closed form and set ``dim``; a
-    non-compact chart also provides ``exhaustion`` with its gradient
-    ``exhaustion_grad`` and Hessian ``exhaustion_hess``.  The oracles of
+    ``gauss_curvature`` and ``spray`` in closed form and set ``dim``.  A
+    non-compact chart also has ``exhaustion`` with its gradient
+    ``exhaustion_grad`` and Hessian ``exhaustion_hess``, written once per
+    form: r = |x_0| in ``_RevolutionChart``, and r = f(|u|) in
+    ``_ConformalChart`` from a chart's 1-D jet (f, f', f'').  The oracles of
     these closed forms are ``central_difference`` of the one below.
     """
 
     name = "abstract"
     dim = 2
-    #: per-coordinate period, np.nan for non-periodic coordinates
+    #: per-coordinate period, np.nan for non-periodic coordinates; set
+    #: exactly on the charts with a periodic angle (``_RevolutionChart``)
     periods: np.ndarray | None = None
     #: chart-distance cap for one loop segment (convexity proxy)
     segment_cap = 0.5
@@ -156,11 +162,6 @@ class Chart:
             p = self.periods[k]
             out[..., k] = delta[..., k] - p * np.rint(delta[..., k] / p)
         return out
-
-    # -- exhaustion (non-compact charts only) ------------------------------
-
-    def exhaustion(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError(f"{self.name}: no exhaustion coordinate")
 
     # -- misc ---------------------------------------------------------------
 
@@ -319,7 +320,27 @@ def sample_unit_starts(chart: Chart, rng: np.random.Generator, count: int,
 # ---------------------------------------------------------------------------
 
 
-class _ProfileChart(Chart):
+class _RevolutionChart(Chart):
+    """A surface of revolution in a chart (z, theta) with a periodic angle
+    theta; exhaustion r = |z|, with grad r = sign(z) e_z and Hess r = 0."""
+
+    periods = np.array([np.nan, 2 * np.pi])
+
+    def exhaustion(self, x):
+        return np.abs(np.asarray(x, dtype=float)[..., 0])
+
+    def exhaustion_grad(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape)
+        out[..., 0] = np.sign(x[..., 0])
+        return out
+
+    def exhaustion_hess(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.zeros(x.shape[:-1] + (2, 2))
+
+
+class _ProfileChart(_RevolutionChart):
     """Surface-of-revolution-type metric diag(1, rho(z)^2) in (z, theta).
 
     Subclasses supply ``profile_jet``, the profile rho with its first two
@@ -331,9 +352,6 @@ class _ProfileChart(Chart):
     """
 
     z_bound = 300.0  # cosh-type profiles overflow float64 past ~700
-
-    def __init__(self):
-        self.periods = np.array([np.nan, 2 * np.pi])
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
@@ -380,19 +398,6 @@ class _ProfileChart(Chart):
         rho, _, d2 = self.profile_jet(x[..., 0])
         return -d2 / rho + 0.0      # + 0.0: flat ground reads 0.0, not -0.0
 
-    def exhaustion(self, x):
-        return np.abs(np.asarray(x, dtype=float)[..., 0])
-
-    def exhaustion_grad(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        out[..., 0] = np.sign(x[..., 0])
-        return out
-
-    def exhaustion_hess(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (2, 2))
-
     def sample_point(self, rng, r_min=0.0, r_max=3.0):
         z = rng.uniform(r_min, r_max) * rng.choice([-1.0, 1.0])
         theta = rng.uniform(0, 2 * np.pi)
@@ -405,7 +410,6 @@ class FlatCylinder(_ProfileChart):
     name = "cylinder"
 
     def __init__(self, radius: float = 1.0):
-        super().__init__()
         self.radius = float(radius)
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"cylinder radius must be finite and > 0 (got {radius!r})")
@@ -441,7 +445,6 @@ class BumpedCylinder(_ProfileChart):
     name = "bumped_cylinder"
 
     def __init__(self, amplitude: float = 0.3):
-        super().__init__()
         self.amplitude = float(amplitude)
         # the profile 1 + A (1 - z^2)^4 reaches 0 at some |z| < 1 when A <= -1
         if not (np.isfinite(self.amplitude) and self.amplitude > -1):
@@ -468,6 +471,10 @@ class _ConformalChart(Chart):
     With phi = 1/2 log lambda, grad phi = (lambda'/lambda) u and
     Gamma^k_ij = delta_kj d_i phi + delta_ki d_j phi - delta_ij d_k phi, so
     the spray is -Gamma(v, v) = |v|^2 grad phi - 2 (grad phi . v) v.
+
+    A non-compact subclass gives its radial exhaustion r = f(rho), rho = |u|,
+    as the 1-D jet (f, f', f'') (``_radial_jet``); with u_hat = u / rho,
+    grad r = f' u_hat and Hess r = f'' u_hat u_hat^T + (f'/rho)(I - u_hat u_hat^T).
     """
 
     def _lam(self, s):
@@ -495,23 +502,42 @@ class _ConformalChart(Chart):
 
     def metric_second_deriv(self, x):
         x = np.asarray(x, dtype=float)
-        s = (x * x).sum(-1, keepdims=True)
+        s = _squared_norm(x, keepdims=True)
         dl, d2l = self._dlam(s), self._d2lam(s)
-        eye = np.eye(2)
         # d_l d_k lambda = 2 dl delta_lk + 4 d2l u_l u_k
-        hess = 2 * dl[..., None] * eye + 4 * d2l[..., None] * (
+        hess = 2 * dl[..., None] * _EYE2 + 4 * d2l[..., None] * (
             x[..., :, None] * x[..., None, :]
         )
-        return hess[..., :, :, None, None] * eye
+        return hess[..., :, :, None, None] * _EYE2
 
     def spray(self, x, v):
         x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-        s = (x * x).sum(-1, keepdims=True)     # keeps its last axis, as in metric_deriv
+        s = _squared_norm(x, keepdims=True)     # keeps its last axis, as in metric_deriv
         lam = self._lam(s)
         p = self._dlam(s) / lam * x             # grad phi
-        vv = (v * v).sum(-1, keepdims=True)
+        vv = _squared_norm(v, keepdims=True)
         acc = vv * p - 2 * (p * v).sum(-1, keepdims=True) * v
         return acc, self.gauss_curvature(x) * lam[..., 0] * vv[..., 0]
+
+    def _radial_jet(self, rho):
+        """(f, f', f'') at rho of the exhaustion r = f(rho)."""
+        raise NotImplementedError(f"{self.name}: no exhaustion coordinate")
+
+    def exhaustion(self, x):
+        return self._radial_jet(np.sqrt(_squared_norm(np.asarray(x, dtype=float))))[0]
+
+    def exhaustion_grad(self, x):
+        x = np.asarray(x, dtype=float)
+        rho = np.sqrt(_squared_norm(x, keepdims=True))
+        return self._radial_jet(rho)[1] * x / np.maximum(rho, 1e-14)
+
+    def exhaustion_hess(self, x):
+        x = np.asarray(x, dtype=float)
+        rho = np.maximum(np.sqrt(_squared_norm(x)), 1e-14)
+        _, d1, d2 = self._radial_jet(rho)
+        uhat = x / rho[..., None]
+        uu = uhat[..., :, None] * uhat[..., None, :]
+        return d2[..., None, None] * uu + (d1 / rho)[..., None, None] * (_EYE2 - uu)
 
 
 class FlatPlane(_ConformalChart):
@@ -532,21 +558,8 @@ class FlatPlane(_ConformalChart):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1])
 
-    def exhaustion(self, x):
-        return np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
-
-    def exhaustion_grad(self, x):
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        return x / np.maximum(r, 1e-14)
-
-    def exhaustion_hess(self, x):
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
-        xhat = x / np.maximum(r[..., None], 1e-14)
-        eye = np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
-        proj = eye - xhat[..., :, None] * xhat[..., None, :]
-        return proj / np.maximum(r[..., None, None], 1e-14)
+    def _radial_jet(self, rho):
+        return rho, np.ones(np.shape(rho)), np.zeros(np.shape(rho))
 
     def sample_point(self, rng, r_min=0.0, r_max=3.0):
         r = rng.uniform(r_min, r_max)
@@ -621,28 +634,10 @@ class PoincareDisk(_ConformalChart):
         x = np.asarray(x, dtype=float)
         return -np.ones(x.shape[:-1])
 
-    def exhaustion(self, x):
-        rho = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
-        return 2.0 * np.arctanh(np.clip(rho, 0, 1 - 1e-15))
-
-    def exhaustion_grad(self, x):
-        x = np.asarray(x, dtype=float)
-        rho = np.linalg.norm(x, axis=-1, keepdims=True)
-        rho_c = np.clip(rho, 0, 1 - 1e-15)
-        fac = 2.0 / (1.0 - rho_c * rho_c)
-        return fac * x / np.maximum(rho, 1e-14)
-
-    def exhaustion_hess(self, x):
-        x = np.asarray(x, dtype=float)
-        rho = np.linalg.norm(x, axis=-1)
-        rho = np.clip(rho, 1e-14, 1 - 1e-15)
-        uhat = x / rho[..., None]
+    def _radial_jet(self, rho):
+        rho = np.clip(rho, 0, 1 - 1e-15)
         q = 1.0 - rho * rho
-        rp = 2.0 / q                                    # dr/drho
-        rpp = 4.0 * rho / (q * q)                       # d2r/drho2
-        eye = np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
-        uu = uhat[..., :, None] * uhat[..., None, :]
-        return rpp[..., None, None] * uu + (rp / rho)[..., None, None] * (eye - uu)
+        return 2.0 * np.arctanh(rho), 2.0 / q, 4.0 * rho / (q * q)
 
     def sample_point(self, rng, r_min=0.0, r_max=3.0):
         r = rng.uniform(r_min, r_max)
@@ -651,21 +646,18 @@ class PoincareDisk(_ConformalChart):
         return np.array([rho * np.cos(phi), rho * np.sin(phi)])
 
 
-class Paraboloid(Chart):
+class Paraboloid(_RevolutionChart):
     """Paraboloid of revolution z = rho^2 in polar chart (rho, theta).
 
     Induced metric diag(1 + 4 rho^2, rho^2); Gauss curvature
     4/(1 + 4 rho^2)^2.  With e = 1 + 4 rho^2 the spray is -Gamma(v, v) =
     (rho (v_th^2 - 4 v_rho^2) / e, -2 v_rho v_th / rho).  The polar chart
     degenerates at the apex, so the domain excludes a tiny disk around
-    rho = 0.
+    rho = 0, where the exhaustion |rho| is rho.
     """
 
     name = "paraboloid"
     apex_guard = 1e-8
-
-    def __init__(self):
-        self.periods = np.array([np.nan, 2 * np.pi])
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)
@@ -709,19 +701,6 @@ class Paraboloid(Chart):
         rho = x[..., 0]
         e = 1.0 + 4.0 * (rho * rho)
         return 4.0 / (e * e)
-
-    def exhaustion(self, x):
-        return np.asarray(x, dtype=float)[..., 0]
-
-    def exhaustion_grad(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        out[..., 0] = 1.0
-        return out
-
-    def exhaustion_hess(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (2, 2))
 
     def sample_point(self, rng, r_min=0.0, r_max=3.0):
         rho = rng.uniform(max(r_min, 0.05), r_max)

@@ -186,10 +186,9 @@ def run_find(cfg: RunConfig, quiet: bool) -> dict:
     schedule = _schedule(cfg)
     opts = _descent_options(cfg)
     rng = np.random.default_rng(cfg.seed)
-    can_wind = chart.periods is not None and np.any(np.isfinite(np.asarray(chart.periods)))
     # "mixed" alternates contractible and winding starts
-    windings = [{"winding": 1, "contractible": 0}.get(cfg.winding_mix, i % 2) if can_wind else 0
-                for i in range(cfg.n_starts)]
+    windings = [{"winding": 1, "contractible": 0}.get(cfg.winding_mix, i % 2)
+                if chart.periods is not None else 0 for i in range(cfg.n_starts)]
     starts = [random_loop(chart, rng, cfg.n_nodes, winding=w, r_band=tuple(cfg.start_band))
               for w in windings]
     descended = descend_starts(chart, starts, schedule, cfg.alpha, opts)
@@ -231,7 +230,7 @@ def _build_family(cfg: RunConfig, chart: Chart):
     if kind == "auto":
         if chart.name == "sphere":
             kind = "latitudes"
-        elif chart.periods is not None and np.any(np.isfinite(np.asarray(chart.periods))):
+        elif chart.periods is not None:
             kind = "winding_band"
         else:
             kind = "concentric"
@@ -475,10 +474,11 @@ def main(argv=None) -> int:
 
     # np.float64 is a float; arrays and the other numpy scalars go through .tolist()
     text = json.dumps(report, indent=1, sort_keys=True, default=lambda o: o.tolist())
+    # export writes its CSV to --out, so its report goes to stdout
     if args.out and args.subcommand != "export":
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    elif not args.out:
+    else:
         print(text)
     return code
 

@@ -88,7 +88,7 @@ class RunConfig:
             ("grad_tol", self.grad_tol > 0, "> 0"),
             ("max_iter", self.max_iter >= 1, ">= 1"),
             ("n_starts", self.n_starts >= 1, ">= 1"),
-            ("family_members", self.family_members >= 1, ">= 1"),
+            ("family_members", self.family_members >= 3, "at least 3 members"),
             ("family_z_halfwidth", self.family_z_halfwidth >= 0, ">= 0"),
             ("family_r_max", self.family_r_max > 0, "> 0"),
             ("max_rounds", self.max_rounds >= 1, ">= 1"),

@@ -429,7 +429,7 @@ def minimax_sweepout(chart: Chart, family: SweepoutFamily,
                      sweep: SweepOptions = SweepOptions()) -> SweepoutResult:
     """Relax a sweepout family and return the stabilized max of the energy.
 
-    A single member degenerates exactly to ``descend``.  Two stages:
+    Two stages:
 
     1. relax - every member takes one bounded descent step per round (one
        stacked step; a converged member, such as a constant end loop, stays
@@ -448,12 +448,6 @@ def minimax_sweepout(chart: Chart, family: SweepoutFamily,
     toward the lowest family index.
     """
     validate_family(chart, family)
-    if family.size == 1:
-        res = descend(chart, family.members[0], schedule, alpha, opts)
-        fam = SweepoutFamily([res.loop])
-        return SweepoutResult(res.energy, res.loop, fam, res.iterations,
-                              res.converged, res.grad_norm, 0)
-
     stack = _LoopStack.of(chart, schedule, alpha, family.members)
     insertions = 0
     rounds = 0

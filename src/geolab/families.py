@@ -37,8 +37,6 @@ def birkhoff_latitudes(chart: Chart, n_members: int = 33, n_nodes: int = 128) ->
     """
     if chart.name != "sphere":
         raise ConfigError("the latitude sweepout needs the sphere chart")
-    if n_members < 3:
-        raise ConfigError("latitude sweepout needs at least 3 members")
     members = []
     for s in range(n_members):
         z = -np.cos(np.pi * s / (n_members - 1))
@@ -63,8 +61,6 @@ def concentric_circles(chart: Chart, n_members: int = 17, n_nodes: int = 64,
     Both end members are the constant loop at the origin, critical at level
     0, so the sweepout never moves them.
     """
-    if n_members < 3:
-        raise ConfigError("concentric sweepout needs at least 3 members")
     members = []
     for s in range(n_members):
         radius = r_max * np.sin(np.pi * s / (n_members - 1))
@@ -81,15 +77,11 @@ def winding_band(chart: Chart, n_members: int = 9, n_nodes: int = 128,
     the same nontrivial class, so the whole family may slide to the
     minimizer.
     """
-    if chart.periods is None or not np.isfinite(chart.periods[1]):
+    if chart.periods is None:
         raise ConfigError("winding family needs a chart with a periodic angle")
     ts = 2 * np.pi * np.arange(n_nodes) / n_nodes
     members = []
-    if n_members == 1:
-        heights = [z_center]
-    else:
-        heights = z_center + z_halfwidth * np.linspace(-1.0, 1.0, n_members)
-    for z in heights:
+    for z in z_center + z_halfwidth * np.linspace(-1.0, 1.0, n_members):
         nodes = np.stack([np.full(n_nodes, z), ts], axis=1)
         members.append(make_loop(chart, nodes))
     return SweepoutFamily(members)
@@ -105,7 +97,7 @@ def random_loop(chart: Chart, rng: np.random.Generator, n_nodes: int = 128,
     """
     ts = 2 * np.pi * np.arange(n_nodes) / n_nodes
     if winding:
-        if chart.periods is None or not np.isfinite(chart.periods[1]):
+        if chart.periods is None:
             raise ConfigError(f"{chart.name}: no periodic coordinate to wind around")
         z0 = chart.sample_point(rng, *r_band)[0]
         height = np.full(n_nodes, z0)

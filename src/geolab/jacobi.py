@@ -64,7 +64,7 @@ from .charts import (
 )
 from .errors import DomainEscapeError, NotAGeodesicError, SamplingStarvationError
 from .flow import dopri_batch
-from .loops import DiscreteLoop, energy, one_sided_velocities, outgoing_velocities
+from .loops import DiscreteLoop, energy, one_sided_velocities
 
 TIME_TOL = 1e-6             # conjugate times are bisected to this; a zero this close to t is at t
 ENDPOINT_MARGIN = 1e-3      # O(1/N^2) wander of a conjugate time sitting at the endpoint
@@ -379,7 +379,7 @@ def refine_closed_orbit(chart: Chart, loop: DiscreteLoop,
     speed = max(metric_speed(chart, orbit.x[0], orbit.v[0]), 1e-12)
     if b > 1 and np.linalg.norm(_junctions(chart, shot)) >= SHOOT_TOL * speed:
         idx = np.arange(b) * (loop.n_nodes // b)
-        shot = _shoot_segments(chart, loop.nodes[idx], outgoing_velocities(chart, loop, idx))
+        shot = _shoot_segments(chart, loop.nodes[idx], one_sided_velocities(chart, loop, idx)[1])
     b = len(shot.x)                          # 1 when the outgoing orbit is the shot
     cyclic = -np.eye(2 * d * b, k=2 * d) - np.eye(2 * d * b, k=2 * d * (1 - b))
     diag = np.arange(b)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import Chart, _squared_norm
+from .charts import Chart, _squared_norm, christoffels
 from .errors import ChartDomainError, RefineNeededError
 
 
@@ -200,29 +200,21 @@ def _chord_at_node(gam: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     return w + np.einsum("...kij,...i,...j->...k", gam, w, w) / (2 * n)
 
 
-def one_sided_velocities(chart: Chart, loop: DiscreteLoop) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete one-sided velocities (v(0-), v(0+)) at the basepoint.
+def one_sided_velocities(chart: Chart, loop: DiscreteLoop,
+                         idx: int | np.ndarray = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete one-sided velocities (v(0-), v(0+)) of one loop at node
+    ``idx`` (the basepoint by default), or at each node of an index array,
+    from one Christoffel evaluation.
 
     The chord N * Delta approximates the velocity at the segment midpoint;
     the quadratic Christoffel correction transports it to the node, so both
     values are second-order accurate for a loop sampling a geodesic.
     """
-    from .charts import christoffels
-
     n = loop.n_nodes
     deltas = segment_deltas(chart, loop)
-    gam = christoffels(chart, loop.basepoint)
-    return _chord_at_node(gam, n * deltas[-1], -n), _chord_at_node(gam, n * deltas[0], n)
-
-
-def outgoing_velocities(chart: Chart, loop: DiscreteLoop, idx: np.ndarray) -> np.ndarray:
-    """The one-sided velocities v(0+) of ``one_sided_velocities`` at the nodes
-    ``idx`` of one loop, shape (len(idx), d), from one Christoffel evaluation."""
-    from .charts import christoffels
-
-    n = loop.n_nodes
-    return _chord_at_node(christoffels(chart, loop.nodes[idx]),
-                          n * segment_deltas(chart, loop)[idx], n)
+    gam = christoffels(chart, loop.nodes[idx])
+    return (_chord_at_node(gam, n * deltas[idx - 1], -n),
+            _chord_at_node(gam, n * deltas[idx], n))
 
 
 def double_nodes(chart: Chart, loop: DiscreteLoop) -> DiscreteLoop:

@@ -346,14 +346,46 @@ def test_exhaustion_proper_on_rays():
 
 
 def test_exhaustion_grad_hess_fd(rng):
-    # the closed forms against central differences of the one below
-    for name in ("plane", "hyperbolic", "paraboloid"):
+    # the closed forms of both exhaustion forms against central differences
+    # of the one below, on every non-compact chart
+    for name in ZOO:
         chart = make_chart(name)
+        if chart.compact:
+            continue
         x = chart.sample_point(rng, 0.7, 2.0)
         g_fd = central_difference(chart.exhaustion, x)
         h_fd = central_difference(chart.exhaustion_grad, x)
-        assert np.max(np.abs(chart.exhaustion_grad(x) - g_fd)) < 1e-6
-        assert np.max(np.abs(chart.exhaustion_hess(x) - h_fd)) < 1e-5
+        assert np.max(np.abs(chart.exhaustion_grad(x) - g_fd)) < 1e-6, name
+        assert np.max(np.abs(chart.exhaustion_hess(x) - h_fd)) < 1e-5, name
+
+
+def _revolution_exhaustion_by_chart(name, x):
+    """(r, grad r, Hess r) as each revolution chart wrote its own: |z| on the
+    profile charts, rho on the paraboloid."""
+    grad = np.zeros(x.shape)
+    if name == "paraboloid":
+        r, grad[..., 0] = x[..., 0], 1.0
+    else:
+        r, grad[..., 0] = np.abs(x[..., 0]), np.sign(x[..., 0])
+    return r, grad, np.zeros(x.shape[:-1] + (2, 2))
+
+
+@pytest.mark.parametrize("name", ["cylinder", "funnel", "bumped_cylinder", "paraboloid"])
+def test_revolution_exhaustion_matches_the_per_chart_forms(name, rng):
+    # the ramp of find and the region test of verify read these values: the
+    # one revolution form gives each chart's own formulas bit for bit
+    chart = make_chart(name)
+    x = sample_batch(chart, rng, 2000).reshape(40, 50, 2)
+    for got, want in zip((chart.exhaustion(x), chart.exhaustion_grad(x),
+                          chart.exhaustion_hess(x)), _revolution_exhaustion_by_chart(name, x)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_sphere_has_no_exhaustion():
+    sphere = make_chart("sphere")
+    for name in ("exhaustion", "exhaustion_grad", "exhaustion_hess"):
+        with pytest.raises(NotImplementedError):
+            getattr(sphere, name)(np.array([0.3, 0.1]))
 
 
 def test_flow_flat_straight_line():

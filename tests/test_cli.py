@@ -88,13 +88,62 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
             # the profile 1 - 2 (1 - z^2)^4 vanishes inside the bump
             ("find", "chart: bumped_cylinder\nchart_params: {amplitude: -2.0}\n"
                      "n_nodes: 16\nn_starts: 1\n", "amplitude"),
-            # valid fields, but the family builder needs 3 members
+            # a sweepout family needs at least 3 members
             ("sweep", "chart: plane\nn_nodes: 16\nfamily: concentric\nfamily_members: 1\n",
              "at least 3 members")]:
         path = write_yaml(tmp_path / "bad.yaml", text)
         assert main([subcommand, "--config", path, "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and named in err
+
+
+def test_cli_numerical_failure_exit_code(tmp_path):
+    # a coordinate circle on the plane is no geodesic: its orbit will not close
+    from geolab.charts import make_chart
+    plane = make_chart("plane")
+    ts = 2 * np.pi * np.arange(16) / 16
+    loop_path = tmp_path / "circle.json"
+    save_loop_json(plane, make_loop(plane, 0.4 * np.stack([np.cos(ts), np.sin(ts)], axis=1)),
+                   loop_path)
+    cfg = write_yaml(tmp_path / "cfg.yaml", f"chart: plane\nloop_path: {loop_path}\n")
+    out = str(tmp_path / "report.json")
+    assert main(["analyze", "--config", cfg, "--quiet", "--out", out]) == 3
+    report = read_report(out)
+    assert report["failure"]["type"] == "NotAGeodesicError"
+    assert "results" not in report
+
+
+def test_cli_cross_check_failure_exit_code(tmp_path, monkeypatch):
+    from geolab import cli
+    from geolab.errors import CrossCheckError
+
+    def disagree(*args, **kwargs):
+        raise CrossCheckError("the two routes disagree")
+
+    monkeypatch.setattr(cli, "close_conjugate_points_check", disagree)
+    cfg = write_yaml(tmp_path / "cfg.yaml", "chart: funnel\n")
+    out = str(tmp_path / "report.json")
+    assert main(["verify", "conjpoints", "--config", cfg, "--quiet", "--out", out]) == 4
+    assert read_report(out)["failure"] == {"type": "CrossCheckError",
+                                           "message": "the two routes disagree"}
+
+
+@pytest.mark.parametrize("chart_name, kind", [("sphere", "latitudes"),
+                                              ("funnel", "winding_band"),
+                                              ("plane", "concentric")])
+def test_cli_auto_family_is_the_charts_kind(chart_name, kind):
+    # family: auto, the default, picks the latitudes on the sphere, the
+    # winding band on a chart with a periodic angle, else concentric circles
+    from geolab import cli
+    from geolab.charts import make_chart
+    chart = make_chart(chart_name)
+    auto = RunConfig(chart=chart_name, n_nodes=16, family_members=5)
+    assert auto.family == "auto"
+    got = cli._build_family(auto, chart)
+    want = cli._build_family(dataclasses.replace(auto, family=kind), chart)
+    assert got.size == want.size == 5
+    for a, b in zip(got.members, want.members):
+        assert np.array_equal(a.nodes, b.nodes) and a.frame == b.frame
 
 
 def test_cli_find_plane(tmp_path):
@@ -346,7 +395,7 @@ def test_cli_analyze_requires_loop_path(tmp_path):
     assert main(["analyze", "--config", cfg, "--quiet"]) == 2
 
 
-def test_cli_export_csv(tmp_path):
+def test_cli_export_csv(tmp_path, capsys):
     from geolab.charts import make_chart
     plane = make_chart("plane")
     ts = 2 * np.pi * np.arange(16) / 16
@@ -360,6 +409,9 @@ def test_cli_export_csv(tmp_path):
         lines = fh.read().strip().splitlines()
     assert lines[0] == "node_index,c0,c1"
     assert len(lines) == 17
+    # the CSV goes to --out and the report to stdout
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"] == {"written": out, "n_nodes": 16}
 
 
 def test_cli_verify_chart(tmp_path):

@@ -118,16 +118,6 @@ def test_preconditioned_norm_positive(rng):
     assert preconditioned_norm(np.zeros((32, 2))) == 0.0
 
 
-def test_single_member_family_reduces_to_descend(rng):
-    plane = make_chart("plane")
-    loop = random_loop(plane, rng, 32)
-    family = SweepoutFamily([loop])
-    res_sweep = minimax_sweepout(plane, family)
-    res_desc = descend(plane, loop)
-    assert abs(res_sweep.value - res_desc.energy) < 1e-12
-    assert np.allclose(res_sweep.argmax.nodes, res_desc.loop.nodes)
-
-
 def test_concentric_family_descends_to_zero():
     plane = make_chart("plane")
     family = concentric_circles(plane, 11, 48, r_max=1.2)

@@ -208,6 +208,19 @@ def test_one_sided_velocities_on_geodesic_loops():
     assert np.linalg.norm(v_minus - v_plus) < 5e-3
 
 
+def test_one_sided_velocities_at_nodes_are_the_shifted_loops_basepoint_values(rng):
+    # node k of a loop is the basepoint of the loop shifted by k; an index
+    # array gives every listed node's pair from one evaluation, bit for bit
+    sph = make_chart("sphere")
+    loop = make_loop(sph, circle_nodes(0.6, 32) + 0.05 * rng.standard_normal((32, 2)))
+    idx = np.array([0, 5, 31])
+    v_minus, v_plus = one_sided_velocities(sph, loop, idx)
+    assert v_minus.shape == v_plus.shape == (3, 2)
+    for row, k in enumerate(idx):
+        alone = one_sided_velocities(sph, circle_shift(loop, k))
+        assert np.array_equal(v_minus[row], alone[0]) and np.array_equal(v_plus[row], alone[1])
+
+
 def stack_of(loops):
     return DiscreteLoop(np.stack([lp.nodes for lp in loops]), np.array([lp.frame for lp in loops]))
 
