@@ -176,11 +176,14 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
 def run_find(cfg: RunConfig, quiet: bool) -> dict:
     """Descend all starts as one stack; analyse each census key once, on its first start.
 
-    A key comes from the descended loop alone: penalized energy (to 1e-6)
-    and basepoint r (0 on compact charts).  The constant loops off the
-    penalty support (r <= R_alpha) are one critical manifold with one key;
-    one on the support keeps its own, as its classification is its entry.
-    ``starts`` lists every start that landed on an entry.
+    Each start descends to ``grad_tol``, its tail by Levenberg-Marquardt
+    steps (an entry's ``newton_steps`` of its ``iterations``); one stopped
+    by the stall route, the fallback, is analysed at its own, larger
+    gradient norm.  A key comes from the descended loop alone: penalized
+    energy (to 1e-6) and basepoint r (0 on compact charts).  The constant
+    loops off the penalty support (r <= R_alpha) are one critical manifold
+    with one key; one on the support keeps its own, as its classification
+    is its entry.  ``starts`` lists every start that landed on an entry.
     """
     chart = make_chart(cfg.chart, **cfg.chart_params)
     schedule = _schedule(cfg)
@@ -209,6 +212,7 @@ def run_find(cfg: RunConfig, quiet: bool) -> dict:
             census[key] = analyze_critical_loop(chart, schedule, cfg.alpha, res.loop, cfg,
                                                 max(cfg.grad_tol, res.grad_norm))
             census[key].update(start_index=i, starts=[], iterations=res.iterations,
+                               newton_steps=res.newton_steps,
                                nodes=res.loop.nodes.tolist(), frame=res.loop.frame)
         entry = census[key]
         entry["starts"].append(i)

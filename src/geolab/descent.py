@@ -1,16 +1,22 @@
 """Critical-point search: preconditioned descent and sweepout minimax.
 
 Descent runs Armijo-backtracked gradient steps preconditioned by the
-inverse of the periodic operator (1/N) I + N L (L the second-difference
+inverse of the periodic operator M = (1/N) I + N L (L the second-difference
 circulant), applied blockwise per coordinate via FFT.  That operator is
 the discrete H^1 inner product on nodal fields, so step sizes and
 convergence rates are mesh-independent; the gradient norm reported and
 thresholded everywhere is the preconditioned one, |g|_M = sqrt(g . M^{-1} g).
+Armijo's tail converges linearly, and stalls where the energy is flat
+to rounding, so ``descend_starts`` finishes each loop below |g|_M =
+``NEWTON_SWITCH`` by Levenberg-Marquardt steps (H + mu M) s = -g, H the
+exact Hessian and mu proportional to |g|_M.  The sweepout keeps Armijo:
+its argmax is a saddle, where a Newton step does not descend.
 
-Every descent steps a stack of M loops: nodes (M, N, d) with per-member
-gauge, energy, step size and stall count.  One step makes one gradient,
-one preconditioner and one trial-energy call per backtracking round for
-all members, which part ways only through masks.  ``descend_starts``
+Every descent steps a stack of loops: nodes (members, N, d) with
+per-member gauge, energy, step size, stall count and LM damping.  One
+Armijo step makes one gradient, one preconditioner and one trial-energy
+call per backtracking round for all members, which part ways only
+through masks; an LM step assembles and solves member by member.  ``descend_starts``
 descends many starts as one stack, each member on its own step budget;
 ``descend`` is its batch of one.  The sweepout minimax keeps its family
 as a stack: every member steps each round, one stacked neighbor
@@ -46,6 +52,7 @@ from .loops import (
     segment_checks,
     validate_loop,
 )
+from .morse import assemble_second_variation
 from .penalty import PenaltySchedule, penalized_energy, penalized_gradient
 
 ARMIJO = 1e-4          # sufficient-decrease constant
@@ -56,6 +63,14 @@ MAX_STEP = 64.0        # ceiling of tau, which doubles after each accepted step
 #: float64 rounding floor before the strict tolerance is reachable
 STALL_GRAD_ACCEPT = 1e-4
 STALL_STEPS = 25       # accepted steps in a row without float-resolved progress
+NEWTON_SWITCH = 1e-2   # |g|_M below which ``descend_starts`` steps a member by LM
+NEWTON_TRIALS = 3      # LM trials per step before the member takes the Armijo step
+DAMPING_FACTOR = 4.0   # LM damping factor c: divided by it on acceptance, times it on refusal
+#: largest LM damping mu: the energy Hessian is about 2M on the high node
+#: modes, so beyond it an LM step is a short preconditioned gradient step,
+#: which Armijo sizes better (a member whose Hessian needs more to turn
+#: positive definite is near a saddle)
+MAX_DAMPING = 1.0
 _FLOAT_EPS = np.finfo(float).eps
 
 
@@ -80,9 +95,10 @@ class DescentResult:
     iterations: int
     energy: float
     grad_norm: float
+    newton_steps: int        # accepted Levenberg-Marquardt steps among the iterations
 
 
-_MEMBER_FIELDS = ("nodes", "frame", "energy", "tau", "stall")
+_MEMBER_FIELDS = ("nodes", "frame", "energy", "tau", "stall", "damping")
 
 
 @dataclass
@@ -92,11 +108,13 @@ class _LoopStack:
     chart: Chart
     value: Callable          # objective of a loop or a stack of loops
     gradient: Callable
+    hessian: Callable        # dense Hessian of the objective at one loop
     nodes: np.ndarray        # (M, N, d)
     frame: np.ndarray        # chart gauge
     energy: np.ndarray       # objective value
     tau: np.ndarray          # trusted step size
     stall: np.ndarray        # accepted steps in a row without float-resolved progress
+    damping: np.ndarray      # LM damping factor c: mu = c |g|_M
 
     @classmethod
     def of(cls, chart: Chart, schedule: PenaltySchedule | None, alpha: int | None,
@@ -107,10 +125,12 @@ class _LoopStack:
         else:
             value = partial(penalized_energy, chart, schedule, alpha)
             gradient = partial(penalized_gradient, chart, schedule, alpha)
+        hessian = partial(assemble_second_variation, chart, schedule=schedule, alpha=alpha)
         m = len(loops)
         nodes, frame = np.stack([lp.nodes for lp in loops]), np.array([lp.frame for lp in loops])
-        return cls(chart, value, gradient, nodes, frame, value(DiscreteLoop(nodes, frame)),
-                   np.full(m, INITIAL_STEP), np.zeros(m, dtype=int))
+        return cls(chart, value, gradient, hessian, nodes, frame,
+                   value(DiscreteLoop(nodes, frame)), np.full(m, INITIAL_STEP),
+                   np.zeros(m, dtype=int), np.ones(m))
 
     @property
     def size(self) -> int:
@@ -122,7 +142,7 @@ class _LoopStack:
 
     def insert(self, s, loops: DiscreteLoop, tau) -> None:
         """Insert the stack ``loops`` before the members at positions ``s`` (np.insert)."""
-        row = (loops.nodes, loops.frame, self.value(loops), tau, 0)
+        row = (loops.nodes, loops.frame, self.value(loops), tau, 0, 1.0)
         for name, v in zip(_MEMBER_FIELDS, row):
             setattr(self, name, np.insert(getattr(self, name), s, v, axis=0))
 
@@ -201,24 +221,112 @@ def _armijo_step(stack: _LoopStack, members, grad_tol: float, max_move: float | 
     status[~converged & ~accepted & ~admitted] = "cap_stalled"
     if not accepted.any():
         return status, gnorm
-    e_prev, e_new = e0[accepted], best_e[accepted]
-    if (e_new > e_prev + 1e-12 * np.maximum(1.0, np.abs(e_prev))).any():
-        raise CrossCheckError("descent accepted an energy increase")
     # the kept trial of each member, rebuilt bit for bit from its step size
     best = stack.chart.reduce_point(
         nodes[accepted] - best_tau[accepted][:, None, None] * p[accepted])
-    moved = maybe_recenter(stack.chart, DiscreteLoop(best, frame[accepted]))
-    flipped = moved.frame != frame[accepted]
+    rows = idx[accepted]
+    stalled = _accept(stack, rows, DiscreteLoop(best, frame[accepted]), best_e[accepted])
+    stack.tau[rows] = np.minimum(best_tau[accepted] * 2.0, MAX_STEP)
+    status[accepted] = np.where(stalled, "stalled", "moved")
+    return status, gnorm
+
+
+def _accept(stack: _LoopStack, rows, trial: DiscreteLoop, e_new) -> np.ndarray:
+    """Store the accepted ``trial`` (objective ``e_new``) of members ``rows``, recentered.
+
+    Returns whether each member has now made ``STALL_STEPS`` accepted steps
+    in a row without float-resolved progress.  An energy increase is a
+    hard error.
+    """
+    e_prev = stack.energy[rows]
+    if (e_new > e_prev + 1e-12 * np.maximum(1.0, np.abs(e_prev))).any():
+        raise CrossCheckError("descent accepted an energy increase")
+    moved = maybe_recenter(stack.chart, trial)
+    flipped = moved.frame != trial.frame
     if flipped.any():
         e_new[flipped] = stack.value(DiscreteLoop(moved.nodes[flipped], moved.frame[flipped]))
     # decreases below float resolution on |E| count as no progress
     idle = e_prev - e_new <= 16 * _FLOAT_EPS * np.maximum(np.abs(e_prev), 1.0)
-    rows = idx[accepted]
     stack.stall[rows] = np.where(idle, stack.stall[rows] + 1, 0)
     stack.nodes[rows], stack.frame[rows], stack.energy[rows] = moved.nodes, moved.frame, e_new
-    stack.tau[rows] = np.minimum(best_tau[accepted] * 2.0, MAX_STEP)
-    status[accepted] = np.where(stack.stall[rows] >= STALL_STEPS, "stalled", "moved")
-    return status, gnorm
+    return stack.stall[rows] >= STALL_STEPS
+
+
+def _add_metric(h: np.ndarray, n: int, d: int, mu: float) -> None:
+    """Add mu M in place to a dense (Nd, Nd) Hessian of node-major fields, M
+    the preconditioner's operator ((1/N) I + N L) on each coordinate: its
+    diagonal, and one coordinate at nodes k and k + 1 (mod N)."""
+    diag = np.arange(n * d)
+    near = (diag + d) % (n * d)
+    h[diag, diag] += mu * (1.0 / n + 2.0 * n)
+    h[diag, near] -= mu * n
+    h[near, diag] -= mu * n
+
+
+def _newton_step(stack: _LoopStack, r: int, grad_tol: float):
+    """One Levenberg-Marquardt step of member ``r``: (status, |g|_M), or None
+    when every trial is refused.
+
+    A trial solves (H + mu M) s = -g, with H the objective's exact Hessian,
+    M the preconditioner's operator ((1/N) I + N L) on each coordinate and
+    mu = c |g|_M <= ``MAX_DAMPING``.  It is accepted when H + mu M has a
+    Cholesky factor, the segment checks admit the stepped loop and its
+    objective does not rise; c is divided by ``DAMPING_FACTOR`` on
+    acceptance and multiplied by it on refusal.  With mu proportional to
+    |g|, the steps converge quadratically also to the non-isolated minima of
+    a critical manifold under a local error bound (Li, Fukushima, Qi &
+    Yamashita, Comput. Optim. Appl. 28, 2004).  The dense Hessian lives for
+    this step only.
+    """
+    chart, loop = stack.chart, stack.loop(r)
+    grad = stack.gradient(loop)
+    gnorm = preconditioned_norm(grad)
+    if gnorm < grad_tol:
+        return "converged", gnorm
+    n, d = loop.n_nodes, loop.dim
+    h = stack.hessian(loop).matrix
+    added = 0.0
+    for _ in range(NEWTON_TRIALS):
+        mu = stack.damping[r] * gnorm
+        if mu > MAX_DAMPING:
+            break
+        _add_metric(h, n, d, mu - added)
+        added = mu
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            stack.damping[r] *= DAMPING_FACTOR
+            continue
+        step = np.linalg.solve(h, -grad.reshape(-1)).reshape(n, d)
+        trial = DiscreteLoop(chart.reduce_point(loop.nodes + step)[None], np.array([loop.frame]))
+        _, over_cap, outside = segment_checks(chart, trial)
+        if not (over_cap | outside)[0]:
+            e = stack.value(trial)
+            if e[0] <= stack.energy[r]:
+                stack.damping[r] /= DAMPING_FACTOR
+                return ("stalled" if _accept(stack, [r], trial, e)[0] else "moved"), gnorm
+        stack.damping[r] *= DAMPING_FACTOR
+    return None
+
+
+def _descent_step(stack: _LoopStack, members, newton, grad_tol: float):
+    """One step of each listed member: Levenberg-Marquardt where ``newton``
+    is set, Armijo elsewhere and where every LM trial is refused.
+
+    Returns (status, |g|_M, whether the member took an LM step) per member,
+    with the statuses of ``_armijo_step``.
+    """
+    idx = np.asarray(members, dtype=int)
+    status, gnorm = np.full(idx.size, "", dtype="<U11"), np.empty(idx.size)
+    for j in np.flatnonzero(newton):
+        out = _newton_step(stack, idx[j], grad_tol)
+        if out is not None:
+            status[j], gnorm[j] = out
+    rest = status == ""
+    lm = ~rest & (status != "converged")
+    if rest.any():
+        status[rest], gnorm[rest] = _armijo_step(stack, idx[rest], grad_tol)
+    return status, gnorm, lm
 
 
 def descend_starts(chart: Chart, loops, schedule: PenaltySchedule | None = None,
@@ -226,29 +334,38 @@ def descend_starts(chart: Chart, loops, schedule: PenaltySchedule | None = None,
                    opts: DescentOptions = DescentOptions()) -> list[DescentResult]:
     """Drive each of ``loops`` (one node count N) to a critical point, as one stack.
 
-    Each iteration steps every member still descending.  A member's step
-    does not depend on the others, so each result is that of the loop
-    descended alone; ``max_iter`` counts each member's own steps.  Accepted
-    steps never raise the energy (asserted).  A member's first unavoidable
-    segment-cap violation doubles its nodes, and it goes on with its step
-    count in a stack of 2N nodes; a second one is a hard error.
+    Each iteration steps every member still descending: by Armijo, and by
+    Levenberg-Marquardt (``_newton_step``) once the |g|_M measured at its
+    previous step is below ``NEWTON_SWITCH``; a member whose LM trials are
+    all refused takes that iteration's Armijo step.  The stall route
+    (accepting a member at up to ``STALL_GRAD_ACCEPT`` once its energy
+    stops falling by a float-resolved amount) is the fallback for a tail
+    that never reaches ``grad_tol``.  A member's step does not depend on
+    the others, so each result is that of the loop descended alone;
+    ``max_iter`` counts each member's own steps.  Accepted steps never
+    raise the energy (asserted).  A member's first unavoidable segment-cap
+    violation doubles its nodes, and it goes on with its step count in a
+    stack of 2N nodes; a second one is a hard error.
     """
     for loop in loops:
         validate_loop(chart, loop)
     n = len(loops)
     results = [None] * n
-    # (start indices, loops, steps taken, |g|_M) per stack; one that has
-    # taken steps holds doubled members
-    batches = [(np.arange(n), [maybe_recenter(chart, lp) for lp in loops], 0, np.full(n, np.inf))]
+    # (start indices, loops, steps taken, |g|_M, LM steps) per stack; one
+    # that has taken steps holds doubled members
+    batches = [(np.arange(n), [maybe_recenter(chart, lp) for lp in loops], 0, np.full(n, np.inf),
+                np.zeros(n, dtype=int))]
     while batches:
-        starts, members, taken, grad_norm = batches.pop()
+        starts, members, taken, grad_norm, lm_steps = batches.pop()
         k = taken
         stack = _LoopStack.of(chart, schedule, alpha, members)
         live, steps = np.arange(stack.size), np.full(stack.size, k)
         converged = np.zeros_like(steps, bool)
         while live.size and k < opts.max_iter:
-            status, grad_norm[live] = _armijo_step(stack, live, opts.grad_tol)
+            status, grad_norm[live], lm = _descent_step(
+                stack, live, grad_norm[live] < NEWTON_SWITCH, opts.grad_tol)
             k += 1
+            lm_steps[live] += lm
             steps[live], converged[live] = k, status == "converged"
             for r in live[status == "stalled"]:
                 # a stall after an accepted move measured the norm one loop back
@@ -260,11 +377,11 @@ def descend_starts(chart: Chart, loops, schedule: PenaltySchedule | None = None,
                     raise RefineNeededError("segment cap blocks descent even after node doubling")
                 # their results are rewritten when the doubled stack ends
                 batches.append((starts[capped], [double_nodes(chart, stack.loop(r)) for r in capped],
-                                k, grad_norm[capped]))
+                                k, grad_norm[capped], lm_steps[capped]))
             live = live[status == "moved"]
         for r, i in enumerate(starts):
             results[i] = DescentResult(stack.loop(r), bool(converged[r]), int(steps[r]),
-                                       float(stack.energy[r]), float(grad_norm[r]))
+                                       float(stack.energy[r]), float(grad_norm[r]), int(lm_steps[r]))
     return results
 
 

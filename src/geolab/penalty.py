@@ -205,7 +205,10 @@ def classify_critical_point(chart: Chart, schedule: PenaltySchedule, alpha: int,
     gradient has zero mean, as on the plane).  Its total gradient is then |df| while the ramp share is
     sqrt((M^-1)_00) |df| = 1.04 |df|, so the loop reads "genuine" only if
     the descent stopped below tau / 1.04; the reported excess, level and
-    ramp share show how close each call was.
+    ramp share show how close each call was.  The Newton tail of
+    ``descend_starts`` ends such a start on an exactly constant loop, whose
+    energy gradient vanishes: there g = g_f, so it reads "genuine" at the
+    level it converged at.
 
     On the support, when the schedule separates it from the ball
     {r <= k_radius} by more than ell (each exhaustion in the zoo is

@@ -6,13 +6,19 @@ from hypothesis import strategies as st
 from geolab import descent
 from geolab.charts import make_chart
 from geolab.descent import (
+    DAMPING_FACTOR,
+    MAX_DAMPING,
+    NEWTON_SWITCH,
+    NEWTON_TRIALS,
     RESOLUTION_FACTOR,
     STALL_GRAD_ACCEPT,
     DescentOptions,
     DescentResult,
     SweepOptions,
     SweepoutFamily,
+    _add_metric,
     _armijo_step,
+    _descent_step,
     _LoopStack,
     _resample,
     descend,
@@ -37,9 +43,10 @@ from geolab.loops import (
     make_loop,
     maybe_recenter,
     pair_distance,
+    precondition,
     segment_checks,
 )
-from geolab.penalty import PenaltySchedule
+from geolab.penalty import PenaltySchedule, penalized_gradient
 
 from conftest import circle_nodes
 
@@ -110,6 +117,72 @@ def test_descend_monotone_energy_assertion(rng):
     loop = random_loop(fun, rng, 64, winding=1, r_band=(0.2, 1.0))
     res = descend(fun, loop)
     assert res.converged
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_descend_funnel_winding_starts_converge_at_grad_tol(index):
+    # Armijo alone stopped these by the stall route at |g|_M = 0.7-1.4e-6;
+    # the Levenberg-Marquardt tail reaches grad_tol, its last steps quadratic
+    fun = make_chart("funnel")
+    rng = np.random.default_rng(7)
+    starts = [random_loop(fun, rng, 128, winding=1, r_band=(0.0, 3.0)) for _ in range(3)]
+    opts = DescentOptions(grad_tol=1e-8)
+    res = descend(fun, starts[index], PenaltySchedule(), 0, opts)
+    assert res.converged and res.grad_norm <= opts.grad_tol
+    assert 1 <= res.newton_steps <= 3
+    assert abs(res.energy - 4 * np.pi**2) < 1e-9
+
+
+def test_descend_ramp_start_converges_at_grad_tol():
+    # start 0 of a funnel census (N=128, seed 2) settles to a constant loop on
+    # the cubic penalty ramp, whose gradient 3c(r - R)^2 Armijo alone crept
+    # down for 16,383 steps before the stall route stopped it at 2.6e-7; each
+    # Newton step halves r - R there
+    fun = make_chart("funnel")
+    sched = PenaltySchedule()
+    opts = DescentOptions(grad_tol=1e-8)
+    start = random_loop(fun, np.random.default_rng(2), 128, winding=0, r_band=(0.0, 3.0))
+    res = descend(fun, start, sched, 0, opts)
+    assert res.converged and res.grad_norm <= opts.grad_tol
+    assert res.iterations <= 200
+    assert res.grad_norm == preconditioned_norm(penalized_gradient(fun, sched, 0, res.loop))
+
+
+def test_capped_newton_trial_falls_back_to_armijo(monkeypatch):
+    # the widest latitude the cap admits (N = 24), in the LM phase: every LM
+    # trial pushes it outward past the cap, and so does every Armijo trial,
+    # so the member reports cap_stalled, unmoved, which descend_starts
+    # answers by doubling its nodes (test_descend_starts_doubles_a_capped_member_alone)
+    sph = make_chart("sphere")
+    circle = circle_nodes(1.0, 24)
+    capped = make_loop(sph, _widest_latitude(sph, circle, 2.0, 3.0) * circle)
+    stack = _LoopStack.of(sph, None, None, [capped])
+    stack.damping[:] = 1e-3          # so that mu = c |g|_M is below MAX_DAMPING
+    over_cap = []
+
+    def recorded_checks(chart, loop):
+        checks = segment_checks(chart, loop)
+        over_cap.append(bool(checks[1].any()))
+        return checks
+
+    monkeypatch.setattr(descent, "segment_checks", recorded_checks)
+    status, grad_norm, lm = _descent_step(stack, [0], [True], 1e-8)
+    assert 1e-3 * grad_norm[0] < MAX_DAMPING
+    assert over_cap[:NEWTON_TRIALS] == [True] * NEWTON_TRIALS
+    assert list(status) == ["cap_stalled"] and not lm[0]
+    assert stack.damping[0] == 1e-3 * DAMPING_FACTOR**NEWTON_TRIALS
+    assert np.array_equal(stack.nodes[0], capped.nodes)
+    assert stack.energy[0] == energy(sph, capped)
+
+
+def test_add_metric_is_the_operator_precondition_inverts(rng):
+    n, d = 16, 2
+    m = np.zeros((n * d, n * d))
+    _add_metric(m, n, d, 1.0)
+    assert np.array_equal(m, m.T)
+    g = rng.standard_normal((n, d))
+    p = np.linalg.solve(m, g.reshape(-1)).reshape(n, d)
+    assert np.allclose(p, precondition(g), rtol=0.0, atol=1e-12 * np.abs(p).max())
 
 
 def test_preconditioned_norm_positive(rng):
@@ -349,10 +422,12 @@ def test_stacked_step_equals_members_stepped_alone(max_move):
 def _descend_alone(chart, loop, schedule, alpha, opts):
     """The single-loop descent, a stack of one stepped alone: the reference."""
     stack = _LoopStack.of(chart, schedule, alpha, [maybe_recenter(chart, loop)])
-    doubled, iterations, converged, grad_norm = False, 0, False, np.inf
+    doubled, iterations, converged, grad_norm, newton = False, 0, False, np.inf, 0
     while iterations < opts.max_iter:
-        (status,), (grad_norm,) = _armijo_step(stack, [0], opts.grad_tol)
+        (status,), (grad_norm,), (lm,) = _descent_step(stack, [0], [grad_norm < NEWTON_SWITCH],
+                                                       opts.grad_tol)
         iterations += 1
+        newton += lm
         if status == "cap_stalled":
             assert not doubled
             doubled = True
@@ -362,13 +437,14 @@ def _descend_alone(chart, loop, schedule, alpha, opts):
                 grad_norm = preconditioned_norm(stack.gradient(stack.loop(0)))
             converged = status == "converged" or grad_norm <= STALL_GRAD_ACCEPT
             break
-    return DescentResult(stack.loop(0), converged, iterations, stack.energy[0], grad_norm)
+    return DescentResult(stack.loop(0), converged, iterations, stack.energy[0], grad_norm, newton)
 
 
 def _assert_same_results(results, others):
     for a, b in zip(results, others, strict=True):
         assert np.array_equal(a.loop.nodes, b.loop.nodes) and a.loop.frame == b.loop.frame
-        assert (a.iterations, a.energy, a.grad_norm) == (b.iterations, b.energy, b.grad_norm)
+        assert ((a.iterations, a.newton_steps, a.energy, a.grad_norm)
+                == (b.iterations, b.newton_steps, b.energy, b.grad_norm))
         assert a.converged == b.converged
 
 
@@ -380,18 +456,20 @@ def _check_batch(chart, starts, schedule, alpha, opts):
     return batch
 
 
-@pytest.mark.parametrize("max_iter", [20000, 100])
+@pytest.mark.parametrize("max_iter", [20000, 100, 90])
 def test_descend_starts_funnel_members_equal_starts_descended_alone(rng, max_iter):
     # a contractible start, a winding start and a contractible start on the
-    # penalty ramp; at max_iter 100 the winding start is cut off while the
-    # contractible ones converge
+    # penalty ramp; the winding start converges at step 92, after two
+    # Levenberg-Marquardt steps, so at max_iter 90 it is cut off inside its
+    # tail while the contractible ones converge
     fun = make_chart("funnel")
     sched = PenaltySchedule(r0=2.0, dr=1.0)
     starts = [random_loop(fun, rng, 64, winding=0, r_band=(0.0, 3.0)),
               random_loop(fun, rng, 64, winding=1, r_band=(0.5, 2.0)),
               random_loop(fun, rng, 64, winding=0, r_band=(2.0, 3.0))]
     batch = _check_batch(fun, starts, sched, 0, DescentOptions(max_iter=max_iter))
-    assert [r.converged for r in batch] == [True, max_iter > 100, True]
+    assert [r.converged for r in batch] == [True, max_iter > 90, True]
+    assert batch[1].newton_steps == (2 if max_iter > 90 else 1)
 
 
 @pytest.mark.parametrize("max_iter", [20000, 1])

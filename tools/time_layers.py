@@ -6,7 +6,12 @@ Prints one JSON object: the median wall time in microseconds of
 ``energy``, ``energy_gradient``, ``validate_loop``, ``precondition`` (of
 the stack's gradient) and ``maybe_recenter`` on two stacks, and of one
 relax round of the benchmark sweep (``_armijo_step`` of every member, then
-``_resample``).
+``_resample``).  On the funnel waist at N = 128 it also times the layers
+of one Levenberg-Marquardt trial of ``find``'s descent (the penalized
+Hessian assembly, the in-place mu M, the Cholesky factorization and the
+solve), one whole ``_newton_step`` of a waist perturbed into the Newton
+tail, and one dense ``eigvalsh`` of the waist's Hessian; a checkout
+without the Newton tail reports the assembly and the eigensolve alone.
 
 * ``sphere``: the family of ``birkhoff_latitudes(sphere, 9, 128)`` after
   the 50 relax rounds of the ``sweep-birkhoff`` workload, 44 members with
@@ -40,6 +45,35 @@ def median_us(f, repeat: int) -> float:
         f()
         times.append(time.perf_counter() - t0)
     return 1e6 * statistics.median(times)
+
+
+def waist_layers(fun, repeat: int) -> dict:
+    """Median microseconds of the Newton-tail layers on the funnel waist, N = 128."""
+    from geolab import descent
+    from geolab.loops import make_loop
+    from geolab.morse import assemble_second_variation
+    from geolab.penalty import PenaltySchedule, penalized_gradient
+
+    n, sched = 128, PenaltySchedule()
+    ts = 2 * np.pi * np.arange(n) / n
+    waist = make_loop(fun, np.stack([np.zeros(n), ts], axis=1))
+    h = assemble_second_variation(fun, waist, sched, 0).matrix
+    out = {"assembly": median_us(lambda: assemble_second_variation(fun, waist, sched, 0), repeat),
+           "eigvalsh": median_us(lambda: np.linalg.eigvalsh(h), repeat)}
+    if not hasattr(descent, "_newton_step"):
+        return out
+    g = penalized_gradient(fun, sched, 0, waist).reshape(-1)
+    damped = h.copy()
+    descent._add_metric(damped, n, 2, 1e-3)
+    out.update(add_metric=median_us(lambda: descent._add_metric(h.copy(), n, 2, 1e-3), repeat)
+               - median_us(h.copy, repeat),
+               cholesky=median_us(lambda: np.linalg.cholesky(damped), repeat),
+               solve=median_us(lambda: np.linalg.solve(damped, -g), repeat))
+    # a waist with a small z ripple: |g|_M about 1e-3, in the Newton tail
+    rippled = make_loop(fun, np.stack([1e-3 * np.cos(3 * ts), ts], axis=1))
+    stacks = [descent._LoopStack.of(fun, sched, 0, [rippled]) for _ in range(repeat + 1)]
+    out["newton_step"] = median_us(lambda: descent._newton_step(stacks.pop(), 0, 1e-8), repeat)
+    return out
 
 
 def main(argv=None) -> int:
@@ -83,6 +117,7 @@ def main(argv=None) -> int:
 
     copies = [copy.deepcopy(stack) for _ in range(args.repeat // 4 + 1)]
     out["relax_round"] = median_us(lambda: relax_round(copies.pop()), args.repeat // 4)
+    out["funnel_waist"] = waist_layers(fun, args.repeat)
     print(json.dumps(out))
     return 0
 
