@@ -52,7 +52,7 @@ from .loops import (
     segment_checks,
     validate_loop,
 )
-from .morse import assemble_second_variation
+from .morse import SecondVariation, assemble_second_variation
 from .penalty import PenaltySchedule, penalized_energy, penalized_gradient
 
 ARMIJO = 1e-4          # sufficient-decrease constant
@@ -108,7 +108,7 @@ class _LoopStack:
     chart: Chart
     value: Callable          # objective of a loop or a stack of loops
     gradient: Callable
-    hessian: Callable        # dense Hessian of the objective at one loop
+    hessian: Callable        # ``SecondVariation`` of the objective at one loop
     nodes: np.ndarray        # (M, N, d)
     frame: np.ndarray        # chart gauge
     energy: np.ndarray       # objective value
@@ -252,15 +252,12 @@ def _accept(stack: _LoopStack, rows, trial: DiscreteLoop, e_new) -> np.ndarray:
     return stack.stall[rows] >= STALL_STEPS
 
 
-def _add_metric(h: np.ndarray, n: int, d: int, mu: float) -> None:
-    """Add mu M in place to a dense (Nd, Nd) Hessian of node-major fields, M
-    the preconditioner's operator ((1/N) I + N L) on each coordinate: its
-    diagonal, and one coordinate at nodes k and k + 1 (mod N)."""
-    diag = np.arange(n * d)
-    near = (diag + d) % (n * d)
-    h[diag, diag] += mu * (1.0 / n + 2.0 * n)
-    h[diag, near] -= mu * n
-    h[near, diag] -= mu * n
+def _add_metric(sv: SecondVariation, mu: float) -> None:
+    """Add mu M in place to the blocks of ``sv``, M the preconditioner's operator
+    ((1/N) I + N L) on each coordinate: on the diagonals of ``diag`` and ``off``."""
+    n, i = sv.n_nodes, np.arange(sv.dim)
+    sv.diag[:, i, i] += mu * (1.0 / n + 2.0 * n)
+    sv.off[:, i, i] -= mu * n
 
 
 def _newton_step(stack: _LoopStack, r: int, grad_tol: float):
@@ -275,29 +272,29 @@ def _newton_step(stack: _LoopStack, r: int, grad_tol: float):
     acceptance and multiplied by it on refusal.  With mu proportional to
     |g|, the steps converge quadratically also to the non-isolated minima of
     a critical manifold under a local error bound (Li, Fukushima, Qi &
-    Yamashita, Comput. Optim. Appl. 28, 2004).  The dense Hessian lives for
-    this step only.
+    Yamashita, Comput. Optim. Appl. 28, 2004).  The Hessian's blocks live
+    for this step only; each trial rebuilds the dense H + mu M from them.
     """
     chart, loop = stack.chart, stack.loop(r)
     grad = stack.gradient(loop)
     gnorm = preconditioned_norm(grad)
     if gnorm < grad_tol:
         return "converged", gnorm
-    n, d = loop.n_nodes, loop.dim
-    h = stack.hessian(loop).matrix
+    sv = stack.hessian(loop)
     added = 0.0
     for _ in range(NEWTON_TRIALS):
         mu = stack.damping[r] * gnorm
         if mu > MAX_DAMPING:
             break
-        _add_metric(h, n, d, mu - added)
+        _add_metric(sv, mu - added)
         added = mu
+        h = sv.dense()
         try:
             np.linalg.cholesky(h)
         except np.linalg.LinAlgError:
             stack.damping[r] *= DAMPING_FACTOR
             continue
-        step = np.linalg.solve(h, -grad.reshape(-1)).reshape(n, d)
+        step = np.linalg.solve(h, -grad.reshape(-1)).reshape(grad.shape)
         trial = DiscreteLoop(chart.reduce_point(loop.nodes + step)[None], np.array([loop.frame]))
         _, over_cap, outside = segment_checks(chart, trial)
         if not (over_cap | outside)[0]:

@@ -1,7 +1,7 @@
 """Second variation of the (penalized) energy: index, nullity, iteration checks.
 
-Two independent assemblies of the dN x dN Hessian over nodal vector fields
-are kept permanently as mutual oracles:
+Two independent assemblies of the Hessian over nodal vector fields, as its
+d x d blocks (``SecondVariation``), are kept permanently as mutual oracles:
 
 * ``exact_discrete`` - the analytic second derivative of the discrete
   energy (the default; matches finite differences of the gradient);
@@ -21,7 +21,7 @@ wrap-around block is twisted by omega (see ``iteration_table``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +43,36 @@ ZERO_BAND_SCALE = 1e-6
 
 @dataclass
 class SecondVariation:
-    """Symmetric dN x dN Hessian over nodal fields (Hermitian once twisted), with metadata."""
+    """Cyclic block-tridiagonal Hessian over nodal fields as its blocks, with
+    metadata: ``diag[k]`` = H[k, k], symmetric (the penalty is in block 0), and
+    ``off[k]`` = A_k = H[k, k+1 mod N]; only ``dense`` knows the node-major layout."""
 
-    matrix: np.ndarray
+    diag: np.ndarray               # (N, d, d)
+    off: np.ndarray                # (N, d, d)
     method: str                    # "exact_discrete" | "continuum_quadrature"
-    n_nodes: int
-    dim: int
     alpha: int | None = None
+
+    @property
+    def n_nodes(self) -> int:
+        return self.diag.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.diag.shape[-1]
+
+    def dense(self, omega: complex = 1) -> np.ndarray:
+        """Hermitian (Nd, Nd) matrix on node-major fields with xi_{k+N} = omega xi_k:
+        block (N-1, 0) is omega A_{N-1}, block (0, N-1) its conjugate transpose."""
+        n, d = self.n_nodes, self.dim
+        idx, nxt = np.arange(n), np.roll(np.arange(n), -1)
+        h = np.zeros((n, d, n, d), dtype=float if omega == 1 else complex)
+        h[idx, :, idx, :] = self.diag
+        h[idx, :, nxt, :] = self.off
+        h[nxt, :, idx, :] = np.swapaxes(self.off, -1, -2)
+        if omega != 1:
+            h[-1, :, 0, :] *= omega
+            h[0, :, -1, :] *= np.conj(omega)
+        return h.reshape(n * d, n * d)
 
 
 @dataclass
@@ -114,47 +137,27 @@ def assemble_second_variation(chart: Chart, loop: DiscreteLoop,
     assembly evaluates no gradient; the caller reports how critical the loop is.
     """
     deltas = validate_loop(chart, loop)
-    n, d = loop.n_nodes, loop.dim
     if method == "exact_discrete":
         h_aa, h_ab, h_bb = _second_deriv_blocks(chart, loop, deltas)
-        scale = float(n)
+        scale = float(loop.n_nodes)
     elif method == "continuum_quadrature":
         h_aa, h_ab, h_bb = _quadrature_blocks(chart, loop, deltas)
         scale = 1.0
     else:
         raise ValueError(f"unknown assembly method {method!r}")
 
-    idx, nxt = np.arange(n), np.roll(np.arange(n), -1)
-    h = np.zeros((n, d, n, d))
-    h[idx, :, idx, :] = h_aa + np.roll(h_bb, 1, axis=0)
-    h[idx, :, nxt, :] = h_ab
-    h[nxt, :, idx, :] = np.swapaxes(h_ab, -1, -2)
-    h = scale * h.reshape(n * d, n * d)
-
+    diag = scale * (h_aa + np.roll(h_bb, 1, axis=0))
     if schedule is not None and alpha is not None:
         if method == "exact_discrete":
-            h[:d, :d] += penalty_coordinate_hess(chart, schedule, alpha, loop.basepoint)
+            diag[0] += penalty_coordinate_hess(chart, schedule, alpha, loop.basepoint)
         else:
-            _, hess_cov = penalty_gradient_and_hessian(chart, schedule, alpha, loop.basepoint)
-            h[:d, :d] += hess_cov
-    h = 0.5 * (h + h.T)
-    return SecondVariation(matrix=h, method=method, n_nodes=n, dim=d, alpha=alpha)
+            diag[0] += penalty_gradient_and_hessian(chart, schedule, alpha, loop.basepoint)[1]
+    diag = 0.5 * (diag + np.swapaxes(diag, -1, -2))
+    return SecondVariation(diag=diag, off=scale * h_ab, method=method, alpha=alpha)
 
 
-def twisted_hessian(sv: SecondVariation, omega: complex) -> SecondVariation:
-    """Hermitian ``sv`` on fields with xi_{k+N} = omega xi_k, |omega| = 1: block
-    (N-1, 0) times omega, block (0, N-1) times conj(omega); omega = 1 is ``sv``."""
-    if omega == 1:
-        return sv
-    k, d = (sv.n_nodes - 1) * sv.dim, sv.dim
-    h = sv.matrix.astype(complex)
-    h[k:, :d] *= omega
-    h[:d, k:] *= np.conj(omega)
-    return replace(sv, matrix=h)
-
-
-def index_and_nullity(sv: SecondVariation) -> SpectralReport:
-    """Inertia counts from a full Hermitian eigensolve.
+def index_and_nullity(sv: SecondVariation, omega: complex = 1) -> SpectralReport:
+    """Inertia counts of ``sv.dense(omega)`` from a full Hermitian eigensolve.
 
     Eigenvalues are reported as N times the matrix eigenvalues (continuum
     normalization); the band is ``ZERO_BAND_SCALE`` times the reported
@@ -162,18 +165,19 @@ def index_and_nullity(sv: SecondVariation) -> SpectralReport:
     Eigenvalues within a factor 10 of the band edge raise the ambiguity
     flag - the caller should refine N, not trust the counts.
     """
-    eigs = np.linalg.eigvalsh(sv.matrix) * sv.n_nodes
-    radius = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    band = ZERO_BAND_SCALE * radius
+    return _spectral_report(sv.dense(omega), sv.n_nodes)
+
+
+def _spectral_report(h: np.ndarray, n_nodes: int) -> SpectralReport:
+    """``index_and_nullity`` of the Hermitian matrix ``h`` of an N-node Hessian."""
+    eigs = np.linalg.eigvalsh(h) * n_nodes
+    mags = np.abs(eigs)
+    band = ZERO_BAND_SCALE * (float(np.max(mags)) if eigs.size else 0.0)
     if band <= 0:
         raise ValueError("zero band must be positive")
-    index = int(np.sum(eigs < -band))
-    nullity = int(np.sum(np.abs(eigs) <= band))
-    mags = np.abs(eigs)
     ambiguous = bool(np.any((mags >= band / 10) & (mags <= band * 10)))
-    return SpectralReport(
-        index=index, nullity=nullity, zero_band=band, eigenvalues=eigs, ambiguous=ambiguous,
-    )
+    return SpectralReport(index=int(np.sum(eigs < -band)), nullity=int(np.sum(mags <= band)),
+                          zero_band=band, eigenvalues=eigs, ambiguous=ambiguous)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +198,7 @@ def outgoing_conjugate_report(chart: Chart, loop: DiscreteLoop) -> tuple:
 def pinned_index(sv: SecondVariation) -> int:
     """Negative inertia of the basepoint-pinned block of an assembled Hessian;
     the penalty only enters the basepoint block, so this is the Dirichlet index."""
-    return index_and_nullity(replace(sv, matrix=sv.matrix[sv.dim:, sv.dim:])).index
+    return _spectral_report(sv.dense()[sv.dim:, sv.dim:], sv.n_nodes).index
 
 
 def dirichlet_index(chart: Chart, loop: DiscreteLoop) -> int:
@@ -249,8 +253,8 @@ def iteration_table(chart: Chart, loop: DiscreteLoop, return_map: np.ndarray,
 
     The exact Hessian of the iterate is block-circulant, so (Bott's formula)
     ind_m and nul_m are the sums over omega^m = 1 of the inertia of the
-    N-node Hessian twisted by omega (``twisted_hessian``), which is
-    assembled once.  Each omega is solved once (omega and its conjugate
+    N-node Hessian twisted by omega (``SecondVariation.dense``), whose
+    blocks are assembled once.  Each omega is solved once (omega and its conjugate
     share a solve), and its nullity must equal dim ker(P - omega Id) for the
     return map P.  The mean index ibar, the average of ind_omega over the
     circle, is exact from one solve per arc between the unit-circle
@@ -265,12 +269,11 @@ def iteration_table(chart: Chart, loop: DiscreteLoop, return_map: np.ndarray,
     def twisted(turn: float) -> SpectralReport:
         if turn not in solved:
             omega = np.exp(2j * np.pi * turn)
-            spec = index_and_nullity(twisted_hessian(sv, omega))
+            solved[turn] = spec = index_and_nullity(sv, omega)
             nul_mono = eigenspace_dimension(return_map, omega)
             if spec.nullity != nul_mono:
                 raise CrossCheckError(f"omega = exp(2 pi i {turn}): spectral nullity "
                                       f"{spec.nullity} != return-map nullity {nul_mono}")
-            solved[turn] = spec
         return solved[turn]
 
     eigs = np.linalg.eigvals(return_map)

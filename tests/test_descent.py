@@ -39,6 +39,7 @@ from geolab.loops import (
     circle_shift,
     double_nodes,
     energy,
+    energy_gradient,
     loop_distance,
     make_loop,
     maybe_recenter,
@@ -46,9 +47,10 @@ from geolab.loops import (
     precondition,
     segment_checks,
 )
+from geolab.morse import SecondVariation
 from geolab.penalty import PenaltySchedule, penalized_gradient
 
-from conftest import circle_nodes
+from conftest import circle_nodes, waist_loop
 
 
 def test_descend_plane_to_constant(rng):
@@ -149,40 +151,67 @@ def test_descend_ramp_start_converges_at_grad_tol():
 
 
 def test_capped_newton_trial_falls_back_to_armijo(monkeypatch):
-    # the widest latitude the cap admits (N = 24), in the LM phase: every LM
-    # trial pushes it outward past the cap, and so does every Armijo trial,
-    # so the member reports cap_stalled, unmoved, which descend_starts
-    # answers by doubling its nodes (test_descend_starts_doubles_a_capped_member_alone)
+    # the widest latitude the cap admits (N = 40), in the LM phase with
+    # c = 1/16: H + mu M has a Cholesky factor at each of the three trials
+    # (mu = c |g|_M, 4c |g|_M and 16c |g|_M; it has one for c in about
+    # [0.033, 0.16], and 16c |g|_M < MAX_DAMPING for c below 0.16), but
+    # every LM step pushes the loop outward past the cap, and so does every
+    # Armijo trial, so the member reports cap_stalled, unmoved, which
+    # descend_starts answers by doubling its nodes
+    # (test_descend_starts_doubles_a_capped_member_alone)
     sph = make_chart("sphere")
-    circle = circle_nodes(1.0, 24)
-    capped = make_loop(sph, _widest_latitude(sph, circle, 2.0, 3.0) * circle)
+    circle = circle_nodes(1.0, 40)
+    capped = make_loop(sph, _widest_latitude(sph, circle, 4.0, 6.0) * circle)
     stack = _LoopStack.of(sph, None, None, [capped])
-    stack.damping[:] = 1e-3          # so that mu = c |g|_M is below MAX_DAMPING
-    over_cap = []
+    stack.damping[:] = 1 / 16
+    events = []
+    real_cholesky = np.linalg.cholesky
+
+    def recorded_cholesky(a):
+        factor = real_cholesky(a)
+        events.append("factored")
+        return factor
 
     def recorded_checks(chart, loop):
         checks = segment_checks(chart, loop)
-        over_cap.append(bool(checks[1].any()))
+        events.append("over_cap" if checks[1].any() else "admitted")
         return checks
 
+    monkeypatch.setattr(np.linalg, "cholesky", recorded_cholesky)
     monkeypatch.setattr(descent, "segment_checks", recorded_checks)
     status, grad_norm, lm = _descent_step(stack, [0], [True], 1e-8)
-    assert 1e-3 * grad_norm[0] < MAX_DAMPING
-    assert over_cap[:NEWTON_TRIALS] == [True] * NEWTON_TRIALS
+    assert DAMPING_FACTOR**(NEWTON_TRIALS - 1) / 16 * grad_norm[0] < MAX_DAMPING
+    lm_events, armijo_events = events[:2 * NEWTON_TRIALS], events[2 * NEWTON_TRIALS:]
+    assert lm_events == ["factored", "over_cap"] * NEWTON_TRIALS
+    assert armijo_events and set(armijo_events) == {"over_cap"}
     assert list(status) == ["cap_stalled"] and not lm[0]
-    assert stack.damping[0] == 1e-3 * DAMPING_FACTOR**NEWTON_TRIALS
+    assert stack.damping[0] == DAMPING_FACTOR**NEWTON_TRIALS / 16
     assert np.array_equal(stack.nodes[0], capped.nodes)
     assert stack.energy[0] == energy(sph, capped)
 
 
 def test_add_metric_is_the_operator_precondition_inverts(rng):
     n, d = 16, 2
-    m = np.zeros((n * d, n * d))
-    _add_metric(m, n, d, 1.0)
+    sv = SecondVariation(diag=np.zeros((n, d, d)), off=np.zeros((n, d, d)),
+                         method="exact_discrete")
+    _add_metric(sv, 1.0)
+    m = sv.dense()
     assert np.array_equal(m, m.T)
     g = rng.standard_normal((n, d))
     p = np.linalg.solve(m, g.reshape(-1)).reshape(n, d)
     assert np.allclose(p, precondition(g), rtol=0.0, atol=1e-12 * np.abs(p).max())
+
+
+def test_tail_below_the_rounding_floor_converges_by_the_stall_route():
+    # the funnel waist is critical, but its |g|_M cannot fall below about
+    # 4e-14 in float64, so grad_tol = 1e-16 is out of reach: the member
+    # stalls once no step lowers the energy, and is accepted at the |g|_M
+    # of the loop it stalls on, below STALL_GRAD_ACCEPT
+    fun = make_chart("funnel")
+    opts = DescentOptions(grad_tol=1e-16)
+    res, = descend_starts(fun, [waist_loop(fun, 64)], opts=opts)
+    assert res.converged and opts.grad_tol < res.grad_norm <= STALL_GRAD_ACCEPT
+    assert res.grad_norm == preconditioned_norm(energy_gradient(fun, res.loop))
 
 
 def test_preconditioned_norm_positive(rng):

@@ -28,7 +28,6 @@ from geolab.morse import (
     iteration_table,
     lemma_verdict,
     outgoing_conjugate_report,
-    twisted_hessian,
 )
 from geolab.penalty import PenaltySchedule
 
@@ -52,7 +51,7 @@ def hessian_matches_fd(chart, loop, schedule=None, alpha=None, n_dirs=3, seed=0)
             gm = penalized_gradient(chart, schedule, alpha,
                                     DiscreteLoop(loop.nodes - h * u, frame=loop.frame))
         fd = (gp - gm).ravel() / (2 * h)
-        hv = sv.matrix @ u.ravel()
+        hv = sv.dense() @ u.ravel()
         worst = max(worst, np.max(np.abs(hv - fd)) / max(np.max(np.abs(fd)), 1e-12))
     return worst
 
@@ -62,7 +61,7 @@ def test_hessian_symmetric_and_matches_fd_control():
     plane = make_chart("plane")
     loop = make_loop(plane, circle_nodes(1.0, 48))
     sv = assemble_second_variation(plane, loop)
-    assert np.array_equal(sv.matrix, sv.matrix.T)
+    assert np.array_equal(sv.dense(), sv.dense().T)
     assert hessian_matches_fd(plane, loop) < 1e-5
 
 
@@ -86,23 +85,27 @@ def test_constant_loop_spectrum():
     assert spec.eigenvalues.size == 64
 
 
+def diagonal_second_variation(values, n, d):
+    """The SecondVariation whose dense matrix is diag(values), node-major."""
+    diag = np.zeros((n, d, d))
+    diag[:, np.arange(d), np.arange(d)] = np.reshape(values, (n, d))
+    return SecondVariation(diag=diag, off=np.zeros((n, d, d)), method="exact_discrete")
+
+
 def test_index_and_nullity_band_logic():
     n, d = 16, 2
     eigs = np.concatenate([[-40.0, -3.0], np.zeros(3), np.full(n * d - 5, 50.0)])
-    sv = SecondVariation(matrix=np.diag(eigs / n), method="exact_discrete",
-                         n_nodes=n, dim=d)
+    sv = diagonal_second_variation(eigs / n, n, d)
+    assert np.array_equal(sv.dense(), np.diag(eigs / n))
     spec = index_and_nullity(sv)
     assert (spec.index, spec.nullity) == (2, 3)
     assert not spec.ambiguous
     # an eigenvalue close to the band edge flips the ambiguity flag
     eigs[2] = spec.zero_band * 2.0
-    sv2 = SecondVariation(matrix=np.diag(eigs / n), method="exact_discrete",
-                          n_nodes=n, dim=d)
-    assert index_and_nullity(sv2).ambiguous
+    assert index_and_nullity(diagonal_second_variation(eigs / n, n, d)).ambiguous
     # an all-zero spectrum has no band
     with pytest.raises(ValueError, match="zero band"):
-        index_and_nullity(SecondVariation(matrix=np.zeros((n * d, n * d)),
-                                          method="exact_discrete", n_nodes=n, dim=d))
+        index_and_nullity(diagonal_second_variation(np.zeros(n * d), n, d))
 
 
 def test_sphere_great_circle_index_nullity():
@@ -317,7 +320,7 @@ def test_twisted_inertia_invariant_under_circle_action_reversal_and_conjugation(
     omega = np.exp(2j * np.pi * turn)
 
     def inertia(lp, w):
-        spec = index_and_nullity(twisted_hessian(assemble_second_variation(chart, lp), w))
+        spec = index_and_nullity(assemble_second_variation(chart, lp), w)
         return spec.index, spec.nullity
 
     base = inertia(loop, omega)
@@ -376,11 +379,12 @@ def test_twisted_hessian_is_the_iterate_hessian_on_omega_periodic_fields(
     # Hessian (node count scale mN) is m^2 times the omega-twisted one
     chart, loop = wavy_bumped_loop
     omega = np.exp(2j * np.pi * k / m)
-    sv = assemble_second_variation(chart, loop)
-    lift = np.concatenate([omega ** j * np.eye(sv.matrix.shape[0]) for j in range(m)])
-    h_m = assemble_second_variation(chart, iterate(loop, m)).matrix
+    twisted = assemble_second_variation(chart, loop).dense(omega)
+    assert np.array_equal(twisted, twisted.conj().T)
+    lift = np.concatenate([omega ** j * np.eye(twisted.shape[0]) for j in range(m)])
+    h_m = assemble_second_variation(chart, iterate(loop, m)).dense()
     restricted = lift.conj().T @ h_m @ lift / m ** 2
-    assert np.allclose(twisted_hessian(sv, omega).matrix, restricted, rtol=0, atol=1e-11)
+    assert np.allclose(twisted, restricted, rtol=0, atol=1e-11)
 
 
 def test_index_nondecreasing_under_iteration():

@@ -6,12 +6,16 @@ Prints one JSON object: the median wall time in microseconds of
 ``energy``, ``energy_gradient``, ``validate_loop``, ``precondition`` (of
 the stack's gradient) and ``maybe_recenter`` on two stacks, and of one
 relax round of the benchmark sweep (``_armijo_step`` of every member, then
-``_resample``).  On the funnel waist at N = 128 it also times the layers
-of one Levenberg-Marquardt trial of ``find``'s descent (the penalized
-Hessian assembly, the in-place mu M, the Cholesky factorization and the
-solve), one whole ``_newton_step`` of a waist perturbed into the Newton
-tail, and one dense ``eigvalsh`` of the waist's Hessian; a checkout
-without the Newton tail reports the assembly and the eigensolve alone.
+``_resample``).  On the funnel waist at N = 128 it also times the penalized
+Hessian assembly, the dense rebuild from its blocks (``dense``; a checkout
+that assembles the dense matrix directly has none), one real ``eigvalsh``
+of the waist's Hessian and one complex ``eigvalsh`` of its copy twisted by
+omega = i (``dense(1j)``, or ``twisted_hessian`` in a checkout without
+blocks), and the layers of one Levenberg-Marquardt trial of ``find``'s
+descent (the in-place mu M, the Cholesky factorization and the solve) and
+one whole ``_newton_step`` of a waist perturbed into the Newton tail; a
+checkout without the Newton tail reports the assembly and the eigensolves
+alone.
 
 * ``sphere``: the family of ``birkhoff_latitudes(sphere, 9, 128)`` after
   the 50 relax rounds of the ``sweep-birkhoff`` workload, 44 members with
@@ -48,26 +52,42 @@ def median_us(f, repeat: int) -> float:
 
 
 def waist_layers(fun, repeat: int) -> dict:
-    """Median microseconds of the Newton-tail layers on the funnel waist, N = 128."""
-    from geolab import descent
+    """Median microseconds of the Hessian and Newton-tail layers on the funnel waist, N = 128."""
+    from dataclasses import replace
+
+    from geolab import descent, morse
     from geolab.loops import make_loop
-    from geolab.morse import assemble_second_variation
     from geolab.penalty import PenaltySchedule, penalized_gradient
 
     n, sched = 128, PenaltySchedule()
     ts = 2 * np.pi * np.arange(n) / n
     waist = make_loop(fun, np.stack([np.zeros(n), ts], axis=1))
-    h = assemble_second_variation(fun, waist, sched, 0).matrix
-    out = {"assembly": median_us(lambda: assemble_second_variation(fun, waist, sched, 0), repeat),
-           "eigvalsh": median_us(lambda: np.linalg.eigvalsh(h), repeat)}
+    sv = morse.assemble_second_variation(fun, waist, sched, 0)
+    out = {"assembly": median_us(lambda: morse.assemble_second_variation(fun, waist, sched, 0),
+                                 repeat)}
+    blocks = hasattr(sv, "dense")
+    if blocks:
+        out["dense"] = median_us(sv.dense, repeat)
+        h, twisted = sv.dense(), sv.dense(1j)
+    else:
+        h, twisted = sv.matrix, morse.twisted_hessian(sv, 1j).matrix
+    out.update(eigvalsh=median_us(lambda: np.linalg.eigvalsh(h), repeat),
+               eigvalsh_twisted=median_us(lambda: np.linalg.eigvalsh(twisted), repeat))
     if not hasattr(descent, "_newton_step"):
         return out
     g = penalized_gradient(fun, sched, 0, waist).reshape(-1)
-    damped = h.copy()
-    descent._add_metric(damped, n, 2, 1e-3)
-    out.update(add_metric=median_us(lambda: descent._add_metric(h.copy(), n, 2, 1e-3), repeat)
-               - median_us(h.copy, repeat),
-               cholesky=median_us(lambda: np.linalg.cholesky(damped), repeat),
+    if blocks:
+        work = replace(sv, diag=sv.diag.copy(), off=sv.off.copy())
+        out["add_metric"] = median_us(lambda: descent._add_metric(work, 1e-3), repeat)
+        damped = replace(sv, diag=sv.diag.copy(), off=sv.off.copy())
+        descent._add_metric(damped, 1e-3)
+        damped = damped.dense()
+    else:
+        damped = h.copy()
+        descent._add_metric(damped, n, 2, 1e-3)
+        out["add_metric"] = (median_us(lambda: descent._add_metric(h.copy(), n, 2, 1e-3), repeat)
+                             - median_us(h.copy, repeat))
+    out.update(cholesky=median_us(lambda: np.linalg.cholesky(damped), repeat),
                solve=median_us(lambda: np.linalg.solve(damped, -g), repeat))
     # a waist with a small z ripple: |g|_M about 1e-3, in the Newton tail
     rippled = make_loop(fun, np.stack([1e-3 * np.cos(3 * ts), ts], axis=1))
