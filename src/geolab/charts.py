@@ -86,10 +86,11 @@ class Chart:
     """Base class: domain guards and periodic wrapping.
 
     Subclasses provide ``metric``, ``metric_deriv``, ``metric_second_deriv``,
-    ``gauss_curvature`` and ``spray`` in closed form and set ``dim``.  A
-    non-compact chart also has ``exhaustion`` with its gradient
-    ``exhaustion_grad`` and Hessian ``exhaustion_hess``, written once per
-    form: r = |x_0| in ``_RevolutionChart``, and r = f(|u|) in
+    ``gauss_curvature`` and ``spray`` (-Gamma(v, v), K g(v, v)) in closed form
+    over leading batch axes, and ``sample_point(rng, r_min, r_max)``, uniform
+    in the exhaustion band.  A non-compact chart also has ``exhaustion`` with
+    its gradient ``exhaustion_grad`` and Hessian ``exhaustion_hess``, written
+    once per form: r = |x_0| in ``_RevolutionChart``, and r = f(|u|) in
     ``_ConformalChart`` from a chart's 1-D jet (f, f', f'').  The oracles of
     these closed forms are ``central_difference`` of the one below.
     """
@@ -109,16 +110,6 @@ class Chart:
     recenter_trigger = np.inf
 
     # -- metric level -----------------------------------------------------
-
-    def metric(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def metric_deriv(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def spray(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(-Gamma(v, v), K g(v, v)) in closed form, over leading batch axes."""
-        raise NotImplementedError
 
     def metric_checked(self, x: np.ndarray) -> np.ndarray:
         """Metric with domain guard and positive-definiteness assertion."""
@@ -164,15 +155,6 @@ class Chart:
         return out
 
     # -- misc ---------------------------------------------------------------
-
-    def gauss_curvature(self, x: np.ndarray) -> np.ndarray:
-        """Gauss curvature K(x) in closed form, over leading batch axes."""
-        raise NotImplementedError
-
-    def sample_point(self, rng: np.random.Generator, r_min: float = 0.0,
-                     r_max: float = 3.0) -> np.ndarray:
-        """Draw a point, uniformly in the exhaustion band [r_min, r_max]."""
-        raise NotImplementedError
 
     def recenter_map(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{self.name}: no recentering isometry")
@@ -343,12 +325,12 @@ class _RevolutionChart(Chart):
 class _ProfileChart(_RevolutionChart):
     """Surface-of-revolution-type metric diag(1, rho(z)^2) in (z, theta).
 
-    Subclasses supply ``profile_jet``, the profile rho with its first two
-    derivatives.  The only nonzero Christoffels are Gamma^z_thth = -rho rho'
-    and Gamma^th_zth = Gamma^th_thz = rho'/rho, so the spray is
-    -Gamma(v, v) = (rho rho' v_th^2, -2 (rho'/rho) v_z v_th).  Gauss curvature
-    is -rho''/rho; circles z = const with rho'(z) = 0 are closed geodesics of
-    length 2 pi rho(z).
+    Subclasses supply ``profile_jet(z)``, the profile rho with its first two
+    derivatives, each of the shape of z.  The only nonzero Christoffels are
+    Gamma^z_thth = -rho rho' and Gamma^th_zth = Gamma^th_thz = rho'/rho, so
+    the spray is -Gamma(v, v) = (rho rho' v_th^2, -2 (rho'/rho) v_z v_th).
+    Gauss curvature is -rho''/rho; circles z = const with rho'(z) = 0 are
+    closed geodesics of length 2 pi rho(z).
     """
 
     z_bound = 300.0  # cosh-type profiles overflow float64 past ~700
@@ -356,10 +338,6 @@ class _ProfileChart(_RevolutionChart):
     def contains(self, x):
         x = np.asarray(x, dtype=float)
         return np.abs(x[..., 0]) < self.z_bound
-
-    def profile_jet(self, z):
-        """(rho, rho', rho'') at z, each of the shape of z."""
-        raise NotImplementedError
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)
@@ -476,16 +454,6 @@ class _ConformalChart(Chart):
     as the 1-D jet (f, f', f'') (``_radial_jet``); with u_hat = u / rho,
     grad r = f' u_hat and Hess r = f'' u_hat u_hat^T + (f'/rho)(I - u_hat u_hat^T).
     """
-
-    def _lam(self, s):
-        raise NotImplementedError
-
-    def _dlam(self, s):
-        """d lambda / d s with s = |u|^2."""
-        raise NotImplementedError
-
-    def _d2lam(self, s):
-        raise NotImplementedError
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)

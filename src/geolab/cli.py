@@ -176,9 +176,9 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
 def run_find(cfg: RunConfig, quiet: bool) -> dict:
     """Descend all starts as one stack; analyse each census key once, on its first start.
 
-    Each start descends to ``grad_tol``, its tail by Levenberg-Marquardt
-    steps (an entry's ``newton_steps`` of its ``iterations``); one stopped
-    by the stall route, the fallback, is analysed at its own, larger
+    Each start descends to ``grad_tol``, by Levenberg-Marquardt steps where
+    the damping cap admits them (``newton_steps`` of its ``iterations``); one
+    stopped by the stall route, the fallback, is analysed at its own, larger
     gradient norm.  A key comes from the descended loop alone: penalized
     energy (to 1e-6) and basepoint r (0 on compact charts).  The constant
     loops off the penalty support (r <= R_alpha) are one critical manifold

@@ -7,24 +7,25 @@ the discrete H^1 inner product on nodal fields, so step sizes and
 convergence rates are mesh-independent; the gradient norm reported and
 thresholded everywhere is the preconditioned one, |g|_M = sqrt(g . M^{-1} g).
 Armijo's tail converges linearly, and stalls where the energy is flat
-to rounding, so ``descend_starts`` finishes each loop below |g|_M =
-``NEWTON_SWITCH`` by Levenberg-Marquardt steps (H + mu M) s = -g, H the
-exact Hessian and mu proportional to |g|_M.  The sweepout keeps Armijo:
-its argmax is a saddle, where a Newton step does not descend.
+to rounding, so ``descend_starts`` tries Levenberg-Marquardt steps
+(H + mu M) s = -g, H the exact Hessian and mu = c |g|_M, whenever mu would
+be at most ``MAX_DAMPING``.  The sweepout keeps Armijo: its argmax is a
+saddle, where a Newton step does not descend.
 
 Every descent steps a stack of loops: nodes (members, N, d) with
 per-member gauge, energy, step size, stall count and LM damping.  One
 Armijo step makes one gradient, one preconditioner and one trial-energy
 call per backtracking round for all members, which part ways only
-through masks; an LM step assembles and solves member by member.  ``descend_starts``
-descends many starts as one stack, each member on its own step budget;
-``descend`` is its batch of one.  The sweepout minimax keeps its family
-as a stack: every member steps each round, one stacked neighbor
-distance and one stacked nodewise interpolation then respace the family
-evenly in units of its resolution, the lowest family max is tracked
-until it stops falling, and the argmax bracket is then bisected down to
-the saddle.  The returned value approximates the minimax level from the
-family side; the gap to the true level is reported, not bounded.
+through masks; an LM step assembles and solves (``positive_solve``, in
+O(N d^3)) member by member.  ``descend_starts`` descends many starts as
+one stack, each member on its own step budget; ``descend`` is its batch
+of one.  The sweepout minimax keeps its family as a stack: every member
+steps each round, one stacked neighbor distance and one stacked nodewise
+interpolation then respace the family evenly in units of its resolution,
+the lowest family max is tracked until it stops falling, and the argmax
+bracket is then bisected down to the saddle.  The returned value
+approximates the minimax level from the family side; the gap to the true
+level is reported, not bounded.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .loops import (
     segment_checks,
     validate_loop,
 )
-from .morse import SecondVariation, assemble_second_variation
+from .morse import SecondVariation, assemble_second_variation, positive_solve
 from .penalty import PenaltySchedule, penalized_energy, penalized_gradient
 
 ARMIJO = 1e-4          # sufficient-decrease constant
@@ -63,13 +64,12 @@ MAX_STEP = 64.0        # ceiling of tau, which doubles after each accepted step
 #: float64 rounding floor before the strict tolerance is reachable
 STALL_GRAD_ACCEPT = 1e-4
 STALL_STEPS = 25       # accepted steps in a row without float-resolved progress
-NEWTON_SWITCH = 1e-2   # |g|_M below which ``descend_starts`` steps a member by LM
 NEWTON_TRIALS = 3      # LM trials per step before the member takes the Armijo step
 DAMPING_FACTOR = 4.0   # LM damping factor c: divided by it on acceptance, times it on refusal
-#: largest LM damping mu: the energy Hessian is about 2M on the high node
-#: modes, so beyond it an LM step is a short preconditioned gradient step,
-#: which Armijo sizes better (a member whose Hessian needs more to turn
-#: positive definite is near a saddle)
+#: largest LM damping mu, and so the trigger of a member's LM trials: the
+#: energy Hessian is about 2M on the high node modes, so beyond it an LM step
+#: is a short preconditioned gradient step, which Armijo sizes better (a member
+#: whose Hessian needs more to turn positive definite is near a saddle)
 MAX_DAMPING = 1.0
 _FLOAT_EPS = np.finfo(float).eps
 
@@ -266,39 +266,29 @@ def _newton_step(stack: _LoopStack, r: int, grad_tol: float):
 
     A trial solves (H + mu M) s = -g, with H the objective's exact Hessian,
     M the preconditioner's operator ((1/N) I + N L) on each coordinate and
-    mu = c |g|_M <= ``MAX_DAMPING``.  It is accepted when H + mu M has a
-    Cholesky factor, the segment checks admit the stepped loop and its
-    objective does not rise; c is divided by ``DAMPING_FACTOR`` on
-    acceptance and multiplied by it on refusal.  With mu proportional to
-    |g|, the steps converge quadratically also to the non-isolated minima of
-    a critical manifold under a local error bound (Li, Fukushima, Qi &
-    Yamashita, Comput. Optim. Appl. 28, 2004).  The Hessian's blocks live
-    for this step only; each trial rebuilds the dense H + mu M from them.
+    mu = c |g|_M <= ``MAX_DAMPING``, on the Hessian's blocks (``positive_solve``).
+    It is accepted when H + mu M is positive definite above rounding, the
+    segment checks admit the stepped loop and its objective does not rise; c
+    is divided by ``DAMPING_FACTOR`` on acceptance and multiplied by it on
+    refusal.  With mu proportional to |g|, the steps converge quadratically
+    also to the non-isolated minima of a critical manifold under a local
+    error bound (Li, Fukushima, Qi & Yamashita, Comput. Optim. Appl. 28, 2004).
     """
     chart, loop = stack.chart, stack.loop(r)
     grad = stack.gradient(loop)
     gnorm = preconditioned_norm(grad)
     if gnorm < grad_tol:
         return "converged", gnorm
-    sv = stack.hessian(loop)
-    added = 0.0
+    sv, added = stack.hessian(loop), 0.0
     for _ in range(NEWTON_TRIALS):
         mu = stack.damping[r] * gnorm
         if mu > MAX_DAMPING:
             break
         _add_metric(sv, mu - added)
-        added = mu
-        h = sv.dense()
-        try:
-            np.linalg.cholesky(h)
-        except np.linalg.LinAlgError:
-            stack.damping[r] *= DAMPING_FACTOR
-            continue
-        step = np.linalg.solve(h, -grad.reshape(-1)).reshape(grad.shape)
-        trial = DiscreteLoop(chart.reduce_point(loop.nodes + step)[None], np.array([loop.frame]))
-        _, over_cap, outside = segment_checks(chart, trial)
-        if not (over_cap | outside)[0]:
-            e = stack.value(trial)
+        added, step = mu, positive_solve(sv, -grad)
+        if step is not None:
+            trial = DiscreteLoop(chart.reduce_point(loop.nodes + step)[None], stack.frame[[r]])
+            e, _ = _trial_values(stack, trial)       # NaN where the segment checks refuse it
             if e[0] <= stack.energy[r]:
                 stack.damping[r] /= DAMPING_FACTOR
                 return ("stalled" if _accept(stack, [r], trial, e)[0] else "moved"), gnorm
@@ -331,18 +321,17 @@ def descend_starts(chart: Chart, loops, schedule: PenaltySchedule | None = None,
                    opts: DescentOptions = DescentOptions()) -> list[DescentResult]:
     """Drive each of ``loops`` (one node count N) to a critical point, as one stack.
 
-    Each iteration steps every member still descending: by Armijo, and by
-    Levenberg-Marquardt (``_newton_step``) once the |g|_M measured at its
-    previous step is below ``NEWTON_SWITCH``; a member whose LM trials are
-    all refused takes that iteration's Armijo step.  The stall route
-    (accepting a member at up to ``STALL_GRAD_ACCEPT`` once its energy
-    stops falling by a float-resolved amount) is the fallback for a tail
-    that never reaches ``grad_tol``.  A member's step does not depend on
-    the others, so each result is that of the loop descended alone;
-    ``max_iter`` counts each member's own steps.  Accepted steps never
-    raise the energy (asserted).  A member's first unavoidable segment-cap
-    violation doubles its nodes, and it goes on with its step count in a
-    stack of 2N nodes; a second one is a hard error.
+    Each iteration steps every member still descending: by Levenberg-Marquardt
+    (``_newton_step``) when its damping c times the |g|_M measured at its
+    previous step is at most ``MAX_DAMPING``, else, and when every LM trial
+    is refused, by Armijo.  The stall route (accepting a member at up to
+    ``STALL_GRAD_ACCEPT`` once its energy stops falling by a float-resolved
+    amount) is the fallback for a tail that never reaches ``grad_tol``.  A
+    member's step does not depend on the others, so each result is that of
+    the loop descended alone; ``max_iter`` counts each member's own steps.
+    Accepted steps never raise the energy (asserted).  A member's first
+    unavoidable segment-cap violation doubles its nodes, and it goes on with
+    its step count in a stack of 2N nodes; a second one is a hard error.
     """
     for loop in loops:
         validate_loop(chart, loop)
@@ -360,7 +349,7 @@ def descend_starts(chart: Chart, loops, schedule: PenaltySchedule | None = None,
         converged = np.zeros_like(steps, bool)
         while live.size and k < opts.max_iter:
             status, grad_norm[live], lm = _descent_step(
-                stack, live, grad_norm[live] < NEWTON_SWITCH, opts.grad_tol)
+                stack, live, stack.damping[live] * grad_norm[live] <= MAX_DAMPING, opts.grad_tol)
             k += 1
             lm_steps[live] += lm
             steps[live], converged[live] = k, status == "converged"

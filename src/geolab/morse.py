@@ -75,6 +75,49 @@ class SecondVariation:
         return h.reshape(n * d, n * d)
 
 
+def positive_solve(sv: SecondVariation, rhs: np.ndarray) -> np.ndarray | None:
+    """x (N, d) with ``sv.dense()`` x = ``rhs``, N >= 3, by odd-even reduction; None
+    unless the matrix is positive definite above the elimination's rounding.
+
+    Each level factors the odd nodes' pivot blocks (one batched Cholesky) and
+    links the even nodes through them; an odd count keeps node n-1 linked to
+    node 0 by its own block, and one node's matrix is D + A + A^T.  The matrix
+    is positive definite exactly when every pivot block is (Haynsworth).  A
+    scalar pivot is at least the smallest eigenvalue, so one within a Cholesky
+    factorization's backward error n^2 eps max H_ii, n = Nd (Higham, Accuracy
+    and Stability of Numerical Algorithms, Thm 10.3), is refused.
+    """
+    diag, off, r, levels = sv.diag, sv.off, rhs, []
+    floor = rhs.size ** 2 * np.finfo(float).eps * np.diagonal(diag, 0, 1, 2).max()
+    while True:
+        n, m = len(diag), len(diag) // 2
+        try:
+            chol = np.linalg.cholesky(diag[1::2] if m else diag + off + np.swapaxes(off, 1, 2))
+        except np.linalg.LinAlgError:
+            return None
+        if not np.diagonal(chol, 0, 1, 2).min() ** 2 > floor:
+            return None
+        inv = np.linalg.inv(chol)
+        if not m:
+            break
+        # odd node 2i + 1 links even nodes i and right[i] of the next level
+        right = np.arange(1, m + 1) % (n - m)
+        u = inv @ np.swapaxes(off[:2 * m:2], 1, 2)           # L^-1 A_{2i}^T
+        v = inv @ off[1::2]                                  # L^-1 A_{2i+1}
+        w = inv @ r[1::2, :, None]
+        levels.append((u, v, w, inv, right))
+        diag, r = diag[::2].copy(), r[::2].copy()
+        for k, z in ((slice(m), u), (right, v)):
+            diag[k] -= np.swapaxes(z, 1, 2) @ z
+            r[k] -= (np.swapaxes(z, 1, 2) @ w)[..., 0]
+        off = np.concatenate([-np.swapaxes(u, 1, 2) @ v, off[n - n % 2:]])
+    x = (np.swapaxes(inv, 1, 2) @ inv @ r[..., None])[..., 0]
+    for u, v, w, inv, right in reversed(levels):
+        y = np.swapaxes(inv, 1, 2) @ (w - u @ x[:len(u), :, None] - v @ x[right, :, None])
+        x = np.insert(x, np.arange(1, len(u) + 1), y[..., 0], axis=0)
+    return x
+
+
 @dataclass
 class SpectralReport:
     """Index/nullity bookkeeping for one critical point."""

@@ -283,6 +283,24 @@ def test_cli_find_steps_all_starts_as_one_stack(tmp_path, monkeypatch):
     assert len(calls["_armijo_step"]) < max(iterations)
 
 
+def test_cli_find_survives_a_start_collapsing_to_a_constant_loop(tmp_path):
+    # start 0 collapses onto the flat end's constant loops, where c falls
+    # fourfold per accepted step until mu = c |g|_M is about 1e-12 and
+    # H + mu M is singular to rounding (smallest eigenvalue 3.9e-13 against
+    # a largest of 512), though a dense Cholesky factorization succeeds and
+    # an LU solve raises LinAlgError; the block solve refuses such a pivot
+    # at its rounding floor, a refused trial
+    cfg = write_yaml(tmp_path / "cfg.yaml",
+                     "chart: bumped_cylinder\nn_nodes: 64\nn_starts: 4\nwinding_mix: mixed\n"
+                     "start_band: [0.0, 2.0]\npenalty_r0: 2.0\ngrad_tol: 1.0e-8\nseed: 100\n")
+    out = str(tmp_path / "r.json")
+    assert main(["find", "--config", cfg, "--quiet", "--out", out]) == 0
+    results = read_report(out)["results"]
+    assert results["non_converged"] == 0
+    assert sorted(round(e["energy"], 6) for e in results["critical_points"]) == [
+        0.0, 0.0, 39.478418, 39.478418]
+
+
 def test_cli_analyze_stored_loop(tmp_path, monkeypatch):
     from geolab import cli, jacobi, morse
     from geolab.charts import make_chart

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geolab.charts import make_chart
+from geolab.descent import _add_metric
 from geolab.errors import CrossCheckError
+from geolab.families import random_loop
 from geolab.jacobi import (
     eigenspace_dimension,
     outgoing_orbit,
@@ -28,6 +30,7 @@ from geolab.morse import (
     iteration_table,
     lemma_verdict,
     outgoing_conjugate_report,
+    positive_solve,
 )
 from geolab.penalty import PenaltySchedule
 
@@ -106,6 +109,65 @@ def test_index_and_nullity_band_logic():
     # an all-zero spectrum has no band
     with pytest.raises(ValueError, match="zero band"):
         index_and_nullity(diagonal_second_variation(np.zeros(n * d), n, d))
+
+
+def _positive_solve_cases(n, method):
+    """(name, SecondVariation, positive definite?) for the block solve's oracle."""
+    fun, sph = make_chart("funnel"), make_chart("sphere")
+    waist = assemble_second_variation(fun, waist_loop(fun, n), method=method)
+    _add_metric(waist, 1e-3)
+    circle = assemble_second_variation(sph, great_circle_loop(sph, n), method=method)
+    sched = PenaltySchedule(r0=0.5, dr=1.0)
+    loop = random_loop(fun, np.random.default_rng(n), n, winding=1, r_band=(1.5, 2.0))
+    assert abs(loop.basepoint[0]) > sched.radius(0)          # the penalty is active
+    wavy = assemble_second_variation(fun, loop, sched, 0, method=method)
+    damped = SecondVariation(wavy.diag.copy(), wavy.off.copy(), method)
+    _add_metric(damped, 1.0)
+    return [("waist + mu M", waist, True), ("great circle", circle, False),
+            ("penalized loop", wavy, None), ("penalized loop + M", damped, None)]
+
+
+@pytest.mark.parametrize("method", ["exact_discrete", "continuum_quadrature"])
+@pytest.mark.parametrize("n", [15, 24, 64, 100, 128])
+def test_positive_solve_is_the_dense_solve_and_refuses_with_cholesky(n, method):
+    # the kernel refuses exactly when the dense Cholesky factorization
+    # fails; where it solves, both solves are backward stable, each exact
+    # for H + E with |E|_2 <= n^2 eps max H_ii (n = Nd, the kernel's
+    # rounding floor), so the residual is at most that times |x|, and the
+    # two steps differ by at most twice that over lambda_min(H), times |x|
+    rng = np.random.default_rng(n)
+    for name, sv, definite in _positive_solve_cases(n, method):
+        h, r = sv.dense(), rng.standard_normal((n, 2))
+        try:
+            np.linalg.cholesky(h)
+            factored = True
+        except np.linalg.LinAlgError:
+            factored = False
+        x = positive_solve(sv, r)
+        assert (x is not None) == factored, name
+        assert definite is None or factored == definite, name
+        if x is None:
+            continue
+        err = (2 * n) ** 2 * np.finfo(float).eps * np.diagonal(h).max()
+        ref = np.linalg.solve(h, r.reshape(-1))
+        assert np.linalg.norm(h @ x.reshape(-1) - r.reshape(-1)) <= err * np.linalg.norm(x), name
+        lam_min = np.linalg.eigvalsh(h)[0]
+        assert np.linalg.norm(x.reshape(-1) - ref) <= 2 * err / lam_min * np.linalg.norm(ref), name
+
+
+def test_positive_solve_refuses_a_pivot_within_rounding_of_singular():
+    # a constant loop on the plane: H is singular on the two translations
+    # (exactly: their eigenvalue is 0), and H + mu M has lambda_min = mu / N
+    # there, each elimination's last pivot about mu; that pivot is refused
+    # at or below the floor (2N)^2 eps max H_ii = 9.3e-10 at N = 64
+    plane = make_chart("plane")
+    loop = make_loop(plane, np.broadcast_to([0.4, -0.2], (64, 2)).copy())
+    solved = {}
+    for mu in (1e-11, 1e-8):
+        sv = assemble_second_variation(plane, loop)
+        _add_metric(sv, mu)
+        solved[mu] = positive_solve(sv, np.ones((64, 2))) is not None
+    assert solved == {1e-11: False, 1e-8: True}
 
 
 def test_sphere_great_circle_index_nullity():

@@ -12,10 +12,13 @@ that assembles the dense matrix directly has none), one real ``eigvalsh``
 of the waist's Hessian and one complex ``eigvalsh`` of its copy twisted by
 omega = i (``dense(1j)``, or ``twisted_hessian`` in a checkout without
 blocks), and the layers of one Levenberg-Marquardt trial of ``find``'s
-descent (the in-place mu M, the Cholesky factorization and the solve) and
-one whole ``_newton_step`` of a waist perturbed into the Newton tail; a
-checkout without the Newton tail reports the assembly and the eigensolves
-alone.
+descent (the in-place mu M, and the solve of H + mu M: the block solve
+``positive_solve`` against the dense ``cholesky`` plus ``solve`` it
+replaced) and one whole ``_newton_step`` of a waist perturbed into the
+Newton tail; a checkout without the Newton tail reports the assembly and
+the eigensolves alone, one without ``positive_solve`` the dense solve
+alone.  ``waist_1024`` times the two solves again at N = 1024, on a tenth
+of the repeats.
 
 * ``sphere``: the family of ``birkhoff_latitudes(sphere, 9, 128)`` after
   the 50 relax rounds of the ``sweep-birkhoff`` workload, 44 members with
@@ -57,7 +60,7 @@ def waist_layers(fun, repeat: int) -> dict:
 
     from geolab import descent, morse
     from geolab.loops import make_loop
-    from geolab.penalty import PenaltySchedule, penalized_gradient
+    from geolab.penalty import PenaltySchedule
 
     n, sched = 128, PenaltySchedule()
     ts = 2 * np.pi * np.arange(n) / n
@@ -75,24 +78,44 @@ def waist_layers(fun, repeat: int) -> dict:
                eigvalsh_twisted=median_us(lambda: np.linalg.eigvalsh(twisted), repeat))
     if not hasattr(descent, "_newton_step"):
         return out
-    g = penalized_gradient(fun, sched, 0, waist).reshape(-1)
     if blocks:
         work = replace(sv, diag=sv.diag.copy(), off=sv.off.copy())
         out["add_metric"] = median_us(lambda: descent._add_metric(work, 1e-3), repeat)
-        damped = replace(sv, diag=sv.diag.copy(), off=sv.off.copy())
-        descent._add_metric(damped, 1e-3)
-        damped = damped.dense()
     else:
-        damped = h.copy()
-        descent._add_metric(damped, n, 2, 1e-3)
         out["add_metric"] = (median_us(lambda: descent._add_metric(h.copy(), n, 2, 1e-3), repeat)
                              - median_us(h.copy, repeat))
-    out.update(cholesky=median_us(lambda: np.linalg.cholesky(damped), repeat),
-               solve=median_us(lambda: np.linalg.solve(damped, -g), repeat))
+    out.update(solve_layers(fun, sched, n, repeat))
     # a waist with a small z ripple: |g|_M about 1e-3, in the Newton tail
     rippled = make_loop(fun, np.stack([1e-3 * np.cos(3 * ts), ts], axis=1))
     stacks = [descent._LoopStack.of(fun, sched, 0, [rippled]) for _ in range(repeat + 1)]
     out["newton_step"] = median_us(lambda: descent._newton_step(stacks.pop(), 0, 1e-8), repeat)
+    return out
+
+
+def solve_layers(fun, sched, n: int, repeat: int) -> dict:
+    """Median microseconds of solving H + mu M on the funnel waist of ``n`` nodes
+    (mu = 1e-3): dense ``cholesky`` and ``solve``, and ``positive_solve`` on its blocks."""
+    from dataclasses import replace
+
+    from geolab import descent, morse
+    from geolab.loops import make_loop
+    from geolab.penalty import penalized_gradient
+
+    ts = 2 * np.pi * np.arange(n) / n
+    waist = make_loop(fun, np.stack([np.zeros(n), ts], axis=1))
+    sv = morse.assemble_second_variation(fun, waist, sched, 0)
+    g = penalized_gradient(fun, sched, 0, waist)
+    if hasattr(sv, "dense"):
+        damped = replace(sv, diag=sv.diag.copy(), off=sv.off.copy())
+        descent._add_metric(damped, 1e-3)
+        h = damped.dense()
+    else:
+        h = sv.matrix.copy()
+        descent._add_metric(h, n, 2, 1e-3)
+    out = {"cholesky": median_us(lambda: np.linalg.cholesky(h), repeat),
+           "solve": median_us(lambda: np.linalg.solve(h, -g.reshape(-1)), repeat)}
+    if hasattr(morse, "positive_solve"):
+        out["positive_solve"] = median_us(lambda: morse.positive_solve(damped, -g), repeat)
     return out
 
 
@@ -102,12 +125,14 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=200)
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
+    from geolab import descent
     from geolab.charts import make_chart
     from geolab.descent import (RESOLUTION_FACTOR, VALUE_FLOOR, _armijo_step, _LoopStack,
                                 _resample)
     from geolab.families import birkhoff_latitudes
     from geolab.loops import (DiscreteLoop, energy, energy_gradient, make_loop, maybe_recenter,
                               precondition, validate_loop)
+    from geolab.penalty import PenaltySchedule
 
     sph, fun = make_chart("sphere"), make_chart("funnel")
     resolution = sph.segment_cap * RESOLUTION_FACTOR
@@ -138,6 +163,8 @@ def main(argv=None) -> int:
     copies = [copy.deepcopy(stack) for _ in range(args.repeat // 4 + 1)]
     out["relax_round"] = median_us(lambda: relax_round(copies.pop()), args.repeat // 4)
     out["funnel_waist"] = waist_layers(fun, args.repeat)
+    if hasattr(descent, "_newton_step"):
+        out["waist_1024"] = solve_layers(fun, PenaltySchedule(), 1024, max(args.repeat // 10, 3))
     print(json.dumps(out))
     return 0
 
