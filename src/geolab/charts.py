@@ -1,13 +1,16 @@
 """Chart-based Riemannian metrics and their spray.
 
 Every manifold in the zoo is a surface, presented in a single global
-coordinate chart of dimension ``d`` = 2.  A chart knows its metric tensor
-with analytic first and second metric derivatives, its Gauss curvature
-and spray in closed form, and domain guards.  A non-compact chart has an
-exhaustion coordinate ``r`` in one of two forms: r = |x_0| on the surfaces
-of revolution (``_RevolutionChart``), r = f(|u|) on the conformal discs
-(``_ConformalChart``).  ``periods`` is set exactly on the charts with a
-periodic angle, the surfaces of revolution.  The Christoffels are written
+orthogonal chart of dimension ``d`` = 2 (a chart with g_01 != 0 is out of
+scope): g is lambda I on the conformal charts, diag(1, rho^2) on the
+profile charts and diag(1 + 4 rho^2, rho^2) on the paraboloid.  A chart
+family writes its metric jet once, as diagonals, and its Gauss curvature
+and spray in closed form; the base ``Chart`` adds domain guards and embeds
+the jet into the dense matrices its consumers read.  A non-compact chart
+has an exhaustion coordinate ``r`` in one of two forms: r = |x_0| on the
+surfaces of revolution (``_RevolutionChart``), r = f(|u|) on the conformal
+discs (``_ConformalChart``).  ``periods`` is set exactly on the charts with
+a periodic angle, the surfaces of revolution.  The Christoffels are written
 once, for every chart: the generic Levi-Civita formula
 ``christoffels_of_metric`` on the chart's analytic metric derivative.  Each
 closed form has an oracle built from the one below it: ``central_difference``
@@ -27,6 +30,8 @@ Index conventions used throughout:
 * ``metric(x)[..., i, j]``                = g_ij(x)
 * ``metric_deriv(x)[..., k, i, j]``       = d_k g_ij(x)
 * ``metric_second_deriv(x)[..., l, k, i, j]`` = d_l d_k g_ij(x)
+* ``metric_diag(x)[..., i]``, ``metric_diag_deriv(x)[..., k, i]`` and
+  ``metric_diag_second_deriv(x)[..., l, k, i]``: the same at j = i
 * ``christoffels(...)[..., k, i, j]``     = Gamma^k_ij (symmetric in i, j)
 
 All metric-level evaluations broadcast over leading batch axes, and a
@@ -60,6 +65,13 @@ def _squared_norm(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
     return out[..., None] if keepdims else out
 
 
+def _diag_matrix(diag: np.ndarray) -> np.ndarray:
+    """The (..., d, d) matrices with diagonals ``diag`` (..., d), zero off the diagonal."""
+    out = np.zeros(diag.shape + diag.shape[-1:])
+    np.einsum("...ii->...i", out)[...] = diag         # a writeable view of the diagonals
+    return out
+
+
 def central_difference(f, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
     """d_k f(x) as (f(x + step e_k) - f(x - step e_k)) / (2 step), on an axis k
     after the batch axes of ``x`` and before the axes of f's values."""
@@ -83,17 +95,18 @@ class TangentVector:
 
 
 class Chart:
-    """Base class: domain guards and periodic wrapping.
+    """Base class: the dense metric jet, domain guards and periodic wrapping.
 
-    Subclasses provide ``metric``, ``metric_deriv``, ``metric_second_deriv``,
-    ``gauss_curvature`` and ``spray`` (-Gamma(v, v), K g(v, v)) in closed form
-    over leading batch axes, and ``sample_point(rng, r_min, r_max)``, uniform
-    in the exhaustion band.  A non-compact chart also has ``exhaustion`` with
-    its gradient ``exhaustion_grad`` and Hessian ``exhaustion_hess``, written
-    once per form: r = |x_0| in ``_RevolutionChart``, and r = f(|u|) in
-    ``_ConformalChart`` from a chart's 1-D jet (f, f', f'').  The oracles of
-    these closed forms are ``central_difference`` of the one below.
-    """
+    Subclasses provide the diagonal jet ``metric_diag``, ``metric_diag_deriv``
+    and ``metric_diag_second_deriv`` (which ``metric``, ``metric_deriv`` and
+    ``metric_second_deriv`` embed), ``gauss_curvature`` and ``spray``
+    (-Gamma(v, v), K g(v, v)) in closed form over leading batch axes, and
+    ``sample_point(rng, r_min, r_max)``, uniform in the exhaustion band.  A
+    non-compact chart also has ``exhaustion`` with its gradient
+    ``exhaustion_grad`` and Hessian ``exhaustion_hess``, once per form:
+    r = |x_0| in ``_RevolutionChart``, r = f(|u|) in ``_ConformalChart``
+    from a chart's 1-D jet (f, f', f'').  Each closed form's oracle is
+    ``central_difference`` of the one below."""
 
     name = "abstract"
     dim = 2
@@ -111,19 +124,26 @@ class Chart:
 
     # -- metric level -----------------------------------------------------
 
+    def metric(self, x: np.ndarray) -> np.ndarray:
+        return _diag_matrix(self.metric_diag(x))
+
+    def metric_deriv(self, x: np.ndarray) -> np.ndarray:
+        return _diag_matrix(self.metric_diag_deriv(x))
+
+    def metric_second_deriv(self, x: np.ndarray) -> np.ndarray:
+        return _diag_matrix(self.metric_diag_second_deriv(x))
+
     def metric_checked(self, x: np.ndarray) -> np.ndarray:
-        """Metric with domain guard and positive-definiteness assertion."""
+        """Metric with domain guard and positive-definiteness check (each g_ii > 0; NaN fails)."""
         x = np.asarray(x, dtype=float)
         inside = self.contains(x)
         if not np.all(inside):
             bad = np.asarray(x)[~np.asarray(inside)] if x.ndim > 1 else x
             raise ChartDomainError(f"{self.name}: point outside chart domain: {bad}")
-        g = self.metric(x)
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
+        g = self.metric_diag(x)
+        if not np.all(g > 0):
             raise ChartDomainError(f"{self.name}: metric not positive definite at queried point")
-        return g
+        return _diag_matrix(g)
 
     # -- domain -----------------------------------------------------------
 
@@ -339,26 +359,22 @@ class _ProfileChart(_RevolutionChart):
         x = np.asarray(x, dtype=float)
         return np.abs(x[..., 0]) < self.z_bound
 
-    def metric(self, x):
-        x = np.asarray(x, dtype=float)
-        rho = self.profile_jet(x[..., 0])[0]
-        g = np.zeros(x.shape[:-1] + (2, 2))
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = rho * rho
+    def metric_diag(self, x):
+        rho = self.profile_jet(np.asarray(x, dtype=float)[..., 0])[0]
+        g = np.ones(np.shape(rho) + (2,))
+        g[..., 1] = rho * rho
         return g
 
-    def metric_deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        rho, d1, _ = self.profile_jet(x[..., 0])
-        dg = np.zeros(x.shape[:-1] + (2, 2, 2))
-        dg[..., 0, 1, 1] = 2 * rho * d1
+    def metric_diag_deriv(self, x):
+        rho, d1, _ = self.profile_jet(np.asarray(x, dtype=float)[..., 0])
+        dg = np.zeros(np.shape(x) + (2,))
+        dg[..., 0, 1] = 2 * rho * d1
         return dg
 
-    def metric_second_deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        rho, d1, d2 = self.profile_jet(x[..., 0])
-        d2g = np.zeros(x.shape[:-1] + (2, 2, 2, 2))
-        d2g[..., 0, 0, 1, 1] = 2 * (d1 * d1 + rho * d2)
+    def metric_diag_second_deriv(self, x):
+        rho, d1, d2 = self.profile_jet(np.asarray(x, dtype=float)[..., 0])
+        d2g = np.zeros(np.shape(x) + (2, 2))
+        d2g[..., 0, 0, 1] = 2 * (d1 * d1 + rho * d2)
         return d2g
 
     def spray(self, x, v):
@@ -446,6 +462,8 @@ class _ConformalChart(Chart):
 
     Subclasses give lambda and its first two derivatives in s = |u|^2
     (``_lam``, ``_dlam``, ``_d2lam``); the metric jet and the spray follow.
+    The diagonal jets repeat lambda's jet over i; s keeps its last axis, as a
+    0-d s would run the powers in ``_dlam`` as C pow (off in the last bit).
     With phi = 1/2 log lambda, grad phi = (lambda'/lambda) u and
     Gamma^k_ij = delta_kj d_i phi + delta_ki d_j phi - delta_ij d_k phi, so
     the spray is -Gamma(v, v) = |v|^2 grad phi - 2 (grad phi . v) v.
@@ -455,32 +473,26 @@ class _ConformalChart(Chart):
     grad r = f' u_hat and Hess r = f'' u_hat u_hat^T + (f'/rho)(I - u_hat u_hat^T).
     """
 
-    def metric(self, x):
-        x = np.asarray(x, dtype=float)
-        lam = self._lam(_squared_norm(x))
-        return lam[..., None, None] * _EYE2
+    def metric_diag(self, x):
+        lam = self._lam(_squared_norm(np.asarray(x, dtype=float), keepdims=True))
+        return np.repeat(lam, self.dim, axis=-1)
 
-    def metric_deriv(self, x):
+    def metric_diag_deriv(self, x):
         x = np.asarray(x, dtype=float)
-        # s keeps its last axis, so the power in _dlam runs numpy's array loop
-        # also for one point (on a 0-d s it is C pow, which can differ in the last bit)
-        s = _squared_norm(x, keepdims=True)
-        dlam_dx = 2 * self._dlam(s) * x                     # [..., k]
-        return dlam_dx[..., :, None, None] * _EYE2
+        dlam_dx = 2 * self._dlam(_squared_norm(x, keepdims=True)) * x     # [..., k]
+        return np.repeat(dlam_dx[..., None], self.dim, axis=-1)
 
-    def metric_second_deriv(self, x):
+    def metric_diag_second_deriv(self, x):
         x = np.asarray(x, dtype=float)
         s = _squared_norm(x, keepdims=True)
         dl, d2l = self._dlam(s), self._d2lam(s)
         # d_l d_k lambda = 2 dl delta_lk + 4 d2l u_l u_k
-        hess = 2 * dl[..., None] * _EYE2 + 4 * d2l[..., None] * (
-            x[..., :, None] * x[..., None, :]
-        )
-        return hess[..., :, :, None, None] * _EYE2
+        hess = 2 * dl[..., None] * _EYE2 + 4 * d2l[..., None] * (x[..., :, None] * x[..., None, :])
+        return np.repeat(hess[..., None], self.dim, axis=-1)
 
     def spray(self, x, v):
         x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-        s = _squared_norm(x, keepdims=True)     # keeps its last axis, as in metric_deriv
+        s = _squared_norm(x, keepdims=True)     # keeps its last axis, as in the metric jet
         lam = self._lam(s)
         p = self._dlam(s) / lam * x             # grad phi
         vv = _squared_norm(v, keepdims=True)
@@ -627,27 +639,23 @@ class Paraboloid(_RevolutionChart):
     name = "paraboloid"
     apex_guard = 1e-8
 
-    def metric(self, x):
-        x = np.asarray(x, dtype=float)
-        rho = x[..., 0]
-        g = np.zeros(x.shape[:-1] + (2, 2))
-        g[..., 0, 0] = 1.0 + 4.0 * (rho * rho)
-        g[..., 1, 1] = rho * rho
+    def metric_diag(self, x):
+        rho = np.asarray(x, dtype=float)[..., 0]
+        g = np.empty(rho.shape + (2,))
+        g[..., 1] = rho * rho
+        g[..., 0] = 1.0 + 4.0 * g[..., 1]
         return g
 
-    def metric_deriv(self, x):
+    def metric_diag_deriv(self, x):
         x = np.asarray(x, dtype=float)
-        rho = x[..., 0]
-        dg = np.zeros(x.shape[:-1] + (2, 2, 2))
-        dg[..., 0, 0, 0] = 8.0 * rho
-        dg[..., 0, 1, 1] = 2.0 * rho
+        dg = np.zeros(x.shape + (2,))
+        dg[..., 0, 0] = 8.0 * x[..., 0]
+        dg[..., 0, 1] = 2.0 * x[..., 0]
         return dg
 
-    def metric_second_deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        d2g = np.zeros(x.shape[:-1] + (2, 2, 2, 2))
-        d2g[..., 0, 0, 0, 0] = 8.0
-        d2g[..., 0, 0, 1, 1] = 2.0
+    def metric_diag_second_deriv(self, x):
+        d2g = np.zeros(np.shape(x) + (2, 2))
+        d2g[..., 0, 0, :] = [8.0, 2.0]
         return d2g
 
     def spray(self, x, v):

@@ -108,8 +108,8 @@ def validate_loop(chart: Chart, loop: DiscreteLoop) -> np.ndarray:
 def energy(chart: Chart, loop: DiscreteLoop) -> float | np.ndarray:
     """Discrete loop energy N * sum g(m_i)(Delta_i, Delta_i) (per member of a stack)."""
     deltas = validate_loop(chart, loop)
-    g = chart.metric(loop.nodes + 0.5 * deltas)
-    e = loop.n_nodes * np.einsum("...ni,...nij,...nj->...", deltas, g, deltas)
+    g = chart.metric_diag(loop.nodes + 0.5 * deltas)
+    e = loop.n_nodes * np.einsum("...ni,...ni,...ni->...", deltas, g, deltas)
     return float(e) if e.ndim == 0 else e
 
 
@@ -117,26 +117,18 @@ def energy_gradient(chart: Chart, loop: DiscreteLoop) -> np.ndarray:
     """Exact derivative of the discrete energy with respect to all nodes.
 
     Node j sees its two adjacent segments through the chord terms and the
-    metric evaluated at their midpoints:
+    diagonal metric at their midpoints: segment i has gd_i = (g_kk(m_i) D_ik)_k
+    and qd_i = (sum_l (d_k g_ll)(m_i) D_il^2)_k, and
 
-        dE/dx_j = N [ 2 g(m_{j-1}) D_{j-1} - 2 g(m_j) D_j
-                      + 1/2 D_{j-1}^T (dg)(m_{j-1}) D_{j-1}
-                      + 1/2 D_j^T (dg)(m_j) D_j ].
+        dE/dx_j = N [ 2 gd_{j-1} - 2 gd_j + 1/2 qd_{j-1} + 1/2 qd_j ].
     """
-    n, dims = loop.n_nodes, range(loop.dim)
     deltas = validate_loop(chart, loop)
     mids = loop.nodes + 0.5 * deltas
-    # qd_k = D^T (d_k g) D and gd = g D, summed term by term in einsum's
-    # order: from 0, over (i, j) row by row, each product left to right; one
-    # metric array at a time, largest first: on a stack they are the largest
-    # temporaries
-    cols = [deltas[..., i, None] for i in dims]
-    dg = chart.metric_deriv(mids)
-    qd = sum(dg[..., i, j] * cols[i] * cols[j] for i in dims for j in dims)
-    del dg
-    g = chart.metric(mids)
-    gd = sum(g[..., j] * cols[j] for j in dims)
-    return n * (
+    # qd summed term by term from 0, each product left to right
+    dg, cols = chart.metric_diag_deriv(mids), [deltas[..., i, None] for i in range(loop.dim)]
+    qd = sum(dg[..., i] * col * col for i, col in enumerate(cols))
+    gd = chart.metric_diag(mids) * deltas
+    return loop.n_nodes * (
         2.0 * _shift_nodes(gd, -1)
         - 2.0 * gd
         + 0.5 * _shift_nodes(qd, -1)

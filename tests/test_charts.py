@@ -98,6 +98,9 @@ def test_christoffels_scalar_matches_stack_bitwise(zoo_chart, rng):
     values = {  # each gives a tuple of arrays
         "christoffels": lambda y, w: (christoffels(zoo_chart, y),),
         "metric": lambda y, w: (zoo_chart.metric(y),),
+        "metric_diag": lambda y, w: (zoo_chart.metric_diag(y),),
+        "metric_diag_deriv": lambda y, w: (zoo_chart.metric_diag_deriv(y),),
+        "metric_diag_second_deriv": lambda y, w: (zoo_chart.metric_diag_second_deriv(y),),
         "metric_deriv": lambda y, w: (zoo_chart.metric_deriv(y),),
         "metric_second_deriv": lambda y, w: (zoo_chart.metric_second_deriv(y),),
         "gauss_curvature": lambda y, w: (zoo_chart.gauss_curvature(y),),
@@ -113,6 +116,41 @@ def test_christoffels_scalar_matches_stack_bitwise(zoo_chart, rng):
             not all(np.array_equal(a, s[i]) for a, s in zip(value(x[i], v[i]), stacked))
             for i in range(len(x)))
     assert differ == dict.fromkeys(values, 0)
+
+
+def test_dense_metric_jets_embed_the_diagonal_jets(zoo_chart, rng):
+    # every zoo chart is orthogonal: the dense jets hold the diagonal jets on
+    # i = j and zero elsewhere, and the diagonal jets pass the same
+    # central-difference links as the dense ones
+    from geolab.cli import _difference_link
+
+    x = sample_batch(zoo_chart, rng, 200)
+    d = zoo_chart.dim
+    off = ~np.eye(d, dtype=bool)
+    for axes, name in enumerate(("metric", "metric_deriv", "metric_second_deriv")):
+        full = getattr(zoo_chart, name)(x)
+        jet = getattr(zoo_chart, name.replace("metric", "metric_diag", 1))(x)
+        assert jet.shape == x.shape[:-1] + (d,) * (axes + 1)
+        assert full.shape == jet.shape + (d,)
+        assert np.array_equal(np.diagonal(full, 0, -2, -1), jet)
+        assert np.all(full[..., off] == 0)
+    assert np.array_equal(zoo_chart.metric_checked(x), zoo_chart.metric(x))
+    for f, df in ((zoo_chart.metric_diag, zoo_chart.metric_diag_deriv),
+                  (zoo_chart.metric_diag_deriv, zoo_chart.metric_diag_second_deriv)):
+        err, bound = _difference_link(f, df, x)
+        assert np.all(err <= bound)
+
+
+@pytest.mark.parametrize("radius", [0.0, float("nan")])
+def test_metric_checked_refuses_a_diagonal_entry_not_positive(radius):
+    # the cylinder's constructor refuses such radii; set past it, g_thth is
+    # 0 or NaN, and neither is > 0
+    cyl = make_chart("cylinder")
+    cyl.radius = radius
+    with pytest.raises(ChartDomainError, match="not positive definite"):
+        cyl.metric_checked(np.array([0.3, 1.0]))
+    with pytest.raises(ChartDomainError, match="not positive definite"):
+        cyl.metric_checked(np.array([[0.3, 1.0], [-0.2, 4.0]]))
 
 
 def _bump_profile_by_powers(z, a):

@@ -347,6 +347,13 @@ def norm_oracle(x):
     return np.linalg.norm(x, axis=-1)
 
 
+def energy_oracle(chart, loop):
+    deltas = validate_loop(chart, loop)
+    g = chart.metric(loop.nodes + 0.5 * deltas)
+    e = loop.n_nodes * np.einsum("...ni,...nij,...nj->...", deltas, g, deltas)
+    return float(e) if e.ndim == 0 else e
+
+
 def gradient_oracle(chart, loop):
     deltas = validate_loop(chart, loop)
     mids = loop.nodes + 0.5 * deltas
@@ -400,10 +407,16 @@ def chart_kernel_oracles(chart, x):
     if np.isfinite(chart.guard_radius):
         out.append(("contains", chart.contains(x), np.sqrt((x * x).sum(-1)) < chart.guard_radius))
     if hasattr(chart, "_lam"):
+        # the dense conformal jet as it was written before the diagonal jets:
+        # the diagonals bit for bit, the dense forms up to the sign of their
+        # zeros (+ 0.0 clears it: the old off-diagonal 0 carried d_k lambda's sign)
         s, s_kept = (x * x).sum(-1), (x * x).sum(-1, keepdims=True)
-        out += [("metric", chart.metric(x), chart._lam(s)[..., None, None] * np.eye(2)),
-                ("metric_deriv", chart.metric_deriv(x),
-                 (2 * chart._dlam(s_kept) * x)[..., :, None, None] * np.eye(2))]
+        g = chart._lam(s)[..., None, None] * np.eye(2)
+        dg = (2 * chart._dlam(s_kept) * x)[..., :, None, None] * np.eye(2)
+        out += [("metric_diag", chart.metric_diag(x), np.diagonal(g, 0, -2, -1)),
+                ("metric_diag_deriv", chart.metric_diag_deriv(x), np.diagonal(dg, 0, -2, -1)),
+                ("metric", chart.metric(x) + 0.0, g + 0.0),
+                ("metric_deriv", chart.metric_deriv(x) + 0.0, dg + 0.0)]
     if chart.has_recentering:
         old = np.where(np.sum(x**2, axis=-1, keepdims=True) > 0,
                        x / np.maximum(np.sum(x**2, axis=-1, keepdims=True), 1e-300), np.inf)
@@ -454,6 +467,7 @@ def check_stack_kernels(chart, a, b, gradient=energy_gradient):
         deltas, over_cap, outside = segment_checks(chart, DiscreteLoop(nodes, a.frame))
         assert np.array_equal(over_cap, (norm_oracle(deltas) >= chart.segment_cap).any(axis=-1))
     assert over_cap[1] and not over_cap[0]
+    assert same_bits(energy(chart, a), energy_oracle(chart, a)), "energy"
     grad = gradient(chart, a)
     assert same_bits(grad, gradient_oracle(chart, a)), "energy_gradient"
     p = precondition(grad)
@@ -467,7 +481,9 @@ def check_stack_kernels(chart, a, b, gradient=energy_gradient):
     # each row is its member evaluated alone
     for s in range(a.nodes.shape[0]):
         a1, b1 = DiscreteLoop(a.nodes[s], a.frame[s]), DiscreteLoop(b.nodes[s], b.frame[s])
+        assert same_bits(energy(chart, a1), energy_oracle(chart, a1))
         grad1 = gradient(chart, a1)
+        assert same_bits(grad1, gradient_oracle(chart, a1))
         assert same_bits(grad1, grad[s]) and same_bits(precondition(grad1), p[s])
         moved1 = maybe_recenter(chart, a1)
         assert same_bits(moved1.nodes, moved.nodes[s]) and moved1.frame == moved.frame[s]

@@ -4,14 +4,22 @@
 
 Prints one JSON object: the median wall time in microseconds of
 ``energy``, ``energy_gradient``, ``validate_loop``, ``precondition`` (of
-the stack's gradient) and ``maybe_recenter`` on two stacks, and of one
-relax round of the benchmark sweep (``_armijo_step`` of every member, then
-``_resample``).  On the funnel waist at N = 128 it also times the penalized
-Hessian assembly, the dense rebuild from its blocks (``dense``; a checkout
-that assembles the dense matrix directly has none), one real ``eigvalsh``
-of the waist's Hessian and one complex ``eigvalsh`` of its copy twisted by
-omega = i (``dense(1j)``, or ``twisted_hessian`` in a checkout without
-blocks), and the layers of one Levenberg-Marquardt trial of ``find``'s
+the stack's gradient) and ``maybe_recenter`` on two stacks, of one relax
+round of the benchmark sweep (``_armijo_step`` of every member, then
+``_resample``, on a quarter of the repeats) and of one whole
+``minimax_sweepout`` of that sweep (``sweepout``, on a twentieth).  The
+relax round is timed on the family's last size, so it overstates what a
+kernel gain does to the whole sweep, whose family grows from 9 members.
+On the sphere stack's segment midpoints it also times the metric jet
+(``metric_jet``): the diagonal jets ``metric_diag``, ``metric_diag_deriv``
+and ``metric_diag_second_deriv``, where the checkout has them, and the
+dense ``metric``, ``metric_deriv`` and ``metric_second_deriv``.  On the
+funnel waist at N = 128 it also times the penalized Hessian assembly, the
+dense rebuild from its blocks (``dense``; a checkout that assembles the
+dense matrix directly has none), one real ``eigvalsh`` of the waist's
+Hessian and one complex ``eigvalsh`` of its copy twisted by omega = i
+(``dense(1j)``, or ``twisted_hessian`` in a checkout without blocks), and
+the layers of one Levenberg-Marquardt trial of ``find``'s
 descent (the in-place mu M, and the solve of H + mu M: the block solve
 ``positive_solve`` against the dense ``cholesky`` plus ``solve`` it
 replaced) and one whole ``_newton_step`` of a waist perturbed into the
@@ -22,7 +30,9 @@ of the repeats.
 
 * ``sphere``: the family of ``birkhoff_latitudes(sphere, 9, 128)`` after
   the 50 relax rounds of the ``sweep-birkhoff`` workload, 44 members with
-  one gauge each; the relax round timed is one more round on it;
+  one gauge each; the relax round timed is one more round on it, and the
+  sweepout timed is ``minimax_sweepout`` with ``max_rounds`` 50 from the
+  9 latitudes;
 * ``funnel``: four winding loops of 128 nodes with theta wrapped.
 
 ``--src`` is the ``src`` directory whose ``geolab`` is timed (default: this
@@ -127,8 +137,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, args.src)
     from geolab import descent
     from geolab.charts import make_chart
-    from geolab.descent import (RESOLUTION_FACTOR, VALUE_FLOOR, _armijo_step, _LoopStack,
-                                _resample)
+    from geolab.descent import (RESOLUTION_FACTOR, VALUE_FLOOR, SweepOptions, _armijo_step,
+                                _LoopStack, _resample, minimax_sweepout)
     from geolab.families import birkhoff_latitudes
     from geolab.loops import (DiscreteLoop, energy, energy_gradient, make_loop, maybe_recenter,
                               precondition, validate_loop)
@@ -160,8 +170,21 @@ def main(argv=None) -> int:
             for f in (energy, energy_gradient, validate_loop, maybe_recenter)},
             "precondition": median_us(lambda: precondition(grad), args.repeat)}
 
-    copies = [copy.deepcopy(stack) for _ in range(args.repeat // 4 + 1)]
-    out["relax_round"] = median_us(lambda: relax_round(copies.pop()), args.repeat // 4)
+    sph_loop = stacks["sphere"][1]
+    mids = sph_loop.nodes + 0.5 * validate_loop(sph, sph_loop)
+    jets = ["metric", "metric_deriv", "metric_second_deriv"]
+    if hasattr(sph, "metric_diag"):
+        jets += ["metric_diag", "metric_diag_deriv", "metric_diag_second_deriv"]
+    out["metric_jet"] = {"shape": list(mids.shape), **{
+        name: median_us(lambda f=getattr(sph, name): f(mids), args.repeat) for name in jets}}
+
+    quarter = max(1, args.repeat // 4)
+    copies = [copy.deepcopy(stack) for _ in range(quarter + 1)]
+    out["relax_round"] = median_us(lambda: relax_round(copies.pop()), quarter)
+    out["sweepout"] = median_us(
+        lambda: minimax_sweepout(sph, birkhoff_latitudes(sph, 9, 128),
+                                 sweep=SweepOptions(max_rounds=ROUNDS)),
+        max(1, args.repeat // 20))
     out["funnel_waist"] = waist_layers(fun, args.repeat)
     if hasattr(descent, "_newton_step"):
         out["waist_1024"] = solve_layers(fun, PenaltySchedule(), 1024, max(args.repeat // 10, 3))
