@@ -109,11 +109,11 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
 
     Each analysis artefact is computed once per loop: the exact penalized
     Hessian and its spectrum (index, nullity, lemma bound, and through its
-    pinned block the Dirichlet index), and, for a moving loop, one
-    integration of its ``outgoing_orbit``, an ``Orbit`` record whose
-    conjugate report gives cp_1.  A genuine loop's orbit is shot closed once
-    (``shoot_closed_orbit``): the outgoing orbit when it already closes, else
-    one batch of segments from the polygon's nodes per Gauss-Newton step.
+    pinned block the Dirichlet index), and, for a moving loop, its shot
+    ``outgoing_orbit``, an ``Orbit`` record whose conjugate report gives
+    cp_1.  A genuine loop's orbit is shot closed once (``shoot_closed_orbit``):
+    the outgoing orbit when it already closes, else from the same first shot
+    of segments from the polygon's nodes, one batch per Gauss-Newton step.
     The stitched ``Orbit``'s ``return_map()`` gives ``nullity_monodromy`` and
     the Bott omega-nullities, its ``conjugate_report()`` the based
     cross-check, next to the quadrature Hessian.  The Bott table

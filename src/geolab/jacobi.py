@@ -36,22 +36,22 @@ An integration is one ``Orbit`` record: its grid of row times on [0, t],
 the rows of x, v and Y there (with a leading batch axis for a batch of
 starts) and the velocity frames at the two ends; Phi and the frames are
 read only at the ends.  An analysed loop's first orbit is its
-``outgoing_orbit`` from (basepoint, v_+), which gives cp_1.  Unless that
-orbit already closes, ``shoot_closed_orbit`` closes it by multiple
-shooting: B segments start at evenly spaced polygon nodes, are integrated
-as one batch on one grid of row times, and Gauss-Newton drives their
-junction mismatches to zero, each re-shoot replaying that grid.  Both
-routes find the closed orbit as a fixed point of the time-1 map, and the
-segments' Ys, multiplied up, give its Y, which the based cross-check
-scans.  The scan (``Orbit.conjugate_report``) integrates nothing.  The
-tolerances are module constants; no caller sets them.
+``outgoing_orbit`` from (basepoint, v_+), which gives cp_1: B segments
+start at evenly spaced polygon nodes, are integrated as one batch on one
+grid of row times, and Gauss-Newton closes their open junctions, segment 0
+pinned, each re-shoot replaying that grid.  Unless it already closes,
+``shoot_closed_orbit`` closes it from the same first shot, driving every
+junction mismatch, the last against the first, to zero.  In both the
+segments' Ys, multiplied up, give the stitched orbit's Y, which the scan
+(``Orbit.conjugate_report``) reads without integrating.  The tolerances
+are module constants; no caller sets them.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -120,7 +120,7 @@ class Orbit:
     ``frames`` (..., 2, d, d) holds the velocity frames (columns, chart
     components) at the first and last rows.  The leading axes, if any,
     index the members of a batch; an escaped member's rows are NaN from its
-    exit on.
+    exit on.  An ``outgoing_orbit`` carries its first shot as ``shot``.
     """
 
     t: float
@@ -129,6 +129,7 @@ class Orbit:
     v: np.ndarray
     y: np.ndarray
     frames: np.ndarray
+    shot: Orbit | None = None
 
     @property
     def start(self) -> TangentVector:
@@ -236,10 +237,44 @@ def is_moving(chart: Chart, loop: DiscreteLoop) -> bool:
 
 def outgoing_orbit(chart: Chart, loop: DiscreteLoop) -> Orbit:
     """Orbit over [0, 1] of the geodesic from the basepoint with the outgoing
-    velocity v_+: the scanned orbit, and the closed orbit when it already
-    closes."""
-    _, v_plus = one_sided_velocities(chart, loop)
-    return jacobi_propagate(chart, TangentVector(loop.basepoint, v_plus), 1.0)
+    velocity v_+, shot as B = gcd(N, ``MAX_SEGMENTS``) segments over [0, 1/B]
+    from the nodes k N / B and their outgoing velocities, one batch on chosen
+    steps (kept as ``shot``).  With f_k segment k's end minus segment k+1's
+    start and J_k its flow derivative, each re-shoot, on that grid, moves the
+    starts by delta_0 = 0, delta_{k+1} = f_k + J_k delta_k, until |f| <
+    ``SHOOT_TOL`` (relative to the speed).  The single start (B = 1) runs
+    when N is odd, |f| exceeds ``CLOSURE_TOL``, a segment leaves the chart or
+    ``SHOOT_MAX_ITER`` steps do not converge; it raises DomainEscapeError
+    with its exit time when the geodesic leaves the chart.
+    """
+    b, d = math.gcd(loop.n_nodes, MAX_SEGMENTS), chart.dim
+    x, v = _segment_starts(chart, loop, b)
+    speed, first = max(metric_speed(chart, x[0], v[0]), 1e-12), None
+    if b > 1:
+        shot, exit_time = jacobi_propagate(chart, TangentVector(x, v), 1.0 / b)
+        first = shot if np.all(np.isinf(exit_time)) else None
+    for it in range(SHOOT_MAX_ITER + 1 if first is not None else 0):
+        f = _junctions(chart, shot).reshape(b, 2 * d)[:-1]
+        residual = float(np.linalg.norm(f)) if np.all(np.isinf(exit_time)) else np.inf
+        if residual < SHOOT_TOL * speed:
+            return replace(_stitch(chart, shot), shot=first)
+        if it == SHOOT_MAX_ITER or residual > CLOSURE_TOL * speed:
+            break
+        # forward substitution through the block lower-bidiagonal system
+        jac, delta = _flow_derivatives(chart, shot), np.zeros(2 * d)
+        starts = np.concatenate([shot.x[:, 0], shot.v[:, 0]], axis=1)
+        for k in range(1, b):
+            delta = f[k - 1] + jac[k - 1] @ delta
+            starts[k] += delta
+        shot, exit_time = jacobi_propagate(chart, TangentVector(starts[:, :d], starts[:, d:]),
+                                           1.0 / b, first.grid)
+    return replace(jacobi_propagate(chart, TangentVector(x[0], v[0]), 1.0), shot=first)
+
+
+def _segment_starts(chart: Chart, loop: DiscreteLoop, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes k N / b and the polygon's outgoing velocities there."""
+    idx = np.arange(b) * (loop.n_nodes // b)
+    return loop.nodes[idx], one_sided_velocities(chart, loop, idx)[1]
 
 
 def _refine_root(grid_t: np.ndarray, y: np.ndarray, dy: np.ndarray, k: int) -> float:
@@ -317,6 +352,15 @@ def _junctions(chart: Chart, shot: Orbit) -> np.ndarray:
     return np.concatenate([fx, fv], axis=1).ravel()
 
 
+def _flow_derivatives(chart: Chart, shot: Orbit) -> np.ndarray:
+    """Each segment's end Phi in chart coordinates (B, 2d, 2d): (dx, dv) at
+    its start to (dx, dv) at its end."""
+    ends = [np.concatenate([a[:, 0], a[:, -1]]) for a in (shot.x, shot.v, shot.frames)]
+    covariant = _chart_to_covariant(chart, *ends)
+    b = len(shot.x)
+    return np.linalg.solve(covariant[b:], shot.matrix @ covariant[:b])
+
+
 def _shoot_segments(chart: Chart, x: np.ndarray, v: np.ndarray,
                     grid: np.ndarray | None = None) -> Orbit:
     """Batch orbit of the len(x) segments of [0, 1] from the starts (x, v),
@@ -358,18 +402,17 @@ def refine_closed_orbit(chart: Chart, loop: DiscreteLoop,
 
     ``orbit`` is the loop's ``outgoing_orbit``; when it already closes to
     ``SHOOT_TOL`` (relative to the speed) it is returned with no
-    integration.  Otherwise B = gcd(N, ``MAX_SEGMENTS``) segments start at
-    the nodes k N / B with the polygon's outgoing velocities there (B = 1 is
-    the outgoing orbit itself) and are integrated as one batch over
-    [0, 1 / B] on common steps.  Each Gauss-Newton step solves the cyclic
-    block-bidiagonal 4B x 4B junction system by least squares, since the
-    orbit's symmetry directions are in its kernel; each segment's block
-    comes from its end frames and end Phi.  Each re-shoot replays the first
-    shot's grid, so the junction map is smooth in the starts.  Takes at
-    most ``SHOOT_MAX_ITER`` steps and stops once the stacked junction
-    residual is below ``SHOOT_TOL``.  Returns the orbit stitched from the
-    last shot's segments (its ``start`` the corrected initial condition) and
-    that residual.
+    integration.  Otherwise it starts from the outgoing orbit's first shot,
+    B = gcd(N, ``MAX_SEGMENTS``) segments over [0, 1 / B] from the nodes
+    k N / B (shot here only for an orbit without one; B = 1 is the outgoing
+    orbit itself).  Each Gauss-Newton step solves the cyclic block-bidiagonal
+    4B x 4B junction system by least squares, since the orbit's symmetry
+    directions are in its kernel; each segment's block is its
+    ``_flow_derivatives``.  Each re-shoot replays the first shot's grid, so
+    the junction map is smooth in the starts.  Takes at most
+    ``SHOOT_MAX_ITER`` steps and stops once the stacked junction residual is
+    below ``SHOOT_TOL``.  Returns the orbit stitched from the last shot's
+    segments (its ``start`` the corrected initial condition) and that residual.
     """
     d = chart.dim
     b = math.gcd(loop.n_nodes, MAX_SEGMENTS)
@@ -378,8 +421,7 @@ def refine_closed_orbit(chart: Chart, loop: DiscreteLoop,
                  orbit.frames[None])
     speed = max(metric_speed(chart, orbit.x[0], orbit.v[0]), 1e-12)
     if b > 1 and np.linalg.norm(_junctions(chart, shot)) >= SHOOT_TOL * speed:
-        idx = np.arange(b) * (loop.n_nodes // b)
-        shot = _shoot_segments(chart, loop.nodes[idx], one_sided_velocities(chart, loop, idx)[1])
+        shot = orbit.shot or _shoot_segments(chart, *_segment_starts(chart, loop, b))
     b = len(shot.x)                          # 1 when the outgoing orbit is the shot
     cyclic = -np.eye(2 * d * b, k=2 * d) - np.eye(2 * d * b, k=2 * d * (1 - b))
     diag = np.arange(b)
@@ -388,12 +430,9 @@ def refine_closed_orbit(chart: Chart, loop: DiscreteLoop,
         residual = float(np.linalg.norm(f))
         if residual < SHOOT_TOL * speed or it == SHOOT_MAX_ITER:
             return _stitch(chart, shot), residual
-        ends = [np.concatenate([a[:, 0], a[:, -1]]) for a in (shot.x, shot.v, shot.frames)]
-        covariant = _chart_to_covariant(chart, *ends)
         # each segment's flow derivative in chart coordinates on the diagonal
         jac = cyclic.copy()
-        jac.reshape(b, 2 * d, b, 2 * d)[diag, :, diag, :] += np.linalg.solve(
-            covariant[b:], shot.matrix @ covariant[:b])
+        jac.reshape(b, 2 * d, b, 2 * d)[diag, :, diag, :] += _flow_derivatives(chart, shot)
         step, *_ = np.linalg.lstsq(jac, -f, rcond=1e-8)
         step = step.reshape(b, 2, d)
         shot = _shoot_segments(chart, shot.x[:, 0] + step[:, 0], shot.v[:, 0] + step[:, 1],
@@ -414,8 +453,8 @@ def eigenspace_dimension(p: np.ndarray, omega: complex) -> int:
 
 def shoot_closed_orbit(chart: Chart, loop: DiscreteLoop, orbit: Orbit) -> Orbit:
     """The closed geodesic a genuine critical ``loop`` discretizes, shot once
-    by ``refine_closed_orbit`` from its ``outgoing_orbit`` and the polygon's
-    nodes: the stitched orbit over [0, 1], whose ``return_map()`` is the
+    by ``refine_closed_orbit`` from its ``outgoing_orbit`` or that orbit's
+    first shot: the stitched orbit over [0, 1], whose ``return_map()`` is the
     orbit's linearized return map and whose ``conjugate_report()`` is its
     conjugate scan.  Raises NotAGeodesicError when the orbit refuses to close
     to ``CLOSURE_TOL`` (relative to the speed) or wanders off.

@@ -124,9 +124,12 @@ def energy_gradient(chart: Chart, loop: DiscreteLoop) -> np.ndarray:
     """
     deltas = validate_loop(chart, loop)
     mids = loop.nodes + 0.5 * deltas
-    # qd summed term by term from 0, each product left to right
-    dg, cols = chart.metric_diag_deriv(mids), [deltas[..., i, None] for i in range(loop.dim)]
-    qd = sum(dg[..., i] * col * col for i, col in enumerate(cols))
+    # qd summed term by term from 0, each product left to right, one k at a
+    # time over (..., N) slices: a length-d inner loop costs numpy more
+    dg, cols = chart.metric_diag_deriv(mids), [deltas[..., i] for i in range(loop.dim)]
+    qd = np.empty(deltas.shape)
+    for k in range(loop.dim):
+        qd[..., k] = sum(dg[..., k, i] * col * col for i, col in enumerate(cols))
     gd = chart.metric_diag(mids) * deltas
     return loop.n_nodes * (
         2.0 * _shift_nodes(gd, -1)

@@ -61,11 +61,12 @@ class SecondVariation:
         return self.diag.shape[-1]
 
     def dense(self, omega: complex = 1) -> np.ndarray:
-        """Hermitian (Nd, Nd) matrix on node-major fields with xi_{k+N} = omega xi_k:
-        block (N-1, 0) is omega A_{N-1}, block (0, N-1) its conjugate transpose."""
+        """Hermitian (Nd, Nd) matrix on node-major fields with xi_{k+N} = omega xi_k, real
+        for a real omega: block (N-1, 0) is omega A_{N-1}, block (0, N-1) its adjoint."""
         n, d = self.n_nodes, self.dim
         idx, nxt = np.arange(n), np.roll(np.arange(n), -1)
-        h = np.zeros((n, d, n, d), dtype=float if omega == 1 else complex)
+        omega = np.real(omega) if np.imag(omega) == 0 else omega
+        h = np.zeros((n, d, n, d), dtype=np.result_type(float, omega))
         h[idx, :, idx, :] = self.diag
         h[idx, :, nxt, :] = self.off
         h[nxt, :, idx, :] = np.swapaxes(self.off, -1, -2)
@@ -229,7 +230,7 @@ def _spectral_report(h: np.ndarray, n_nodes: int) -> SpectralReport:
 
 
 def outgoing_conjugate_report(chart: Chart, loop: DiscreteLoop) -> tuple:
-    """Conjugate points on (0, 1] along the loop's ``outgoing_orbit``, and that
+    """Conjugate points on (0, 1] along the loop's shot ``outgoing_orbit``, and that
     orbit.  A loop not ``is_moving`` gets an empty report and no orbit (None):
     its first conjugate time, at least pi / (|v| sqrt(K_max)), is beyond 1."""
     if not is_moving(chart, loop):
@@ -296,13 +297,13 @@ def iteration_table(chart: Chart, loop: DiscreteLoop, return_map: np.ndarray,
 
     The exact Hessian of the iterate is block-circulant, so (Bott's formula)
     ind_m and nul_m are the sums over omega^m = 1 of the inertia of the
-    N-node Hessian twisted by omega (``SecondVariation.dense``), whose
-    blocks are assembled once.  Each omega is solved once (omega and its conjugate
-    share a solve), and its nullity must equal dim ker(P - omega Id) for the
-    return map P.  The mean index ibar, the average of ind_omega over the
-    circle, is exact from one solve per arc between the unit-circle
-    eigenvalue angles of P (angles within ``UNIT_TOL`` of 0, pi or each
-    other are one cut).  The iteration bounds are checked without slack:
+    N-node Hessian twisted by omega (``SecondVariation.dense``, real at
+    omega = +-1), whose blocks are assembled once.  Each omega is solved once
+    (omega and its conjugate share a solve), and its nullity must equal dim
+    ker(P - omega Id) for the return map P.  The mean index ibar, the mean of
+    ind_omega over the circle, is exact from one solve per arc between the
+    unit-circle eigenvalue angles of P (angles within ``UNIT_TOL`` of 0, pi or
+    each other are one cut).  The iteration bounds are checked without slack:
 
         m ibar - dim <= ind_m <= m ibar + dim - nul_m
     """
@@ -311,7 +312,7 @@ def iteration_table(chart: Chart, loop: DiscreteLoop, return_map: np.ndarray,
 
     def twisted(turn: float) -> SpectralReport:
         if turn not in solved:
-            omega = np.exp(2j * np.pi * turn)
+            omega = -1.0 if turn == 0.5 else np.exp(2j * np.pi * turn)
             solved[turn] = spec = index_and_nullity(sv, omega)
             nul_mono = eigenspace_dimension(return_map, omega)
             if spec.nullity != nul_mono:

@@ -340,14 +340,19 @@ def test_cli_analyze_stored_loop(tmp_path, monkeypatch):
     assert analysis["lemma_verdict"] == "pass"
     assert analysis["bott"]["bounds_ok"]
     assert analysis["based_cross_check"]["dirichlet_index"] == 0
-    # each artefact once: one integration of the outgoing orbit from
-    # (basepoint, v_+), read by the conjugate scan and taken by the one
-    # shooting as its first shot (the waist closes on it, so there is no
-    # second), the loop's exact and quadrature Hessians, and one
+    # each artefact once: one integration, the outgoing orbit's first shot,
+    # one batch of 16 segments from the polygon's nodes k N / 16 with their
+    # outgoing velocities, segment 0 from (basepoint, v_+); its junctions
+    # close at once, so the stitched shot is the outgoing orbit, read by the
+    # conjugate scan and taken by the one shooting (it closes, so there is
+    # no re-shoot), the loop's exact and quadrature Hessians, and one
     # unpenalized N-node Hessian for Bott
     assert len(starts) == 1
-    assert np.array_equal(starts[0].base, waist.basepoint)
-    assert np.array_equal(starts[0].v, one_sided_velocities(cyl, waist)[1])
+    idx = np.arange(16) * (n // 16)
+    assert np.array_equal(starts[0].base, waist.nodes[idx])
+    assert np.array_equal(starts[0].v, one_sided_velocities(cyl, waist, idx)[1])
+    assert np.array_equal(starts[0].base[0], waist.basepoint)
+    assert np.array_equal(starts[0].v[0], one_sided_velocities(cyl, waist)[1])
     assert len(calls["refine_closed_orbit"]) == 1
     assert len(calls["conjugate_points"]) == 0
     assemblies = sorted((sv.method, sv.n_nodes, sv.alpha is None)
@@ -355,17 +360,18 @@ def test_cli_analyze_stored_loop(tmp_path, monkeypatch):
     assert assemblies == [("continuum_quadrature", n, False), ("exact_discrete", n, False),
                           ("exact_discrete", n, True)]
     # solves: the exact and quadrature spectra, the pinned (Dirichlet) block,
-    # and one N-node solve per Bott omega: the real root 1 and the twisted
-    # copies for -1 and for i inside the one mean-index arc (0, pi)
+    # and one N-node solve per Bott omega: the real roots 1 and -1 and the
+    # complex twisted copy for i inside the one mean-index arc (0, pi)
     d = cyl.dim
-    assert sorted(solved) == [((n - 1) * d, False)] + [(n * d, False)] * 3 \
-        + [(n * d, True)] * 2
+    assert sorted(solved) == [((n - 1) * d, False)] + [(n * d, False)] * 4 \
+        + [(n * d, True)]
 
 
 def test_cli_analyze_great_circle_integrations(tmp_path, monkeypatch):
-    # one single-start integration, the outgoing orbit, on its own steps; the
-    # closed orbit is shot as batches of B = gcd(N, 16) segments over 1 / B,
-    # the first on its own steps and every re-shoot replaying its grid
+    # every integration is a batch of B = gcd(N, 16) segments over 1 / B:
+    # one first shot on its own steps, from the polygon's nodes, shared by
+    # the outgoing orbit and the closing shooting, and re-shoots of both
+    # that replay its grid; no single start runs on a critical loop
     from geolab import jacobi
     from geolab.charts import make_chart
     runs, grids = [], []
@@ -385,13 +391,12 @@ def test_cli_analyze_great_circle_integrations(tmp_path, monkeypatch):
     out = str(tmp_path / "report.json")
     assert main(["analyze", "--config", cfg, "--quiet", "--out", out]) == 0
     assert read_report(out)["results"]["analysis"]["nullity_monodromy"] == 3
-    assert runs[0] == ((2,), 1.0, True)
     b = 16
-    batches = runs[1:]
-    assert 2 <= len(batches) <= jacobi.SHOOT_MAX_ITER
-    assert batches[0] == ((b, 2), 1.0 / b, True)
-    assert all(run == ((b, 2), 1.0 / b, False) for run in batches[1:])
-    assert all(np.array_equal(grid, grids[1]) for grid in grids[2:])
+    assert runs[0] == ((b, 2), 1.0 / b, True)
+    # at least one re-shoot for each shooting, at most SHOOT_MAX_ITER each
+    assert 3 <= len(runs) <= 1 + 2 * jacobi.SHOOT_MAX_ITER
+    assert all(run == ((b, 2), 1.0 / b, False) for run in runs[1:])
+    assert all(np.array_equal(grid, grids[0]) for grid in grids[1:])
 
 
 def test_cli_analyze_two_fold_funnel_waist(tmp_path):

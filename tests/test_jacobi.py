@@ -5,7 +5,11 @@ from geolab.charts import (FlatPlane, Funnel, TangentVector, make_chart, metric_
                            sample_unit_starts)
 from geolab import flow, jacobi
 from geolab.errors import DomainEscapeError, NotAGeodesicError, SamplingStarvationError
+from geolab.families import random_loop
 from geolab.jacobi import (
+    CLOSURE_TOL,
+    FLOW_TOL,
+    SHOOT_TOL,
     TIME_TOL,
     close_conjugate_points_check,
     conjugate_points,
@@ -18,9 +22,9 @@ from geolab.jacobi import (
     symplectic_defect,
     velocity_frame,
 )
-from geolab.loops import circle_shift, iterate, make_loop
+from geolab.loops import circle_shift, iterate, make_loop, one_sided_velocities
 
-from conftest import great_circle_loop, sample_inside, waist_loop
+from conftest import circle_nodes, great_circle_loop, sample_inside, waist_loop
 
 
 def test_flat_fundamental_solution_is_shear():
@@ -413,9 +417,11 @@ def oracle_loops():
     return out
 
 
-@pytest.mark.parametrize("chart, loop", oracle_loops(),
-                         ids=["circle-0", "circle-0.3", "circle-1.7", "funnel", "funnel-0.01",
-                              "bumped", "bumped-0.01", "bumped-0.01-shifted"])
+ORACLE_IDS = ["circle-0", "circle-0.3", "circle-1.7", "funnel", "funnel-0.01", "bumped",
+              "bumped-0.01", "bumped-0.01-shifted"]
+
+
+@pytest.mark.parametrize("chart, loop", oracle_loops(), ids=ORACLE_IDS)
 def test_stitched_orbit_matches_one_shot(chart, loop):
     # the oracle: one integration of the whole orbit from the returned start,
     # replaying the stitched orbit's grid
@@ -435,6 +441,127 @@ def test_stitched_orbit_matches_one_shot(chart, loop):
         for k in range(m):
             omega = np.exp(2j * np.pi * k / m)
             assert eigenspace_dimension(p_single, omega) == eigenspace_dimension(p_stitched, omega)
+
+
+def single_start(chart, loop):
+    """The outgoing geodesic integrated as one start on its own steps."""
+    _, v_plus = one_sided_velocities(chart, loop)
+    return jacobi_propagate(chart, TangentVector(loop.basepoint, v_plus), 1.0)
+
+
+def same_rows(a, b):
+    return all(np.array_equal(p, q) for p, q in zip((a.grid, a.x, a.v, a.y, a.frames),
+                                                    (b.grid, b.x, b.v, b.y, b.frames)))
+
+
+@pytest.mark.parametrize("name", ["sphere", "funnel", "bumped_cylinder", "cylinder"])
+def test_shot_outgoing_orbit_matches_the_single_start(name):
+    # the oracle: the great circle and the three waists, N = 128, shot as 16
+    # segments against the single start
+    chart = make_chart(name)
+    loop = (great_circle_loop if name == "sphere" else waist_loop)(chart, 128)
+    orbit, single = outgoing_orbit(chart, loop), single_start(chart, loop)
+    assert orbit.shot is not None and np.all(np.isin(np.arange(17) / 16, orbit.grid))
+    assert np.array_equal(orbit.start.base, single.start.base)
+    assert np.array_equal(orbit.start.v, single.start.v)
+    shot_times, single_times = orbit.conjugate_report().times, single.conjugate_report().times
+    assert len(shot_times) == len(single_times)
+    assert np.all(np.abs(np.subtract(shot_times, single_times)) <= TIME_TOL)
+    # each step of the two integrations errs by at most FLOW_TOL times
+    # max(1, |state|), and each of the 15 open junctions misses by at most
+    # SHOOT_TOL times the speed; the flow carries either error to t = 1,
+    # growing it at most as much as the end Phi does
+    def end(o):
+        return np.concatenate([o.x[-1], o.v[-1], o.y[-1].ravel()])
+
+    steps = len(orbit.grid) + len(single.grid) - 2
+    speed = metric_speed(chart, single.x[0], single.v[0])
+    bound = max(1.0, np.max(np.abs(single.matrix))) * (
+        steps * FLOW_TOL * max(1.0, np.max(np.abs(end(single)))) + np.sqrt(15) * SHOOT_TOL * speed)
+    assert np.max(np.abs(end(orbit) - end(single))) <= bound
+
+
+@pytest.mark.parametrize("chart, loop", [c for c, name in zip(oracle_loops(), ORACLE_IDS)
+                                         if name not in ("funnel", "bumped")],
+                         ids=[name for name in ORACLE_IDS if name not in ("funnel", "bumped")])
+def test_closed_orbit_from_the_shared_first_shot_is_the_single_starts(chart, loop):
+    # the shooting from the outgoing orbit's first shot against the one from
+    # the single start, which does not close and so shoots the same first
+    # shot itself
+    single = single_start(chart, loop)
+    assert closure(chart, single) >= SHOOT_TOL
+    shared, shared_residual = refine_closed_orbit(chart, loop, outgoing_orbit(chart, loop))
+    own, own_residual = refine_closed_orbit(chart, loop, single)
+    assert shared.t == own.t and shared_residual == own_residual
+    assert same_rows(shared, own)
+
+
+def test_outgoing_orbit_of_an_odd_loop_is_the_single_start():
+    sph = make_chart("sphere")
+    loop = great_circle_loop(sph, 127)
+    orbit = outgoing_orbit(sph, loop)
+    assert orbit.shot is None and same_rows(orbit, single_start(sph, loop))
+
+
+def test_outgoing_orbit_of_a_loop_far_from_a_geodesic_is_the_single_start(rng):
+    # the first shot's open junctions miss by more than CLOSURE_TOL; the shot
+    # rides on the single start, and the closing shooting starts from it
+    fun = make_chart("funnel")
+    loop = random_loop(fun, rng, 128)
+    orbit, single = outgoing_orbit(fun, loop), single_start(fun, loop)
+    miss = np.linalg.norm(jacobi._junctions(fun, orbit.shot).reshape(16, 4)[:-1])
+    assert miss > CLOSURE_TOL * metric_speed(fun, single.x[0], single.v[0])
+    assert same_rows(orbit, single)
+    with pytest.raises(NotAGeodesicError) as shared:
+        shoot_closed_orbit(fun, loop, orbit)
+    with pytest.raises(NotAGeodesicError) as own:
+        shoot_closed_orbit(fun, loop, single)
+    assert str(shared.value) == str(own.value)
+
+
+def test_outgoing_orbit_that_does_not_converge_is_the_single_start(monkeypatch):
+    # the great circle's open junctions close in two steps
+    sph = make_chart("sphere")
+    loop = great_circle_loop(sph, 128)
+    monkeypatch.setattr(jacobi, "SHOOT_MAX_ITER", 1)
+    orbit = outgoing_orbit(sph, loop)
+    assert orbit.shot is not None and same_rows(orbit, single_start(sph, loop))
+
+
+def apex_circle(first):
+    """The circle of radius 0.25 about (rho, theta) = (0.3, 0) on the
+    paraboloid, N = 126, so two segments over 1/2, starting at node
+    ``first``.  Node 0, at theta = 0.25, moves straight at the apex (node 1
+    is moved onto its meridian) and reaches it before t = 1/2; node 63, the
+    one opposite, moves away from it."""
+    n = 126
+    phi = np.pi / 2 + 2 * np.pi * np.arange(n) / n
+    nodes = np.stack([0.3 + 0.25 * np.cos(phi), 0.25 * np.sin(phi)], axis=1)
+    nodes[1, 1] = nodes[0, 1]
+    return make_loop(make_chart("paraboloid"), np.roll(nodes, -first, axis=0))
+
+
+def test_outgoing_orbit_that_leaves_the_chart_escapes_as_the_single_start():
+    loop = apex_circle(0)
+    par = make_chart("paraboloid")
+    with pytest.raises(DomainEscapeError) as single:
+        single_start(par, loop)
+    with pytest.raises(DomainEscapeError) as shot:
+        outgoing_orbit(par, loop)
+    assert 0.0 < shot.value.exit_time == single.value.exit_time < 0.5
+    assert str(shot.value) == str(single.value)
+
+
+def test_outgoing_orbit_with_a_leaving_segment_is_the_single_start():
+    # segment 1, from node 63, leaves the chart, the single start does not;
+    # the closing shooting shoots the segments itself and raises as they leave
+    loop = apex_circle(63)
+    par = make_chart("paraboloid")
+    orbit = outgoing_orbit(par, loop)
+    assert orbit.shot is None and same_rows(orbit, single_start(par, loop))
+    with pytest.raises(DomainEscapeError) as escape:
+        shoot_closed_orbit(par, loop, orbit)
+    assert 0.5 < escape.value.exit_time < 1.0
 
 
 def test_close_check_plane_trivial():

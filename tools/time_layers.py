@@ -2,7 +2,9 @@
 
     OPENBLAS_NUM_THREADS=1 python3 tools/time_layers.py [--src SRC] [--repeat R]
 
-Prints one JSON object: the median wall time in microseconds of
+Prints one JSON object: the median and the minimum wall time in
+microseconds (one median cannot tell a change under about 1.5x on a
+shared machine, whose runs land in a fast or a slow state) of
 ``energy``, ``energy_gradient``, ``validate_loop``, ``precondition`` (of
 the stack's gradient) and ``maybe_recenter`` on two stacks, of one relax
 round of the benchmark sweep (``_armijo_step`` of every member, then
@@ -26,7 +28,11 @@ replaced) and one whole ``_newton_step`` of a waist perturbed into the
 Newton tail; a checkout without the Newton tail reports the assembly and
 the eigensolves alone, one without ``positive_solve`` the dense solve
 alone.  ``waist_1024`` times the two solves again at N = 1024, on a tenth
-of the repeats.
+of the repeats.  ``flow`` times, on a tenth of the repeats, the flow's
+layers: ``outgoing_orbit`` and ``shoot_closed_orbit`` (from that orbit) on
+the great circle and the funnel waist at N = 128, and one Dormand-Prince
+step (``dopri_step``, with its first slope) of the great circle's
+basepoint (B1) and of its 16 segment starts (B16).
 
 * ``sphere``: the family of ``birkhoff_latitudes(sphere, 9, 128)`` after
   the 50 relax rounds of the ``sweep-birkhoff`` workload, 44 members with
@@ -54,18 +60,19 @@ import numpy as np
 ROUNDS = 50
 
 
-def median_us(f, repeat: int) -> float:
+def time_us(f, repeat: int) -> dict:
+    """Median and minimum wall time of ``f()`` in microseconds over ``repeat`` calls."""
     f()                                     # warm-up
     times = []
     for _ in range(repeat):
         t0 = time.perf_counter()
         f()
         times.append(time.perf_counter() - t0)
-    return 1e6 * statistics.median(times)
+    return {"median": round(1e6 * statistics.median(times), 1), "min": round(1e6 * min(times), 1)}
 
 
 def waist_layers(fun, repeat: int) -> dict:
-    """Median microseconds of the Hessian and Newton-tail layers on the funnel waist, N = 128."""
+    """Microseconds of the Hessian and Newton-tail layers on the funnel waist, N = 128."""
     from dataclasses import replace
 
     from geolab import descent, morse
@@ -76,34 +83,35 @@ def waist_layers(fun, repeat: int) -> dict:
     ts = 2 * np.pi * np.arange(n) / n
     waist = make_loop(fun, np.stack([np.zeros(n), ts], axis=1))
     sv = morse.assemble_second_variation(fun, waist, sched, 0)
-    out = {"assembly": median_us(lambda: morse.assemble_second_variation(fun, waist, sched, 0),
-                                 repeat)}
+    out = {"assembly": time_us(lambda: morse.assemble_second_variation(fun, waist, sched, 0),
+                               repeat)}
     blocks = hasattr(sv, "dense")
     if blocks:
-        out["dense"] = median_us(sv.dense, repeat)
+        out["dense"] = time_us(sv.dense, repeat)
         h, twisted = sv.dense(), sv.dense(1j)
     else:
         h, twisted = sv.matrix, morse.twisted_hessian(sv, 1j).matrix
-    out.update(eigvalsh=median_us(lambda: np.linalg.eigvalsh(h), repeat),
-               eigvalsh_twisted=median_us(lambda: np.linalg.eigvalsh(twisted), repeat))
+    out.update(eigvalsh=time_us(lambda: np.linalg.eigvalsh(h), repeat),
+               eigvalsh_twisted=time_us(lambda: np.linalg.eigvalsh(twisted), repeat))
     if not hasattr(descent, "_newton_step"):
         return out
     if blocks:
         work = replace(sv, diag=sv.diag.copy(), off=sv.off.copy())
-        out["add_metric"] = median_us(lambda: descent._add_metric(work, 1e-3), repeat)
+        out["add_metric"] = time_us(lambda: descent._add_metric(work, 1e-3), repeat)
     else:
-        out["add_metric"] = (median_us(lambda: descent._add_metric(h.copy(), n, 2, 1e-3), repeat)
-                             - median_us(h.copy, repeat))
+        damped, copied = (time_us(lambda: descent._add_metric(h.copy(), n, 2, 1e-3), repeat),
+                          time_us(h.copy, repeat))
+        out["add_metric"] = {k: round(damped[k] - copied[k], 1) for k in damped}
     out.update(solve_layers(fun, sched, n, repeat))
     # a waist with a small z ripple: |g|_M about 1e-3, in the Newton tail
     rippled = make_loop(fun, np.stack([1e-3 * np.cos(3 * ts), ts], axis=1))
     stacks = [descent._LoopStack.of(fun, sched, 0, [rippled]) for _ in range(repeat + 1)]
-    out["newton_step"] = median_us(lambda: descent._newton_step(stacks.pop(), 0, 1e-8), repeat)
+    out["newton_step"] = time_us(lambda: descent._newton_step(stacks.pop(), 0, 1e-8), repeat)
     return out
 
 
 def solve_layers(fun, sched, n: int, repeat: int) -> dict:
-    """Median microseconds of solving H + mu M on the funnel waist of ``n`` nodes
+    """Microseconds of solving H + mu M on the funnel waist of ``n`` nodes
     (mu = 1e-3): dense ``cholesky`` and ``solve``, and ``positive_solve`` on its blocks."""
     from dataclasses import replace
 
@@ -122,10 +130,43 @@ def solve_layers(fun, sched, n: int, repeat: int) -> dict:
     else:
         h = sv.matrix.copy()
         descent._add_metric(h, n, 2, 1e-3)
-    out = {"cholesky": median_us(lambda: np.linalg.cholesky(h), repeat),
-           "solve": median_us(lambda: np.linalg.solve(h, -g.reshape(-1)), repeat)}
+    out = {"cholesky": time_us(lambda: np.linalg.cholesky(h), repeat),
+           "solve": time_us(lambda: np.linalg.solve(h, -g.reshape(-1)), repeat)}
     if hasattr(morse, "positive_solve"):
-        out["positive_solve"] = median_us(lambda: morse.positive_solve(damped, -g), repeat)
+        out["positive_solve"] = time_us(lambda: morse.positive_solve(damped, -g), repeat)
+    return out
+
+
+def flow_layers(repeat: int) -> dict:
+    """Microseconds of the outgoing orbit and of the closed-orbit shooting from
+    it on the great circle and the funnel waist (N = 128), and of one
+    Dormand-Prince step from the great circle's segment starts, B = 1 and 16."""
+    from geolab import jacobi
+    from geolab.charts import make_chart
+    from geolab.flow import dopri_batch
+    from geolab.loops import make_loop, one_sided_velocities
+
+    n = 128
+    ts = 2 * np.pi * np.arange(n) / n
+    sph, fun = make_chart("sphere"), make_chart("funnel")
+    circle = np.stack([np.cos(ts), np.sin(ts)], axis=1) / np.cos(np.pi / n)
+    loops = {"great_circle": (sph, make_loop(sph, circle)),
+             "funnel_waist": (fun, make_loop(fun, np.stack([np.zeros(n), ts], axis=1)))}
+    out = {}
+    for name, (chart, loop) in loops.items():
+        orbit = jacobi.outgoing_orbit(chart, loop)
+        out[name] = {
+            "outgoing_orbit": time_us(lambda: jacobi.outgoing_orbit(chart, loop), repeat),
+            "shoot_closed_orbit": time_us(lambda: jacobi.shoot_closed_orbit(chart, loop, orbit),
+                                          repeat)}
+    loop = loops["great_circle"][1]
+    idx = np.arange(16) * (n // 16)
+    rows = np.concatenate([loop.nodes[idx], one_sided_velocities(sph, loop, idx)[1],
+                           np.tile(np.eye(2).ravel(), (16, 1))], axis=1)
+    # t = 2e-4 is below the first step the flow chooses (4e-4): one step and its first slope
+    out["dopri_step"] = {f"B{len(y)}": time_us(
+        lambda y=y: dopri_batch(sph, y, 2e-4, None, jacobi.FLOW_TOL, jacobi.TIME_TOL), repeat)
+        for y in (rows[:1], rows)}
     return out
 
 
@@ -166,9 +207,9 @@ def main(argv=None) -> int:
     for name, (chart, loop) in stacks.items():
         grad = energy_gradient(chart, loop)
         out[name] = {"shape": list(loop.nodes.shape), **{
-            f.__name__: median_us(lambda f=f: f(chart, loop), args.repeat)
+            f.__name__: time_us(lambda f=f: f(chart, loop), args.repeat)
             for f in (energy, energy_gradient, validate_loop, maybe_recenter)},
-            "precondition": median_us(lambda: precondition(grad), args.repeat)}
+            "precondition": time_us(lambda: precondition(grad), args.repeat)}
 
     sph_loop = stacks["sphere"][1]
     mids = sph_loop.nodes + 0.5 * validate_loop(sph, sph_loop)
@@ -176,18 +217,19 @@ def main(argv=None) -> int:
     if hasattr(sph, "metric_diag"):
         jets += ["metric_diag", "metric_diag_deriv", "metric_diag_second_deriv"]
     out["metric_jet"] = {"shape": list(mids.shape), **{
-        name: median_us(lambda f=getattr(sph, name): f(mids), args.repeat) for name in jets}}
+        name: time_us(lambda f=getattr(sph, name): f(mids), args.repeat) for name in jets}}
 
     quarter = max(1, args.repeat // 4)
     copies = [copy.deepcopy(stack) for _ in range(quarter + 1)]
-    out["relax_round"] = median_us(lambda: relax_round(copies.pop()), quarter)
-    out["sweepout"] = median_us(
+    out["relax_round"] = time_us(lambda: relax_round(copies.pop()), quarter)
+    out["sweepout"] = time_us(
         lambda: minimax_sweepout(sph, birkhoff_latitudes(sph, 9, 128),
                                  sweep=SweepOptions(max_rounds=ROUNDS)),
         max(1, args.repeat // 20))
     out["funnel_waist"] = waist_layers(fun, args.repeat)
     if hasattr(descent, "_newton_step"):
         out["waist_1024"] = solve_layers(fun, PenaltySchedule(), 1024, max(args.repeat // 10, 3))
+    out["flow"] = flow_layers(max(args.repeat // 10, 3))
     print(json.dumps(out))
     return 0
 
