@@ -7,24 +7,14 @@ adaptive Dormand-Prince Jacobi flow whose (x, v) rows are the geodesic
 flow / conjugate points / linearized return maps, and Morse index
 machinery with built-in cross-checks between the spectral and symplectic
 routes.
+
+The package root imports nothing, so importing a submodule loads only what
+that submodule needs.  The API lives in the submodules: ``charts`` (the
+chart zoo, ``make_chart``), ``loops`` (``make_loop``, the energy and its
+gradient), ``penalty`` (``PenaltySchedule``), ``descent`` (descent and
+sweepout minimax), ``families``, ``jacobi`` (the Jacobi flow, conjugate
+points, closed-orbit shooting), ``morse`` (index and nullity), ``config``
+and ``cli``.
 """
 
 __version__ = "0.1.0"
-
-from .charts import Chart, TangentVector, make_chart
-from .loops import DiscreteLoop, make_loop
-from .penalty import PenaltySchedule
-from .descent import DescentOptions, SweepOptions, SweepoutFamily
-
-__all__ = [
-    "Chart",
-    "TangentVector",
-    "make_chart",
-    "DiscreteLoop",
-    "make_loop",
-    "PenaltySchedule",
-    "DescentOptions",
-    "SweepOptions",
-    "SweepoutFamily",
-    "__version__",
-]

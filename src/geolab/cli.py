@@ -15,6 +15,13 @@ One JSON report goes to stdout or ``--out``; progress lines go to stderr.
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 cross-check
 failure.  Two runs with the same seed and config produce identical reports
 up to the timestamp field.
+
+Each subcommand imports the layers it runs: the module level holds only
+what every analysing subcommand reads (charts, config, errors, the Jacobi
+flow and loops), and the functions that call ``descent``, ``families``,
+``morse`` and ``penalty`` import them in their bodies.  ``verify`` so
+loads neither the descent nor the index layers; a new subcommand follows
+the same pattern.
 """
 
 from __future__ import annotations
@@ -30,20 +37,7 @@ from . import __version__
 from .charts import (FD_STEP, Chart, central_difference, make_chart, metric_speed,
                      sample_unit_starts, sectional_curvature)
 from .config import RunConfig, load_config
-from .descent import (
-    DescentOptions,
-    SweepOptions,
-    descend_starts,
-    minimax_sweepout,
-    penalty_continuation,
-)
 from .errors import ConfigError, CrossCheckError, GeolabError
-from .families import (
-    birkhoff_latitudes,
-    concentric_circles,
-    random_loop,
-    winding_band,
-)
 from .jacobi import (
     FLOW_TOL,
     close_conjugate_points_check,
@@ -61,28 +55,15 @@ from .loops import (
     loop_to_csv,
     winding_numbers,
 )
-from .morse import (
-    assemble_second_variation,
-    based_index_verdict,
-    index_and_nullity,
-    iteration_table,
-    lemma_verdict,
-    outgoing_conjugate_report,
-)
-from .penalty import (
-    PenaltySchedule,
-    classify_critical_point,
-    corner_residual,
-    penalized_energy,
-    penalized_gradient,
-)
 
 
 def _schedule(cfg: RunConfig) -> PenaltySchedule:
+    from .penalty import PenaltySchedule
     return PenaltySchedule(cfg.penalty_r0, cfg.penalty_dr, cfg.penalty_stiffness)
 
 
 def _descent_options(cfg: RunConfig) -> DescentOptions:
+    from .descent import DescentOptions
     return DescentOptions(max_iter=cfg.max_iter, grad_tol=cfg.grad_tol)
 
 
@@ -122,6 +103,11 @@ def analyze_critical_loop(chart: Chart, schedule: PenaltySchedule, alpha: int,
     iterate is assembled.  ``find`` calls this once per census key (see
     ``run_find``), so ``index`` is not part of the key.
     """
+    from .morse import (assemble_second_variation, based_index_verdict, index_and_nullity,
+                        iteration_table, lemma_verdict, outgoing_conjugate_report)
+    from .penalty import (classify_critical_point, corner_residual, penalized_energy,
+                          penalized_gradient)
+
     e_loop = energy(chart, loop)
     e_pen = penalized_energy(chart, schedule, alpha, loop)
     cls = classify_critical_point(chart, schedule, alpha, loop, cfg.ell,
@@ -185,6 +171,9 @@ def run_find(cfg: RunConfig, quiet: bool) -> dict:
     with one key; one on the support keeps its own, as its classification
     is its entry.  ``starts`` lists every start that landed on an entry.
     """
+    from .descent import descend_starts
+    from .families import random_loop
+
     chart = make_chart(cfg.chart, **cfg.chart_params)
     schedule = _schedule(cfg)
     opts = _descent_options(cfg)
@@ -230,6 +219,8 @@ def run_find(cfg: RunConfig, quiet: bool) -> dict:
 
 
 def _build_family(cfg: RunConfig, chart: Chart):
+    from .families import birkhoff_latitudes, concentric_circles, winding_band
+
     kind = cfg.family
     if kind == "auto":
         if chart.name == "sphere":
@@ -250,6 +241,8 @@ def _build_family(cfg: RunConfig, chart: Chart):
 
 
 def run_sweep(cfg: RunConfig, quiet: bool) -> dict:
+    from .descent import SweepOptions, minimax_sweepout, penalty_continuation
+
     chart = make_chart(cfg.chart, **cfg.chart_params)
     schedule = _schedule(cfg)
     opts = _descent_options(cfg)

@@ -120,7 +120,10 @@ class Orbit:
     ``frames`` (..., 2, d, d) holds the velocity frames (columns, chart
     components) at the first and last rows.  The leading axes, if any,
     index the members of a batch; an escaped member's rows are NaN from its
-    exit on.  An ``outgoing_orbit`` carries its first shot as ``shot``.
+    exit on, and a batch from ``jacobi_propagate`` carries the members'
+    exit times (inf for one that stayed inside) as ``exit_time``.  An
+    ``outgoing_orbit`` carries its first shot as ``shot``, also one that left
+    the chart.
     """
 
     t: float
@@ -130,6 +133,7 @@ class Orbit:
     y: np.ndarray
     frames: np.ndarray
     shot: Orbit | None = None
+    exit_time: np.ndarray | None = None
 
     @property
     def start(self) -> TangentVector:
@@ -193,12 +197,12 @@ def jacobi_propagate(chart: Chart, start: TangentVector, t: float,
     (base and velocity of shape (d,)) runs as a batch of one, returns its
     ``Orbit`` and raises DomainEscapeError with the exit time when the
     geodesic leaves the chart (time 0 for a start outside it).  A batch
-    (shape (B, d)) returns the batch ``Orbit`` and the exit times (B,): inf
-    for a member that stayed inside, s_n when a stage point of the step from
-    row time s_n left the chart and s_{n+1} when its new point did.  A
-    member's rows are NaN from its exit on.  A chart that is not a surface
-    raises NotImplementedError; a start with zero metric speed, t <= 0 or a
-    grid that does not rise from 0 to t raise ValueError.
+    (shape (B, d)) returns the batch ``Orbit`` and the exit times (B,), also
+    its ``exit_time``: inf for a member that stayed inside, s_n when a stage
+    point of the step from row time s_n left the chart and s_{n+1} when its
+    new point did.  A member's rows are NaN from its exit on.  A chart that
+    is not a surface raises NotImplementedError; a start with zero metric
+    speed, t <= 0 or a grid that does not rise from 0 to t raise ValueError.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -225,7 +229,8 @@ def jacobi_propagate(chart: Chart, start: TangentVector, t: float,
     xs, vs = rows[..., :2], rows[..., 2:4]
     ends = [0, -1]
     orbit = Orbit(t, grid, xs, vs, rows[..., 4:].reshape(rows.shape[:-1] + (2, 2)),
-                  velocity_frame(chart, xs[..., ends, :], vs[..., ends, :]))
+                  velocity_frame(chart, xs[..., ends, :], vs[..., ends, :]),
+                  exit_time=exit_time if batched else None)
     return (orbit, exit_time) if batched else orbit
 
 
@@ -249,13 +254,11 @@ def outgoing_orbit(chart: Chart, loop: DiscreteLoop) -> Orbit:
     """
     b, d = math.gcd(loop.n_nodes, MAX_SEGMENTS), chart.dim
     x, v = _segment_starts(chart, loop, b)
-    speed, first = max(metric_speed(chart, x[0], v[0]), 1e-12), None
-    if b > 1:
-        shot, exit_time = jacobi_propagate(chart, TangentVector(x, v), 1.0 / b)
-        first = shot if np.all(np.isinf(exit_time)) else None
-    for it in range(SHOOT_MAX_ITER + 1 if first is not None else 0):
+    speed = max(metric_speed(chart, x[0], v[0]), 1e-12)
+    shot = first = _shoot_segments(chart, x, v) if b > 1 else None
+    for it in range(SHOOT_MAX_ITER + 1 if b > 1 and _inside(first) else 0):
         f = _junctions(chart, shot).reshape(b, 2 * d)[:-1]
-        residual = float(np.linalg.norm(f)) if np.all(np.isinf(exit_time)) else np.inf
+        residual = float(np.linalg.norm(f)) if _inside(shot) else np.inf
         if residual < SHOOT_TOL * speed:
             return replace(_stitch(chart, shot), shot=first)
         if it == SHOOT_MAX_ITER or residual > CLOSURE_TOL * speed:
@@ -266,8 +269,7 @@ def outgoing_orbit(chart: Chart, loop: DiscreteLoop) -> Orbit:
         for k in range(1, b):
             delta = f[k - 1] + jac[k - 1] @ delta
             starts[k] += delta
-        shot, exit_time = jacobi_propagate(chart, TangentVector(starts[:, :d], starts[:, d:]),
-                                           1.0 / b, first.grid)
+        shot = _shoot_segments(chart, starts[:, :d], starts[:, d:], first.grid)
     return replace(jacobi_propagate(chart, TangentVector(x[0], v[0]), 1.0), shot=first)
 
 
@@ -364,15 +366,23 @@ def _flow_derivatives(chart: Chart, shot: Orbit) -> np.ndarray:
 def _shoot_segments(chart: Chart, x: np.ndarray, v: np.ndarray,
                     grid: np.ndarray | None = None) -> Orbit:
     """Batch orbit of the len(x) segments of [0, 1] from the starts (x, v),
-    on their own common steps or replaying ``grid``; raises
-    DomainEscapeError when a segment leaves the chart."""
-    b = len(x)
-    shot, exit_time = jacobi_propagate(chart, TangentVector(x, v), 1.0 / b, grid)
-    escaped = np.flatnonzero(np.isfinite(exit_time))
-    if len(escaped):
-        k = escaped[0]
+    on their own common steps or replaying ``grid``, with its exit times."""
+    return jacobi_propagate(chart, TangentVector(x, v), 1.0 / len(x), grid)[0]
+
+
+def _inside(shot: Orbit) -> bool:
+    return bool(np.all(np.isinf(shot.exit_time)))
+
+
+def _closing_shot(chart: Chart, shot: Orbit) -> Orbit:
+    """``shot``, which the closing shooting goes on from; raises
+    DomainEscapeError at the exit, in the stitched orbit's time, of its
+    first segment that left the chart."""
+    if not _inside(shot):
+        k = int(np.flatnonzero(np.isfinite(shot.exit_time))[0])
         raise DomainEscapeError(f"{chart.name}: geodesic left the chart domain during "
-                                "closed-orbit shooting", exit_time=float(k / b + exit_time[k]))
+                                "closed-orbit shooting",
+                                exit_time=float(k / len(shot.x) + shot.exit_time[k]))
     return shot
 
 
@@ -413,6 +423,8 @@ def refine_closed_orbit(chart: Chart, loop: DiscreteLoop,
     ``SHOOT_MAX_ITER`` steps and stops once the stacked junction residual is
     below ``SHOOT_TOL``.  Returns the orbit stitched from the last shot's
     segments (its ``start`` the corrected initial condition) and that residual.
+    A segment that left the chart, in the first shot or a re-shoot, raises
+    DomainEscapeError with its exit time on [0, 1].
     """
     d = chart.dim
     b = math.gcd(loop.n_nodes, MAX_SEGMENTS)
@@ -421,7 +433,8 @@ def refine_closed_orbit(chart: Chart, loop: DiscreteLoop,
                  orbit.frames[None])
     speed = max(metric_speed(chart, orbit.x[0], orbit.v[0]), 1e-12)
     if b > 1 and np.linalg.norm(_junctions(chart, shot)) >= SHOOT_TOL * speed:
-        shot = orbit.shot or _shoot_segments(chart, *_segment_starts(chart, loop, b))
+        shot = _closing_shot(chart, orbit.shot
+                             or _shoot_segments(chart, *_segment_starts(chart, loop, b)))
     b = len(shot.x)                          # 1 when the outgoing orbit is the shot
     cyclic = -np.eye(2 * d * b, k=2 * d) - np.eye(2 * d * b, k=2 * d * (1 - b))
     diag = np.arange(b)
@@ -435,8 +448,8 @@ def refine_closed_orbit(chart: Chart, loop: DiscreteLoop,
         jac.reshape(b, 2 * d, b, 2 * d)[diag, :, diag, :] += _flow_derivatives(chart, shot)
         step, *_ = np.linalg.lstsq(jac, -f, rcond=1e-8)
         step = step.reshape(b, 2, d)
-        shot = _shoot_segments(chart, shot.x[:, 0] + step[:, 0], shot.v[:, 0] + step[:, 1],
-                               shot.grid)
+        shot = _closing_shot(chart, _shoot_segments(chart, shot.x[:, 0] + step[:, 0],
+                                                    shot.v[:, 0] + step[:, 1], shot.grid))
 
 
 def _kernel_dim(b: np.ndarray) -> int:

@@ -3,7 +3,10 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -607,6 +610,49 @@ def test_cli_verify_conjpoints_compact_skips(tmp_path):
     out = str(tmp_path / "report.json")
     assert main(["verify", "conjpoints", "--config", cfg, "--quiet", "--out", out]) == 0
     assert "skipped" in read_report(out)["results"]["conjpoints"]
+
+
+LOADED_MODULES = """\
+import json, sys
+import geolab.cli
+if len(sys.argv) > 1:
+    assert geolab.cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("geolab"))))
+"""
+
+
+def geolab_modules_loaded(*cli_args):
+    """The geolab modules a fresh interpreter holds after importing the CLI
+    and, given arguments, running it; in this process the other tests have
+    already imported every module."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", LOADED_MODULES, *cli_args], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    return {m.removeprefix("geolab.") for m in json.loads(done.stdout.splitlines()[-1])}
+
+
+def test_cli_subcommands_import_only_the_layers_they_run(tmp_path):
+    # importing the CLI, or verifying, loads neither the descent nor the
+    # index layers; analyze loads the index layers, not the descent ones
+    from geolab.charts import make_chart
+    base = {"geolab", "charts", "cli", "config", "errors", "flow", "jacobi", "loops"}
+    assert geolab_modules_loaded() == base
+    cfg = write_yaml(tmp_path / "verify.yaml", "chart: bumped_cylinder\nell: 3.0\n"
+                                               "k_radius: 1.0\nn_samples: 5\n")
+    out = str(tmp_path / "report.json")
+    assert geolab_modules_loaded("verify", "all", "--config", cfg, "--quiet",
+                                 "--out", out) == base
+    assert read_report(out)["results"]["pass"] is True
+    cyl = make_chart("cylinder")
+    n = 32
+    ts = 2 * np.pi * np.arange(n) / n
+    loop_path = tmp_path / "waist.json"
+    save_loop_json(cyl, make_loop(cyl, np.stack([np.zeros(n), ts], axis=1)), loop_path)
+    cfg = write_yaml(tmp_path / "analyze.yaml",
+                     f"chart: cylinder\nloop_path: {loop_path}\nm_max: 2\n")
+    assert geolab_modules_loaded("analyze", "--config", cfg, "--quiet",
+                                 "--out", out) == base | {"morse", "penalty"}
+    assert read_report(out)["results"]["analysis"]["nullity_monodromy"] == 2
 
 
 def test_cli_sweep_plane_contractible(tmp_path):

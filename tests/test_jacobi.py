@@ -552,16 +552,31 @@ def test_outgoing_orbit_that_leaves_the_chart_escapes_as_the_single_start():
     assert str(shot.value) == str(single.value)
 
 
-def test_outgoing_orbit_with_a_leaving_segment_is_the_single_start():
+def test_outgoing_orbit_with_a_leaving_segment_is_the_single_start(monkeypatch):
     # segment 1, from node 63, leaves the chart, the single start does not;
-    # the closing shooting shoots the segments itself and raises as they leave
+    # the leaving first shot rides on the single start, and the closing
+    # shooting raises at segment 1's exit from it, integrating nothing
     loop = apex_circle(63)
     par = make_chart("paraboloid")
+    _, exit_time = jacobi_propagate(par, TangentVector(*jacobi._segment_starts(par, loop, 2)),
+                                    0.5)
+    assert np.isinf(exit_time[0]) and np.isfinite(exit_time[1])
+    single = single_start(par, loop)
+    calls = []
+    integrate = jacobi.jacobi_propagate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(jacobi, "jacobi_propagate", counted)
     orbit = outgoing_orbit(par, loop)
-    assert orbit.shot is None and same_rows(orbit, single_start(par, loop))
+    assert same_rows(orbit, single)
+    assert np.array_equal(orbit.shot.exit_time, exit_time)
     with pytest.raises(DomainEscapeError) as escape:
         shoot_closed_orbit(par, loop, orbit)
-    assert 0.5 < escape.value.exit_time < 1.0
+    assert len(calls) == 2                  # the first shot and the single start
+    assert 0.5 < escape.value.exit_time == 0.5 + exit_time[1] < 1.0
 
 
 def test_close_check_plane_trivial():

@@ -32,7 +32,11 @@ of the repeats.  ``flow`` times, on a tenth of the repeats, the flow's
 layers: ``outgoing_orbit`` and ``shoot_closed_orbit`` (from that orbit) on
 the great circle and the funnel waist at N = 128, and one Dormand-Prince
 step (``dopri_step``, with its first slope) of the great circle's
-basepoint (B1) and of its 16 segment starts (B16).
+basepoint (B1) and of its 16 segment starts (B16).  ``startup`` times, on
+a tenth of the repeats, whole fresh ``python -c "import geolab.cli"``
+processes with ``--src`` on ``PYTHONPATH`` (``import_cli``) and lists the
+geolab modules that import loads; with ``PYTHONDONTWRITEBYTECODE`` set, as
+it is recorded, every process compiles each module it loads.
 
 * ``sphere``: the family of ``birkhoff_latitudes(sphere, 9, 128)`` after
   the 50 relax rounds of the ``sweep-birkhoff`` workload, 44 members with
@@ -50,7 +54,9 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import os
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -170,6 +176,22 @@ def flow_layers(repeat: int) -> dict:
     return out
 
 
+def startup(src: str, repeat: int) -> dict:
+    """Microseconds of a fresh process that imports the CLI from ``src``,
+    and the geolab modules it loads."""
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(code: str) -> str:
+        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout
+
+    listed = run("import sys, geolab.cli; print(*sorted(m for m in sys.modules "
+                 "if m.startswith('geolab')))")
+    return {"import_cli": time_us(lambda: run("import geolab.cli"), repeat),
+            "modules": listed.split(),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
@@ -230,6 +252,7 @@ def main(argv=None) -> int:
     if hasattr(descent, "_newton_step"):
         out["waist_1024"] = solve_layers(fun, PenaltySchedule(), 1024, max(args.repeat // 10, 3))
     out["flow"] = flow_layers(max(args.repeat // 10, 3))
+    out["startup"] = startup(args.src, max(args.repeat // 10, 3))
     print(json.dumps(out))
     return 0
 
